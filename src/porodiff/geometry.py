@@ -279,13 +279,6 @@ class Mesh:
         d = self.nodes[e[:, 0]] - self.nodes[e[:, 1]]
         return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
-    def edge_marker_map(self):
-        """Dict view {(i, j) sorted: EdgeMarker} of the marked edges."""
-        return {
-            (int(min(i, j)), int(max(i, j))): EdgeMarker(m)
-            for (i, j), m in zip(self.edges, self.edge_markers)
-        }
-
 
 def validate_mesh(mesh, check_gamma_loops=True):
     """Raise MeshFailureError on inverted elements or broken GAMMA loops."""
@@ -492,8 +485,10 @@ def _boundary_edges(tris):
     """Edges used by exactly one triangle, as sorted index pairs."""
     e = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
     e.sort(axis=1)
-    uniq, counts = np.unique(e, axis=0, return_counts=True)
-    return uniq[counts == 1]
+    n = int(tris.max()) + 1
+    keys, counts = np.unique(e[:, 0] * n + e[:, 1], return_counts=True)
+    keys = keys[counts == 1]
+    return np.column_stack([keys // n, keys % n])
 
 
 def _classify_cell_boundary(nodes, bedges, bounds):
@@ -641,29 +636,29 @@ class EpsilonDomainSpec:
 
 
 def _epsilon_cells(spec):
-    """Integer lattice cells k with eps*(k + unit cell) inside the domain."""
+    """Integer lattice cells k (K,2), row by row, with eps*(k + unit cell)
+    inside the domain."""
     m = spec.cells_per_unit
     x0, y0, x1, y1 = spec.domain.bbox()
-    kx0, ky0 = round(x0 * m), round(y0 * m)
-    kx1, ky1 = round(x1 * m), round(y1 * m)
-    cells = []
-    for ky in range(ky0, ky1):
-        for kx in range(kx0, kx1):
-            center = np.array([[(kx + 0.5) / m, (ky + 0.5) / m]])
-            if spec.domain.contains(center)[0]:
-                cells.append((kx, ky))
-    return cells
+    kx, ky = np.meshgrid(np.arange(round(x0 * m), round(x1 * m)),
+                         np.arange(round(y0 * m), round(y1 * m)))
+    cells = np.column_stack([kx.ravel(), ky.ravel()])
+    return cells[spec.domain.contains((cells + 0.5) / m)]
 
 
 def build_epsilon_mesh(spec, h_cell, node_cap=DEFAULT_NODE_CAP):
-    """Mesh the perforated epsilon-domain by tiling a scaled unit-cell mesh."""
+    """Mesh the perforated epsilon-domain by tiling a scaled unit-cell mesh.
+
+    Nodes of neighbouring cells with exactly equal coordinates are merged;
+    merged nodes are numbered in order of first appearance, cell by cell.
+    """
     spec.validate()
     eps = spec.epsilon
     if h_cell > eps / 8 * (1 + 1e-9):
         raise ValueError("h_cell must resolve the scaled inclusion (h_cell <= eps/8)")
     unit = build_unit_cell_mesh(spec.inclusion, h_cell / eps)
     cells = _epsilon_cells(spec)
-    if not cells:
+    if not len(cells):
         raise MeshFailureError("no epsilon cells inside the domain")
     estimated = len(cells) * unit.n_nodes
     if estimated > node_cap:
@@ -671,44 +666,24 @@ def build_epsilon_mesh(spec, h_cell, node_cap=DEFAULT_NODE_CAP):
             f"estimated {estimated} nodes exceeds cap {node_cap}"
         )
 
-    node_index = {}
-    nodes = []
-    tris = []
-    elem_cell = []
-    gamma_edges = []
-    unit_gamma = unit.edges_with(EdgeMarker.GAMMA)
-    for cell_id, (kx, ky) in enumerate(cells):
-        shifted = (unit.nodes + np.array([float(kx), float(ky)])) * eps
-        local = np.empty(unit.n_nodes, dtype=np.int64)
-        for i in range(unit.n_nodes):
-            key = (shifted[i, 0], shifted[i, 1])
-            idx = node_index.get(key)
-            if idx is None:
-                idx = len(nodes)
-                node_index[key] = idx
-                nodes.append(shifted[i])
-            local[i] = idx
-        tris.append(local[unit.triangles])
-        elem_cell.append(np.full(unit.n_triangles, cell_id, dtype=np.int64))
-        if len(unit_gamma):
-            gamma_edges.append(local[unit_gamma])
-
-    nodes = np.asarray(nodes)
-    tris = np.vstack(tris)
-    elem_cell = np.concatenate(elem_cell)
+    shifted = (unit.nodes[None] + cells[:, None].astype(float)) * eps
+    shifted = shifted.reshape(-1, 2)
+    # one complex number per node, so that np.unique merges equal (x, y)
+    _, first, inverse = np.unique(shifted.view(np.complex128).ravel(),
+                                  return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    local = np.argsort(order)[inverse].reshape(len(cells), unit.n_nodes)
+    nodes = shifted[first[order]]
+    tris = local[:, unit.triangles].reshape(-1, 3)
+    elem_cell = np.repeat(np.arange(len(cells)), unit.n_triangles)
     bedges = _boundary_edges(tris)
-    gamma_set = set()
-    if gamma_edges:
-        ge = np.vstack(gamma_edges)
-        ge.sort(axis=1)
-        gamma_set = {(int(i), int(j)) for i, j in ge}
-    markers = np.array(
-        [EdgeMarker.GAMMA if (int(i), int(j)) in gamma_set else EdgeMarker.OUTER
-         for i, j in bedges],
-        dtype=np.uint8,
-    )
-    n_gamma_boundary = int((markers == EdgeMarker.GAMMA).sum())
-    if n_gamma_boundary != len(gamma_set):
+
+    n = len(nodes)
+    ge = np.sort(local[:, unit.edges_with(EdgeMarker.GAMMA)].reshape(-1, 2), axis=1)
+    gamma_keys = np.unique(ge[:, 0] * n + ge[:, 1])
+    is_gamma = np.isin(bedges[:, 0] * n + bedges[:, 1], gamma_keys)
+    markers = np.where(is_gamma, EdgeMarker.GAMMA, EdgeMarker.OUTER).astype(np.uint8)
+    if int(is_gamma.sum()) != len(gamma_keys):
         raise MeshFailureError("an inclusion boundary touches the outer boundary")
     mesh = Mesh(nodes, tris, bedges, markers, element_markers=elem_cell, h=h_cell)
     validate_mesh(mesh)
@@ -828,6 +803,14 @@ def write_poromesh(mesh, path):
         f.write(text)
 
 
+def _section_count(line, tag):
+    """Item count from a poromesh section header ``<tag> <count>``."""
+    parts = line.split()
+    if len(parts) != 2 or parts[0] != tag:
+        raise MeshFailureError(f"expected a {tag!r} section, got {line!r}")
+    return int(parts[1])
+
+
 def read_poromesh(path):
     """Read a poromesh v1 file and validate the mesh."""
     with open(path) as f:
@@ -838,18 +821,15 @@ def read_poromesh(path):
         raise MeshFailureError("not a poromesh v1 file")
     if header[2] != "dim=2":
         raise UnsupportedDimensionError("only dim=2 poromesh files are supported")
-    tag, n = next(it).split()
-    assert tag == "nodes"
-    nodes = np.array([[float(v) for v in next(it).split()] for _ in range(int(n))])
-    tag, m = next(it).split()
-    assert tag == "tris"
-    tris = np.array([[int(v) for v in next(it).split()] for _ in range(int(m))],
-                    dtype=np.int64).reshape(int(m), 3)
-    tag, e = next(it).split()
-    assert tag == "edges"
+    n = _section_count(next(it), "nodes")
+    nodes = np.array([[float(v) for v in next(it).split()] for _ in range(n)])
+    m = _section_count(next(it), "tris")
+    tris = np.array([[int(v) for v in next(it).split()] for _ in range(m)],
+                    dtype=np.int64).reshape(m, 3)
+    e = _section_count(next(it), "edges")
     edges = []
     markers = []
-    for _ in range(int(e)):
+    for _ in range(e):
         i, j, name = next(it).split()
         edges.append((int(i), int(j)))
         markers.append(_MARKER_BY_NAME[name])

@@ -205,30 +205,12 @@ def restrict_macro_to_micro(macro_mesh, macro_field, micro_mesh):
 def cell_average_unfold(mesh, values, epsilon):
     """Area-weighted average of a nodal field over each epsilon cell.
 
-    Returns (cells, averages) where cells are integer lattice indices (K,2).
-    Uses the element cell decoration when present, otherwise the element
-    centroid determines the cell.
+    Returns (cells, averages) where cells are integer lattice indices (K,2);
+    the element centroid determines the cell.
     """
     values = np.asarray(values, dtype=float)
     areas = mesh.areas
     elem_mean = values[mesh.triangles].mean(axis=1)
-    if mesh.element_markers is not None and mesh.element_markers.min() >= 0:
-        labels = mesh.element_markers
-        uniq = np.unique(labels)
-        cen = mesh.centroids
-        cells = np.empty((len(uniq), 2), dtype=np.int64)
-        sums = np.zeros(len(uniq))
-        wsum = np.zeros(len(uniq))
-        index = {int(u): k for k, u in enumerate(uniq)}
-        for t in range(mesh.n_triangles):
-            k = index[int(labels[t])]
-            sums[k] += areas[t] * elem_mean[t]
-            wsum[k] += areas[t]
-        for k, u in enumerate(uniq):
-            sel = labels == u
-            c = mesh.centroids[sel][0]
-            cells[k] = np.floor(c / epsilon)
-        return cells, sums / wsum
     kx = np.floor(mesh.centroids[:, 0] / epsilon).astype(np.int64)
     ky = np.floor(mesh.centroids[:, 1] / epsilon).astype(np.int64)
     keys = kx * (2 ** 31) + ky

@@ -199,3 +199,13 @@ class TestPoromeshIO:
         p.write_text(text)
         with pytest.raises(MeshFailureError):
             geo.read_poromesh(p)
+
+    @pytest.mark.parametrize("tag,wrong", [
+        ("nodes", "node"), ("tris", "triangles"), ("edges", "tris")])
+    def test_import_rejects_mislabelled_section(self, tmp_path, tag, wrong):
+        text = ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+                "tris 1\n0 1 2\nedges 0\n").replace(f"{tag} ", f"{wrong} ", 1)
+        p = tmp_path / "mislabelled.poromesh"
+        p.write_text(text)
+        with pytest.raises(MeshFailureError, match=tag):
+            geo.read_poromesh(p)

@@ -3,6 +3,7 @@ import pytest
 
 from porodiff import fem, geometry as geo, kinetics as kin, micro
 from porodiff.errors import PointOutsideDomainError
+from porodiff.interpolate import P1Interpolator
 
 
 def bump(x, y):
@@ -133,9 +134,51 @@ class TestRestriction:
             assert np.abs(vals - exact).max() <= 2.5 * h * h
 
     def test_point_outside(self, macro_mesh_16):
-        from porodiff.interpolate import P1Interpolator
         with pytest.raises(PointOutsideDomainError):
             P1Interpolator(macro_mesh_16, np.array([[1.5, 0.5]]))
+
+    def test_location_matches_brute_force(self):
+        mm = geo.build_macro_mesh(geo.RectUnion.unit_square(), 1 / 8)
+        tris = mm.triangles
+        ends = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
+        mids = 0.5 * (mm.nodes[ends[:, 0]] + mm.nodes[ends[:, 1]])
+        rng = np.random.default_rng(7)
+        pts = np.unique(np.vstack([mm.nodes, mids, rng.random((100, 2))]),
+                        axis=0)
+        interp = P1Interpolator(mm, pts)
+        # reference: scan all triangles in index order, take the first one
+        # whose smallest barycentric coordinate is >= -tol
+        p = mm.nodes[tris]
+        p0 = p[:, 0]
+        e1 = p[:, 1] - p0
+        e2 = p[:, 2] - p0
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        rel = pts[:, None, :] - p0[None]
+        l1 = (rel[..., 0] * e2[:, 1] - rel[..., 1] * e2[:, 0]) / det
+        l2 = (e1[:, 0] * rel[..., 1] - e1[:, 1] * rel[..., 0]) / det
+        lam = np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+        inside = lam.min(axis=-1) >= -1e-9
+        assert inside.any(axis=1).all()
+        tri = np.argmax(inside, axis=1)
+        bary = np.clip(lam[np.arange(len(pts)), tri], 0.0, None)
+        bary /= bary.sum(axis=1, keepdims=True)
+        assert np.array_equal(interp.tri_idx, tri)
+        assert np.array_equal(interp.bary, bary)
+
+
+@pytest.mark.parametrize("domain,eps,n_cells", [
+    (geo.RectUnion.unit_square(), 0.25, 16),
+    (geo.RectUnion.of((0, 0, 1, 0.5), (0, 0.5, 0.5, 1)), 0.125, 48),
+])
+def test_epsilon_mesh_merges_shared_nodes(disc_spec, domain, eps, n_cells):
+    spec = geo.EpsilonDomainSpec(domain, eps, disc_spec)
+    mesh = geo.build_epsilon_mesh(spec, eps / 8)
+    unit = geo.build_unit_cell_mesh(disc_spec, 1 / 8)
+    assert len(np.unique(mesh.nodes, axis=0)) == mesh.n_nodes
+    assert np.array_equal(np.unique(mesh.triangles), np.arange(mesh.n_nodes))
+    assert len(np.unique(mesh.element_markers)) == n_cells
+    assert (len(mesh.edges_with(geo.EdgeMarker.GAMMA))
+            == n_cells * len(unit.edges_with(geo.EdgeMarker.GAMMA)))
 
 
 class TestCellAverageUnfold:
