@@ -83,7 +83,6 @@ _SCHEMA = {
         "positivity": str,
         "snapshot_every": int,
         "initial": dict,
-        "solver_method": str,
     },
     "sweep": {
         "epsilons": list,
@@ -114,7 +113,7 @@ _DEFAULTS = {
               "variant": False},
     "micro": {"epsilon": 0.25, "h_cell": None, "dt": 1e-3, "t_end": 0.05,
               "scaling": "fast_exchange", "positivity": "monitor",
-              "snapshot_every": 1, "initial": {}, "solver_method": "auto"},
+              "snapshot_every": 1, "initial": {}},
     "sweep": {"epsilons": [0.25, 0.125, 0.0625], "dt": 1e-3, "t_end": 0.1,
               "macro_h": 0.03125, "scaling": "fast_exchange",
               "snapshot_every": 2, "initial": {}},
@@ -424,8 +423,7 @@ def cmd_micro(cfg, outdir, args):
         d3=_coefficient(cfg["coefficients"]["d3"]),
         kinetics=kin, scaling=micro_mod.Scaling(mcfg["scaling"]),
         positivity=macro_mod.PositivityPolicy(mcfg["positivity"]),
-        snapshot_every=mcfg["snapshot_every"],
-        solver_method=mcfg["solver_method"])
+        snapshot_every=mcfg["snapshot_every"])
     init = mcfg["initial"]
     state = micro_mod.initial_state(
         mesh, _initial_closure(init["c1"]), _initial_closure(init["c2"]),

@@ -14,6 +14,7 @@ independent of any caller-side parallelism.
 from __future__ import annotations
 
 import hashlib
+import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 
@@ -275,18 +276,23 @@ class ConstraintReducer:
 
     def reduce(self, A, b):
         """Reduced, symmetric (A_r, b_r); multiplier rows appended last."""
-        b = np.asarray(b, dtype=float)
-        if self.has_dirichlet:
-            b = b - A @ self.dirichlet_values
         A_r = (self.P.T @ A @ self.P).tocsr()
-        b_r = self.P.T @ b
         if self.n_multipliers:
             cols = sp.hstack([sp.csr_matrix(w.reshape(-1, 1))
                               for w in self.mean_zero_reduced])
             zero = sp.csr_matrix((self.n_multipliers, self.n_multipliers))
             A_r = sp.bmat([[A_r, cols], [cols.T, zero]], format="csr")
+        return A_r, self.reduce_rhs(A, b)
+
+    def reduce_rhs(self, A, b):
+        """The reduced b_r of ``reduce`` alone; A only lifts Dirichlet values."""
+        b = np.asarray(b, dtype=float)
+        if self.has_dirichlet:
+            b = b - A @ self.dirichlet_values
+        b_r = self.P.T @ b
+        if self.n_multipliers:
             b_r = np.concatenate([b_r, np.zeros(self.n_multipliers)])
-        return A_r, b_r
+        return b_r
 
     def expand(self, x_reduced):
         """Full nodal vector from a reduced solution (multipliers dropped)."""
@@ -313,45 +319,65 @@ def solve_sparse(A, b, tol=1e-10, method="direct", maxiter=None, x0=None):
     """Solve A x = b with a relative-residual contract.
 
     ``direct`` uses sparse LU, ``cg`` a Jacobi-preconditioned conjugate
-    gradient (A must be symmetric positive definite); ``auto`` picks cg for
-    large systems. Raises SingularSystemError or NoConvergenceError when the
-    contract fails.
+    gradient (A must be symmetric positive definite). Raises
+    SingularSystemError or NoConvergenceError when the contract fails.
     """
     b = np.asarray(b, dtype=float)
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
+    if np.linalg.norm(b) == 0.0:
         return np.zeros_like(b)
-    if method == "auto":
-        method = "cg" if A.shape[0] > 20000 else "direct"
     if method == "direct":
         try:
-            x = splu_factor(A).solve(b)
+            handle = splu_factor(A)
         except (RuntimeError, ValueError) as exc:
             raise SingularSystemError(str(exc)) from exc
-        if not np.all(np.isfinite(x)):
-            raise SingularSystemError("factorization produced non-finite values")
-        res = np.linalg.norm(A @ x - b) / bnorm
-        if res > tol:
-            raise NoConvergenceError(1, res)
-        return x
+        return solve_factored(handle, A, b, tol)
     if method == "cg":
         diag = A.diagonal()
         if np.any(diag <= 0):
             raise SingularSystemError("nonpositive diagonal in CG path")
-        M = sp.diags(1.0 / diag)
-        iters = 0
-
-        def count(_):
-            nonlocal iters
-            iters += 1
-
-        x, info = spla.cg(A, b, rtol=tol * 0.1, atol=0.0, M=M, x0=x0,
-                          maxiter=maxiter or 20 * A.shape[0], callback=count)
-        res = np.linalg.norm(A @ x - b) / bnorm
-        if info != 0 or res > tol:
-            raise NoConvergenceError(iters, res)
-        return x
+        return _pcg(A, b, sp.diags(1.0 / diag), tol, x0=x0, maxiter=maxiter)[0]
     raise ValueError(f"unknown solve method {method!r}")
+
+
+def solve_factored(handle, A, b, tol=1e-10):
+    """``handle.solve(b)`` for a factor of A, under the residual contract."""
+    b = np.asarray(b, dtype=float)
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b)
+    x = handle.solve(b)
+    if not np.all(np.isfinite(x)):
+        raise SingularSystemError("factorization produced non-finite values")
+    res = np.linalg.norm(A @ x - b) / bnorm
+    if res > tol:
+        raise NoConvergenceError(1, res)
+    return x
+
+
+def _pcg(A, b, M, tol, x0=None, maxiter=None):
+    """Preconditioned CG under the residual contract; (x, iterations).
+
+    A and M are matrices or LinearOperators; M applies the inverse of the
+    preconditioner.
+    """
+    bnorm = np.linalg.norm(b)
+    if bnorm == 0.0:
+        return np.zeros_like(b), 0
+    if not np.isfinite(bnorm):
+        # CG would run to maxiter on a non-finite right-hand side
+        raise NoConvergenceError(0, bnorm)
+    iters = 0
+
+    def count(_):
+        nonlocal iters
+        iters += 1
+
+    x, info = spla.cg(A, b, rtol=tol * 0.1, atol=0.0, M=M, x0=x0,
+                      maxiter=maxiter or 20 * A.shape[0], callback=count)
+    res = np.linalg.norm(A @ x - b) / bnorm
+    if info != 0 or res > tol:
+        raise NoConvergenceError(iters, res)
+    return x, iters
 
 
 class _LUHandle:
@@ -366,6 +392,7 @@ class _LUHandle:
 
 _factor_cache: OrderedDict[bytes, _LUHandle] = OrderedDict()
 _FACTOR_CACHE_SIZE = 8
+_factor_lock = threading.Lock()
 
 
 def _matrix_key(A):
@@ -378,17 +405,27 @@ def _matrix_key(A):
 
 
 def splu_factor(A):
-    """LU factorization memoized on the matrix content."""
+    """LU factorization memoized on the matrix content.
+
+    Every system porodiff factors is symmetric (the SPD steppers, and the
+    cell saddle-point systems with mean-zero multipliers), so SuperLU orders
+    by minimum degree on A'+A and prefers diagonal pivots. The cache is
+    shared by threads; the factorization itself runs outside its lock.
+    """
     A_csc = A.tocsc()
     key = _matrix_key(A_csc)
-    handle = _factor_cache.get(key)
-    if handle is None:
-        handle = _LUHandle(spla.splu(A_csc))
-        _factor_cache[key] = handle
+    with _factor_lock:
+        handle = _factor_cache.get(key)
+        if handle is not None:
+            _factor_cache.move_to_end(key)
+            return handle
+    handle = _LUHandle(spla.splu(A_csc, permc_spec="MMD_AT_PLUS_A",
+                                 options=dict(SymmetricMode=True)))
+    with _factor_lock:
+        handle = _factor_cache.setdefault(key, handle)
+        _factor_cache.move_to_end(key)
         while len(_factor_cache) > _FACTOR_CACHE_SIZE:
             _factor_cache.popitem(last=False)
-    else:
-        _factor_cache.move_to_end(key)
     return handle
 
 
@@ -404,50 +441,105 @@ def mass_norm(M, u):
     return float(np.sqrt(max(u @ (M @ u), 0.0)))
 
 
-def solve_exchange_block(A1, A2, C, b1, b2, reducer, tol=1e-10, equal=False,
-                         method="direct", x0=None):
-    """Solve the symmetric exchange block [[A1+C, -C], [-C, A2+C]].
+# An exchange solve that takes more CG iterations than this factors
+# Abar + 2C at that solve's C, as the preconditioner of the solves after it.
+REFACTOR_ITERS = 30
+
+
+class ExchangeBlock:
+    """The constant part of the exchange block [[A1+C, -C], [-C, A2+C]].
+
+    Built once per stepper: it holds the reduced A1r and A2r and the factor
+    of their mean Abar = (A1r + A2r)/2. The difference preconditioner is the
+    factor of Abar + 2 C_ref. C_ref starts at zero, so at first it is Abar's
+    own factor; when a solve needs more than REFACTOR_ITERS CG iterations,
+    C_ref becomes that solve's exchange matrix and Abar + 2 C_ref is
+    factored for the solves that follow.
 
     ``reducer`` is the single-field constraint reduction, applied to both
-    fields. The block is SPD whenever A1, A2 are SPD and C is PSD, so either
-    solve path honours the same residual contract. With ``equal=True`` (A1
-    and A2 are the same operator) the system decouples exactly into sum and
-    difference variables, which keeps symmetric data exactly symmetric:
-    equal right-hand sides give bitwise-equal fields.
+    fields. With ``equal=True`` (A1 and A2 are the same operator) the block
+    decouples exactly into sum and difference fields.
     """
-    P = reducer.P
-    if reducer.n_multipliers:
-        raise ConflictingConstraintsError(
-            "exchange block solve does not support mean-zero multipliers"
-        )
-    b1r = P.T @ (b1 - A1 @ reducer.dirichlet_values) if reducer.has_dirichlet \
-        else P.T @ b1
-    b2r = P.T @ (b2 - A2 @ reducer.dirichlet_values) if reducer.has_dirichlet \
-        else P.T @ b2
-    A1r = (P.T @ A1 @ P).tocsr()
-    Cr = (P.T @ C @ P).tocsr() if C is not None else None
-    if equal:
-        x_sum = solve_sparse(A1r, b1r + b2r, tol=tol, method=method)
-        if Cr is not None:
-            x_diff = solve_sparse((A1r + 2.0 * Cr).tocsr(), b1r - b2r,
-                                  tol=tol, method=method)
-        else:
-            x_diff = solve_sparse(A1r, b1r - b2r, tol=tol, method=method)
+
+    def __init__(self, A1, A2, reducer, equal=False):
+        if reducer.n_multipliers:
+            raise ConflictingConstraintsError(
+                "exchange block solve does not support mean-zero multipliers"
+            )
+        zeros = np.zeros(reducer.n)
+        self.reducer = reducer
+        self.A1, self.A2 = A1, A2
+        self.equal = bool(equal)
+        self.A1r, _ = reducer.reduce(A1, zeros)
+        self.A2r = self.A1r if self.equal else reducer.reduce(A2, zeros)[0]
+        self.mean_factor = splu_factor(self._mean())
+        self.diff_factor = self.mean_factor
+        self.refactors = 0
+        self.last_iterations = 0
+
+    def _mean(self):
+        if self.equal:
+            return self.A1r
+        return 0.5 * (self.A1r + self.A2r)
+
+    def _solve(self, apply, b, precondition, Cr, tol, x0):
+        """CG on apply(x) = b; refactors the difference preconditioner if slow."""
+        shape = (len(b), len(b))
+        x, iters = _pcg(spla.LinearOperator(shape, matvec=apply, dtype=float),
+                        b, spla.LinearOperator(shape, matvec=precondition,
+                                               dtype=float),
+                        tol, x0=x0)
+        self.last_iterations = iters
+        if iters > REFACTOR_ITERS:
+            self.diff_factor = splu_factor(self._mean() + 2.0 * Cr)
+            self.refactors += 1
+        return x
+
+
+def solve_exchange_block(block, C, b1, b2, tol=1e-10, x0=None):
+    """Solve [[A1+C, -C], [-C, A2+C]] (x1, x2) = (b1, b2) for an ExchangeBlock.
+
+    The block is SPD whenever A1, A2 are SPD and C is PSD. It is applied
+    matrix-free, y1 = A1r x1 + C(x1 - x2), y2 = A2r x2 - C(x1 - x2), and
+    solved by CG preconditioned with T diag(Abar^-1, (Abar + 2 C_ref)^-1) T,
+    T the orthogonal sum/difference transform; this is the exact inverse
+    when A1 = A2 and C = C_ref. For an equal pair the sum field is solved
+    with the Abar factor and the difference field by CG, so equal
+    right-hand sides give bitwise-equal fields. ``x0`` = (x1, x2) is the
+    CG starting guess. Every solve meets the relative-residual contract.
+    """
+    red = block.reducer
+    P = red.P
+    b1r = red.reduce_rhs(block.A1, b1)
+    b2r = red.reduce_rhs(block.A2, b2)
+    Cr = (P.T @ C @ P).tocsr()
+    x0r = None if x0 is None else (P.T @ x0[0], P.T @ x0[1])
+    n = len(b1r)
+    if block.equal:
+        A = block.A1r
+        x_sum = solve_factored(block.mean_factor, A, b1r + b2r, tol)
+        x_diff = block._solve(
+            lambda d: A @ d + 2.0 * (Cr @ d), b1r - b2r,
+            block.diff_factor.solve, Cr, tol,
+            None if x0r is None else x0r[0] - x0r[1])
         x1r = 0.5 * (x_sum + x_diff)
         x2r = 0.5 * (x_sum - x_diff)
     else:
-        A2r = (P.T @ A2 @ P).tocsr()
-        if Cr is not None:
-            block = sp.bmat([[A1r + Cr, -Cr], [-Cr, A2r + Cr]], format="csr")
-        else:
-            block = sp.block_diag([A1r, A2r], format="csr")
-        b = np.concatenate([b1r, b2r])
-        x0r = None
-        if x0 is not None:
-            x0r = np.concatenate([P.T @ x0[0], P.T @ x0[1]])
-        x = solve_sparse(block, b, tol=tol, method=method, x0=x0r)
-        x1r, x2r = x[: len(b1r)], x[len(b1r):]
-    return reducer.expand(x1r), reducer.expand(x2r)
+        def apply(x):
+            x1, x2 = x[:n], x[n:]
+            flux = Cr @ (x1 - x2)
+            return np.concatenate([block.A1r @ x1 + flux,
+                                   block.A2r @ x2 - flux])
+
+        def precondition(r):
+            s = block.mean_factor.solve(r[:n] + r[n:])
+            d = block.diff_factor.solve(r[:n] - r[n:])
+            return 0.5 * np.concatenate([s + d, s - d])
+
+        x = block._solve(apply, np.concatenate([b1r, b2r]), precondition, Cr,
+                         tol, None if x0r is None else np.concatenate(x0r))
+        x1r, x2r = x[:n], x[n:]
+    return red.expand(x1r), red.expand(x2r)
 
 
 def write_matrixmarket(A, path):

@@ -811,30 +811,44 @@ def _section_count(line, tag):
     return int(parts[1])
 
 
+def _next_line(lines):
+    line = next(lines, None)
+    if line is None:
+        raise MeshFailureError("truncated poromesh file")
+    return line
+
+
 def read_poromesh(path):
     """Read a poromesh v1 file and validate the mesh."""
     with open(path) as f:
         lines = f.read().splitlines()
     it = iter(lines)
-    header = next(it).split()
+    header = _next_line(it).split()
     if header[:2] != ["poromesh", "v1"]:
         raise MeshFailureError("not a poromesh v1 file")
-    if header[2] != "dim=2":
+    if header[2:3] != ["dim=2"]:
         raise UnsupportedDimensionError("only dim=2 poromesh files are supported")
-    n = _section_count(next(it), "nodes")
-    nodes = np.array([[float(v) for v in next(it).split()] for _ in range(n)])
-    m = _section_count(next(it), "tris")
-    tris = np.array([[int(v) for v in next(it).split()] for _ in range(m)],
-                    dtype=np.int64).reshape(m, 3)
-    e = _section_count(next(it), "edges")
+    n = _section_count(_next_line(it), "nodes")
+    nodes = np.array([[float(v) for v in _next_line(it).split()]
+                      for _ in range(n)])
+    m = _section_count(_next_line(it), "tris")
+    tris = np.array([[int(v) for v in _next_line(it).split()]
+                     for _ in range(m)], dtype=np.int64).reshape(m, 3)
+    e = _section_count(_next_line(it), "edges")
     edges = []
     markers = []
     for _ in range(e):
-        i, j, name = next(it).split()
+        i, j, name = _next_line(it).split()
+        if name not in _MARKER_BY_NAME:
+            raise MeshFailureError(f"unknown edge marker {name!r}")
         edges.append((int(i), int(j)))
         markers.append(_MARKER_BY_NAME[name])
     edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
     markers = np.asarray(markers, dtype=np.uint8)
+    for what, idx in (("triangle", tris), ("edge", edges)):
+        if idx.size and (idx.min() < 0 or idx.max() >= len(nodes)):
+            raise MeshFailureError(
+                f"{what} node index outside [0, {len(nodes)})")
     if len(tris):
         p = nodes[tris]
         lengths = np.concatenate([

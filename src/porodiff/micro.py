@@ -21,7 +21,7 @@ from . import fem
 from .geometry import EdgeMarker
 from .interpolate import P1Interpolator
 from .macro import PositivityPolicy, _monitor_positivity
-from .trajectory import Trajectory
+from .trajectory import Trajectory, step_count
 
 
 class Scaling(str, Enum):
@@ -50,7 +50,6 @@ class MicroConfig:
     pos_tol: float = 1e-10
     solver_tol: float = 1e-10
     snapshot_every: int = 1
-    solver_method: str = "auto"
     linf_bound: float | None = None
 
 
@@ -75,8 +74,10 @@ class MicroSolver:
         self.A = [(self.M + dt * K).tocsr() for K in self.K]
         self.equal_pair = config.d1.is_equal_constant(config.d2) \
             or config.d1 is config.d2
-        A3_r, _ = self.reducer.reduce(self.A[2], np.zeros(mesh.n_nodes))
-        self.A3_handle = fem.splu_factor(A3_r)
+        self.exchange = fem.ExchangeBlock(self.A[0], self.A[1], self.reducer,
+                                          equal=self.equal_pair)
+        self.A3_r, _ = self.reducer.reduce(self.A[2], np.zeros(mesh.n_nodes))
+        self.A3_handle = fem.splu_factor(self.A3_r)
         self.gamma_mass = fem.assemble_boundary_mass(mesh, EdgeMarker.GAMMA, 1.0)
         if config.scaling == Scaling.FAST_EXCHANGE:
             self.exchange_factor = dt / self.epsilon
@@ -108,16 +109,15 @@ class MicroSolver:
         b1 = self.M @ c1 + dt * (self.M @ self._volume_rate(kin.f1, c1, c2, c3))
         b2 = self.M @ c2 + dt * (self.M @ self._volume_rate(kin.f2, c1, c2, c3))
         c1_new, c2_new = fem.solve_exchange_block(
-            self.A[0], self.A[1], C, b1, b2, self.reducer,
-            tol=cfg.solver_tol, equal=self.equal_pair,
-            method=cfg.solver_method, x0=(c1, c2))
+            self.exchange, C, b1, b2, tol=cfg.solver_tol, x0=(c1, c2))
 
         g3 = self._volume_rate(kin.g3, c1, c2, c3)
         b3 = self.M @ c3 + dt * (
             self.M @ self._volume_rate(kin.f3, c1, c2, c3)
             + self.epsilon * (self.gamma_mass @ g3))
-        _, b3_r = self.reducer.reduce(self.A[2], b3)
-        c3_new = self.reducer.expand(self.A3_handle.solve(b3_r))
+        b3_r = self.reducer.reduce_rhs(self.A[2], b3)
+        c3_new = self.reducer.expand(fem.solve_factored(
+            self.A3_handle, self.A3_r, b3_r, cfg.solver_tol))
 
         fields = _monitor_positivity(cfg.positivity, cfg.pos_tol, state.t + dt,
                                      {"c1": c1_new, "c2": c2_new,
@@ -156,7 +156,7 @@ class MicroSolver:
                                        max=peak, bound=cfg.linf_bound)
 
         record(state, True)
-        n_steps = int(round(cfg.t_end / cfg.dt))
+        n_steps = step_count(cfg.t_end, cfg.dt)
         for k in range(1, n_steps + 1):
             state = self.step(state, events=traj.events)
             snap = (k % cfg.snapshot_every == 0) or k == n_steps

@@ -6,6 +6,21 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import ConfigError
+
+
+def step_count(t_end, dt):
+    """Number of dt steps from 0 to t_end.
+
+    Raises ConfigError unless t_end/dt is within 1e-9 (relative) of an
+    integer, so a run never stops short of t_end.
+    """
+    ratio = t_end / dt
+    n = round(ratio)
+    if n < 0 or abs(ratio - n) > 1e-9 * abs(ratio):
+        raise ConfigError(f"t_end={t_end!r} is not a multiple of dt={dt!r}")
+    return n
+
 
 @dataclass
 class Trajectory:

@@ -145,6 +145,14 @@ class TestCommands:
         assert (outdir / "trajectory.csv").exists()
         assert (outdir / "gamma_gap.csv").exists()
 
+    def test_t_end_off_the_time_grid_exit_2(self, tmp_path):
+        config = {
+            "geometry": {"inclusion": DISC, "h": 0.05},
+            "micro": {"epsilon": 0.25, "dt": 0.004, "t_end": 0.01},
+        }
+        code, _ = run_cli(tmp_path, "micro", config)
+        assert code == cli.EXIT_CONFIG
+
     def test_micro_budget_exit_4(self, tmp_path):
         config = {
             "geometry": {"inclusion": DISC, "h": 0.05},

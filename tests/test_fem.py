@@ -1,6 +1,10 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from porodiff import fem, geometry as geo
@@ -222,6 +226,14 @@ class TestSolve:
         assert np.allclose(x1, x2, rtol=1e-11, atol=1e-13)
 
 
+def _unequal_pair(mesh):
+    M = fem.assemble_mass(mesh)
+    K1 = fem.assemble_stiffness(mesh, fem.CoefficientField.isotropic(1.0))
+    K2 = fem.assemble_stiffness(
+        mesh, fem.CoefficientField.constant(np.diag([2.0, 1.0])))
+    return (M + 0.5 * K1).tocsr(), (M + 0.5 * K2).tocsr()
+
+
 class TestExchangeBlock:
     def test_equal_operators_symmetric_data(self, cell_mesh):
         M = fem.assemble_mass(cell_mesh)
@@ -229,30 +241,133 @@ class TestExchangeBlock:
         A = (M + 0.01 * K).tocsr()
         C = fem.assemble_boundary_mass(cell_mesh, geo.EdgeMarker.GAMMA, 0.7)
         red = fem.ConstraintReducer(cell_mesh.n_nodes, fem.ConstraintSet())
+        block = fem.ExchangeBlock(A, A, red, equal=True)
         b = np.sin(cell_mesh.nodes[:, 0] * 3.0)
-        x1, x2 = fem.solve_exchange_block(A, A, C, b, b, red, equal=True)
+        x1, x2 = fem.solve_exchange_block(block, C, b, b)
         assert np.array_equal(x1, x2)
 
     def test_block_solvable_any_parameters(self, cell_mesh):
-        M = fem.assemble_mass(cell_mesh)
-        K1 = fem.assemble_stiffness(cell_mesh, fem.CoefficientField.isotropic(1.0))
-        K2 = fem.assemble_stiffness(
-            cell_mesh, fem.CoefficientField.constant(np.diag([2.0, 1.0])))
+        A1, A2 = _unequal_pair(cell_mesh)
         rng = np.random.default_rng(4)
         red = fem.ConstraintReducer(cell_mesh.n_nodes, fem.ConstraintSet())
+        block = fem.ExchangeBlock(A1, A2, red)
         for kappa in (1e-4, 1.0, 1e4):
             w = rng.uniform(0.0, 1.0, cell_mesh.n_nodes)
             C = kappa * fem.assemble_boundary_mass(
                 cell_mesh, geo.EdgeMarker.GAMMA, w)
             b1 = rng.standard_normal(cell_mesh.n_nodes)
             b2 = rng.standard_normal(cell_mesh.n_nodes)
-            A1 = (M + 0.5 * K1).tocsr()
-            A2 = (M + 0.5 * K2).tocsr()
-            x1, x2 = fem.solve_exchange_block(A1, A2, C, b1, b2, red)
+            x1, x2 = fem.solve_exchange_block(block, C, b1, b2)
             r1 = (A1 + C) @ x1 - C @ x2 - b1
             r2 = -(C @ x1) + (A2 + C) @ x2 - b2
             scale = np.linalg.norm(np.concatenate([b1, b2]))
             assert np.linalg.norm(np.concatenate([r1, r2])) / scale <= 1e-9
+
+    @pytest.mark.parametrize("kappa", [1e-4, 1.0, 1e4])
+    def test_matches_assembled_block_solve(self, disc_spec, kappa):
+        mesh = geo.build_epsilon_mesh(geo.EpsilonDomainSpec(
+            geo.RectUnion.unit_square(), 0.25, disc_spec), 0.25 / 8)
+        A1, A2 = _unequal_pair(mesh)
+        n = mesh.n_nodes
+        rng = np.random.default_rng(6)
+        red = fem.ConstraintReducer(n, fem.ConstraintSet(
+            dirichlet_nodes=mesh.nodes_with(geo.EdgeMarker.OUTER),
+            dirichlet_values=0.5))
+        C = kappa * fem.assemble_boundary_mass(
+            mesh, geo.EdgeMarker.GAMMA, rng.uniform(0.0, 1.0, n))
+        b1 = rng.standard_normal(n)
+        b2 = rng.standard_normal(n)
+        x1, x2 = fem.solve_exchange_block(fem.ExchangeBlock(A1, A2, red),
+                                          C, b1, b2)
+        # reference: eliminate the Dirichlet nodes of the assembled 2N block
+        block = sp.bmat([[A1 + C, -C], [-C, A2 + C]], format="csr")
+        fixed = np.concatenate([red.dirichlet_mask, red.dirichlet_mask])
+        g = np.where(fixed, 0.5, 0.0)
+        rhs = np.concatenate([b1, b2]) - block @ g
+        free = ~fixed
+        want = g.copy()
+        want[free] = spla.spsolve(block[free][:, free].tocsc(), rhs[free])
+        got = np.concatenate([x1, x2])
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
+
+    def _solves(self, mesh, kappa, count):
+        A1, A2 = _unequal_pair(mesh)
+        red = fem.ConstraintReducer(mesh.n_nodes, fem.ConstraintSet())
+        block = fem.ExchangeBlock(A1, A2, red)
+        rng = np.random.default_rng(8)
+        history = []
+        for _ in range(count):
+            C = kappa * fem.assemble_boundary_mass(
+                mesh, geo.EdgeMarker.GAMMA, rng.uniform(0.5, 1.0, mesh.n_nodes))
+            fem.solve_exchange_block(block, C, rng.standard_normal(mesh.n_nodes),
+                                     rng.standard_normal(mesh.n_nodes))
+            history.append((block.last_iterations, block.refactors))
+        return block, history
+
+    def test_strong_exchange_refactors_once(self, cell_mesh):
+        block, history = self._solves(cell_mesh, 1e4, 3)
+        (first_iters, first_refactors), *rest = history
+        assert first_iters > fem.REFACTOR_ITERS and first_refactors == 1
+        assert block.diff_factor is not block.mean_factor
+        for iters, refactors in rest:
+            assert iters <= fem.REFACTOR_ITERS and refactors == 1
+
+    def test_weak_exchange_never_refactors(self, cell_mesh):
+        block, history = self._solves(cell_mesh, 1e-4, 4)
+        assert all(refactors == 0 for _, refactors in history)
+        assert block.diff_factor is block.mean_factor
+
+    def test_non_finite_rhs_fails_at_once(self, cell_mesh):
+        A1, A2 = _unequal_pair(cell_mesh)
+        n = cell_mesh.n_nodes
+        block = fem.ExchangeBlock(
+            A1, A2, fem.ConstraintReducer(n, fem.ConstraintSet()))
+        C = fem.assemble_boundary_mass(cell_mesh, geo.EdgeMarker.GAMMA, 1.0)
+        b1 = np.ones(n)
+        b1[3] = np.nan
+        with pytest.raises(NoConvergenceError) as err:
+            fem.solve_exchange_block(block, C, b1, np.ones(n))
+        assert err.value.iterations == 0
+
+    def test_rejects_mean_zero_multipliers(self, cell_ctx):
+        red = fem.ConstraintReducer(
+            cell_ctx.mesh.n_nodes, fem.ConstraintSet(mean_zero=cell_ctx.mean_weights))
+        A = fem.assemble_mass(cell_ctx.mesh)
+        with pytest.raises(ConflictingConstraintsError):
+            fem.ExchangeBlock(A, A, red)
+
+
+class TestFactorCache:
+    def test_threads_share_a_bounded_cache(self):
+        base = sp.diags([-1.0, 4.0, -1.0], [-1, 0, 1], shape=(40, 40))
+        # 12 distinct matrices, each factored by several threads
+        mats = [(base + k * sp.eye(40)).tocsr() for k in range(12)]
+        rng = np.random.default_rng(0)
+        order = [rng.permutation(len(mats)).tolist() * 3 for _ in range(4)]
+        sizes, failures = [], []
+
+        def work(indices):
+            for k in indices:
+                A = mats[k]
+                x = fem.splu_factor(A).solve(np.ones(40))
+                sizes.append(len(fem._factor_cache))
+                if not np.allclose(A @ x, 1.0, rtol=0, atol=1e-12):
+                    failures.append(k)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(o,)) for o in order]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(sizes) == 4 * 3 * len(mats)
+        assert max(sizes) <= fem._FACTOR_CACHE_SIZE
+        assert failures == []
 
 
 class TestCoefficientField:

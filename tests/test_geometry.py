@@ -209,3 +209,16 @@ class TestPoromeshIO:
         p.write_text(text)
         with pytest.raises(MeshFailureError, match=tag):
             geo.read_poromesh(p)
+
+    @pytest.mark.parametrize("text,problem", [
+        ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 0.0\n", "truncated"),
+        ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+         "tris 1\n0 1 2\nedges 1\n0 1 WALL\n", "WALL"),
+        ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+         "tris 1\n0 1 3\nedges 0\n", "triangle node index"),
+    ], ids=["truncated", "unknown_marker", "index_past_nodes"])
+    def test_import_rejects_malformed_file(self, tmp_path, text, problem):
+        p = tmp_path / "malformed.poromesh"
+        p.write_text(text)
+        with pytest.raises(MeshFailureError, match=problem):
+            geo.read_poromesh(p)

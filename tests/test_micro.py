@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from porodiff import fem, geometry as geo, kinetics as kin, micro
-from porodiff.errors import PointOutsideDomainError
+from porodiff.errors import (ConfigError, NoConvergenceError,
+                             PointOutsideDomainError)
 from porodiff.interpolate import P1Interpolator
+from porodiff.trajectory import step_count
 
 
 def bump(x, y):
@@ -66,6 +68,26 @@ class TestMicroStep:
                       for n in ("c1", "c2", "c3"))
                   for k in range(len(traj.times))]
         assert all(b <= a + 1e-13 for a, b in zip(energy, energy[1:]))
+
+    def test_c3_solve_meets_residual_contract(self, eps_mesh):
+        solver = micro.MicroSolver(eps_mesh, 0.25, heat_cfg())
+        exact = solver.A3_handle
+
+        class Perturbed:
+            def solve(self, b):
+                return (1.0 + 1e-6) * exact.solve(b)
+
+        solver.A3_handle = Perturbed()
+        state = micro.initial_state(eps_mesh, bump, bump, bump)
+        with pytest.raises(NoConvergenceError):
+            solver.step(state)
+
+    def test_t_end_off_the_time_grid_rejected(self, eps_mesh):
+        solver = micro.MicroSolver(eps_mesh, 0.25,
+                                   heat_cfg(dt=0.004, t_end=0.01))
+        z = np.zeros(eps_mesh.n_nodes)
+        with pytest.raises(ConfigError, match="multiple of dt"):
+            solver.run(micro.MicroState(0.0, z, z, z))
 
     def test_scaling_factors(self, eps_mesh):
         fast = micro.MicroSolver(eps_mesh, 0.25, heat_cfg(
@@ -232,3 +254,17 @@ class TestDiagnostics:
             traj = solver.run(micro.initial_state(mesh, bump, bump, bump))
             accs.append(micro.MicroSolver.h1_accumulator(traj, "c1"))
         assert abs(accs[1] / accs[0] - 1.0) < 0.25
+
+
+@pytest.mark.parametrize("t_end,dt,steps", [
+    (4 * 1e-3, 1e-3, 4), (25 * 1e-3, 1e-3, 25), (0.05, 1e-3, 50),
+    (0.1, 1e-3, 100), (5e-3, 1e-3, 5), (0.0, 1e-3, 0)])
+def test_step_count_on_the_grid(t_end, dt, steps):
+    assert step_count(t_end, dt) == steps
+
+
+@pytest.mark.parametrize("t_end,dt", [(0.01, 0.004), (0.0105, 1e-3),
+                                      (-0.01, 1e-3)])
+def test_step_count_off_the_grid(t_end, dt):
+    with pytest.raises(ConfigError):
+        step_count(t_end, dt)
