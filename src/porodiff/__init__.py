@@ -10,10 +10,10 @@ sweeps that validate the homogenization limit numerically.
 
 __version__ = "0.1.0"
 
-from .cell import (CellContext, DispersionTable, EffectiveTensor, TensorForm,
-                   coupled_tensor_with_check, effective_tensor_coupled,
-                   effective_tensor_scalar, scalar_tensor_with_check,
-                   solve_coupled_cell, solve_coupled_pair, solve_scalar_cell,
+from .cell import (CellContext, CoupledCellProblem, DispersionTable,
+                   EffectiveTensor, TensorForm, coupled_tensor_with_check,
+                   effective_tensor_coupled, effective_tensor_scalar,
+                   scalar_tensor_with_check, solve_coupled_pair,
                    solve_scalar_pair, tabulate_b)
 from .convergence import (ConvergenceReport, SweepProblem, fit_rate,
                           run_sweep, tensor_suite)
@@ -27,8 +27,7 @@ from .geometry import (EdgeMarker, EpsilonDomainSpec, InclusionSpec, Mesh,
 from .kinetics import (KineticsSet, Rate, builtin, cell_average_f,
                        parse_kinetics, surface_average_g3, validate)
 from .macro import (MacroConfig, MacroSolver, MacroState, MacroVariantSolver,
-                    PositivityPolicy, VariantConfig, VariantState, macro_run,
-                    macro_run_variant, macro_step, steady_sanity)
+                    PositivityPolicy, VariantConfig, VariantState,
+                    steady_sanity)
 from .micro import (MicroConfig, MicroSolver, MicroState, Scaling,
-                    cell_average_unfold, micro_run, micro_step,
-                    restrict_macro_to_micro)
+                    cell_average_unfold, restrict_macro_to_micro)

@@ -87,12 +87,6 @@ def _direction_loads(mesh, coeff):
     return loads
 
 
-def solve_scalar_cell(ctx, coeff, direction, tol=1e-10):
-    """Corrector of the scalar cell problem for one coordinate direction."""
-    sol = solve_scalar_pair(ctx, coeff, tol=tol)
-    return CellSolution(ctx.mesh, {direction: sol.directions[direction]})
-
-
 def solve_scalar_pair(ctx, coeff, tol=1e-10):
     """Correctors for both directions (one factorization, two loads)."""
     mesh = ctx.mesh
@@ -117,8 +111,7 @@ def solve_scalar_pair(ctx, coeff, tol=1e-10):
     return CellSolution(mesh, out)
 
 
-def _element_gradients(mesh, values):
-    areas, grads = fem.triangle_geometry(mesh)
+def _element_gradients(mesh, grads, values):
     return np.einsum("mid,mi->md", grads, values[mesh.triangles])
 
 
@@ -166,9 +159,9 @@ def effective_tensor_scalar(ctx, sol, coeff, form=TensorForm.SCALAR_ENERGY):
     if set(sol.directions) != {0, 1}:
         raise MeshMismatchError("both corrector directions are required")
     mesh = ctx.mesh
-    areas = mesh.areas
+    areas, grads = fem.triangle_geometry(mesh)
     mats = np.asarray(coeff.matrix_at(mesh.centroids))
-    grad = [_element_gradients(mesh, sol.directions[j]) for j in range(2)]
+    grad = [_element_gradients(mesh, grads, sol.directions[j]) for j in range(2)]
     eye = np.eye(2)
     t = np.empty((2, 2))
     if form == TensorForm.SCALAR_FORM:
@@ -191,90 +184,157 @@ def _block_periodic(pm, n):
     return PeriodicMap(pairs, 2 * n)
 
 
-def solve_coupled_cell(ctx, coeff1, coeff2, exchange_rate, direction, tol=1e-10):
-    """Coupled corrector pair for one coordinate direction."""
-    sol = solve_coupled_pair(ctx, coeff1, coeff2, exchange_rate, tol=tol)
-    return CoupledCellSolution(
-        ctx.mesh,
-        {direction: sol.first[direction]},
-        {direction: sol.second[direction]},
-        exchange_rate,
-    )
+# Columns of U per block of capacitance solves: the block's dense
+# right-hand side is N x 32, never N x m.
+_CAPACITANCE_BLOCK = 32
 
 
-def solve_coupled_pair(ctx, coeff1, coeff2, exchange_rate, tol=1e-10):
-    """Coupled correctors for both directions.
+class CoupledCellProblem:
+    """The exchange-coupled cell problem of one coefficient pair, at any rate.
 
-    The boundary exchange enters as a symmetric positive-semidefinite
-    coupling on the corrector difference; the first field is normalized to
-    mean zero, and for exchange_rate == 0 the (then decoupled) second field
-    is normalized independently.
+    At exchange rate k > 0 the reduced system is A(k) = K_r + k U C U':
+    K_r is diag(K1, K2) reduced by the block-periodic identification and
+    one multiplier (first field mean zero), U is the Gamma selector of the
+    corrector difference (+1 on the first field, -1 on the second, zero
+    multiplier row) and C the dense Gamma mass matrix, so the exchange is a
+    symmetric update of rank m = #Gamma nodes. The first positive rate
+    k_ref is factored directly. Every other k > 0 is solved through the
+    Sherman-Morrison-Woodbury identity with delta = k - k_ref,
+
+        x = A_ref^-1 (b - U w),  (I + delta C G) w = delta C U' A_ref^-1 b,
+
+    with the m x m capacitance G = U' A_ref^-1 U built once, followed by
+    one residual correction with the same operator and the
+    relative-residual check against A(k). At k = 0 (or without Gamma) the
+    fields decouple, each with its own mean-zero condition, and are solved
+    as two scalar cell problems; equal constant coefficients share one
+    scalar corrector at every rate.
+
+    Element areas, basis gradients and coefficient matrices are computed
+    once and shared by both tensor formulas.
     """
-    if exchange_rate < 0:
-        raise ValueError("exchange rate must be nonnegative")
-    if coeff1.is_equal_constant(coeff2) or coeff1 is coeff2:
-        scal = solve_scalar_pair(ctx, coeff1, tol=tol)
-        return CoupledCellSolution(ctx.mesh, dict(scal.directions),
-                                   dict(scal.directions), exchange_rate)
-    mesh = ctx.mesh
-    n = mesh.n_nodes
-    K1 = fem.assemble_stiffness(mesh, coeff1)
-    K2 = fem.assemble_stiffness(mesh, coeff2)
-    if ctx.gamma_mass is not None and exchange_rate > 0:
-        C = exchange_rate * ctx.gamma_mass
-        A = sp.bmat([[K1 + C, -C], [-C, K2 + C]], format="csr")
-    else:
-        A = sp.block_diag([K1, K2], format="csr")
-    loads1 = _direction_loads(mesh, coeff1)
-    loads2 = _direction_loads(mesh, coeff2)
-    w = ctx.mean_weights
-    zeros = np.zeros(n)
-    mean_zero = [np.concatenate([w, zeros])]
-    if exchange_rate == 0 or ctx.gamma_mass is None:
-        mean_zero.append(np.concatenate([zeros, w]))
-    cs = fem.ConstraintSet(periodic=_block_periodic(ctx.periodic, n),
-                           mean_zero=mean_zero)
-    reducer = fem.ConstraintReducer(2 * n, cs)
-    A_r, _ = reducer.reduce(A, np.zeros(2 * n))
-    handle = fem.splu_factor(A_r)
-    first, second = {}, {}
-    for j in range(2):
-        b = np.concatenate([loads1[j], loads2[j]])
-        b_r = reducer.P.T @ b
-        b_r = np.concatenate([b_r, np.zeros(reducer.n_multipliers)])
-        x_r = handle.solve(b_r)
-        res = np.linalg.norm(A_r @ x_r - b_r)
-        scale = np.linalg.norm(b_r)
-        if scale > 0 and res / scale > tol:
+
+    def __init__(self, ctx, coeff1, coeff2):
+        self.ctx = ctx
+        self.coeffs = (coeff1, coeff2)
+        self.equal = coeff1.is_equal_constant(coeff2) or coeff1 is coeff2
+        mesh = ctx.mesh
+        self.areas, self.grads = fem.triangle_geometry(mesh)
+        self.mats = [np.asarray(c.matrix_at(mesh.centroids))
+                     for c in self.coeffs]
+        self._ref = None          # (k_ref, factor of A(k_ref))
+        self._capacitance = None  # G = U' A_ref^-1 U
+
+    def _factor_reference(self, k_ref):
+        """Assemble the rate-independent operators and factor A(k_ref)."""
+        ctx = self.ctx
+        mesh = ctx.mesh
+        n = mesh.n_nodes
+        K = sp.block_diag([fem.assemble_stiffness_elementwise(mesh, m)
+                           for m in self.mats], format="csr")
+        mean_zero = np.concatenate([ctx.mean_weights, np.zeros(n)])
+        reducer = fem.ConstraintReducer(2 * n, fem.ConstraintSet(
+            periodic=_block_periodic(ctx.periodic, n), mean_zero=mean_zero))
+        self.reducer = reducer
+        self.K_r, _ = reducer.reduce(K, np.zeros(2 * n))
+        loads = [_direction_loads(mesh, c) for c in self.coeffs]
+        self.B = np.column_stack([
+            reducer.reduce_rhs(K, np.concatenate([loads[0][j], loads[1][j]]))
+            for j in range(2)])
+        gamma = mesh.nodes_with(EdgeMarker.GAMMA)
+        m = len(gamma)
+        V = sp.csr_matrix(
+            (np.concatenate([np.ones(m), -np.ones(m)]),
+             (np.concatenate([gamma, gamma + n]), np.tile(np.arange(m), 2))),
+            shape=(2 * n, m))
+        self.U = sp.vstack([reducer.P.T @ V,
+                            sp.csr_matrix((reducer.n_multipliers, m))],
+                           format="csc")
+        self.C = ctx.gamma_mass[gamma][:, gamma].toarray()
+        self.E_r = (self.U @ sp.csr_matrix(self.C) @ self.U.T).tocsr()
+        self._ref = (k_ref, fem.factorize(self.K_r + k_ref * self.E_r))
+
+    def _capacitance_matrix(self):
+        """G = U' A_ref^-1 U, solved in column blocks (no dense N x m array)."""
+        if self._capacitance is None:
+            lu = self._ref[1]
+            m = self.U.shape[1]
+            G = np.empty((m, m))
+            for j in range(0, m, _CAPACITANCE_BLOCK):
+                cols = slice(j, min(j + _CAPACITANCE_BLOCK, m))
+                G[:, cols] = self.U.T @ lu.solve(self.U[:, cols].toarray())
+            self._capacitance = G
+        return self._capacitance
+
+    def _woodbury(self, R, S, delta):
+        """A(k)^-1 R by the Woodbury identity; S = I + delta C G."""
+        lu = self._ref[1]
+        w = np.linalg.solve(S, delta * (self.C @ (self.U.T @ lu.solve(R))))
+        return lu.solve(R - self.U @ w)
+
+    def solve(self, exchange_rate, tol=1e-10):
+        """Coupled correctors for both directions at one exchange rate."""
+        if exchange_rate < 0:
+            raise ValueError("exchange rate must be nonnegative")
+        ctx = self.ctx
+        mesh = ctx.mesh
+        if self.equal:
+            scal = solve_scalar_pair(ctx, self.coeffs[0], tol=tol)
+            return CoupledCellSolution(mesh, dict(scal.directions),
+                                       dict(scal.directions), exchange_rate)
+        if exchange_rate == 0 or ctx.gamma_mass is None:
+            s1, s2 = (solve_scalar_pair(ctx, c, tol=tol) for c in self.coeffs)
+            return CoupledCellSolution(mesh, s1.directions, s2.directions,
+                                       exchange_rate)
+        k = float(exchange_rate)
+        if self._ref is None:
+            self._factor_reference(k)
+        k_ref, lu = self._ref
+        B = self.B
+
+        def residual(X):
+            return B - (self.K_r @ X + k * (self.E_r @ X))
+
+        if k == k_ref:
+            X = lu.solve(B)
+        else:
+            delta = k - k_ref
+            S = np.eye(len(self.C)) + delta * (
+                self.C @ self._capacitance_matrix())
+            X = self._woodbury(B, S, delta)
+            X = X + self._woodbury(residual(X), S, delta)
+        res = np.linalg.norm(residual(X), axis=0)
+        scale = np.linalg.norm(B, axis=0)
+        worst = float(np.max(res / np.where(scale > 0, scale, 1.0)))
+        if worst > tol:
             raise SingularSystemError(
-                f"coupled cell solve residual {res / scale:.2e} above {tol:.1e}"
-            )
-        x = reducer.expand(x_r)
-        first[j] = x[:n]
-        second[j] = x[n:]
-    return CoupledCellSolution(mesh, first, second, exchange_rate)
+                f"coupled cell solve residual {worst:.2e} above {tol:.1e}")
+        n = mesh.n_nodes
+        x = [self.reducer.expand(X[:, j]) for j in range(2)]
+        return CoupledCellSolution(mesh, {j: x[j][:n] for j in range(2)},
+                                   {j: x[j][n:] for j in range(2)},
+                                   exchange_rate)
 
-
-def effective_tensor_coupled(ctx, sol, coeff1, coeff2,
-                             form=TensorForm.COUPLED_ENERGY):
-    """Dispersion tensor from the coupled correctors, either formula."""
-    _check_mesh(ctx, sol)
-    if set(sol.first) != {0, 1} or set(sol.second) != {0, 1}:
-        raise MeshMismatchError("both corrector directions are required")
-    mesh = ctx.mesh
-    areas = mesh.areas
-    eye = np.eye(2)
-    mats1 = np.asarray(coeff1.matrix_at(mesh.centroids))
-    mats2 = np.asarray(coeff2.matrix_at(mesh.centroids))
-    g1 = [_element_gradients(mesh, sol.first[j]) for j in range(2)]
-    g2 = [_element_gradients(mesh, sol.second[j]) for j in range(2)]
-    t = np.empty((2, 2))
-    if form == TensorForm.COUPLED_FORM:
+    def tensors(self, sol):
+        """(energy-form, volume-form) dispersion matrices of one solution."""
+        ctx = self.ctx
+        _check_mesh(ctx, sol)
+        if set(sol.first) != {0, 1} or set(sol.second) != {0, 1}:
+            raise MeshMismatchError("both corrector directions are required")
+        mesh = ctx.mesh
+        areas = self.areas
+        mats1, mats2 = self.mats
+        eye = np.eye(2)
+        g1 = [_element_gradients(mesh, self.grads, sol.first[j])
+              for j in range(2)]
+        g2 = [_element_gradients(mesh, self.grads, sol.second[j])
+              for j in range(2)]
+        t_form = np.empty((2, 2))
         for j in range(2):
             flux = (np.einsum("mde,me->md", mats1, eye[j] - g1[j])
                     + np.einsum("mde,me->md", mats2, eye[j] - g2[j]))
-            t[:, j] = np.einsum("m,md->d", areas, flux) / ctx.area
-    elif form == TensorForm.COUPLED_ENERGY:
+            t_form[:, j] = np.einsum("m,md->d", areas, flux) / ctx.area
+        t_energy = np.empty((2, 2))
         diff = [sol.first[j] - sol.second[j] for j in range(2)]
         for i in range(2):
             for j in range(2):
@@ -285,10 +345,35 @@ def effective_tensor_coupled(ctx, sol, coeff1, coeff2,
                 if ctx.gamma_mass is not None and sol.exchange_rate > 0:
                     val += sol.exchange_rate * float(
                         diff[i] @ (ctx.gamma_mass @ diff[j]))
-                t[i, j] = val / ctx.area
-    else:
+                t_energy[i, j] = val / ctx.area
+        return t_energy, t_form
+
+
+def solve_coupled_pair(ctx, coeff1, coeff2, exchange_rate, tol=1e-10,
+                       problem=None):
+    """Coupled correctors for both directions at one exchange rate.
+
+    The boundary exchange enters as a symmetric positive-semidefinite
+    coupling on the corrector difference; the first field is normalized to
+    mean zero, and for exchange_rate == 0 the (then decoupled) second field
+    is normalized independently. ``problem``, a CoupledCellProblem of the
+    same (ctx, coeff1, coeff2), keeps its factor for further rates; by
+    default a fresh one is built.
+    """
+    if problem is None:
+        problem = CoupledCellProblem(ctx, coeff1, coeff2)
+    return problem.solve(exchange_rate, tol=tol)
+
+
+def effective_tensor_coupled(ctx, sol, coeff1, coeff2,
+                             form=TensorForm.COUPLED_ENERGY):
+    """Dispersion tensor from the coupled correctors, either formula."""
+    if form not in (TensorForm.COUPLED_ENERGY, TensorForm.COUPLED_FORM):
         raise ValueError(f"{form} is not a coupled tensor form")
-    return EffectiveTensor(t, form, h=mesh.h, exchange_rate=sol.exchange_rate)
+    energy, volume = CoupledCellProblem(ctx, coeff1, coeff2).tensors(sol)
+    t = energy if form == TensorForm.COUPLED_ENERGY else volume
+    return EffectiveTensor(t, form, h=ctx.mesh.h,
+                           exchange_rate=sol.exchange_rate)
 
 
 def scalar_tensor_with_check(ctx, coeff, tol=1e-10):
@@ -301,15 +386,19 @@ def scalar_tensor_with_check(ctx, coeff, tol=1e-10):
 
 
 def coupled_tensor_with_check(ctx, coeff1, coeff2, exchange_rate, s=None,
-                              tol=1e-10):
-    """Energy-form dispersion tensor plus its volume-form cross check."""
-    sol = solve_coupled_pair(ctx, coeff1, coeff2, exchange_rate, tol=tol)
-    te = effective_tensor_coupled(ctx, sol, coeff1, coeff2,
-                                  TensorForm.COUPLED_ENERGY)
-    tf = effective_tensor_coupled(ctx, sol, coeff1, coeff2,
-                                  TensorForm.COUPLED_FORM)
-    te.cross_check_err = float(np.abs(te.matrix - tf.matrix).max())
-    te.s = s
+                              tol=1e-10, problem=None):
+    """Energy-form dispersion tensor plus its volume-form cross check.
+
+    ``problem`` is passed on to ``solve_coupled_pair``.
+    """
+    if problem is None:
+        problem = CoupledCellProblem(ctx, coeff1, coeff2)
+    sol = solve_coupled_pair(ctx, coeff1, coeff2, exchange_rate, tol=tol,
+                             problem=problem)
+    energy, volume = problem.tensors(sol)
+    te = EffectiveTensor(energy, TensorForm.COUPLED_ENERGY, h=ctx.mesh.h, s=s,
+                         exchange_rate=exchange_rate,
+                         cross_check_err=float(np.abs(energy - volume).max()))
     return te, sol
 
 
@@ -389,7 +478,8 @@ def tabulate_b(ctx, coeff1, coeff2, exchange_fn, s_grid,
     """Tabulate the dispersion tensor over an s grid.
 
     The tensor only sees the exchange rate, so each sample solves the coupled
-    cell problem at exchange_fn(s). The midpoint interpolation error between
+    cell problem at exchange_fn(s); all samples share one CoupledCellProblem
+    and so one factorization. The midpoint interpolation error between
     adjacent samples is measured with direct solves and attached; when
     ``midpoint_tol`` is given, midpoints are inserted (up to ``max_refine``
     rounds) until the estimate drops below it.
@@ -401,11 +491,13 @@ def tabulate_b(ctx, coeff1, coeff2, exchange_fn, s_grid,
         raise ValueError("s grid must start at 0")
 
     cache = {}
+    problem = CoupledCellProblem(ctx, coeff1, coeff2)
 
     def tensor_at(s):
         if s not in cache:
             te, _ = coupled_tensor_with_check(
-                ctx, coeff1, coeff2, float(exchange_fn(s)), s=s, tol=tol)
+                ctx, coeff1, coeff2, float(exchange_fn(s)), s=s, tol=tol,
+                problem=problem)
             cache[s] = te
         return cache[s]
 

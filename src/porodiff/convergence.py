@@ -297,9 +297,16 @@ def tensor_suite(inclusion=None, h=0.05, d1=None, d2=None, d3=None,
                     for xi in probes)
     add("scalar_upper_bound", bound_gap <= 1e-12, bound_gap, 1e-12)
 
+    # one coupled problem, so every rate reuses its factorization
+    pair = cell_mod.CoupledCellProblem(ctx, d1, d2)
+
+    def coupled(hv):
+        return cell_mod.coupled_tensor_with_check(ctx, d1, d2, hv,
+                                                  problem=pair)[0]
+
     worst_equiv = 0.0
     for hv in exchange_values:
-        b, _ = cell_mod.coupled_tensor_with_check(ctx, d1, d2, float(hv))
+        b = coupled(float(hv))
         worst_equiv = max(worst_equiv, b.cross_check_err)
         add(f"coupled_spd_H={hv}", b.min_eig > 0, b.min_eig, 0.0)
         add(f"coupled_symmetry_H={hv}", b.asymmetry <= symmetry_tol,
@@ -307,7 +314,7 @@ def tensor_suite(inclusion=None, h=0.05, d1=None, d2=None, d3=None,
     add("coupled_form_equivalence", worst_equiv <= equivalence_tol,
         worst_equiv, equivalence_tol)
 
-    b0, _ = cell_mod.coupled_tensor_with_check(ctx, d1, d2, 0.0)
+    b0 = coupled(0.0)
     t1, _ = cell_mod.scalar_tensor_with_check(ctx, d1)
     t2, _ = cell_mod.scalar_tensor_with_check(ctx, d2)
     gap = float(np.abs(b0.matrix - t1.matrix - t2.matrix).max())
@@ -321,16 +328,16 @@ def tensor_suite(inclusion=None, h=0.05, d1=None, d2=None, d3=None,
             gap, identity_tol)
 
     h_inf = langmuir_a / langmuir_b
-    b_inf, _ = cell_mod.coupled_tensor_with_check(ctx, d1, d2, h_inf)
+    b_inf = coupled(h_inf)
     h_100 = langmuir_a * 100.0 / (1.0 + langmuir_b * 100.0)
-    b_100, _ = cell_mod.coupled_tensor_with_check(ctx, d1, d2, h_100)
+    b_100 = coupled(h_100)
     sat = float(np.abs(b_100.matrix - b_inf.matrix).max()
                 / np.abs(b_inf.matrix).max())
     add("langmuir_saturation", sat <= 0.02, sat, 0.02)
 
     delta = 1e-4
-    b_a, _ = cell_mod.coupled_tensor_with_check(ctx, d1, d2, 1.0)
-    b_b, _ = cell_mod.coupled_tensor_with_check(ctx, d1, d2, 1.0 + delta)
+    b_a = coupled(1.0)
+    b_b = coupled(1.0 + delta)
     cont = float(np.abs(b_b.matrix - b_a.matrix).max()) / delta
     add("exchange_continuity", cont <= continuity_cap, cont, continuity_cap)
 

@@ -54,6 +54,10 @@ class NoConvergenceError(PorodiffError):
         )
 
 
+class NonFiniteValueError(PorodiffError):
+    """A rate or exchange coefficient evaluated to a non-finite value."""
+
+
 class MeshMismatchError(PorodiffError):
     """Solution and coefficient arguments refer to different meshes."""
 

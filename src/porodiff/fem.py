@@ -248,6 +248,9 @@ class ConstraintReducer:
                     )
 
         keep = ~(slaves | dir_mask)
+        # Without periodic slaves P only selects the kept dofs, so P'AP is
+        # an index slice of A.
+        self._kept = None if slaves.any() else np.nonzero(keep)[0]
         red_index = np.cumsum(keep) - 1
         self.n_reduced = int(keep.sum())
         rows = np.nonzero(~dir_mask)[0]
@@ -274,9 +277,15 @@ class ConstraintReducer:
         self.mean_zero_reduced = [self.P.T @ w for w in mz_list]
         self.n_multipliers = len(mz_list)
 
+    def restrict(self, A):
+        """P'AP: A on the reduced dofs, without multiplier rows."""
+        if self._kept is not None:
+            return A.tocsr()[self._kept][:, self._kept]
+        return (self.P.T @ A @ self.P).tocsr()
+
     def reduce(self, A, b):
         """Reduced, symmetric (A_r, b_r); multiplier rows appended last."""
-        A_r = (self.P.T @ A @ self.P).tocsr()
+        A_r = self.restrict(A)
         if self.n_multipliers:
             cols = sp.hstack([sp.csr_matrix(w.reshape(-1, 1))
                               for w in self.mean_zero_reduced])
@@ -335,7 +344,7 @@ def solve_sparse(A, b, tol=1e-10, method="direct", maxiter=None, x0=None):
         diag = A.diagonal()
         if np.any(diag <= 0):
             raise SingularSystemError("nonpositive diagonal in CG path")
-        return _pcg(A, b, sp.diags(1.0 / diag), tol, x0=x0, maxiter=maxiter)[0]
+        return pcg(A, b, sp.diags(1.0 / diag), tol, x0=x0, maxiter=maxiter)[0]
     raise ValueError(f"unknown solve method {method!r}")
 
 
@@ -354,7 +363,7 @@ def solve_factored(handle, A, b, tol=1e-10):
     return x
 
 
-def _pcg(A, b, M, tol, x0=None, maxiter=None):
+def pcg(A, b, M, tol, x0=None, maxiter=None):
     """Preconditioned CG under the residual contract; (x, iterations).
 
     A and M are matrices or LinearOperators; M applies the inverse of the
@@ -381,7 +390,7 @@ def _pcg(A, b, M, tol, x0=None, maxiter=None):
 
 
 class _LUHandle:
-    __slots__ = ("lu",)
+    __slots__ = ("lu", "__weakref__")
 
     def __init__(self, lu):
         self.lu = lu
@@ -404,13 +413,23 @@ def _matrix_key(A):
     return h.digest()
 
 
-def splu_factor(A):
-    """LU factorization memoized on the matrix content.
+def factorize(A):
+    """Sparse LU factorization of A, owned by the caller (not cached).
 
     Every system porodiff factors is symmetric (the SPD steppers, and the
     cell saddle-point systems with mean-zero multipliers), so SuperLU orders
-    by minimum degree on A'+A and prefers diagonal pivots. The cache is
-    shared by threads; the factorization itself runs outside its lock.
+    by minimum degree on A'+A and prefers diagonal pivots.
+    """
+    return _LUHandle(spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                               options=dict(SymmetricMode=True)))
+
+
+def splu_factor(A):
+    """``factorize`` memoized on the matrix content.
+
+    For one-shot solves of matrices that may recur (``solve_sparse``, the
+    scalar cell problem); a solver that reuses a factor holds it itself.
+    The cache is shared by threads; the factorization runs outside its lock.
     """
     A_csc = A.tocsc()
     key = _matrix_key(A_csc)
@@ -419,8 +438,7 @@ def splu_factor(A):
         if handle is not None:
             _factor_cache.move_to_end(key)
             return handle
-    handle = _LUHandle(spla.splu(A_csc, permc_spec="MMD_AT_PLUS_A",
-                                 options=dict(SymmetricMode=True)))
+    handle = factorize(A_csc)
     with _factor_lock:
         handle = _factor_cache.setdefault(key, handle)
         _factor_cache.move_to_end(key)
@@ -441,20 +459,39 @@ def mass_norm(M, u):
     return float(np.sqrt(max(u @ (M @ u), 0.0)))
 
 
-# An exchange solve that takes more CG iterations than this factors
-# Abar + 2C at that solve's C, as the preconditioner of the solves after it.
+# A CG solve preconditioned by a held factor that takes more iterations
+# than this refactors at that solve's operator (see HeldFactor).
 REFACTOR_ITERS = 30
+
+
+class HeldFactor:
+    """The factor of a drifting operator, held as a CG preconditioner.
+
+    A preconditioner only has to be spectrally close to the operator; the
+    residual contract of the CG solve guards accuracy. So the factor is kept
+    until a solve needs more than REFACTOR_ITERS iterations, and then
+    refactored at that solve's operator for the solves after it.
+    """
+
+    def __init__(self, handle):
+        self.handle = handle
+        self.refactors = 0
+
+    def refresh(self, iterations, operator):
+        """After a solve of ``iterations``: refactor at ``operator()`` if slow."""
+        if iterations > REFACTOR_ITERS:
+            self.handle = factorize(operator())
+            self.refactors += 1
 
 
 class ExchangeBlock:
     """The constant part of the exchange block [[A1+C, -C], [-C, A2+C]].
 
     Built once per stepper: it holds the reduced A1r and A2r and the factor
-    of their mean Abar = (A1r + A2r)/2. The difference preconditioner is the
-    factor of Abar + 2 C_ref. C_ref starts at zero, so at first it is Abar's
-    own factor; when a solve needs more than REFACTOR_ITERS CG iterations,
-    C_ref becomes that solve's exchange matrix and Abar + 2 C_ref is
-    factored for the solves that follow.
+    of their mean Abar = (A1r + A2r)/2. The difference preconditioner
+    ``diff`` is a HeldFactor of Abar + 2 C_ref. C_ref starts at zero, so at
+    first it is Abar's own factor; when a solve needs more than
+    REFACTOR_ITERS CG iterations, C_ref becomes that solve's exchange matrix.
 
     ``reducer`` is the single-field constraint reduction, applied to both
     fields. With ``equal=True`` (A1 and A2 are the same operator) the block
@@ -472,9 +509,8 @@ class ExchangeBlock:
         self.equal = bool(equal)
         self.A1r, _ = reducer.reduce(A1, zeros)
         self.A2r = self.A1r if self.equal else reducer.reduce(A2, zeros)[0]
-        self.mean_factor = splu_factor(self._mean())
-        self.diff_factor = self.mean_factor
-        self.refactors = 0
+        self.mean_factor = factorize(self._mean())
+        self.diff = HeldFactor(self.mean_factor)
         self.last_iterations = 0
 
     def _mean(self):
@@ -485,14 +521,12 @@ class ExchangeBlock:
     def _solve(self, apply, b, precondition, Cr, tol, x0):
         """CG on apply(x) = b; refactors the difference preconditioner if slow."""
         shape = (len(b), len(b))
-        x, iters = _pcg(spla.LinearOperator(shape, matvec=apply, dtype=float),
-                        b, spla.LinearOperator(shape, matvec=precondition,
-                                               dtype=float),
-                        tol, x0=x0)
+        x, iters = pcg(spla.LinearOperator(shape, matvec=apply, dtype=float),
+                       b, spla.LinearOperator(shape, matvec=precondition,
+                                              dtype=float),
+                       tol, x0=x0)
         self.last_iterations = iters
-        if iters > REFACTOR_ITERS:
-            self.diff_factor = splu_factor(self._mean() + 2.0 * Cr)
-            self.refactors += 1
+        self.diff.refresh(iters, lambda: self._mean() + 2.0 * Cr)
         return x
 
 
@@ -512,7 +546,7 @@ def solve_exchange_block(block, C, b1, b2, tol=1e-10, x0=None):
     P = red.P
     b1r = red.reduce_rhs(block.A1, b1)
     b2r = red.reduce_rhs(block.A2, b2)
-    Cr = (P.T @ C @ P).tocsr()
+    Cr = red.restrict(C)
     x0r = None if x0 is None else (P.T @ x0[0], P.T @ x0[1])
     n = len(b1r)
     if block.equal:
@@ -520,7 +554,7 @@ def solve_exchange_block(block, C, b1, b2, tol=1e-10, x0=None):
         x_sum = solve_factored(block.mean_factor, A, b1r + b2r, tol)
         x_diff = block._solve(
             lambda d: A @ d + 2.0 * (Cr @ d), b1r - b2r,
-            block.diff_factor.solve, Cr, tol,
+            block.diff.handle.solve, Cr, tol,
             None if x0r is None else x0r[0] - x0r[1])
         x1r = 0.5 * (x_sum + x_diff)
         x2r = 0.5 * (x_sum - x_diff)
@@ -533,7 +567,7 @@ def solve_exchange_block(block, C, b1, b2, tol=1e-10, x0=None):
 
         def precondition(r):
             s = block.mean_factor.solve(r[:n] + r[n:])
-            d = block.diff_factor.solve(r[:n] - r[n:])
+            d = block.diff.handle.solve(r[:n] - r[n:])
             return 0.5 * np.concatenate([s + d, s - d])
 
         x = block._solve(apply, np.concatenate([b1r, b2r]), precondition, Cr,

@@ -806,7 +806,7 @@ def write_poromesh(mesh, path):
 def _section_count(line, tag):
     """Item count from a poromesh section header ``<tag> <count>``."""
     parts = line.split()
-    if len(parts) != 2 or parts[0] != tag:
+    if len(parts) != 2 or parts[0] != tag or not parts[1].isdigit():
         raise MeshFailureError(f"expected a {tag!r} section, got {line!r}")
     return int(parts[1])
 
@@ -816,6 +816,19 @@ def _next_line(lines):
     if line is None:
         raise MeshFailureError("truncated poromesh file")
     return line
+
+
+def _fields(lines, section, types):
+    """The next line of a section, one field per converter in ``types``."""
+    line = _next_line(lines)
+    parts = line.split()
+    try:
+        if len(parts) != len(types):
+            raise ValueError
+        return [convert(v) for convert, v in zip(types, parts)]
+    except ValueError:
+        raise MeshFailureError(
+            f"malformed line in the {section!r} section: {line!r}") from None
 
 
 def read_poromesh(path):
@@ -829,19 +842,19 @@ def read_poromesh(path):
     if header[2:3] != ["dim=2"]:
         raise UnsupportedDimensionError("only dim=2 poromesh files are supported")
     n = _section_count(_next_line(it), "nodes")
-    nodes = np.array([[float(v) for v in _next_line(it).split()]
-                      for _ in range(n)])
+    nodes = np.array([_fields(it, "nodes", (float, float)) for _ in range(n)],
+                     dtype=float).reshape(n, 2)
     m = _section_count(_next_line(it), "tris")
-    tris = np.array([[int(v) for v in _next_line(it).split()]
-                     for _ in range(m)], dtype=np.int64).reshape(m, 3)
+    tris = np.array([_fields(it, "tris", (int, int, int)) for _ in range(m)],
+                    dtype=np.int64).reshape(m, 3)
     e = _section_count(_next_line(it), "edges")
     edges = []
     markers = []
     for _ in range(e):
-        i, j, name = _next_line(it).split()
+        i, j, name = _fields(it, "edges", (int, int, str))
         if name not in _MARKER_BY_NAME:
             raise MeshFailureError(f"unknown edge marker {name!r}")
-        edges.append((int(i), int(j)))
+        edges.append((i, j))
         markers.append(_MARKER_BY_NAME[name])
     edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
     markers = np.asarray(markers, dtype=np.uint8)

@@ -17,9 +17,11 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.sparse.linalg as spla
 
 from . import fem, kinetics as kin_mod
-from .errors import PositivityViolationError, TableRangeError
+from .errors import (NonFiniteValueError, PositivityViolationError,
+                     TableRangeError)
 from .geometry import EdgeMarker
 from .trajectory import Trajectory, step_count
 
@@ -86,6 +88,15 @@ def _monitor_positivity(policy, pos_tol, t, fields, events):
     return out
 
 
+def _finite(name, values, t):
+    """``values`` as a float array; NonFiniteValueError if any is not finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteValueError(
+            f"{name} has a non-finite value at t={t:.6g}")
+    return values
+
+
 def _averaged_pair_rate(kin, ctx):
     """Nodal evaluator of avg(F1)+avg(F2) at arguments (c, c, c3)."""
 
@@ -127,7 +138,9 @@ class MacroSolver:
         dt, th = config.dt, config.theta
         self.A3 = (self.M + th * dt * self.K3).tocsr()
         self.A3_r, _ = self.reducer.reduce(self.A3, np.zeros(mesh.n_nodes))
-        self.A3_handle = fem.splu_factor(self.A3_r)
+        self.A3_handle = fem.factorize(self.A3_r)
+        # preconditioner of the A_c solves, factored at the first step
+        self.held = None
         gamma_over_cell = config.gamma_length / config.cell_area
         self.rate_pair = _averaged_pair_rate(config.kinetics, config.cell_ctx)
         self.rate_slow = _averaged_slow_rate(config.kinetics, config.cell_ctx,
@@ -147,7 +160,12 @@ class MacroSolver:
         return table.evaluate_many(s_elem)
 
     def step(self, state, events=None):
-        """One IMEX step; returns the new state."""
+        """One IMEX step; returns the new state.
+
+        A_c = 2M + theta dt K_B(c3) changes every step with the lagged
+        dispersion matrices, so it is solved by CG from the previous c,
+        preconditioned by a HeldFactor of an earlier A_c.
+        """
         cfg = self.cfg
         dt, th = cfg.dt, cfg.theta
         events = events if events is not None else []
@@ -156,7 +174,7 @@ class MacroSolver:
         mats = self.dispersion_matrices(c3)
         K_B = fem.assemble_stiffness_elementwise(self.mesh, mats)
 
-        f_c = np.asarray(self.rate_pair(c, c3), dtype=float)
+        f_c = _finite("f1+f2", self.rate_pair(c, c3), state.t)
         b_c = 2.0 * (self.M @ c) + dt * (self.M @ f_c)
         if cfg.source_vec_c is not None:
             b_c = b_c + dt * cfg.source_vec_c
@@ -164,10 +182,16 @@ class MacroSolver:
             b_c = b_c - (1.0 - th) * dt * (K_B @ c)
         A_c = (2.0 * self.M + th * dt * K_B).tocsr()
         A_r, b_r = self.reducer.reduce(A_c, b_c)
-        c_new = self.reducer.expand(fem.solve_factored(
-            fem.splu_factor(A_r), A_r, b_r, cfg.solver_tol))
+        if self.held is None:
+            self.held = fem.HeldFactor(fem.factorize(A_r))
+        x, iters = fem.pcg(
+            A_r, b_r, spla.LinearOperator(A_r.shape, dtype=float,
+                                          matvec=self.held.handle.solve),
+            cfg.solver_tol, x0=self.reducer.P.T @ c)
+        self.held.refresh(iters, lambda: A_r)
+        c_new = self.reducer.expand(x)
 
-        f_3 = np.asarray(self.rate_slow(c, c3), dtype=float)
+        f_3 = _finite("f3+g3", self.rate_slow(c, c3), state.t)
         b_3 = self.M @ c3 + dt * (self.M @ f_3)
         if cfg.source_vec_c3 is not None:
             b_3 = b_3 + dt * cfg.source_vec_c3
@@ -214,16 +238,6 @@ class MacroSolver:
                     break
         traj.final = state
         return traj
-
-
-def macro_step(mesh, state, config):
-    """One homogenized IMEX step (convenience wrapper)."""
-    return MacroSolver(mesh, config).step(state)
-
-
-def macro_run(mesh, state, config):
-    """Full homogenized run (convenience wrapper)."""
-    return MacroSolver(mesh, config).run(state)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +289,7 @@ class MacroVariantSolver:
         self.exchange = fem.ExchangeBlock(self.A[0], self.A[1], self.reducer,
                                           equal=self.equal_pair)
         self.A3_r, _ = self.reducer.reduce(self.A[2], np.zeros(mesh.n_nodes))
-        self.A3_handle = fem.splu_factor(self.A3_r)
+        self.A3_handle = fem.factorize(self.A3_r)
         self.gamma_over_cell = config.gamma_length / config.cell_area
 
     def step(self, state, events=None):
@@ -286,22 +300,23 @@ class MacroVariantSolver:
         events = events if events is not None else []
         c1, c2, c3 = state.c1, state.c2, state.c3
 
-        h_nodal = np.asarray(kin.h(c3), dtype=float)
+        t = state.t
+        h_nodal = _finite("h(c3)", kin.h(c3), t)
         W = fem.assemble_weighted_mass(self.mesh, h_nodal)
         C = (dt * self.gamma_over_cell) * W
 
         args = (c1, c2, c3)
-        b1 = self.M @ c1 + dt * (self.M @ np.asarray(
-            kin_mod.cell_average_f(kin, 1, args, ctx), dtype=float))
-        b2 = self.M @ c2 + dt * (self.M @ np.asarray(
-            kin_mod.cell_average_f(kin, 2, args, ctx), dtype=float))
+        f1, f2, f3 = (
+            _finite(f"f{k}", kin_mod.cell_average_f(kin, k, args, ctx), t)
+            for k in (1, 2, 3))
+        b1 = self.M @ c1 + dt * (self.M @ f1)
+        b2 = self.M @ c2 + dt * (self.M @ f2)
         c1_new, c2_new = fem.solve_exchange_block(
             self.exchange, C, b1, b2, tol=cfg.solver_tol)
 
-        f3 = np.asarray(kin_mod.cell_average_f(kin, 3, args, ctx), dtype=float)
         if self.gamma_over_cell > 0:
-            f3 = f3 + self.gamma_over_cell * np.asarray(
-                kin_mod.surface_average_g3(kin, args, ctx), dtype=float)
+            f3 = f3 + self.gamma_over_cell * _finite(
+                "g3", kin_mod.surface_average_g3(kin, args, ctx), t)
         b3 = self.M @ c3 + dt * (self.M @ f3)
         b3_r = self.reducer.reduce_rhs(self.A[2], b3)
         c3_new = self.reducer.expand(fem.solve_factored(
@@ -327,10 +342,6 @@ class MacroVariantSolver:
                         self.M, self.mass_weights, snapshot=snap)
         traj.final = state
         return traj
-
-
-def macro_run_variant(mesh, state, config):
-    return MacroVariantSolver(mesh, config).run(state)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ import numpy as np
 from . import fem
 from .geometry import EdgeMarker
 from .interpolate import P1Interpolator
-from .macro import PositivityPolicy, _monitor_positivity
+from .macro import PositivityPolicy, _finite, _monitor_positivity
 from .trajectory import Trajectory, step_count
 
 
@@ -77,7 +77,7 @@ class MicroSolver:
         self.exchange = fem.ExchangeBlock(self.A[0], self.A[1], self.reducer,
                                           equal=self.equal_pair)
         self.A3_r, _ = self.reducer.reduce(self.A[2], np.zeros(mesh.n_nodes))
-        self.A3_handle = fem.splu_factor(self.A3_r)
+        self.A3_handle = fem.factorize(self.A3_r)
         self.gamma_mass = fem.assemble_boundary_mass(mesh, EdgeMarker.GAMMA, 1.0)
         if config.scaling == Scaling.FAST_EXCHANGE:
             self.exchange_factor = dt / self.epsilon
@@ -85,10 +85,9 @@ class MicroSolver:
             self.exchange_factor = dt * self.epsilon
         self._y_points = np.mod(mesh.nodes / self.epsilon, 1.0)
 
-    def _volume_rate(self, rate, c1, c2, c3):
-        if rate.y_dependent:
-            return np.asarray(rate(self._y_points, c1, c2, c3), dtype=float)
-        return np.asarray(rate(None, c1, c2, c3), dtype=float)
+    def _volume_rate(self, name, rate, state):
+        y = self._y_points if rate.y_dependent else None
+        return _finite(name, rate(y, state.c1, state.c2, state.c3), state.t)
 
     def gamma_gap_norm(self, state):
         """L2 norm of c1 - c2 on the inclusion boundaries."""
@@ -102,18 +101,20 @@ class MicroSolver:
         events = events if events is not None else []
         c1, c2, c3 = state.c1, state.c2, state.c3
 
-        h_nodal = np.asarray(kin.h(c3), dtype=float)
+        h_nodal = _finite("h(c3)", kin.h(c3), state.t)
         C = self.exchange_factor * fem.assemble_boundary_mass(
             self.mesh, EdgeMarker.GAMMA, h_nodal)
 
-        b1 = self.M @ c1 + dt * (self.M @ self._volume_rate(kin.f1, c1, c2, c3))
-        b2 = self.M @ c2 + dt * (self.M @ self._volume_rate(kin.f2, c1, c2, c3))
+        f1 = self._volume_rate("f1", kin.f1, state)
+        f2 = self._volume_rate("f2", kin.f2, state)
+        b1 = self.M @ c1 + dt * (self.M @ f1)
+        b2 = self.M @ c2 + dt * (self.M @ f2)
         c1_new, c2_new = fem.solve_exchange_block(
             self.exchange, C, b1, b2, tol=cfg.solver_tol, x0=(c1, c2))
 
-        g3 = self._volume_rate(kin.g3, c1, c2, c3)
+        g3 = self._volume_rate("g3", kin.g3, state)
         b3 = self.M @ c3 + dt * (
-            self.M @ self._volume_rate(kin.f3, c1, c2, c3)
+            self.M @ self._volume_rate("f3", kin.f3, state)
             + self.epsilon * (self.gamma_mass @ g3))
         b3_r = self.reducer.reduce_rhs(self.A[2], b3)
         c3_new = self.reducer.expand(fem.solve_factored(
@@ -171,14 +172,6 @@ class MicroSolver:
         sq = (np.asarray(traj.series[f"norm_{name}"]) ** 2
               + np.asarray(traj.series[f"grad_energy_{name}"]))
         return float(np.trapezoid(sq, t))
-
-
-def micro_step(mesh, epsilon, state, config):
-    return MicroSolver(mesh, epsilon, config).step(state)
-
-
-def micro_run(mesh, epsilon, state, config):
-    return MicroSolver(mesh, epsilon, config).run(state)
 
 
 def initial_state(mesh, init_c1, init_c2, init_c3):

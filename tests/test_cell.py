@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from porodiff import cell, fem, geometry as geo
@@ -263,6 +265,77 @@ class TestDispersionTable:
         tdoc = tensor.as_json_dict()
         assert {"form", "h", "s", "matrix", "min_eig",
                 "cross_check_err"} == set(tdoc)
+
+
+def direct_bordered_pair(ctx, coeff1, coeff2, kappa):
+    """Correctors from one sparse direct solve of the assembled 2N block.
+
+    The block [[K1 + C, -C], [-C, K2 + C]], C = kappa * Gamma mass, reduced
+    by the block-periodic map and the first-field mean-zero multiplier.
+    """
+    mesh = ctx.mesh
+    n = mesh.n_nodes
+    K1 = fem.assemble_stiffness(mesh, coeff1)
+    K2 = fem.assemble_stiffness(mesh, coeff2)
+    C = kappa * ctx.gamma_mass
+    A = sp.bmat([[K1 + C, -C], [-C, K2 + C]], format="csr")
+    cs = fem.ConstraintSet(
+        periodic=cell._block_periodic(ctx.periodic, n),
+        mean_zero=[np.concatenate([ctx.mean_weights, np.zeros(n)])])
+    red = fem.ConstraintReducer(2 * n, cs)
+    A_r, _ = red.reduce(A, np.zeros(2 * n))
+    loads = [cell._direction_loads(mesh, c) for c in (coeff1, coeff2)]
+    first, second = {}, {}
+    for j in range(2):
+        b_r = red.reduce_rhs(A, np.concatenate([loads[0][j], loads[1][j]]))
+        x = red.expand(spla.spsolve(A_r.tocsc(), b_r))
+        first[j], second[j] = x[:n], x[n:]
+    return cell.CoupledCellSolution(mesh, first, second, kappa)
+
+
+class TestCoupledCellProblem:
+    def test_matches_direct_bordered_solve(self, coarse_ctx, identity_field,
+                                           aniso_field):
+        # the first rate is factored directly, the others go through the
+        # rank-|Gamma| update of that factor
+        problem = cell.CoupledCellProblem(coarse_ctx, identity_field,
+                                          aniso_field)
+        for kappa in (1e-3, 0.1, 1.0, 10.0, 1e3):
+            sol = problem.solve(kappa)
+            ref = direct_bordered_pair(coarse_ctx, identity_field,
+                                       aniso_field, kappa)
+            for j in (0, 1):
+                for got, want in ((sol.first[j], ref.first[j]),
+                                  (sol.second[j], ref.second[j])):
+                    assert np.linalg.norm(got - want) \
+                        <= 1e-10 * np.linalg.norm(want)
+            for got, want in zip(problem.tensors(sol), problem.tensors(ref)):
+                assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max()
+
+    def test_far_rates_meet_the_residual_contract(self, coarse_ctx,
+                                                  identity_field,
+                                                  aniso_field):
+        # 1e9 apart from the reference rate, the update alone misses the
+        # 1e-10 contract; its residual correction meets it
+        problem = cell.CoupledCellProblem(coarse_ctx, identity_field,
+                                          aniso_field)
+        problem.solve(1e-3)
+        for kappa in (1e4, 1e6):
+            got = problem.tensors(problem.solve(kappa))[0]
+            want = problem.tensors(direct_bordered_pair(
+                coarse_ctx, identity_field, aniso_field, kappa))[0]
+            assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+
+    def test_zero_exchange_tensor_is_the_scalar_sum(self, cell_ctx,
+                                                    identity_field,
+                                                    aniso_field):
+        problem = cell.CoupledCellProblem(cell_ctx, identity_field,
+                                          aniso_field)
+        b0, _ = cell.coupled_tensor_with_check(
+            cell_ctx, identity_field, aniso_field, 0.0, problem=problem)
+        t1, _ = cell.scalar_tensor_with_check(cell_ctx, identity_field)
+        t2, _ = cell.scalar_tensor_with_check(cell_ctx, aniso_field)
+        assert np.abs(b0.matrix - t1.matrix - t2.matrix).max() <= 1e-14
 
 
 class TestCoupledNormalization:

@@ -125,6 +125,24 @@ class TestConstraints:
         full = red.expand(x)
         assert abs(w @ full) < 1e-9
 
+    def test_dirichlet_only_reduction_is_an_index_slice(self, macro_mesh_16):
+        mesh = macro_mesh_16
+        red = fem.ConstraintReducer(mesh.n_nodes, fem.ConstraintSet(
+            dirichlet_nodes=mesh.nodes_with(geo.EdgeMarker.OUTER)))
+        M = fem.assemble_mass(mesh)
+        K = fem.assemble_stiffness(
+            mesh, fem.CoefficientField.constant(np.diag([2.0, 1.0])))
+        W = fem.assemble_weighted_mass(
+            mesh, np.random.default_rng(3).uniform(0.5, 1.0, mesh.n_nodes))
+        for A in ((M + 1e-3 * K).tocsr(), W):
+            product = (red.P.T @ A @ red.P).tocsr()
+            product.sort_indices()
+            for sliced in (red.reduce(A, np.zeros(mesh.n_nodes))[0],
+                           red.restrict(A)):
+                for part in ("data", "indices", "indptr"):
+                    assert np.array_equal(getattr(sliced, part),
+                                          getattr(product, part))
+
     def test_dirichlet_everywhere(self):
         mesh = two_triangle_square()
         K = fem.assemble_stiffness(mesh, fem.CoefficientField.isotropic(1.0))
@@ -301,21 +319,21 @@ class TestExchangeBlock:
                 mesh, geo.EdgeMarker.GAMMA, rng.uniform(0.5, 1.0, mesh.n_nodes))
             fem.solve_exchange_block(block, C, rng.standard_normal(mesh.n_nodes),
                                      rng.standard_normal(mesh.n_nodes))
-            history.append((block.last_iterations, block.refactors))
+            history.append((block.last_iterations, block.diff.refactors))
         return block, history
 
     def test_strong_exchange_refactors_once(self, cell_mesh):
         block, history = self._solves(cell_mesh, 1e4, 3)
         (first_iters, first_refactors), *rest = history
         assert first_iters > fem.REFACTOR_ITERS and first_refactors == 1
-        assert block.diff_factor is not block.mean_factor
+        assert block.diff.handle is not block.mean_factor
         for iters, refactors in rest:
             assert iters <= fem.REFACTOR_ITERS and refactors == 1
 
     def test_weak_exchange_never_refactors(self, cell_mesh):
         block, history = self._solves(cell_mesh, 1e-4, 4)
         assert all(refactors == 0 for _, refactors in history)
-        assert block.diff_factor is block.mean_factor
+        assert block.diff.handle is block.mean_factor
 
     def test_non_finite_rhs_fails_at_once(self, cell_mesh):
         A1, A2 = _unequal_pair(cell_mesh)

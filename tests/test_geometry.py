@@ -216,7 +216,16 @@ class TestPoromeshIO:
          "tris 1\n0 1 2\nedges 1\n0 1 WALL\n", "WALL"),
         ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
          "tris 1\n0 1 3\nedges 0\n", "triangle node index"),
-    ], ids=["truncated", "unknown_marker", "index_past_nodes"])
+        ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
+         "tris 1\n0 1 2\nedges 1\n0 1\n", "'edges' section: '0 1'"),
+        ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 x\n0.0 1.0\n"
+         "tris 1\n0 1 2\nedges 0\n", "'nodes' section: '1.0 x'"),
+        ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 0.0 0.0\n0.0 1.0\n"
+         "tris 1\n0 1 2\nedges 0\n", "'nodes' section: '1.0 0.0 0.0'"),
+        ("poromesh v1 dim=2\nnodes x\n", "expected a 'nodes' section"),
+    ], ids=["truncated", "unknown_marker", "index_past_nodes",
+            "edge_two_fields", "non_numeric_coordinate", "node_three_fields",
+            "non_numeric_count"])
     def test_import_rejects_malformed_file(self, tmp_path, text, problem):
         p = tmp_path / "malformed.poromesh"
         p.write_text(text)

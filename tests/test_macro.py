@@ -1,11 +1,15 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from porodiff import cell, fem, geometry as geo, kinetics as kin, macro
-from porodiff.errors import PositivityViolationError, TableRangeError
+from porodiff.errors import (NonFiniteValueError, PositivityViolationError,
+                             TableRangeError)
 
 
 def identity_table(s_max=2.0):
@@ -17,6 +21,11 @@ def heat_config(dt=1e-3, t_end=0.02, **kw):
     return macro.MacroConfig(dt=dt, t_end=t_end, d0=np.eye(2),
                              btable=identity_table(), kinetics=kin.zero_kinetics(),
                              gamma_length=0.0, cell_area=1.0, **kw)
+
+
+def nan_f3_kinetics():
+    nan = kin.Rate.of_s(lambda s1, s2, s3: np.full(np.shape(s3), np.nan))
+    return dataclasses.replace(kin.zero_kinetics(), f3=nan)
 
 
 def sine_mode(mesh):
@@ -105,6 +114,63 @@ class TestMacroStep:
         free = ~solver.reducer.dirichlet_mask
         scale = np.linalg.norm(2.0 * (solver.M @ state.c))
         assert np.linalg.norm(r[free]) / scale <= 1e-10
+
+
+    def test_held_preconditioner_matches_direct_solve(self, macro_mesh_16,
+                                                      coarse_ctx,
+                                                      identity_field,
+                                                      aniso_field):
+        k = kin.parse_kinetics("mm_triple+langmuir:a=1,b=1")
+        table = cell.tabulate_b(coarse_ctx, identity_field, aniso_field, k.h,
+                                (0.0, 0.5, 1.0, 2.0))
+        cfg = dataclasses.replace(heat_config(), btable=table, kinetics=k)
+        solver = macro.MacroSolver(macro_mesh_16, cfg)
+        mode = sine_mode(macro_mesh_16)
+        state = macro.MacroState(0.0, mode.copy(), 1.5 * mode)
+        red = solver.reducer
+        for _ in range(25):
+            K_B = fem.assemble_stiffness_elementwise(
+                macro_mesh_16, solver.dispersion_matrices(state.c3))
+            b = (2.0 * (solver.M @ state.c)
+                 + cfg.dt * (solver.M @ solver.rate_pair(state.c, state.c3)))
+            A_r, b_r = red.reduce(2.0 * solver.M + cfg.dt * K_B, b)
+            direct = red.expand(spla.spsolve(A_r.tocsc(), b_r))
+            state = solver.step(state)
+            assert np.abs(state.c - direct).max() \
+                <= 1e-9 * np.abs(direct).max()
+        assert solver.held.refactors == 0
+
+    def test_c3_jump_refactors_once(self, macro_mesh_16):
+        table = cell.DispersionTable(np.array([0.0, 1.0]),
+                                     np.stack([np.eye(2), 1e4 * np.eye(2)]))
+        solver = macro.MacroSolver(
+            macro_mesh_16, dataclasses.replace(heat_config(), btable=table))
+        # rough data, so that CG sees the whole spectrum of the jump
+        c = np.random.default_rng(5).uniform(0.0, 1.0, macro_mesh_16.n_nodes)
+        state = macro.MacroState(0.0, c, np.zeros_like(c))
+        refactors = []
+        for c3 in [np.zeros_like(c)] * 3 + [np.ones_like(c)] * 3:
+            state = solver.step(macro.MacroState(state.t, state.c, c3))
+            refactors.append(solver.held.refactors)
+        assert refactors == [0, 0, 0, 1, 1, 1]
+
+    def test_factors_owned_by_the_solver(self, macro_mesh_16):
+        cached = len(fem._factor_cache)
+        solver = macro.MacroSolver(macro_mesh_16, heat_config())
+        mode = sine_mode(macro_mesh_16)
+        solver.step(macro.MacroState(0.0, mode, mode))
+        assert len(fem._factor_cache) == cached
+        refs = [weakref.ref(solver.A3_handle), weakref.ref(solver.held.handle)]
+        del solver
+        gc.collect()
+        assert all(r() is None for r in refs)
+
+    def test_non_finite_rate_fails_at_once(self, macro_mesh_16):
+        cfg = dataclasses.replace(heat_config(), kinetics=nan_f3_kinetics())
+        solver = macro.MacroSolver(macro_mesh_16, cfg)
+        mode = sine_mode(macro_mesh_16)
+        with pytest.raises(NonFiniteValueError, match="f3.* at t=0"):
+            solver.step(macro.MacroState(0.0, mode.copy(), mode.copy()))
 
 
 class TestMacroRun:
@@ -243,6 +309,14 @@ class TestVariant:
         gaps = [fem.mass_norm(solver.M, f["c1"] - f["c2"])
                 for _, f in traj.snapshots]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+
+    def test_non_finite_rate_fails_at_once(self, macro_mesh_16):
+        solver = macro.MacroVariantSolver(
+            macro_mesh_16, self.make_cfg(nan_f3_kinetics()))
+        mode = sine_mode(macro_mesh_16)
+        with pytest.raises(NonFiniteValueError, match="f3 .* at t=0"):
+            solver.step(macro.VariantState(0.0, mode, mode, mode))
 
 
 class TestSteadySanity:

@@ -1,8 +1,13 @@
+import dataclasses
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
 from porodiff import fem, geometry as geo, kinetics as kin, micro
 from porodiff.errors import (ConfigError, NoConvergenceError,
+                             NonFiniteValueError,
                              PointOutsideDomainError)
 from porodiff.interpolate import P1Interpolator
 from porodiff.trajectory import step_count
@@ -80,6 +85,27 @@ class TestMicroStep:
         solver.A3_handle = Perturbed()
         state = micro.initial_state(eps_mesh, bump, bump, bump)
         with pytest.raises(NoConvergenceError):
+            solver.step(state)
+
+    def test_factors_owned_by_the_solver(self, eps_mesh):
+        cached = len(fem._factor_cache)
+        solver = micro.MicroSolver(eps_mesh, 0.25, heat_cfg(
+            d2=fem.CoefficientField.constant(np.diag([2.0, 1.0]))))
+        factors = [solver.A3_handle, solver.exchange.mean_factor]
+        assert len(fem._factor_cache) == cached
+        assert not any(f is h for f in factors
+                       for h in fem._factor_cache.values())
+        refs = [weakref.ref(f) for f in factors]
+        del solver, factors
+        gc.collect()
+        assert all(r() is None for r in refs)
+
+    def test_non_finite_rate_fails_at_once(self, eps_mesh):
+        nan = kin.Rate.of_s(lambda s1, s2, s3: np.full(np.shape(s3), np.nan))
+        k = dataclasses.replace(kin.zero_kinetics(), f3=nan)
+        solver = micro.MicroSolver(eps_mesh, 0.25, heat_cfg(kinetics=k))
+        state = micro.initial_state(eps_mesh, bump, bump, bump)
+        with pytest.raises(NonFiniteValueError, match="f3 .* at t=0"):
             solver.step(state)
 
     def test_t_end_off_the_time_grid_rejected(self, eps_mesh):
