@@ -115,6 +115,19 @@ def _element_gradients(mesh, grads, values):
     return np.einsum("mid,mi->md", grads, values[mesh.triangles])
 
 
+def _strain_and_flux(mesh, areas, grads, mats, correctors):
+    """Area-weighted strains and fluxes of one field's correctors.
+
+    For each direction j: |T| (e_j - grad chi^j) and D (e_j - grad chi^j),
+    both (M, 2); every tensor entry is a two-operand reduction of these.
+    """
+    eye = np.eye(2)
+    strain = [eye[j] - _element_gradients(mesh, grads, correctors[j])
+              for j in range(2)]
+    return ([areas[:, None] * e for e in strain],
+            [np.einsum("mde,me->md", mats, e) for e in strain])
+
+
 def _check_mesh(ctx, sol):
     if sol.mesh is not ctx.mesh:
         raise MeshMismatchError("solution was computed on a different mesh")
@@ -158,24 +171,20 @@ def effective_tensor_scalar(ctx, sol, coeff, form=TensorForm.SCALAR_ENERGY):
     _check_mesh(ctx, sol)
     if set(sol.directions) != {0, 1}:
         raise MeshMismatchError("both corrector directions are required")
+    if form not in (TensorForm.SCALAR_FORM, TensorForm.SCALAR_ENERGY):
+        raise ValueError(f"{form} is not a scalar tensor form")
     mesh = ctx.mesh
     areas, grads = fem.triangle_geometry(mesh)
-    mats = np.asarray(coeff.matrix_at(mesh.centroids))
-    grad = [_element_gradients(mesh, grads, sol.directions[j]) for j in range(2)]
-    eye = np.eye(2)
+    weighted, flux = _strain_and_flux(
+        mesh, areas, grads, np.asarray(coeff.matrix_at(mesh.centroids)),
+        sol.directions)
     t = np.empty((2, 2))
-    if form == TensorForm.SCALAR_FORM:
-        for j in range(2):
-            flux = np.einsum("mde,me->md", mats, eye[j] - grad[j])
-            t[:, j] = np.einsum("m,md->d", areas, flux) / ctx.area
-    elif form == TensorForm.SCALAR_ENERGY:
-        for i in range(2):
-            for j in range(2):
-                t[i, j] = np.einsum(
-                    "m,md,mde,me->", areas, eye[i] - grad[i], mats,
-                    eye[j] - grad[j]) / ctx.area
-    else:
-        raise ValueError(f"{form} is not a scalar tensor form")
+    for j in range(2):
+        if form == TensorForm.SCALAR_FORM:
+            t[:, j] = np.einsum("m,md->d", areas, flux[j]) / ctx.area
+        else:
+            for i in range(2):
+                t[i, j] = np.einsum("md,md->", weighted[i], flux[j]) / ctx.area
     return EffectiveTensor(t, form, h=mesh.h)
 
 
@@ -239,7 +248,7 @@ class CoupledCellProblem:
         self.K_r, _ = reducer.reduce(K, np.zeros(2 * n))
         loads = [_direction_loads(mesh, c) for c in self.coeffs]
         self.B = np.column_stack([
-            reducer.reduce_rhs(K, np.concatenate([loads[0][j], loads[1][j]]))
+            reducer.reduce_rhs(np.concatenate([loads[0][j], loads[1][j]]))
             for j in range(2)])
         gamma = mesh.nodes_with(EdgeMarker.GAMMA)
         m = len(gamma)
@@ -321,27 +330,20 @@ class CoupledCellProblem:
         _check_mesh(ctx, sol)
         if set(sol.first) != {0, 1} or set(sol.second) != {0, 1}:
             raise MeshMismatchError("both corrector directions are required")
-        mesh = ctx.mesh
-        areas = self.areas
-        mats1, mats2 = self.mats
-        eye = np.eye(2)
-        g1 = [_element_gradients(mesh, self.grads, sol.first[j])
-              for j in range(2)]
-        g2 = [_element_gradients(mesh, self.grads, sol.second[j])
-              for j in range(2)]
+        # per field k: the weighted strains and fluxes of both directions
+        weighted, flux = zip(*(
+            _strain_and_flux(ctx.mesh, self.areas, self.grads, mats, corr)
+            for mats, corr in zip(self.mats, (sol.first, sol.second))))
         t_form = np.empty((2, 2))
         for j in range(2):
-            flux = (np.einsum("mde,me->md", mats1, eye[j] - g1[j])
-                    + np.einsum("mde,me->md", mats2, eye[j] - g2[j]))
-            t_form[:, j] = np.einsum("m,md->d", areas, flux) / ctx.area
+            t_form[:, j] = np.einsum("m,md->d", self.areas,
+                                     flux[0][j] + flux[1][j]) / ctx.area
         t_energy = np.empty((2, 2))
         diff = [sol.first[j] - sol.second[j] for j in range(2)]
         for i in range(2):
             for j in range(2):
-                val = np.einsum("m,md,mde,me->", areas, eye[i] - g1[i],
-                                mats1, eye[j] - g1[j])
-                val += np.einsum("m,md,mde,me->", areas, eye[i] - g2[i],
-                                 mats2, eye[j] - g2[j])
+                val = sum(np.einsum("md,md->", weighted[k][i], flux[k][j])
+                          for k in range(2))
                 if ctx.gamma_mass is not None and sol.exchange_rate > 0:
                     val += sol.exchange_rate * float(
                         diff[i] @ (ctx.gamma_mass @ diff[j]))

@@ -264,7 +264,8 @@ class ConstraintReducer:
             shape=(self.n, self.n_reduced),
         ).tocsr()
         self.dirichlet_values = dir_vals
-        self.has_dirichlet = bool(dir_mask.any())
+        # zero Dirichlet values need no lift of b and no shift of x
+        self.lifts = bool(np.any(dir_vals))
         self.dirichlet_mask = dir_mask
 
         mz = cs.mean_zero
@@ -291,13 +292,23 @@ class ConstraintReducer:
                               for w in self.mean_zero_reduced])
             zero = sp.csr_matrix((self.n_multipliers, self.n_multipliers))
             A_r = sp.bmat([[A_r, cols], [cols.T, zero]], format="csr")
-        return A_r, self.reduce_rhs(A, b)
+        return A_r, self.reduce_rhs(b, self.lift(A))
 
-    def reduce_rhs(self, A, b):
-        """The reduced b_r of ``reduce`` alone; A only lifts Dirichlet values."""
+    def lift(self, A):
+        """A g for the Dirichlet values g, or None when they are all zero.
+
+        A solver with a constant A computes this once and passes it to
+        every ``reduce_rhs``.
+        """
+        return A @ self.dirichlet_values if self.lifts else None
+
+    def reduce_rhs(self, b, lift=None):
+        """The b_r of ``reduce`` alone; ``lift`` is ``self.lift(A)``."""
         b = np.asarray(b, dtype=float)
-        if self.has_dirichlet:
-            b = b - A @ self.dirichlet_values
+        if self.lifts:
+            if lift is None:
+                raise ValueError("non-zero Dirichlet values need the lift A g")
+            b = b - lift
         b_r = self.P.T @ b
         if self.n_multipliers:
             b_r = np.concatenate([b_r, np.zeros(self.n_multipliers)])
@@ -308,7 +319,7 @@ class ConstraintReducer:
         if self.n_multipliers:
             x_reduced = x_reduced[: self.n_reduced]
         x = self.P @ x_reduced
-        if self.has_dirichlet:
+        if self.lifts:
             x = x + self.dirichlet_values
         return x
 
@@ -484,18 +495,47 @@ class HeldFactor:
             self.refactors += 1
 
 
+class _BlockDiagonal:
+    """Solves with diag(A1, A2) by one solve with each field's factor."""
+
+    __slots__ = ("factors", "n")
+
+    def __init__(self, factors, n):
+        self.factors = factors
+        self.n = n
+
+    def solve(self, r):
+        n = self.n
+        return np.concatenate([self.factors[0].solve(r[:n]),
+                               self.factors[1].solve(r[n:])])
+
+
+def _same_matrix(A, B):
+    """True when two CSR matrices are bitwise equal."""
+    return A.shape == B.shape and all(
+        np.array_equal(getattr(A, part), getattr(B, part))
+        for part in ("indptr", "indices", "data"))
+
+
 class ExchangeBlock:
     """The constant part of the exchange block [[A1+C, -C], [-C, A2+C]].
 
-    Built once per stepper: it holds the reduced A1r and A2r and the factor
-    of their mean Abar = (A1r + A2r)/2. The difference preconditioner
-    ``diff`` is a HeldFactor of Abar + 2 C_ref. C_ref starts at zero, so at
-    first it is Abar's own factor; when a solve needs more than
-    REFACTOR_ITERS CG iterations, C_ref becomes that solve's exchange matrix.
+    Built once per stepper: it holds the reduced A1r and A2r, their
+    ``factors`` (one shared factor for an equal pair) and, for non-zero
+    Dirichlet values g, the ``lift_vectors`` A1 g and A2 g; the full A1 and
+    A2 are not kept. ``held`` is the CG preconditioner, a HeldFactor of the
+    block itself at a held exchange matrix C_ref. C_ref starts at zero,
+    where the block is diag(A1r, A2r) and the preconditioner is one solve
+    with each field's factor, exact for C = 0 and any pair. When a solve
+    needs more than REFACTOR_ITERS CG iterations, C_ref becomes that
+    solve's exchange matrix and the whole 2N block is factored; that factor
+    is about twice the size of a field factor and is held beside the field
+    factors.
 
     ``reducer`` is the single-field constraint reduction, applied to both
     fields. With ``equal=True`` (A1 and A2 are the same operator) the block
-    decouples exactly into sum and difference fields.
+    decouples exactly into sum and difference fields, and ``held`` is a
+    factor of A + 2 C_ref for the difference field.
     """
 
     def __init__(self, A1, A2, reducer, equal=False):
@@ -503,30 +543,39 @@ class ExchangeBlock:
             raise ConflictingConstraintsError(
                 "exchange block solve does not support mean-zero multipliers"
             )
-        zeros = np.zeros(reducer.n)
         self.reducer = reducer
-        self.A1, self.A2 = A1, A2
         self.equal = bool(equal)
-        self.A1r, _ = reducer.reduce(A1, zeros)
-        self.A2r = self.A1r if self.equal else reducer.reduce(A2, zeros)[0]
-        self.mean_factor = factorize(self._mean())
-        self.diff = HeldFactor(self.mean_factor)
+        self.A1r = reducer.restrict(A1)
+        self.A2r = self.A1r if self.equal else reducer.restrict(A2)
+        self.lift_vectors = (reducer.lift(A1), reducer.lift(A2))
+        first = factorize(self.A1r)
+        self.factors = (first, first if self.equal else factorize(self.A2r))
+        self.held = HeldFactor(
+            first if self.equal
+            else _BlockDiagonal(self.factors, self.A1r.shape[0]))
         self.last_iterations = 0
 
-    def _mean(self):
-        if self.equal:
-            return self.A1r
-        return 0.5 * (self.A1r + self.A2r)
+    def factor_of(self, A_r):
+        """(A_r, a factor of A_r), shared with a field that has the same A_r.
 
-    def _solve(self, apply, b, precondition, Cr, tol, x0):
-        """CG on apply(x) = b; refactors the difference preconditioner if slow."""
+        When A_r is bitwise equal to A1r or A2r, the block's own matrix and
+        factor are returned; otherwise A_r and a new factor.
+        """
+        for own, handle in zip((self.A1r, self.A2r), self.factors):
+            if _same_matrix(A_r, own):
+                return own, handle
+        return A_r, factorize(A_r)
+
+    def _solve(self, apply, b, operator, tol, x0):
+        """CG on apply(x) = b; refactors at operator() if it was slow."""
         shape = (len(b), len(b))
-        x, iters = pcg(spla.LinearOperator(shape, matvec=apply, dtype=float),
-                       b, spla.LinearOperator(shape, matvec=precondition,
-                                              dtype=float),
-                       tol, x0=x0)
+        x, iters = pcg(
+            spla.LinearOperator(shape, matvec=apply, dtype=float), b,
+            spla.LinearOperator(shape, matvec=self.held.handle.solve,
+                                dtype=float),
+            tol, x0=x0)
         self.last_iterations = iters
-        self.diff.refresh(iters, lambda: self._mean() + 2.0 * Cr)
+        self.held.refresh(iters, operator)
         return x
 
 
@@ -535,43 +584,43 @@ def solve_exchange_block(block, C, b1, b2, tol=1e-10, x0=None):
 
     The block is SPD whenever A1, A2 are SPD and C is PSD. It is applied
     matrix-free, y1 = A1r x1 + C(x1 - x2), y2 = A2r x2 - C(x1 - x2), and
-    solved by CG preconditioned with T diag(Abar^-1, (Abar + 2 C_ref)^-1) T,
-    T the orthogonal sum/difference transform; this is the exact inverse
-    when A1 = A2 and C = C_ref. For an equal pair the sum field is solved
-    with the Abar factor and the difference field by CG, so equal
-    right-hand sides give bitwise-equal fields. ``x0`` = (x1, x2) is the
-    CG starting guess. Every solve meets the relative-residual contract.
+    solved by CG preconditioned with the block's held factor at C_ref: at
+    first diag(A1r^-1, A2r^-1), after a slow solve the factor of the block
+    at that solve's C. Where the exchange is weak (C small against A1, A2)
+    the block is nearly block-diagonal and CG needs a few iterations. For
+    an equal pair the sum field is solved with the field factor and the
+    difference field by CG against A + 2 C_ref, so equal right-hand sides
+    give bitwise-equal fields. ``x0`` = (x1, x2) is the CG starting guess.
+    Every solve meets the relative-residual contract.
     """
     red = block.reducer
     P = red.P
-    b1r = red.reduce_rhs(block.A1, b1)
-    b2r = red.reduce_rhs(block.A2, b2)
+    b1r = red.reduce_rhs(b1, block.lift_vectors[0])
+    b2r = red.reduce_rhs(b2, block.lift_vectors[1])
     Cr = red.restrict(C)
     x0r = None if x0 is None else (P.T @ x0[0], P.T @ x0[1])
     n = len(b1r)
     if block.equal:
         A = block.A1r
-        x_sum = solve_factored(block.mean_factor, A, b1r + b2r, tol)
+        x_sum = solve_factored(block.factors[0], A, b1r + b2r, tol)
         x_diff = block._solve(
             lambda d: A @ d + 2.0 * (Cr @ d), b1r - b2r,
-            block.diff.handle.solve, Cr, tol,
+            lambda: A + 2.0 * Cr, tol,
             None if x0r is None else x0r[0] - x0r[1])
         x1r = 0.5 * (x_sum + x_diff)
         x2r = 0.5 * (x_sum - x_diff)
     else:
+        A1r, A2r = block.A1r, block.A2r
+
         def apply(x):
             x1, x2 = x[:n], x[n:]
             flux = Cr @ (x1 - x2)
-            return np.concatenate([block.A1r @ x1 + flux,
-                                   block.A2r @ x2 - flux])
+            return np.concatenate([A1r @ x1 + flux, A2r @ x2 - flux])
 
-        def precondition(r):
-            s = block.mean_factor.solve(r[:n] + r[n:])
-            d = block.diff.handle.solve(r[:n] - r[n:])
-            return 0.5 * np.concatenate([s + d, s - d])
-
-        x = block._solve(apply, np.concatenate([b1r, b2r]), precondition, Cr,
-                         tol, None if x0r is None else np.concatenate(x0r))
+        x = block._solve(
+            apply, np.concatenate([b1r, b2r]),
+            lambda: sp.bmat([[A1r + Cr, -Cr], [-Cr, A2r + Cr]], format="csc"),
+            tol, None if x0r is None else np.concatenate(x0r))
         x1r, x2r = x[:n], x[n:]
     return red.expand(x1r), red.expand(x2r)
 

@@ -361,20 +361,20 @@ def _compact(nodes, tris):
 
 
 def _bisect_interface(incl, p_pos, p_neg):
-    """Point on the interface along the segment p_pos -> p_neg."""
-    ta, tb = 0.0, 1.0
+    """Points on the interface along the segments p_pos -> p_neg, (E, 2).
+
+    60 halvings of every segment at once; a midpoint exactly on the
+    interface sets ta = tb = tm, which later halvings keep fixed.
+    """
+    ta = np.zeros(len(p_pos))
+    tb = np.ones(len(p_pos))
     seg = p_neg - p_pos
     for _ in range(60):
         tm = 0.5 * (ta + tb)
-        dm = float(incl.signed_distance(p_pos + tm * seg)[0])
-        if dm > 0.0:
-            ta = tm
-        elif dm < 0.0:
-            tb = tm
-        else:
-            ta = tb = tm
-            break
-    return incl.project(p_pos + 0.5 * (ta + tb) * seg)[0]
+        dm = incl.signed_distance(p_pos + tm[:, None] * seg)
+        ta = np.where(dm >= 0.0, tm, ta)
+        tb = np.where(dm <= 0.0, tm, tb)
+    return incl.project(p_pos + (0.5 * (ta + tb))[:, None] * seg)
 
 
 def _cut_out_inclusion(nodes, tris, incl, g, bounds):
@@ -421,16 +421,15 @@ def _cut_out_inclusion(nodes, tris, incl, g, bounds):
         keep[np.nonzero(allzero)[0]] = incl.signed_distance(cen) > 0.0
 
     new_nodes = [nodes]
-    extra = []
+    extra = []    # (pos, neg) node pairs of the cut edges, in first-use order
     edge_point = {}
 
     def interface_node(i_pos, i_neg):
         key = (min(i_pos, i_neg), max(i_pos, i_neg))
         idx = edge_point.get(key)
         if idx is None:
-            p = _bisect_interface(incl, nodes[i_pos], nodes[i_neg])
             idx = len(nodes) + len(extra)
-            extra.append(p)
+            extra.append((i_pos, i_neg))
             edge_point[key] = idx
         return idx
 
@@ -463,7 +462,9 @@ def _cut_out_inclusion(nodes, tris, incl, g, bounds):
                 c = interface_node(int(w), int(u))
                 cut_tris.append((int(z), c, int(w)))
     if extra:
-        new_nodes.append(np.asarray(extra))
+        pairs = np.asarray(extra)
+        new_nodes.append(_bisect_interface(incl, nodes[pairs[:, 0]],
+                                           nodes[pairs[:, 1]]))
     if cut_tris:
         out_tris.append(np.asarray(cut_tris, dtype=np.int64))
 

@@ -136,8 +136,7 @@ class MacroSolver:
         self.K3 = fem.assemble_stiffness(
             mesh, fem.CoefficientField.constant(config.d0))
         dt, th = config.dt, config.theta
-        self.A3 = (self.M + th * dt * self.K3).tocsr()
-        self.A3_r, _ = self.reducer.reduce(self.A3, np.zeros(mesh.n_nodes))
+        self.A3_r = self.reducer.restrict(self.M + th * dt * self.K3)
         self.A3_handle = fem.factorize(self.A3_r)
         # preconditioner of the A_c solves, factored at the first step
         self.held = None
@@ -197,7 +196,7 @@ class MacroSolver:
             b_3 = b_3 + dt * cfg.source_vec_c3
         if th < 1.0:
             b_3 = b_3 - (1.0 - th) * dt * (self.K3 @ c3)
-        b3_r = self.reducer.reduce_rhs(self.A3, b_3)
+        b3_r = self.reducer.reduce_rhs(b_3)
         c3_new = self.reducer.expand(fem.solve_factored(
             self.A3_handle, self.A3_r, b3_r, cfg.solver_tol))
 
@@ -281,15 +280,16 @@ class MacroVariantSolver:
         self.reducer = fem.ConstraintReducer(
             mesh.n_nodes, fem.ConstraintSet(dirichlet_nodes=dirichlet))
         dt = config.dt
-        self.K = [fem.assemble_stiffness(mesh, fem.CoefficientField.constant(d))
-                  for d in (config.d1, config.d2, config.d3)]
-        self.A = [(self.M + dt * K).tocsr() for K in self.K]
+        A1, A2, A3 = (
+            (self.M + dt * fem.assemble_stiffness(
+                mesh, fem.CoefficientField.constant(d))).tocsr()
+            for d in (config.d1, config.d2, config.d3))
         self.equal_pair = bool(np.array_equal(np.asarray(config.d1, float),
                                               np.asarray(config.d2, float)))
-        self.exchange = fem.ExchangeBlock(self.A[0], self.A[1], self.reducer,
+        self.exchange = fem.ExchangeBlock(A1, A2, self.reducer,
                                           equal=self.equal_pair)
-        self.A3_r, _ = self.reducer.reduce(self.A[2], np.zeros(mesh.n_nodes))
-        self.A3_handle = fem.factorize(self.A3_r)
+        self.A3_r, self.A3_handle = self.exchange.factor_of(
+            self.reducer.restrict(A3))
         self.gamma_over_cell = config.gamma_length / config.cell_area
 
     def step(self, state, events=None):
@@ -318,7 +318,7 @@ class MacroVariantSolver:
             f3 = f3 + self.gamma_over_cell * _finite(
                 "g3", kin_mod.surface_average_g3(kin, args, ctx), t)
         b3 = self.M @ c3 + dt * (self.M @ f3)
-        b3_r = self.reducer.reduce_rhs(self.A[2], b3)
+        b3_r = self.reducer.reduce_rhs(b3)
         c3_new = self.reducer.expand(fem.solve_factored(
             self.A3_handle, self.A3_r, b3_r, cfg.solver_tol))
 

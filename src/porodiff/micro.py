@@ -7,7 +7,10 @@ carries a 1/epsilon factor, so it is folded implicitly into a symmetric
 would force dt = O(eps h) and make epsilon sweeps unaffordable. The slow
 surface reaction of the third species is explicit (it carries an epsilon
 factor and is never stiff). The implicit block is SPD for any dt, eps > 0 and
-nonnegative exchange rate, so each step costs two sparse solves.
+nonnegative exchange rate; it is solved by CG preconditioned with the two
+field factors (a few iterations while the exchange is weak), and c3 by one
+triangular solve with its own factor, or with a field's when d3 equals d1
+or d2.
 """
 
 from __future__ import annotations
@@ -71,13 +74,13 @@ class MicroSolver:
                 for d in (config.d1, config.d2, config.d3)]
         self.K = [fem.assemble_stiffness(mesh, d) for d in fine]
         dt = config.dt
-        self.A = [(self.M + dt * K).tocsr() for K in self.K]
+        A1, A2, A3 = ((self.M + dt * K).tocsr() for K in self.K)
         self.equal_pair = config.d1.is_equal_constant(config.d2) \
             or config.d1 is config.d2
-        self.exchange = fem.ExchangeBlock(self.A[0], self.A[1], self.reducer,
+        self.exchange = fem.ExchangeBlock(A1, A2, self.reducer,
                                           equal=self.equal_pair)
-        self.A3_r, _ = self.reducer.reduce(self.A[2], np.zeros(mesh.n_nodes))
-        self.A3_handle = fem.factorize(self.A3_r)
+        self.A3_r, self.A3_handle = self.exchange.factor_of(
+            self.reducer.restrict(A3))
         self.gamma_mass = fem.assemble_boundary_mass(mesh, EdgeMarker.GAMMA, 1.0)
         if config.scaling == Scaling.FAST_EXCHANGE:
             self.exchange_factor = dt / self.epsilon
@@ -116,7 +119,7 @@ class MicroSolver:
         b3 = self.M @ c3 + dt * (
             self.M @ self._volume_rate("f3", kin.f3, state)
             + self.epsilon * (self.gamma_mass @ g3))
-        b3_r = self.reducer.reduce_rhs(self.A[2], b3)
+        b3_r = self.reducer.reduce_rhs(b3)
         c3_new = self.reducer.expand(fem.solve_factored(
             self.A3_handle, self.A3_r, b3_r, cfg.solver_tol))
 

@@ -37,3 +37,17 @@ def aniso_field():
 @pytest.fixture(scope="session")
 def macro_mesh_16():
     return geo.build_macro_mesh(geo.RectUnion.unit_square(), 1 / 16)
+
+
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    """Shapes of the matrices passed to fem.factorize while the test runs."""
+    calls = []
+    factorize = fem.factorize
+
+    def count(A):
+        calls.append(A.shape)
+        return factorize(A)
+
+    monkeypatch.setattr(fem, "factorize", count)
+    return calls

@@ -29,6 +29,27 @@ def reflect_map(mesh, fn):
     return pairs
 
 
+def four_operand_tensors(ctx, fields):
+    """(energy, volume) tensors summed over (coefficient, correctors) pairs,
+    by the formulas written as one 4-operand reduction per entry."""
+    mesh = ctx.mesh
+    areas, grads = fem.triangle_geometry(mesh)
+    eye = np.eye(2)
+    energy = np.zeros((2, 2))
+    volume = np.zeros((2, 2))
+    for coeff, corr in fields:
+        mats = np.asarray(coeff.matrix_at(mesh.centroids))
+        g = [cell._element_gradients(mesh, grads, corr[j]) for j in range(2)]
+        for j in range(2):
+            flux = np.einsum("mde,me->md", mats, eye[j] - g[j])
+            volume[:, j] += np.einsum("m,md->d", areas, flux) / ctx.area
+            for i in range(2):
+                energy[i, j] += np.einsum(
+                    "m,md,mde,me->", areas, eye[i] - g[i], mats,
+                    eye[j] - g[j]) / ctx.area
+    return energy, volume
+
+
 class TestScalarCell:
     def test_no_inclusion_corrector_vanishes(self, aniso_field):
         mesh = geo.build_unit_cell_mesh(geo.InclusionSpec.none(), 0.1)
@@ -90,6 +111,16 @@ class TestScalarCell:
     def test_form_equivalence(self, cell_ctx, identity_field):
         tensor, _ = cell.scalar_tensor_with_check(cell_ctx, identity_field)
         assert tensor.cross_check_err <= 1e-9
+
+    def test_tensors_match_the_four_operand_formulas(self, cell_ctx,
+                                                     aniso_field):
+        sol = cell.solve_scalar_pair(cell_ctx, aniso_field)
+        want = four_operand_tensors(cell_ctx, [(aniso_field, sol.directions)])
+        for form, ref in zip((cell.TensorForm.SCALAR_ENERGY,
+                              cell.TensorForm.SCALAR_FORM), want):
+            got = cell.effective_tensor_scalar(cell_ctx, sol, aniso_field,
+                                               form).matrix
+            assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
     def test_upper_bound(self, cell_ctx, aniso_field):
         tensor, _ = cell.scalar_tensor_with_check(cell_ctx, aniso_field)
@@ -287,7 +318,7 @@ def direct_bordered_pair(ctx, coeff1, coeff2, kappa):
     loads = [cell._direction_loads(mesh, c) for c in (coeff1, coeff2)]
     first, second = {}, {}
     for j in range(2):
-        b_r = red.reduce_rhs(A, np.concatenate([loads[0][j], loads[1][j]]))
+        b_r = red.reduce_rhs(np.concatenate([loads[0][j], loads[1][j]]))
         x = red.expand(spla.spsolve(A_r.tocsc(), b_r))
         first[j], second[j] = x[:n], x[n:]
     return cell.CoupledCellSolution(mesh, first, second, kappa)
@@ -336,6 +367,24 @@ class TestCoupledCellProblem:
         t1, _ = cell.scalar_tensor_with_check(cell_ctx, identity_field)
         t2, _ = cell.scalar_tensor_with_check(cell_ctx, aniso_field)
         assert np.abs(b0.matrix - t1.matrix - t2.matrix).max() <= 1e-14
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.2, 0.667])
+    def test_tensors_match_the_four_operand_formulas(self, cell_ctx,
+                                                     identity_field,
+                                                     aniso_field, kappa):
+        problem = cell.CoupledCellProblem(cell_ctx, identity_field,
+                                          aniso_field)
+        sol = problem.solve(kappa)
+        energy, volume = four_operand_tensors(
+            cell_ctx, [(identity_field, sol.first), (aniso_field, sol.second)])
+        for i in range(2):
+            for j in range(2):
+                d_i = sol.first[i] - sol.second[i]
+                d_j = sol.first[j] - sol.second[j]
+                energy[i, j] += kappa * float(
+                    d_i @ (cell_ctx.gamma_mass @ d_j)) / cell_ctx.area
+        for got, want in zip(problem.tensors(sol), (energy, volume)):
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 class TestCoupledNormalization:

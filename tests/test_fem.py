@@ -152,6 +152,21 @@ class TestConstraints:
         assert A_r.shape == (0, 0)
         assert np.array_equal(red.expand(np.zeros(0)), [1.0, 2.0, 3.0, 4.0])
 
+    def test_non_zero_dirichlet_values_need_the_lift(self):
+        mesh = two_triangle_square()
+        K = fem.assemble_stiffness(mesh, fem.CoefficientField.isotropic(1.0))
+        b = np.ones(4)
+        red = fem.ConstraintReducer(4, fem.ConstraintSet(
+            dirichlet_nodes=np.array([0]), dirichlet_values=2.0))
+        with pytest.raises(ValueError, match="lift"):
+            red.reduce_rhs(b)
+        assert np.array_equal(red.reduce_rhs(b, red.lift(K)),
+                              red.reduce(K, b)[1])
+        zero = fem.ConstraintReducer(4, fem.ConstraintSet(
+            dirichlet_nodes=np.array([0])))
+        assert zero.lift(K) is None
+        assert np.array_equal(zero.reduce_rhs(b), b[1:])
+
     def test_periodic_solve_residual(self, cell_ctx):
         mesh = cell_ctx.mesh
         K = fem.assemble_stiffness(mesh, fem.CoefficientField.isotropic(1.0))
@@ -319,21 +334,22 @@ class TestExchangeBlock:
                 mesh, geo.EdgeMarker.GAMMA, rng.uniform(0.5, 1.0, mesh.n_nodes))
             fem.solve_exchange_block(block, C, rng.standard_normal(mesh.n_nodes),
                                      rng.standard_normal(mesh.n_nodes))
-            history.append((block.last_iterations, block.diff.refactors))
+            history.append((block.last_iterations, block.held.refactors))
         return block, history
 
     def test_strong_exchange_refactors_once(self, cell_mesh):
         block, history = self._solves(cell_mesh, 1e4, 3)
         (first_iters, first_refactors), *rest = history
         assert first_iters > fem.REFACTOR_ITERS and first_refactors == 1
-        assert block.diff.handle is not block.mean_factor
+        # the refreshed preconditioner is a factor of the whole 2N block
+        assert block.held.handle.lu.shape == (2 * cell_mesh.n_nodes,) * 2
         for iters, refactors in rest:
             assert iters <= fem.REFACTOR_ITERS and refactors == 1
 
     def test_weak_exchange_never_refactors(self, cell_mesh):
         block, history = self._solves(cell_mesh, 1e-4, 4)
         assert all(refactors == 0 for _, refactors in history)
-        assert block.diff.handle is block.mean_factor
+        assert block.held.handle.factors is block.factors
 
     def test_non_finite_rhs_fails_at_once(self, cell_mesh):
         A1, A2 = _unequal_pair(cell_mesh)

@@ -68,6 +68,40 @@ class TestUnitCell:
             cell_mesh.nodes[0, 0] = 7.0
 
 
+def _scalar_bisect_interface(incl, p_pos, p_neg):
+    """The one-edge-at-a-time bisection that the vectorised one replaced."""
+    ta, tb = 0.0, 1.0
+    seg = p_neg - p_pos
+    for _ in range(60):
+        tm = 0.5 * (ta + tb)
+        dm = float(incl.signed_distance(p_pos + tm * seg)[0])
+        if dm > 0.0:
+            ta = tm
+        elif dm < 0.0:
+            tb = tm
+        else:
+            ta = tb = tm
+            break
+    return incl.project(p_pos + 0.5 * (ta + tb) * seg)[0]
+
+
+@pytest.mark.parametrize("spec,h", [
+    (geo.InclusionSpec.disc((0.5, 0.5), 0.25), 0.05),
+    (geo.InclusionSpec.disc((0.5, 0.5), 0.25), 0.0125),
+    (geo.InclusionSpec.polygon(
+        [(0.3, 0.25), (0.75, 0.35), (0.6, 0.72), (0.28, 0.6)]), 0.05),
+])
+def test_vectorised_bisection_matches_scalar_loop(spec, h, monkeypatch):
+    mesh = geo.build_unit_cell_mesh(spec, h)
+    monkeypatch.setattr(geo, "_bisect_interface", lambda incl, pos, neg: (
+        np.array([_scalar_bisect_interface(incl, p, n)
+                  for p, n in zip(pos, neg)])))
+    want = geo.build_unit_cell_mesh(spec, h)
+    assert np.array_equal(mesh.nodes, want.nodes)
+    assert np.array_equal(mesh.triangles, want.triangles)
+    assert mesh.marked_length(GAMMA) > 0
+
+
 class TestMacroMesh:
     def test_unit_square(self):
         mesh = geo.build_macro_mesh(geo.RectUnion.unit_square(), 0.1)

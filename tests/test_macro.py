@@ -279,7 +279,8 @@ class TestVariant:
                                              0.5 * mode))
         # each field is an independent implicit heat solve
         M = solver.M
-        A = solver.A[0]
+        A = (M + cfg.dt * fem.assemble_stiffness(
+            macro_mesh_16, fem.CoefficientField.constant(cfg.d1))).tocsr()
         red = solver.reducer
         c = mode.copy()
         for _ in range(int(round(cfg.t_end / cfg.dt))):
@@ -310,6 +311,15 @@ class TestVariant:
                 for _, f in traj.snapshots]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
 
+    def test_c3_shares_a_field_factor(self, macro_mesh_16, factorize_calls):
+        cfg = self.make_cfg(kin.zero_kinetics(), d2=np.diag([2.0, 1.0]))
+        solver = macro.MacroVariantSolver(macro_mesh_16, cfg)
+        assert solver.A3_handle is solver.exchange.factors[0]
+        assert len(factorize_calls) == 2
+        own = macro.MacroVariantSolver(
+            macro_mesh_16, dataclasses.replace(cfg, d3=3.0 * np.eye(2)))
+        assert not any(own.A3_handle is f for f in own.exchange.factors)
+        assert len(factorize_calls) == 5
 
     def test_non_finite_rate_fails_at_once(self, macro_mesh_16):
         solver = macro.MacroVariantSolver(

@@ -47,7 +47,7 @@ class TestMicroStep:
         traj = solver.run(state)
         # reference: single-field implicit heat stepping with the same data
         M = solver.M
-        A = solver.A[0]
+        A = (M + solver.cfg.dt * solver.K[0]).tocsr()
         red = solver.reducer
         c = traj.snapshots[0][1]["c1"].copy()
         for _ in range(10):
@@ -91,7 +91,7 @@ class TestMicroStep:
         cached = len(fem._factor_cache)
         solver = micro.MicroSolver(eps_mesh, 0.25, heat_cfg(
             d2=fem.CoefficientField.constant(np.diag([2.0, 1.0]))))
-        factors = [solver.A3_handle, solver.exchange.mean_factor]
+        factors = [solver.A3_handle, *solver.exchange.factors]
         assert len(fem._factor_cache) == cached
         assert not any(f is h for f in factors
                        for h in fem._factor_cache.values())
@@ -132,6 +132,43 @@ class TestMicroStep:
         K_osc = solver.K[0]
         K_unit = solver.K[2]
         assert abs((K_osc - 1.5 * K_unit)).max() > 1e-3
+
+
+class TestExchangePreconditioner:
+    """The acceptance data at eps = 1/8: d1 = I, d2 = diag(2, 1), d3 = I."""
+
+    @pytest.fixture(scope="class")
+    def mesh(self, disc_spec):
+        spec = geo.EpsilonDomainSpec(geo.RectUnion.unit_square(), 1 / 8,
+                                     disc_spec)
+        return geo.build_epsilon_mesh(spec, 1 / 64)
+
+    def config(self, scaling, d3=None):
+        return heat_cfg(
+            t_end=2e-3, scaling=scaling,
+            d2=fem.CoefficientField.constant(np.diag([2.0, 1.0])),
+            d3=d3 or fem.CoefficientField.isotropic(1.0),
+            kinetics=kin.parse_kinetics("mm_triple+langmuir:a=1,b=1"))
+
+    @pytest.mark.parametrize("scaling,bound", [
+        (micro.Scaling.ALL_EPS, 4), (micro.Scaling.FAST_EXCHANGE, 9)])
+    def test_few_iterations_per_exchange_solve(self, mesh, scaling, bound,
+                                               factorize_calls):
+        solver = micro.MicroSolver(mesh, 1 / 8, self.config(scaling))
+        state = micro.initial_state(mesh, bump, bump, bump)
+        for _ in range(2):
+            state = solver.step(state)
+            assert solver.exchange.last_iterations <= bound
+        assert solver.A3_handle is solver.exchange.factors[0]
+        assert solver.A3_r is solver.exchange.A1r
+        assert factorize_calls == [(solver.reducer.n_reduced,) * 2] * 2
+
+    def test_distinct_c3_gets_its_own_factor(self, mesh, factorize_calls):
+        solver = micro.MicroSolver(mesh, 1 / 8, self.config(
+            micro.Scaling.ALL_EPS, d3=fem.CoefficientField.isotropic(3.0)))
+        solver.step(micro.initial_state(mesh, bump, bump, bump))
+        assert not any(solver.A3_handle is f for f in solver.exchange.factors)
+        assert len(factorize_calls) == 3
 
 
 class TestMicroRun:
