@@ -324,13 +324,6 @@ class ConstraintReducer:
         return x
 
 
-def apply_constraints(A, b, constraints):
-    """One-shot reduction; returns (A_reduced, b_reduced, reducer)."""
-    reducer = ConstraintReducer(A.shape[0], constraints)
-    A_r, b_r = reducer.reduce(A, b)
-    return A_r, b_r, reducer
-
-
 # ---------------------------------------------------------------------------
 # solving
 # ---------------------------------------------------------------------------
@@ -456,13 +449,6 @@ def splu_factor(A):
         while len(_factor_cache) > _FACTOR_CACHE_SIZE:
             _factor_cache.popitem(last=False)
     return handle
-
-
-def solve_constrained(A, b, constraints, tol=1e-10, method="direct"):
-    """Reduce by the constraints, solve, and expand back to full dofs."""
-    A_r, b_r, reducer = apply_constraints(A, b, constraints)
-    x_r = solve_sparse(A_r, b_r, tol=tol, method=method)
-    return reducer.expand(x_r)
 
 
 def mass_norm(M, u):
@@ -624,15 +610,3 @@ def solve_exchange_block(block, C, b1, b2, tol=1e-10, x0=None):
         x1r, x2r = x[:n], x[n:]
     return red.expand(x1r), red.expand(x2r)
 
-
-def write_matrixmarket(A, path):
-    """Debug dump in MatrixMarket coordinate real symmetric layout."""
-    A = sp.coo_matrix(A)
-    mask = A.row >= A.col
-    rows, cols, data = A.row[mask], A.col[mask], A.data[mask]
-    order = np.lexsort((rows, cols))
-    with open(path, "w") as f:
-        f.write("%%MatrixMarket matrix coordinate real symmetric\n")
-        f.write(f"{A.shape[0]} {A.shape[1]} {mask.sum()}\n")
-        for k in order:
-            f.write(f"{rows[k] + 1} {cols[k] + 1} {float(data[k])!r}\n")

@@ -85,11 +85,6 @@ class KineticsSet:
                        name=name or f"{self.name}+exchange")
 
 
-def _zeros_like(s1, s2, s3):
-    return np.zeros(np.broadcast(np.asarray(s1), np.asarray(s2),
-                                 np.asarray(s3)).shape)
-
-
 def _mm_triple(s1, s2, s3):
     s1, s2, s3 = np.asarray(s1, float), np.asarray(s2, float), np.asarray(s3, float)
     denom = (1.0 + np.abs(s1) + np.abs(s2) + np.abs(s3)

@@ -10,7 +10,8 @@ factor and is never stiff). The implicit block is SPD for any dt, eps > 0 and
 nonnegative exchange rate; it is solved by CG preconditioned with the two
 field factors (a few iterations while the exchange is weak), and c3 by one
 triangular solve with its own factor, or with a field's when d3 equals d1
-or d2.
+or d2. The step itself is ``stepper.ExchangePairStepper``'s; this module
+supplies the Gamma exchange matrix and the nodal rates at y = x/epsilon.
 """
 
 from __future__ import annotations
@@ -23,21 +24,15 @@ import numpy as np
 from . import fem
 from .geometry import EdgeMarker
 from .interpolate import P1Interpolator
-from .macro import PositivityPolicy, _finite, _monitor_positivity
-from .trajectory import Trajectory, step_count
+from .stepper import (ExchangePairStepper, ExchangeState, PositivityPolicy,
+                      finite)
+
+MicroState = ExchangeState
 
 
 class Scaling(str, Enum):
     FAST_EXCHANGE = "fast_exchange"
     ALL_EPS = "all_eps"
-
-
-@dataclass
-class MicroState:
-    t: float
-    c1: np.ndarray
-    c2: np.ndarray
-    c3: np.ndarray
 
 
 @dataclass
@@ -50,123 +45,71 @@ class MicroConfig:
     kinetics: object
     scaling: Scaling = Scaling.FAST_EXCHANGE
     positivity: PositivityPolicy = PositivityPolicy.MONITOR
-    pos_tol: float = 1e-10
     solver_tol: float = 1e-10
     snapshot_every: int = 1
     linf_bound: float | None = None
 
 
-class MicroSolver:
+class MicroSolver(ExchangePairStepper):
     """Driver for the epsilon-dependent system on one perforated mesh."""
 
     def __init__(self, mesh, epsilon, config):
-        if config.dt <= 0:
-            raise ValueError("dt must be positive")
-        self.mesh = mesh
         self.epsilon = float(epsilon)
-        self.cfg = config
-        self.M = fem.assemble_mass(mesh)
-        self.mass_weights = np.asarray(self.M.sum(axis=1)).ravel()
-        dirichlet = mesh.nodes_with(EdgeMarker.OUTER)
-        self.reducer = fem.ConstraintReducer(
-            mesh.n_nodes, fem.ConstraintSet(dirichlet_nodes=dirichlet))
-        fine = [d.at_fine_scale(self.epsilon)
-                for d in (config.d1, config.d2, config.d3)]
-        self.K = [fem.assemble_stiffness(mesh, d) for d in fine]
-        dt = config.dt
-        A1, A2, A3 = ((self.M + dt * K).tocsr() for K in self.K)
-        self.equal_pair = config.d1.is_equal_constant(config.d2) \
-            or config.d1 is config.d2
-        self.exchange = fem.ExchangeBlock(A1, A2, self.reducer,
-                                          equal=self.equal_pair)
-        self.A3_r, self.A3_handle = self.exchange.factor_of(
-            self.reducer.restrict(A3))
+        super().__init__(
+            mesh, config, [d.at_fine_scale(self.epsilon)
+                           for d in (config.d1, config.d2, config.d3)],
+            equal_pair=config.d1.is_equal_constant(config.d2)
+            or config.d1 is config.d2)
         self.gamma_mass = fem.assemble_boundary_mass(mesh, EdgeMarker.GAMMA, 1.0)
         if config.scaling == Scaling.FAST_EXCHANGE:
-            self.exchange_factor = dt / self.epsilon
+            self.exchange_factor = config.dt / self.epsilon
         else:
-            self.exchange_factor = dt * self.epsilon
+            self.exchange_factor = config.dt * self.epsilon
         self._y_points = np.mod(mesh.nodes / self.epsilon, 1.0)
 
     def _volume_rate(self, name, rate, state):
         y = self._y_points if rate.y_dependent else None
-        return _finite(name, rate(y, state.c1, state.c2, state.c3), state.t)
+        return finite(name, rate(y, state.c1, state.c2, state.c3), state.t)
 
     def gamma_gap_norm(self, state):
         """L2 norm of c1 - c2 on the inclusion boundaries."""
         d = state.c1 - state.c2
         return float(np.sqrt(max(d @ (self.gamma_mass @ d), 0.0)))
 
-    def step(self, state, events=None):
-        cfg = self.cfg
-        kin = cfg.kinetics
-        dt = cfg.dt
-        events = events if events is not None else []
-        c1, c2, c3 = state.c1, state.c2, state.c3
-
-        h_nodal = _finite("h(c3)", kin.h(c3), state.t)
-        C = self.exchange_factor * fem.assemble_boundary_mass(
+    def exchange_matrix(self, h_nodal):
+        """(dt/eps or dt eps) times the Gamma boundary mass of h(c3)."""
+        return self.exchange_factor * fem.assemble_boundary_mass(
             self.mesh, EdgeMarker.GAMMA, h_nodal)
 
+    def rates(self, state):
+        kin = self.cfg.kinetics
         f1 = self._volume_rate("f1", kin.f1, state)
         f2 = self._volume_rate("f2", kin.f2, state)
-        b1 = self.M @ c1 + dt * (self.M @ f1)
-        b2 = self.M @ c2 + dt * (self.M @ f2)
-        c1_new, c2_new = fem.solve_exchange_block(
-            self.exchange, C, b1, b2, tol=cfg.solver_tol, x0=(c1, c2))
-
         g3 = self._volume_rate("g3", kin.g3, state)
-        b3 = self.M @ c3 + dt * (
-            self.M @ self._volume_rate("f3", kin.f3, state)
-            + self.epsilon * (self.gamma_mass @ g3))
-        b3_r = self.reducer.reduce_rhs(b3)
-        c3_new = self.reducer.expand(fem.solve_factored(
-            self.A3_handle, self.A3_r, b3_r, cfg.solver_tol))
+        load3 = (self.M @ self._volume_rate("f3", kin.f3, state)
+                 + self.epsilon * (self.gamma_mass @ g3))
+        return f1, f2, load3
 
-        fields = _monitor_positivity(cfg.positivity, cfg.pos_tol, state.t + dt,
-                                     {"c1": c1_new, "c2": c2_new,
-                                      "c3": c3_new}, events)
-        return MicroState(state.t + dt, fields["c1"], fields["c2"],
-                          fields["c3"])
+    def record(self, traj, state, snapshot):
+        """Record the norms and bounds, then the micro series.
 
-    def run(self, state):
-        """Step to t_end.
-
-        Alongside the norm/bound series the trajectory records the
-        boundary-gap norm of the pair (for the square-root law), per-field
-        gradient energies (so the space-time H1 accumulators of the a-priori
-        bounds can be formed), and optional L-infinity monitor events when
-        ``linf_bound`` is configured.
+        The series are the boundary-gap norm of the pair (for the square-root
+        law), per-field gradient energies (so the space-time H1 accumulators
+        of the a-priori bounds can be formed), and L-infinity monitor events
+        when ``linf_bound`` is configured.
         """
-        cfg = self.cfg
-        traj = Trajectory(("c1", "c2", "c3"))
-        traj.series["gamma_gap"] = []
-        for name in ("c1", "c2", "c3"):
-            traj.series[f"grad_energy_{name}"] = []
-
-        def record(st, snapshot):
-            fields = {"c1": st.c1, "c2": st.c2, "c3": st.c3}
-            traj.record(st.t, fields, self.M, self.mass_weights,
-                        snapshot=snapshot)
-            traj.series["gamma_gap"].append(self.gamma_gap_norm(st))
-            for k, (name, u) in enumerate(fields.items()):
-                traj.series[f"grad_energy_{name}"].append(
-                    float(u @ (self.K[k] @ u)))
-            if cfg.linf_bound is not None:
-                for name, u in fields.items():
-                    peak = float(np.abs(u).max())
-                    if peak > cfg.linf_bound:
-                        traj.add_event(kind="linf", field=name, t=st.t,
-                                       max=peak, bound=cfg.linf_bound)
-
-        record(state, True)
-        n_steps = step_count(cfg.t_end, cfg.dt)
-        for k in range(1, n_steps + 1):
-            state = self.step(state, events=traj.events)
-            snap = (k % cfg.snapshot_every == 0) or k == n_steps
-            record(state, snap)
-        traj.final = state
-        return traj
+        super().record(traj, state, snapshot)
+        traj.series.setdefault("gamma_gap", []).append(
+            self.gamma_gap_norm(state))
+        bound = self.cfg.linf_bound
+        for K, (name, u) in zip(self.K, self.fields_of(state).items()):
+            traj.series.setdefault(f"grad_energy_{name}", []).append(
+                float(u @ (K @ u)))
+            if bound is not None:
+                peak = float(np.abs(u).max())
+                if peak > bound:
+                    traj.add_event(kind="linf", field=name, t=state.t,
+                                   max=peak, bound=bound)
 
     @staticmethod
     def h1_accumulator(traj, name):

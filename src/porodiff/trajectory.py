@@ -76,11 +76,6 @@ class Trajectory:
         with open(path, "w") as f:
             f.write(self.csv_text())
 
-    def integral_of_square(self, key):
-        """Trapezoid-rule time integral of series[key]**2."""
-        vals = np.asarray(self.series[key], dtype=float)
-        return float(np.trapezoid(vals ** 2, np.asarray(self.times)))
-
     def min_over_run(self, name):
         return min(self.series[f"min_{name}"])
 

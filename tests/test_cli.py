@@ -3,6 +3,7 @@ import math
 import os
 
 import numpy as np
+import pytest
 
 from porodiff import cli, geometry as geo
 
@@ -151,6 +152,17 @@ class TestCommands:
             "micro": {"epsilon": 0.25, "dt": 0.004, "t_end": 0.01},
         }
         code, _ = run_cli(tmp_path, "micro", config)
+        assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command,section", [
+        ("micro", {"epsilon": 0.25}),
+        ("macro", {"h": 1 / 8, "forced_b": [[1, 0], [0, 1]],
+                   "forced_d0": [[1, 0], [0, 1]]})])
+    def test_snapshot_every_zero_exit_2(self, tmp_path, command, section):
+        config = {"geometry": {"inclusion": DISC, "h": 0.05},
+                  command: {**section, "dt": 1e-3, "t_end": 2e-3,
+                            "snapshot_every": 0}}
+        code, _ = run_cli(tmp_path, command, config)
         assert code == cli.EXIT_CONFIG
 
     def test_micro_budget_exit_4(self, tmp_path):

@@ -118,8 +118,9 @@ class TestConstraints:
         rng = np.random.default_rng(0)
         f = rng.standard_normal(cell_mesh.n_nodes)
         f -= w * (f @ w) / (w @ w)
-        A_r, b_r, red = fem.apply_constraints(
-            K, f, fem.ConstraintSet(mean_zero=w))
+        red = fem.ConstraintReducer(cell_mesh.n_nodes,
+                                    fem.ConstraintSet(mean_zero=w))
+        A_r, b_r = red.reduce(K, f)
         x = fem.solve_sparse(A_r, b_r)
         assert np.linalg.norm(A_r @ x - b_r) / np.linalg.norm(b_r) <= 1e-10
         full = red.expand(x)
@@ -148,7 +149,8 @@ class TestConstraints:
         K = fem.assemble_stiffness(mesh, fem.CoefficientField.isotropic(1.0))
         cs = fem.ConstraintSet(dirichlet_nodes=np.arange(4),
                                dirichlet_values=np.array([1.0, 2.0, 3.0, 4.0]))
-        A_r, b_r, red = fem.apply_constraints(K, np.zeros(4), cs)
+        red = fem.ConstraintReducer(4, cs)
+        A_r, b_r = red.reduce(K, np.zeros(4))
         assert A_r.shape == (0, 0)
         assert np.array_equal(red.expand(np.zeros(0)), [1.0, 2.0, 3.0, 4.0])
 
@@ -174,7 +176,7 @@ class TestConstraints:
         f = rng.standard_normal(mesh.n_nodes)
         cs = fem.ConstraintSet(periodic=cell_ctx.periodic,
                                mean_zero=cell_ctx.mean_weights)
-        A_r, b_r, _ = fem.apply_constraints(K, f, cs)
+        A_r, b_r = fem.ConstraintReducer(mesh.n_nodes, cs).reduce(K, f)
         x = fem.solve_sparse(A_r, b_r)
         assert np.linalg.norm(A_r @ x - b_r) / np.linalg.norm(b_r) <= 1e-10
 
@@ -192,7 +194,9 @@ class TestConstraints:
         values = mesh.nodes[boundary, 0]
         cs = fem.ConstraintSet(dirichlet_nodes=boundary,
                                dirichlet_values=values)
-        x = fem.solve_constrained(K, np.zeros(mesh.n_nodes), cs)
+        red = fem.ConstraintReducer(mesh.n_nodes, cs)
+        x = red.expand(fem.solve_sparse(
+            *red.reduce(K, np.zeros(mesh.n_nodes))))
         assert np.abs(x - mesh.nodes[:, 0]).max() < 1e-10
 
 
@@ -214,7 +218,8 @@ class TestSolve:
                                mean_zero=cell_ctx.mean_weights)
         rng = np.random.default_rng(5)
         b = rng.standard_normal(cell_ctx.mesh.n_nodes)
-        A_r, b_r, _ = fem.apply_constraints(K, b, cs)
+        A_r, b_r = fem.ConstraintReducer(cell_ctx.mesh.n_nodes,
+                                         cs).reduce(K, b)
         x = fem.solve_sparse(A_r, b_r, tol=1e-10)
         assert np.linalg.norm(A_r @ x - b_r) / np.linalg.norm(b_r) <= 1e-10
 
@@ -254,8 +259,10 @@ class TestSolve:
         A = (M + K).tocsr()
         b = np.array([1.0, -2.0, 0.5, 0.25])
         cs = fem.ConstraintSet(dirichlet_nodes=np.array([0]))
-        x1 = fem.solve_constrained(A, b, cs)
-        x2 = fem.solve_constrained((scale * A).tocsr(), scale * b, cs)
+        red = fem.ConstraintReducer(4, cs)
+        x1 = red.expand(fem.solve_sparse(*red.reduce(A, b)))
+        x2 = red.expand(fem.solve_sparse(
+            *red.reduce((scale * A).tocsr(), scale * b)))
         assert np.allclose(x1, x2, rtol=1e-11, atol=1e-13)
 
 
@@ -433,13 +440,3 @@ class TestCoefficientField:
         v2 = fine.matrix_at(np.array([[0.35, 0.0]]))[0, 0, 0]
         assert abs(v1 - v2) < 1e-12
 
-
-def test_matrixmarket_dump(tmp_path, cell_mesh):
-    K = fem.assemble_stiffness(cell_mesh, fem.CoefficientField.isotropic(1.0))
-    path = tmp_path / "K.mtx"
-    fem.write_matrixmarket(K, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "%%MatrixMarket matrix coordinate real symmetric"
-    n, m, nnz = (int(v) for v in lines[1].split())
-    assert n == m == cell_mesh.n_nodes
-    assert len(lines) == 2 + nnz

@@ -209,8 +209,9 @@ class TestPeriodicPairing:
         mesh = geo.build_unit_cell_mesh(disc_spec, h)
         pm = geo.pair_periodic_nodes(mesh)
         K = fem.assemble_stiffness(mesh, fem.CoefficientField.isotropic(1.0))
-        A_r, _, _ = fem.apply_constraints(
-            K, np.zeros(mesh.n_nodes), fem.ConstraintSet(periodic=pm))
+        A_r, _ = fem.ConstraintReducer(
+            mesh.n_nodes, fem.ConstraintSet(periodic=pm)).reduce(
+                K, np.zeros(mesh.n_nodes))
         ev = np.linalg.eigvalsh(A_r.toarray())
         assert int((np.abs(ev) < 1e-10 * ev.max()).sum()) == 1
 
