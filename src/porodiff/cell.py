@@ -76,22 +76,27 @@ class CoupledCellSolution:
     s: float | None = None
 
 
-def _direction_loads(mesh, coeff):
+def _direction_loads(mesh, areas, grads, mats):
     """Load vectors f_j[i] = sum_T |T| (D_T e_j) . grad(phi_i), j = 0, 1."""
-    areas, grads = fem.triangle_geometry(mesh)
-    mats = np.asarray(coeff.matrix_at(mesh.centroids))
-    loads = np.zeros((2, mesh.n_nodes))
+    nodes = mesh.triangles.reshape(-1)
+    loads = np.empty((2, mesh.n_nodes))
     for j in range(2):
         contrib = np.einsum("m,mid,md->mi", areas, grads, mats[:, :, j])
-        np.add.at(loads[j], mesh.triangles.reshape(-1), contrib.reshape(-1))
+        loads[j] = np.bincount(nodes, contrib.reshape(-1),
+                               minlength=mesh.n_nodes)
     return loads
 
 
-def solve_scalar_pair(ctx, coeff, tol=1e-10):
-    """Correctors for both directions (one factorization, two loads)."""
+def _field_operators(mesh, areas, grads, mats):
+    """(stiffness matrix, direction loads) of one coefficient field."""
+    K = fem.scatter(mesh.triangles, mesh.n_nodes,
+                    fem.stiffness_elements(areas, grads, mats))
+    return K, _direction_loads(mesh, areas, grads, mats)
+
+
+def _solve_scalar(ctx, K, loads, tol):
+    """Scalar correctors of both directions from K and the direction loads."""
     mesh = ctx.mesh
-    K = fem.assemble_stiffness(mesh, coeff)
-    loads = _direction_loads(mesh, coeff)
     cs = fem.ConstraintSet(periodic=ctx.periodic, mean_zero=ctx.mean_weights)
     reducer = fem.ConstraintReducer(mesh.n_nodes, cs)
     A_r, _ = reducer.reduce(K, np.zeros(mesh.n_nodes))
@@ -109,6 +114,14 @@ def solve_scalar_pair(ctx, coeff, tol=1e-10):
             )
         out[j] = reducer.expand(x_r)
     return CellSolution(mesh, out)
+
+
+def solve_scalar_pair(ctx, coeff, tol=1e-10):
+    """Correctors for both directions (one factorization, two loads)."""
+    mesh = ctx.mesh
+    mats = np.asarray(coeff.matrix_at(mesh.centroids))
+    return _solve_scalar(ctx, *_field_operators(
+        mesh, *fem.triangle_geometry(mesh), mats), tol)
 
 
 def _element_gradients(mesh, grads, values):
@@ -220,7 +233,9 @@ class CoupledCellProblem:
     scalar corrector at every rate.
 
     Element areas, basis gradients and coefficient matrices are computed
-    once and shared by both tensor formulas.
+    once and shared by both tensor formulas; each field's stiffness matrix
+    and direction loads are assembled once, on first use, and shared by
+    the coupled reference and the decoupled scalar solves.
     """
 
     def __init__(self, ctx, coeff1, coeff2):
@@ -231,22 +246,30 @@ class CoupledCellProblem:
         self.areas, self.grads = fem.triangle_geometry(mesh)
         self.mats = [np.asarray(c.matrix_at(mesh.centroids))
                      for c in self.coeffs]
+        self._fields = [None, None]  # per field: (K, direction loads)
         self._ref = None          # (k_ref, factor of A(k_ref))
         self._capacitance = None  # G = U' A_ref^-1 U
+
+    def _field(self, k):
+        """(stiffness matrix, direction loads) of field k."""
+        if self._fields[k] is None:
+            self._fields[k] = _field_operators(self.ctx.mesh, self.areas,
+                                               self.grads, self.mats[k])
+        return self._fields[k]
 
     def _factor_reference(self, k_ref):
         """Assemble the rate-independent operators and factor A(k_ref)."""
         ctx = self.ctx
         mesh = ctx.mesh
         n = mesh.n_nodes
-        K = sp.block_diag([fem.assemble_stiffness_elementwise(mesh, m)
-                           for m in self.mats], format="csr")
+        K = sp.block_diag([self._field(k)[0] for k in range(2)],
+                          format="csr")
         mean_zero = np.concatenate([ctx.mean_weights, np.zeros(n)])
         reducer = fem.ConstraintReducer(2 * n, fem.ConstraintSet(
             periodic=_block_periodic(ctx.periodic, n), mean_zero=mean_zero))
         self.reducer = reducer
         self.K_r, _ = reducer.reduce(K, np.zeros(2 * n))
-        loads = [_direction_loads(mesh, c) for c in self.coeffs]
+        loads = [self._field(k)[1] for k in range(2)]
         self.B = np.column_stack([
             reducer.reduce_rhs(np.concatenate([loads[0][j], loads[1][j]]))
             for j in range(2)])
@@ -288,11 +311,12 @@ class CoupledCellProblem:
         ctx = self.ctx
         mesh = ctx.mesh
         if self.equal:
-            scal = solve_scalar_pair(ctx, self.coeffs[0], tol=tol)
+            scal = _solve_scalar(ctx, *self._field(0), tol)
             return CoupledCellSolution(mesh, dict(scal.directions),
                                        dict(scal.directions), exchange_rate)
         if exchange_rate == 0 or ctx.gamma_mass is None:
-            s1, s2 = (solve_scalar_pair(ctx, c, tol=tol) for c in self.coeffs)
+            s1, s2 = (_solve_scalar(ctx, *self._field(k), tol)
+                      for k in range(2))
             return CoupledCellSolution(mesh, s1.directions, s2.directions,
                                        exchange_rate)
         k = float(exchange_rate)

@@ -8,7 +8,8 @@ multipliers, so reduced systems stay symmetric.
 
 Assembly scatters element contributions in a fixed order and compresses
 duplicates by sorted index, so assembled matrices are bit-reproducible and
-independent of any caller-side parallelism.
+independent of any caller-side parallelism. An operator re-assembled every
+step replays that scatter from an AssemblyPattern.
 """
 
 from __future__ import annotations
@@ -118,12 +119,22 @@ def triangle_geometry(mesh):
     return areas, grads
 
 
-def _scatter(mesh, local):
-    rows = np.repeat(mesh.triangles, 3, axis=1).reshape(-1)
-    cols = np.tile(mesh.triangles, (1, 3)).reshape(-1)
-    mat = sp.coo_matrix((local.reshape(-1), (rows, cols)),
-                        shape=(mesh.n_nodes, mesh.n_nodes))
-    return mat.tocsr()
+def scatter(connectivity, n, local):
+    """The n x n CSR matrix of element matrices ``local`` (E,k,k) by COO.
+
+    Element e adds local[e, i, j] at (connectivity[e, i], connectivity[e, j]).
+    """
+    k = connectivity.shape[1]
+    rows = np.repeat(connectivity, k, axis=1).reshape(-1)
+    cols = np.tile(connectivity, (1, k)).reshape(-1)
+    return sp.coo_matrix((local.reshape(-1), (rows, cols)),
+                         shape=(n, n)).tocsr()
+
+
+def stiffness_elements(areas, grads, mats):
+    """Element stiffness matrices (M,3,3) for coefficient matrices (M,2,2)."""
+    return np.einsum("m,mid,mde,mje->mij", areas, grads, mats, grads,
+                     optimize=True)
 
 
 def assemble_stiffness(mesh, coeff):
@@ -134,10 +145,8 @@ def assemble_stiffness(mesh, coeff):
 
 def assemble_stiffness_elementwise(mesh, mats):
     """Stiffness matrix from per-element 2x2 coefficient matrices (M,2,2)."""
-    areas, grads = triangle_geometry(mesh)
-    local = np.einsum("m,mid,mde,mje->mij", areas, grads, mats, grads,
-                      optimize=True)
-    return _scatter(mesh, local)
+    local = stiffness_elements(*triangle_geometry(mesh), mats)
+    return scatter(mesh.triangles, mesh.n_nodes, local)
 
 
 _MASS_LOCAL = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12.0
@@ -146,11 +155,11 @@ _MASS_LOCAL = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12
 def assemble_mass(mesh):
     """Consistent P1 mass matrix; entries sum to the mesh area."""
     local = mesh.areas[:, None, None] * _MASS_LOCAL
-    return _scatter(mesh, local)
+    return scatter(mesh.triangles, mesh.n_nodes, local)
 
 
-def assemble_weighted_mass(mesh, weights):
-    """Mass matrix with a piecewise-constant element weight.
+def weighted_mass_elements(mesh, weights):
+    """Element mass matrices (M,3,3) with a piecewise-constant weight.
 
     ``weights`` is per-element (M,), or nodal (N,) in which case the element
     value is the vertex average.
@@ -158,46 +167,133 @@ def assemble_weighted_mass(mesh, weights):
     weights = np.asarray(weights, dtype=float)
     if weights.shape == (mesh.n_nodes,):
         weights = weights[mesh.triangles].mean(axis=1)
-    local = (weights * mesh.areas)[:, None, None] * _MASS_LOCAL
-    return _scatter(mesh, local)
+    return (weights * mesh.areas)[:, None, None] * _MASS_LOCAL
+
+
+def assemble_weighted_mass(mesh, weights):
+    """Mass matrix with a piecewise-constant element weight (see
+    ``weighted_mass_elements``)."""
+    return scatter(mesh.triangles, mesh.n_nodes,
+                   weighted_mass_elements(mesh, weights))
 
 
 _EDGE_MASS_LOCAL = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
 
 
-def assemble_boundary_mass(mesh, marker=EdgeMarker.GAMMA, weight=1.0):
-    """Boundary mass matrix on the marked edges, weight at edge midpoints.
-
-    ``weight`` may be a scalar, a callable on midpoint coordinates, or a
-    nodal array (averaged onto midpoints). The matrix is PSD for weight >= 0
-    and 1'B1 equals the weighted marked length.
-    """
+def marked_edges(mesh, marker):
+    """The marked edges (E,2) and their lengths (E,)."""
     edges = mesh.edges_with(marker)
     if len(edges) == 0:
         raise NoMarkedBoundaryError(f"mesh has no {EdgeMarker(marker).name} edges")
     p0 = mesh.nodes[edges[:, 0]]
     p1 = mesh.nodes[edges[:, 1]]
-    lengths = np.hypot(*(p1 - p0).T)
+    return edges, np.hypot(*(p1 - p0).T)
+
+
+def boundary_mass_elements(mesh, edges, lengths, weight):
+    """Edge mass matrices (E,2,2), weight at edge midpoints.
+
+    ``weight`` may be a scalar, a callable on midpoint coordinates, or a
+    nodal array (averaged onto midpoints).
+    """
     if callable(weight):
-        w = np.asarray(weight(0.5 * (p0 + p1)), dtype=float)
+        mid = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
+        w = np.asarray(weight(mid), dtype=float)
     else:
         w = np.asarray(weight, dtype=float)
         if w.shape == (mesh.n_nodes,):
             w = 0.5 * (w[edges[:, 0]] + w[edges[:, 1]])
         else:
             w = np.broadcast_to(w, (len(edges),))
-    local = (w * lengths)[:, None, None] * _EDGE_MASS_LOCAL
-    rows = np.repeat(edges, 2, axis=1).reshape(-1)
-    cols = np.tile(edges, (1, 2)).reshape(-1)
-    return sp.coo_matrix((local.reshape(-1), (rows, cols)),
-                         shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    return (w * lengths)[:, None, None] * _EDGE_MASS_LOCAL
+
+
+def assemble_boundary_mass(mesh, marker=EdgeMarker.GAMMA, weight=1.0):
+    """Boundary mass matrix on the marked edges, weight at edge midpoints.
+
+    ``weight`` is as in ``boundary_mass_elements``. The matrix is PSD for
+    weight >= 0 and 1'B1 equals the weighted marked length.
+    """
+    edges, lengths = marked_edges(mesh, marker)
+    return scatter(edges, mesh.n_nodes,
+                   boundary_mass_elements(mesh, edges, lengths, weight))
 
 
 def lumped_integral_weights(mesh):
     """Nodal weights w with w'u = integral of the P1 interpolant of u."""
-    w = np.zeros(mesh.n_nodes)
-    np.add.at(w, mesh.triangles.reshape(-1), np.repeat(mesh.areas / 3.0, 3))
-    return w
+    return np.bincount(mesh.triangles.reshape(-1),
+                       np.repeat(mesh.areas / 3.0, 3), minlength=mesh.n_nodes)
+
+
+class AssemblyPattern:
+    """Where each element entry of one connectivity lands in the CSR matrix.
+
+    For an operator re-assembled every step on a fixed connectivity (E,k):
+    ``scatter`` visits the entries of ``local`` (E,k,k) in the order of a
+    stable row sort (``coo_tocsr``), then sorts each row by column
+    (``csr_sort_indices``, which compares columns only, so its permutation
+    depends on the pattern alone) and sums runs of equal columns
+    (``sum_duplicates``). The pattern records that visiting order ``perm``
+    and the CSR slot each visited entry lands in, so
+
+        data = np.bincount(slot, local.ravel()[perm])
+
+    adds the same numbers in the same order: ``matrix(data)`` is bitwise
+    equal to ``scatter``'s matrix. Built with a Dirichlet ``reducer``, it
+    also records which data entries the restricted matrix P'AP keeps, so
+    ``restricted(data)`` is a slice of ``data``.
+
+    Building a pattern costs about as much as one assembly, so one-shot
+    assemblies do not use it.
+    """
+
+    def __init__(self, connectivity, n, reducer=None):
+        conn = np.asarray(connectivity)
+        k = conn.shape[1]
+        rows = np.repeat(conn, k, axis=1).reshape(-1)
+        cols = np.tile(conn, (1, k)).reshape(-1)
+        self.shape = (int(n), int(n))
+        order = np.argsort(rows, kind="stable")
+        indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(rows, minlength=n))])
+        # entry indices ride along as the data; offset by one so that no
+        # payload is an explicit zero
+        visit = sp.csr_matrix(((order + 1).astype(float), cols[order], indptr),
+                              shape=self.shape)
+        visit.sort_indices()
+        self.perm = visit.data.astype(np.intp) - 1
+        key = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr)) * n \
+            + visit.indices
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        self.slot = np.cumsum(first) - 1
+        self.nnz = int(first.sum())
+        self.indices = visit.indices[first]
+        self.indptr = np.concatenate(
+            [[0], np.cumsum(np.bincount(key[first] // n, minlength=n))]
+        ).astype(self.indices.dtype)
+        self._restriction = None
+        if reducer is not None:
+            if reducer._kept is None:
+                raise ValueError("a pattern restricts by Dirichlet rows only")
+            kept = reducer.restrict(self.matrix(np.arange(1.0, self.nnz + 1)))
+            self._restriction = (kept.data.astype(np.intp) - 1, kept.indices,
+                                 kept.indptr, kept.shape)
+
+    def assemble(self, local):
+        """CSR data of the matrix of element matrices ``local`` (E,k,k)."""
+        return np.bincount(self.slot, local.reshape(-1)[self.perm],
+                           minlength=self.nnz)
+
+    def matrix(self, data):
+        """The n x n CSR matrix with ``data`` on this pattern."""
+        return sp.csr_matrix((data, self.indices, self.indptr),
+                             shape=self.shape)
+
+    def restricted(self, data):
+        """P'AP for the matrix A with ``data``, as a slice of it."""
+        take, indices, indptr, shape = self._restriction
+        return sp.csr_matrix((data[take], indices, indptr), shape=shape)
 
 
 # ---------------------------------------------------------------------------
@@ -496,13 +592,6 @@ class _BlockDiagonal:
                                self.factors[1].solve(r[n:])])
 
 
-def _same_matrix(A, B):
-    """True when two CSR matrices are bitwise equal."""
-    return A.shape == B.shape and all(
-        np.array_equal(getattr(A, part), getattr(B, part))
-        for part in ("indptr", "indices", "data"))
-
-
 class ExchangeBlock:
     """The constant part of the exchange block [[A1+C, -C], [-C, A2+C]].
 
@@ -541,17 +630,6 @@ class ExchangeBlock:
             else _BlockDiagonal(self.factors, self.A1r.shape[0]))
         self.last_iterations = 0
 
-    def factor_of(self, A_r):
-        """(A_r, a factor of A_r), shared with a field that has the same A_r.
-
-        When A_r is bitwise equal to A1r or A2r, the block's own matrix and
-        factor are returned; otherwise A_r and a new factor.
-        """
-        for own, handle in zip((self.A1r, self.A2r), self.factors):
-            if _same_matrix(A_r, own):
-                return own, handle
-        return A_r, factorize(A_r)
-
     def _solve(self, apply, b, operator, tol, x0):
         """CG on apply(x) = b; refactors at operator() if it was slow."""
         shape = (len(b), len(b))
@@ -565,8 +643,11 @@ class ExchangeBlock:
         return x
 
 
-def solve_exchange_block(block, C, b1, b2, tol=1e-10, x0=None):
+def solve_exchange_block(block, Cr, b1, b2, tol=1e-10, x0=None):
     """Solve [[A1+C, -C], [-C, A2+C]] (x1, x2) = (b1, b2) for an ExchangeBlock.
+
+    ``Cr`` is the exchange matrix C restricted to the reduced dofs,
+    ``block.reducer.restrict(C)``; b1, b2, x0 and the result are full.
 
     The block is SPD whenever A1, A2 are SPD and C is PSD. It is applied
     matrix-free, y1 = A1r x1 + C(x1 - x2), y2 = A2r x2 - C(x1 - x2), and
@@ -583,7 +664,6 @@ def solve_exchange_block(block, C, b1, b2, tol=1e-10, x0=None):
     P = red.P
     b1r = red.reduce_rhs(b1, block.lift_vectors[0])
     b2r = red.reduce_rhs(b2, block.lift_vectors[1])
-    Cr = red.restrict(C)
     x0r = None if x0 is None else (P.T @ x0[0], P.T @ x0[1])
     n = len(b1r)
     if block.equal:

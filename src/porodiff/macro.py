@@ -55,6 +55,9 @@ class MacroConfig:
     source_vec_c3: np.ndarray | None = None
 
     def validate(self):
+        if not 0.0 <= self.theta <= 1.0:
+            raise ValueError(
+                f"theta must lie in [0, 1], got {self.theta!r}")
         if not self.btable.covers(0.0, self.lambda_macro, tol=1e-12):
             raise TableRangeError(
                 f"dispersion table [{self.btable.s[0]}, {self.btable.s_max}] "
@@ -100,6 +103,12 @@ class MacroSolver(ImexStepper):
         dt, th = config.dt, config.theta
         self.A3_r = self.reducer.restrict(self.M + th * dt * self.K3)
         self.A3_handle = fem.factorize(self.A3_r)
+        # A_c = 2M + theta dt K_B(c3) is replayed every step on the mesh's
+        # pattern; M has that pattern, so 2M is its data
+        self.geometry = fem.triangle_geometry(mesh)
+        self.pattern = fem.AssemblyPattern(mesh.triangles, mesh.n_nodes,
+                                           self.reducer)
+        self.two_m = 2.0 * self.M.data
         # preconditioner of the A_c solves, factored at the first step
         self.held = None
         gamma_over_cell = config.gamma_length / config.cell_area
@@ -125,23 +134,25 @@ class MacroSolver(ImexStepper):
 
         A_c = 2M + theta dt K_B(c3) changes every step with the lagged
         dispersion matrices, so it is solved by CG from the previous c,
-        preconditioned by a HeldFactor of an earlier A_c.
+        preconditioned by a HeldFactor of an earlier A_c. Its reduced
+        matrix is a slice of the replayed data of A_c.
         """
         cfg = self.cfg
         dt, th = cfg.dt, cfg.theta
         c, c3 = state.c, state.c3
 
         mats = self.dispersion_matrices(c3)
-        K_B = fem.assemble_stiffness_elementwise(self.mesh, mats)
+        k_data = self.pattern.assemble(
+            fem.stiffness_elements(*self.geometry, mats))
 
         f_c = finite("f1+f2", self.rate_pair(c, c3), state.t)
         b_c = 2.0 * (self.M @ c) + dt * (self.M @ f_c)
         if cfg.source_vec_c is not None:
             b_c = b_c + dt * cfg.source_vec_c
         if th < 1.0:
-            b_c = b_c - (1.0 - th) * dt * (K_B @ c)
-        A_c = (2.0 * self.M + th * dt * K_B).tocsr()
-        A_r, b_r = self.reducer.reduce(A_c, b_c)
+            b_c = b_c - (1.0 - th) * dt * (self.pattern.matrix(k_data) @ c)
+        A_r = self.pattern.restricted(self.two_m + (th * dt) * k_data)
+        b_r = self.reducer.reduce_rhs(b_c)
         if self.held is None:
             self.held = fem.HeldFactor(fem.factorize(A_r))
         x, iters = fem.pcg(
@@ -189,15 +200,17 @@ class MacroVariantSolver(ExchangePairStepper):
         super().__init__(
             mesh, config,
             [fem.CoefficientField.constant(d)
-             for d in (config.d1, config.d2, config.d3)],
-            equal_pair=bool(np.array_equal(np.asarray(config.d1, float),
-                                           np.asarray(config.d2, float))))
+             for d in (config.d1, config.d2, config.d3)])
         self.gamma_over_cell = config.gamma_length / config.cell_area
+        # W(h(c3)) is replayed every step on the mesh's pattern
+        self.pattern = fem.AssemblyPattern(mesh.triangles, mesh.n_nodes,
+                                           self.reducer)
 
     def exchange_matrix(self, h_nodal):
         """dt |Gamma|/|Y| times the volume mass weighted by h(c3)."""
-        return (self.cfg.dt * self.gamma_over_cell) * \
-            fem.assemble_weighted_mass(self.mesh, h_nodal)
+        local = fem.weighted_mass_elements(self.mesh, h_nodal)
+        scale = self.cfg.dt * self.gamma_over_cell
+        return self.pattern.restricted(scale * self.pattern.assemble(local))
 
     def rates(self, state):
         kin, ctx, t = self.cfg.kinetics, self.cfg.cell_ctx, state.t

@@ -56,11 +56,13 @@ class MicroSolver(ExchangePairStepper):
     def __init__(self, mesh, epsilon, config):
         self.epsilon = float(epsilon)
         super().__init__(
-            mesh, config, [d.at_fine_scale(self.epsilon)
-                           for d in (config.d1, config.d2, config.d3)],
-            equal_pair=config.d1.is_equal_constant(config.d2)
-            or config.d1 is config.d2)
+            mesh, config, (config.d1, config.d2, config.d3),
+            at_scale=lambda d: d.at_fine_scale(self.epsilon))
         self.gamma_mass = fem.assemble_boundary_mass(mesh, EdgeMarker.GAMMA, 1.0)
+        # the Gamma mass of h(c3) is replayed every step on its pattern
+        self._gamma_edges = fem.marked_edges(mesh, EdgeMarker.GAMMA)
+        self._gamma_pattern = fem.AssemblyPattern(
+            self._gamma_edges[0], mesh.n_nodes, self.reducer)
         if config.scaling == Scaling.FAST_EXCHANGE:
             self.exchange_factor = config.dt / self.epsilon
         else:
@@ -78,8 +80,10 @@ class MicroSolver(ExchangePairStepper):
 
     def exchange_matrix(self, h_nodal):
         """(dt/eps or dt eps) times the Gamma boundary mass of h(c3)."""
-        return self.exchange_factor * fem.assemble_boundary_mass(
-            self.mesh, EdgeMarker.GAMMA, h_nodal)
+        local = fem.boundary_mass_elements(self.mesh, *self._gamma_edges,
+                                           h_nodal)
+        return self._gamma_pattern.restricted(
+            self.exchange_factor * self._gamma_pattern.assemble(local))
 
     def rates(self, state):
         kin = self.cfg.kinetics

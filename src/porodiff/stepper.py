@@ -142,37 +142,57 @@ class ImexStepper:
         return traj
 
 
+def same_operator(a, b):
+    """True when two diffusion coefficients give one operator: the same
+    field, or the same constant matrix."""
+    return a is b or a.is_equal_constant(b)
+
+
 class ExchangePairStepper(ImexStepper):
     """The (c1, c2) pair through the implicit exchange block, then c3.
 
-    The stiffness matrices K1, K2, K3 of the three diffusion ``coefficients``
-    are assembled once and kept in ``K``. The block [[A1+C, -C], [-C, A2+C]]
-    with A_k = M + dt K_k is built from them; c3 shares a field's factor when
-    its operator is that field's. ``equal_pair`` says that A1 and A2 are the
-    same operator. A subclass implements two hooks called every step:
+    ``coefficients`` are d1, d2, d3; ``at_scale`` maps one to the field
+    that is assembled (the identity by default). Their stiffness matrices
+    are assembled once and kept in ``K``, and a coefficient that is the
+    same operator as an earlier one (``same_operator``) shares its K,
+    reduced operator and factor: for d2 the pair is equal and the block
+    decouples, for d3 the c3 solve uses that field's factor. The block
+    [[A1+C, -C], [-C, A2+C]] with A_k = M + dt K_k is built from them. A
+    subclass implements two hooks called every step:
     ``exchange_matrix(h_nodal)``, the exchange matrix C from nodal h(c3),
-    and ``rates(state)``, the explicit (f1, f2, load3): nodal pair rates and
-    the assembled c3 load.
+    restricted to the reduced dofs, and ``rates(state)``, the explicit
+    (f1, f2, load3): nodal pair rates and the assembled c3 load.
     """
 
-    def __init__(self, mesh, config, coefficients, equal_pair):
+    def __init__(self, mesh, config, coefficients, at_scale=None):
         super().__init__(mesh, config)
-        self.K = [fem.assemble_stiffness(mesh, d) for d in coefficients]
-        A1, A2, A3 = ((self.M + config.dt * K).tocsr() for K in self.K)
+        at_scale = at_scale or (lambda d: d)
+        owner = [next(j for j in range(k + 1)
+                      if same_operator(coefficients[j], coefficients[k]))
+                 for k in range(3)]
+        K = {j: fem.assemble_stiffness(mesh, at_scale(coefficients[j]))
+             for j in dict.fromkeys(owner)}
+        self.K = [K[j] for j in owner]
+        A1 = (self.M + config.dt * self.K[0]).tocsr()
+        A2 = A1 if owner[1] == 0 else (self.M + config.dt * self.K[1]).tocsr()
         self.exchange = fem.ExchangeBlock(A1, A2, self.reducer,
-                                          equal=equal_pair)
-        self.A3_r, self.A3_handle = self.exchange.factor_of(
-            self.reducer.restrict(A3))
+                                          equal=owner[1] == 0)
+        if owner[2] < 2:
+            self.A3_r = (self.exchange.A1r, self.exchange.A2r)[owner[2]]
+            self.A3_handle = self.exchange.factors[owner[2]]
+        else:
+            self.A3_r = self.reducer.restrict(self.M + config.dt * self.K[2])
+            self.A3_handle = fem.factorize(self.A3_r)
 
     def _advance(self, state):
         cfg = self.cfg
         dt = cfg.dt
         M = self.M
-        C = self.exchange_matrix(
+        Cr = self.exchange_matrix(
             finite("h(c3)", cfg.kinetics.h(state.c3), state.t))
         f1, f2, load3 = self.rates(state)
         c1, c2 = fem.solve_exchange_block(
-            self.exchange, C, M @ state.c1 + dt * (M @ f1),
+            self.exchange, Cr, M @ state.c1 + dt * (M @ f1),
             M @ state.c2 + dt * (M @ f2), tol=cfg.solver_tol,
             x0=(state.c1, state.c2))
         return {"c1": c1, "c2": c2,

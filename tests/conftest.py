@@ -51,3 +51,14 @@ def factorize_calls(monkeypatch):
 
     monkeypatch.setattr(fem, "factorize", count)
     return calls
+
+
+@pytest.fixture(scope="session")
+def same_csr():
+    """True when two CSR matrices have equal indptr, indices and data."""
+    def same(A, B):
+        return A.shape == B.shape and all(
+            np.array_equal(getattr(A, part), getattr(B, part))
+            for part in ("indptr", "indices", "data"))
+
+    return same

@@ -315,7 +315,9 @@ def direct_bordered_pair(ctx, coeff1, coeff2, kappa):
         mean_zero=[np.concatenate([ctx.mean_weights, np.zeros(n)])])
     red = fem.ConstraintReducer(2 * n, cs)
     A_r, _ = red.reduce(A, np.zeros(2 * n))
-    loads = [cell._direction_loads(mesh, c) for c in (coeff1, coeff2)]
+    loads = [cell._direction_loads(mesh, *fem.triangle_geometry(mesh),
+                                   np.asarray(c.matrix_at(mesh.centroids)))
+             for c in (coeff1, coeff2)]
     first, second = {}, {}
     for j in range(2):
         b_r = red.reduce_rhs(np.concatenate([loads[0][j], loads[1][j]]))
@@ -367,6 +369,33 @@ class TestCoupledCellProblem:
         t1, _ = cell.scalar_tensor_with_check(cell_ctx, identity_field)
         t2, _ = cell.scalar_tensor_with_check(cell_ctx, aniso_field)
         assert np.abs(b0.matrix - t1.matrix - t2.matrix).max() <= 1e-14
+
+    @pytest.mark.parametrize("second,fields", [("aniso", 2),
+                                               ("identity", 1)])
+    def test_fields_assembled_once(self, coarse_ctx, identity_field,
+                                   aniso_field, monkeypatch, second, fields):
+        # the coupled reference and the decoupled solves share each field's
+        # stiffness matrix and loads; the scalar solve is bitwise the same
+        assembled = []
+        operators = cell._field_operators
+
+        def count(*args):
+            assembled.append(args)
+            return operators(*args)
+
+        other = {"aniso": aniso_field, "identity": identity_field}[second]
+        problem = cell.CoupledCellProblem(coarse_ctx, identity_field, other)
+        monkeypatch.setattr(cell, "_field_operators", count)
+        zero = problem.solve(0.0)
+        for kappa in (0.5, 1.0, 0.0):
+            problem.solve(kappa)
+        assert len(assembled) == fields
+        monkeypatch.undo()
+        for field, coeff in ((zero.first, identity_field),
+                             (zero.second, other)):
+            scalar = cell.solve_scalar_pair(coarse_ctx, coeff)
+            for j in range(2):
+                assert np.array_equal(field[j], scalar.directions[j])
 
     @pytest.mark.parametrize("kappa", [0.0, 0.2, 0.667])
     def test_tensors_match_the_four_operand_formulas(self, cell_ctx,

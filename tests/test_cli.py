@@ -165,6 +165,18 @@ class TestCommands:
         code, _ = run_cli(tmp_path, command, config)
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("theta,code", [
+        (-1, cli.EXIT_CONFIG), (3, cli.EXIT_CONFIG), (0, cli.EXIT_OK),
+        (0.5, cli.EXIT_OK), (1, cli.EXIT_OK)])
+    def test_macro_theta_range(self, tmp_path, theta, code):
+        eye = [[1, 0], [0, 1]]
+        config = {"geometry": {"inclusion": DISC, "h": 0.05},
+                  "macro": {"h": 1 / 8, "forced_b": eye, "forced_d0": eye,
+                            "dt": 1e-3, "t_end": 2e-3, "theta": theta}}
+        got, outdir = run_cli(tmp_path, "macro", config)
+        assert got == code
+        assert (outdir / "trajectory.csv").exists() == (code == cli.EXIT_OK)
+
     def test_micro_budget_exit_4(self, tmp_path):
         config = {
             "geometry": {"inclusion": DISC, "h": 0.05},

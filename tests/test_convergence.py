@@ -57,8 +57,10 @@ class TestTensorSuite:
         K2 = fem.assemble_stiffness(mesh, aniso_field)
         C = hv * ctx.gamma_mass
         broken = sp.bmat([[K1 - C, C], [C, K2 - C]], format="csr")
-        loads1 = cell._direction_loads(mesh, identity_field)
-        loads2 = cell._direction_loads(mesh, aniso_field)
+        loads1, loads2 = (
+            cell._direction_loads(mesh, *fem.triangle_geometry(mesh),
+                                  np.asarray(c.matrix_at(mesh.centroids)))
+            for c in (identity_field, aniso_field))
         w = ctx.mean_weights
         zeros = np.zeros(n)
         cs = fem.ConstraintSet(

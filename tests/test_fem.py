@@ -274,6 +274,71 @@ def _unequal_pair(mesh):
     return (M + 0.5 * K1).tocsr(), (M + 0.5 * K2).tocsr()
 
 
+class TestAssemblyPattern:
+    """Replay on a pattern is bitwise equal to the COO assembly."""
+
+    @pytest.fixture(scope="class", params=["macro", "cell", "eps8"])
+    def case(self, request, disc_spec, macro_mesh_16, cell_mesh):
+        if request.param == "eps8":
+            mesh = geo.build_epsilon_mesh(geo.EpsilonDomainSpec(
+                geo.RectUnion.unit_square(), 1 / 8, disc_spec), 1 / 64)
+        else:
+            mesh = {"macro": macro_mesh_16, "cell": cell_mesh}[request.param]
+        red = fem.ConstraintReducer(mesh.n_nodes, fem.ConstraintSet(
+            dirichlet_nodes=mesh.nodes_with(geo.EdgeMarker.OUTER)))
+        return mesh, red, fem.AssemblyPattern(mesh.triangles, mesh.n_nodes,
+                                              red)
+
+    def check(self, pattern, red, data, want, same_csr):
+        assert same_csr(pattern.matrix(data), want)
+        assert same_csr(pattern.restricted(data), red.restrict(want))
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.floats(min_value=1e-6, max_value=1e6))
+    def test_mass_and_elementwise_stiffness(self, case, same_csr, seed,
+                                            scale):
+        mesh, red, pattern = case
+        rng = np.random.default_rng(seed)
+        mass = mesh.areas[:, None, None] * fem._MASS_LOCAL
+        self.check(pattern, red, pattern.assemble(mass),
+                   fem.assemble_mass(mesh), same_csr)
+        mats = scale * rng.uniform(-1.0, 1.0, (len(mesh.triangles), 2, 2))
+        mats = mats + np.swapaxes(mats, 1, 2)
+        local = fem.stiffness_elements(*fem.triangle_geometry(mesh), mats)
+        self.check(pattern, red, pattern.assemble(local),
+                   fem.assemble_stiffness_elementwise(mesh, mats), same_csr)
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           scale=st.floats(min_value=1e-6, max_value=1e6),
+           zero_share=st.floats(min_value=0.0, max_value=1.0))
+    def test_weighted_and_gamma_mass(self, case, same_csr, seed, scale,
+                                     zero_share):
+        mesh, red, pattern = case
+        rng = np.random.default_rng(seed)
+        h = scale * rng.uniform(0.0, 2.0, mesh.n_nodes)
+        h[rng.uniform(size=mesh.n_nodes) < zero_share] = 0.0
+        self.check(pattern, red,
+                   pattern.assemble(fem.weighted_mass_elements(mesh, h)),
+                   fem.assemble_weighted_mass(mesh, h), same_csr)
+        if not len(mesh.edges_with(geo.EdgeMarker.GAMMA)):
+            return
+        edges, lengths = fem.marked_edges(mesh, geo.EdgeMarker.GAMMA)
+        gamma = fem.AssemblyPattern(edges, mesh.n_nodes, red)
+        local = fem.boundary_mass_elements(mesh, edges, lengths, h)
+        self.check(gamma, red, gamma.assemble(local),
+                   fem.assemble_boundary_mass(mesh, geo.EdgeMarker.GAMMA, h),
+                   same_csr)
+
+    def test_restricts_by_dirichlet_rows_only(self, cell_ctx):
+        mesh = cell_ctx.mesh
+        red = fem.ConstraintReducer(mesh.n_nodes, fem.ConstraintSet(
+            periodic=cell_ctx.periodic))
+        with pytest.raises(ValueError, match="Dirichlet"):
+            fem.AssemblyPattern(mesh.triangles, mesh.n_nodes, red)
+
+
 class TestExchangeBlock:
     def test_equal_operators_symmetric_data(self, cell_mesh):
         M = fem.assemble_mass(cell_mesh)
@@ -283,7 +348,7 @@ class TestExchangeBlock:
         red = fem.ConstraintReducer(cell_mesh.n_nodes, fem.ConstraintSet())
         block = fem.ExchangeBlock(A, A, red, equal=True)
         b = np.sin(cell_mesh.nodes[:, 0] * 3.0)
-        x1, x2 = fem.solve_exchange_block(block, C, b, b)
+        x1, x2 = fem.solve_exchange_block(block, red.restrict(C), b, b)
         assert np.array_equal(x1, x2)
 
     def test_block_solvable_any_parameters(self, cell_mesh):
@@ -297,7 +362,7 @@ class TestExchangeBlock:
                 cell_mesh, geo.EdgeMarker.GAMMA, w)
             b1 = rng.standard_normal(cell_mesh.n_nodes)
             b2 = rng.standard_normal(cell_mesh.n_nodes)
-            x1, x2 = fem.solve_exchange_block(block, C, b1, b2)
+            x1, x2 = fem.solve_exchange_block(block, red.restrict(C), b1, b2)
             r1 = (A1 + C) @ x1 - C @ x2 - b1
             r2 = -(C @ x1) + (A2 + C) @ x2 - b2
             scale = np.linalg.norm(np.concatenate([b1, b2]))
@@ -318,7 +383,7 @@ class TestExchangeBlock:
         b1 = rng.standard_normal(n)
         b2 = rng.standard_normal(n)
         x1, x2 = fem.solve_exchange_block(fem.ExchangeBlock(A1, A2, red),
-                                          C, b1, b2)
+                                          red.restrict(C), b1, b2)
         # reference: eliminate the Dirichlet nodes of the assembled 2N block
         block = sp.bmat([[A1 + C, -C], [-C, A2 + C]], format="csr")
         fixed = np.concatenate([red.dirichlet_mask, red.dirichlet_mask])
@@ -339,7 +404,8 @@ class TestExchangeBlock:
         for _ in range(count):
             C = kappa * fem.assemble_boundary_mass(
                 mesh, geo.EdgeMarker.GAMMA, rng.uniform(0.5, 1.0, mesh.n_nodes))
-            fem.solve_exchange_block(block, C, rng.standard_normal(mesh.n_nodes),
+            fem.solve_exchange_block(block, red.restrict(C),
+                                     rng.standard_normal(mesh.n_nodes),
                                      rng.standard_normal(mesh.n_nodes))
             history.append((block.last_iterations, block.held.refactors))
         return block, history
@@ -367,7 +433,8 @@ class TestExchangeBlock:
         b1 = np.ones(n)
         b1[3] = np.nan
         with pytest.raises(NoConvergenceError) as err:
-            fem.solve_exchange_block(block, C, b1, np.ones(n))
+            fem.solve_exchange_block(block, block.reducer.restrict(C), b1,
+                                     np.ones(n))
         assert err.value.iterations == 0
 
     def test_rejects_mean_zero_multipliers(self, cell_ctx):

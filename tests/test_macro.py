@@ -140,6 +140,41 @@ class TestMacroStep:
                 <= 1e-9 * np.abs(direct).max()
         assert solver.held.refactors == 0
 
+    @pytest.mark.parametrize("theta", [1.0, 0.5])
+    def test_step_operator_is_the_reduced_sum(self, macro_mesh_16, theta,
+                                              monkeypatch, same_csr):
+        # A_r that a step solves is P'(2M + theta dt K_B(c3))P, bitwise
+        table = cell.DispersionTable(
+            np.array([0.0, 2.0]),
+            np.stack([np.eye(2), np.array([[2.0, 0.3], [0.3, 1.0]])]))
+        cfg = macro.MacroConfig(
+            dt=1e-3, t_end=0.02, d0=np.eye(2), btable=table,
+            kinetics=kin.zero_kinetics(), gamma_length=0.0, cell_area=1.0,
+            theta=theta, lambda_macro=2.0)
+        solver = macro.MacroSolver(macro_mesh_16, cfg)
+        solved = []
+        pcg = fem.pcg
+
+        def record(A, b, *args, **kwargs):
+            solved.append(A)
+            return pcg(A, b, *args, **kwargs)
+
+        monkeypatch.setattr(fem, "pcg", record)
+        mode = sine_mode(macro_mesh_16)
+        c3 = 2.0 * mode
+        solver.step(macro.MacroState(0.0, mode, c3))
+        K_B = fem.assemble_stiffness_elementwise(
+            macro_mesh_16, solver.dispersion_matrices(c3))
+        want, _ = solver.reducer.reduce(
+            (2.0 * solver.M + theta * cfg.dt * K_B).tocsr(),
+            np.zeros(macro_mesh_16.n_nodes))
+        assert len(solved) == 1 and same_csr(solved[0], want)
+
+    def test_theta_outside_the_scheme_rejected(self, macro_mesh_16):
+        for theta in (-1.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="theta"):
+                macro.MacroSolver(macro_mesh_16, heat_config(theta=theta))
+
     def test_c3_jump_refactors_once(self, macro_mesh_16):
         table = cell.DispersionTable(np.array([0.0, 1.0]),
                                      np.stack([np.eye(2), 1e4 * np.eye(2)]))
@@ -320,6 +355,26 @@ class TestVariant:
             macro_mesh_16, dataclasses.replace(cfg, d3=3.0 * np.eye(2)))
         assert not any(own.A3_handle is f for f in own.exchange.factors)
         assert len(factorize_calls) == 5
+
+    def test_step_exchange_is_the_restricted_weighted_mass(
+            self, macro_mesh_16, monkeypatch, same_csr):
+        k = kin.parse_kinetics("mm_triple+langmuir:a=1,b=1")
+        cfg = self.make_cfg(k, gamma_over=2.0, d2=np.diag([2.0, 1.0]))
+        solver = macro.MacroVariantSolver(macro_mesh_16, cfg)
+        used = []
+        solve = fem.solve_exchange_block
+
+        def record(block, Cr, *args, **kwargs):
+            used.append(Cr)
+            return solve(block, Cr, *args, **kwargs)
+
+        monkeypatch.setattr(fem, "solve_exchange_block", record)
+        mode = sine_mode(macro_mesh_16)
+        solver.step(macro.VariantState(0.0, mode, 2 * mode, 1.5 * mode))
+        want = solver.reducer.restrict(
+            (cfg.dt * solver.gamma_over_cell)
+            * fem.assemble_weighted_mass(macro_mesh_16, k.h(1.5 * mode)))
+        assert len(used) == 1 and same_csr(used[0], want)
 
     def test_non_finite_rate_fails_at_once(self, macro_mesh_16):
         solver = macro.MacroVariantSolver(

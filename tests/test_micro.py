@@ -170,6 +170,48 @@ class TestExchangePreconditioner:
         assert not any(solver.A3_handle is f for f in solver.exchange.factors)
         assert len(factorize_calls) == 3
 
+    @pytest.mark.parametrize("d3,field", [
+        (fem.CoefficientField.isotropic(1.0), 0),
+        (fem.CoefficientField.constant(np.diag([2.0, 1.0])), 1)])
+    def test_c3_equal_to_a_field_shares_its_operators(
+            self, mesh, d3, field, factorize_calls, monkeypatch):
+        assembled = []
+        assemble = fem.assemble_stiffness
+
+        def count(mesh, coeff):
+            assembled.append(coeff)
+            return assemble(mesh, coeff)
+
+        monkeypatch.setattr(fem, "assemble_stiffness", count)
+        solver = micro.MicroSolver(mesh, 1 / 8, self.config(
+            micro.Scaling.ALL_EPS, d3=d3))
+        assert len(assembled) == 2 and len(factorize_calls) == 2
+        assert solver.K[2] is solver.K[field]
+        assert solver.A3_r is (solver.exchange.A1r,
+                               solver.exchange.A2r)[field]
+        assert solver.A3_handle is solver.exchange.factors[field]
+
+    @pytest.mark.parametrize("scaling", list(micro.Scaling))
+    def test_step_exchange_is_the_restricted_gamma_mass(
+            self, mesh, scaling, monkeypatch, same_csr):
+        cfg = self.config(scaling)
+        solver = micro.MicroSolver(mesh, 1 / 8, cfg)
+        used = []
+        solve = fem.solve_exchange_block
+
+        def record(block, Cr, *args, **kwargs):
+            used.append(Cr)
+            return solve(block, Cr, *args, **kwargs)
+
+        monkeypatch.setattr(fem, "solve_exchange_block", record)
+        state = micro.initial_state(mesh, bump, bump,
+                                    lambda x, y: 1.5 * bump(x, y))
+        solver.step(state)
+        want = solver.reducer.restrict(
+            solver.exchange_factor * fem.assemble_boundary_mass(
+                mesh, geo.EdgeMarker.GAMMA, cfg.kinetics.h(state.c3)))
+        assert len(used) == 1 and same_csr(used[0], want)
+
 
 class TestMicroRun:
     def test_gamma_gap_relaxes_fast_exchange(self, eps_mesh):
