@@ -16,6 +16,7 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import fem
 from .errors import MeshMismatchError, NoMarkedBoundaryError, SingularSystemError
@@ -179,6 +180,20 @@ class EffectiveTensor:
         }
 
 
+def _scalar_tensors(ctx, areas, grads, mats, sol):
+    """(energy-form, volume-form) tensors of one scalar solution."""
+    weighted, flux = _strain_and_flux(ctx.mesh, areas, grads, mats,
+                                      sol.directions)
+    energy = np.empty((2, 2))
+    volume = np.empty((2, 2))
+    for j in range(2):
+        volume[:, j] = np.einsum("m,md->d", areas, flux[j]) / ctx.area
+        for i in range(2):
+            energy[i, j] = np.einsum("md,md->", weighted[i],
+                                     flux[j]) / ctx.area
+    return energy, volume
+
+
 def effective_tensor_scalar(ctx, sol, coeff, form=TensorForm.SCALAR_ENERGY):
     """Effective tensor from the scalar correctors, either formula."""
     _check_mesh(ctx, sol)
@@ -187,17 +202,10 @@ def effective_tensor_scalar(ctx, sol, coeff, form=TensorForm.SCALAR_ENERGY):
     if form not in (TensorForm.SCALAR_FORM, TensorForm.SCALAR_ENERGY):
         raise ValueError(f"{form} is not a scalar tensor form")
     mesh = ctx.mesh
-    areas, grads = fem.triangle_geometry(mesh)
-    weighted, flux = _strain_and_flux(
-        mesh, areas, grads, np.asarray(coeff.matrix_at(mesh.centroids)),
-        sol.directions)
-    t = np.empty((2, 2))
-    for j in range(2):
-        if form == TensorForm.SCALAR_FORM:
-            t[:, j] = np.einsum("m,md->d", areas, flux[j]) / ctx.area
-        else:
-            for i in range(2):
-                t[i, j] = np.einsum("md,md->", weighted[i], flux[j]) / ctx.area
+    energy, volume = _scalar_tensors(
+        ctx, *fem.triangle_geometry(mesh),
+        np.asarray(coeff.matrix_at(mesh.centroids)), sol)
+    t = energy if form == TensorForm.SCALAR_ENERGY else volume
     return EffectiveTensor(t, form, h=mesh.h)
 
 
@@ -206,28 +214,21 @@ def _block_periodic(pm, n):
     return PeriodicMap(pairs, 2 * n)
 
 
-# Columns of U per block of capacitance solves: the block's dense
-# right-hand side is N x 32, never N x m.
-_CAPACITANCE_BLOCK = 32
-
-
 class CoupledCellProblem:
     """The exchange-coupled cell problem of one coefficient pair, at any rate.
 
-    At exchange rate k > 0 the reduced system is A(k) = K_r + k U C U':
-    K_r is diag(K1, K2) reduced by the block-periodic identification and
-    one multiplier (first field mean zero), U is the Gamma selector of the
-    corrector difference (+1 on the first field, -1 on the second, zero
-    multiplier row) and C the dense Gamma mass matrix, so the exchange is a
-    symmetric update of rank m = #Gamma nodes. The first positive rate
-    k_ref is factored directly. Every other k > 0 is solved through the
-    Sherman-Morrison-Woodbury identity with delta = k - k_ref,
-
-        x = A_ref^-1 (b - U w),  (I + delta C G) w = delta C U' A_ref^-1 b,
-
-    with the m x m capacitance G = U' A_ref^-1 U built once, followed by
-    one residual correction with the same operator and the
-    relative-residual check against A(k). At k = 0 (or without Gamma) the
+    At exchange rate k > 0 the reduced system is A(k) = K_r + k E_r: K_r
+    is diag(K1, K2) reduced by the block-periodic identification and one
+    multiplier (first field mean zero), and E_r the Gamma mass on the
+    corrector difference, a symmetric term of rank #Gamma nodes with a zero
+    multiplier row. Every positive rate is solved by CG under the
+    relative-residual contract, preconditioned by a HeldFactor of A(k_ref):
+    k_ref is the first positive rate, and a direction that needs more than
+    REFACTOR_ITERS iterations moves k_ref to its rate, the rule of the
+    macro A_c and the exchange block. A(k) - A(k_ref) = (k - k_ref) E_r leaves the multiplier
+    rows alone, so the preconditioned iterates keep the first field at mean
+    zero, where A(k) is SPD, and the rates differ by a term of rank
+    #Gamma, which bounds the iterations. At k = 0 (or without Gamma) the
     fields decouple, each with its own mean-zero condition, and are solved
     as two scalar cell problems; equal constant coefficients share one
     scalar corrector at every rate.
@@ -235,7 +236,7 @@ class CoupledCellProblem:
     Element areas, basis gradients and coefficient matrices are computed
     once and shared by both tensor formulas; each field's stiffness matrix
     and direction loads are assembled once, on first use, and shared by
-    the coupled reference and the decoupled scalar solves.
+    the coupled system and the decoupled scalar solves.
     """
 
     def __init__(self, ctx, coeff1, coeff2):
@@ -247,8 +248,7 @@ class CoupledCellProblem:
         self.mats = [np.asarray(c.matrix_at(mesh.centroids))
                      for c in self.coeffs]
         self._fields = [None, None]  # per field: (K, direction loads)
-        self._ref = None          # (k_ref, factor of A(k_ref))
-        self._capacitance = None  # G = U' A_ref^-1 U
+        self.held = None  # HeldFactor of A(k_ref), built at the first k > 0
 
     def _field(self, k):
         """(stiffness matrix, direction loads) of field k."""
@@ -257,8 +257,8 @@ class CoupledCellProblem:
                                                self.grads, self.mats[k])
         return self._fields[k]
 
-    def _factor_reference(self, k_ref):
-        """Assemble the rate-independent operators and factor A(k_ref)."""
+    def _assemble_coupled(self):
+        """The rate-independent K_r, E_r and loads B of the coupled system."""
         ctx = self.ctx
         mesh = ctx.mesh
         n = mesh.n_nodes
@@ -273,36 +273,11 @@ class CoupledCellProblem:
         self.B = np.column_stack([
             reducer.reduce_rhs(np.concatenate([loads[0][j], loads[1][j]]))
             for j in range(2)])
-        gamma = mesh.nodes_with(EdgeMarker.GAMMA)
-        m = len(gamma)
-        V = sp.csr_matrix(
-            (np.concatenate([np.ones(m), -np.ones(m)]),
-             (np.concatenate([gamma, gamma + n]), np.tile(np.arange(m), 2))),
-            shape=(2 * n, m))
-        self.U = sp.vstack([reducer.P.T @ V,
-                            sp.csr_matrix((reducer.n_multipliers, m))],
-                           format="csc")
-        self.C = ctx.gamma_mass[gamma][:, gamma].toarray()
-        self.E_r = (self.U @ sp.csr_matrix(self.C) @ self.U.T).tocsr()
-        self._ref = (k_ref, fem.factorize(self.K_r + k_ref * self.E_r))
-
-    def _capacitance_matrix(self):
-        """G = U' A_ref^-1 U, solved in column blocks (no dense N x m array)."""
-        if self._capacitance is None:
-            lu = self._ref[1]
-            m = self.U.shape[1]
-            G = np.empty((m, m))
-            for j in range(0, m, _CAPACITANCE_BLOCK):
-                cols = slice(j, min(j + _CAPACITANCE_BLOCK, m))
-                G[:, cols] = self.U.T @ lu.solve(self.U[:, cols].toarray())
-            self._capacitance = G
-        return self._capacitance
-
-    def _woodbury(self, R, S, delta):
-        """A(k)^-1 R by the Woodbury identity; S = I + delta C G."""
-        lu = self._ref[1]
-        w = np.linalg.solve(S, delta * (self.C @ (self.U.T @ lu.solve(R))))
-        return lu.solve(R - self.U @ w)
+        G = ctx.gamma_mass
+        zero = sp.csr_matrix((reducer.n_multipliers,) * 2)
+        self.E_r = sp.block_diag(
+            [reducer.restrict(sp.bmat([[G, -G], [-G, G]])), zero],
+            format="csr")
 
     def solve(self, exchange_rate, tol=1e-10):
         """Coupled correctors for both directions at one exchange rate."""
@@ -319,34 +294,22 @@ class CoupledCellProblem:
                       for k in range(2))
             return CoupledCellSolution(mesh, s1.directions, s2.directions,
                                        exchange_rate)
-        k = float(exchange_rate)
-        if self._ref is None:
-            self._factor_reference(k)
-        k_ref, lu = self._ref
-        B = self.B
-
-        def residual(X):
-            return B - (self.K_r @ X + k * (self.E_r @ X))
-
-        if k == k_ref:
-            X = lu.solve(B)
-        else:
-            delta = k - k_ref
-            S = np.eye(len(self.C)) + delta * (
-                self.C @ self._capacitance_matrix())
-            X = self._woodbury(B, S, delta)
-            X = X + self._woodbury(residual(X), S, delta)
-        res = np.linalg.norm(residual(X), axis=0)
-        scale = np.linalg.norm(B, axis=0)
-        worst = float(np.max(res / np.where(scale > 0, scale, 1.0)))
-        if worst > tol:
-            raise SingularSystemError(
-                f"coupled cell solve residual {worst:.2e} above {tol:.1e}")
+        if self.held is None:
+            self._assemble_coupled()
+        A = (self.K_r + float(exchange_rate) * self.E_r).tocsr()
+        if self.held is None:
+            self.held = fem.HeldFactor(fem.factorize(A))
         n = mesh.n_nodes
-        x = [self.reducer.expand(X[:, j]) for j in range(2)]
-        return CoupledCellSolution(mesh, {j: x[j][:n] for j in range(2)},
-                                   {j: x[j][n:] for j in range(2)},
-                                   exchange_rate)
+        first, second = {}, {}
+        for j in range(2):
+            x, iters = fem.pcg(
+                A, self.B[:, j], spla.LinearOperator(
+                    A.shape, dtype=float, matvec=self.held.handle.solve),
+                tol)
+            self.held.refresh(iters, lambda: A)
+            x = self.reducer.expand(x)
+            first[j], second[j] = x[:n], x[n:]
+        return CoupledCellSolution(mesh, first, second, exchange_rate)
 
     def tensors(self, sol):
         """(energy-form, volume-form) dispersion matrices of one solution."""
@@ -403,11 +366,18 @@ def effective_tensor_coupled(ctx, sol, coeff1, coeff2,
 
 
 def scalar_tensor_with_check(ctx, coeff, tol=1e-10):
-    """Energy-form tensor plus the cross-check against the volume form."""
-    sol = solve_scalar_pair(ctx, coeff, tol=tol)
-    te = effective_tensor_scalar(ctx, sol, coeff, TensorForm.SCALAR_ENERGY)
-    tf = effective_tensor_scalar(ctx, sol, coeff, TensorForm.SCALAR_FORM)
-    te.cross_check_err = float(np.abs(te.matrix - tf.matrix).max())
+    """Energy-form tensor plus the cross-check against the volume form.
+
+    One element geometry and one set of coefficient matrices serve the
+    solve and both formulas, which share one strain and flux pass.
+    """
+    mesh = ctx.mesh
+    areas, grads = fem.triangle_geometry(mesh)
+    mats = np.asarray(coeff.matrix_at(mesh.centroids))
+    sol = _solve_scalar(ctx, *_field_operators(mesh, areas, grads, mats), tol)
+    energy, volume = _scalar_tensors(ctx, areas, grads, mats, sol)
+    te = EffectiveTensor(energy, TensorForm.SCALAR_ENERGY, h=mesh.h,
+                         cross_check_err=float(np.abs(energy - volume).max()))
     return te, sol
 
 
@@ -504,11 +474,12 @@ def tabulate_b(ctx, coeff1, coeff2, exchange_fn, s_grid,
     """Tabulate the dispersion tensor over an s grid.
 
     The tensor only sees the exchange rate, so each sample solves the coupled
-    cell problem at exchange_fn(s); all samples share one CoupledCellProblem
-    and so one factorization. The midpoint interpolation error between
-    adjacent samples is measured with direct solves and attached; when
-    ``midpoint_tol`` is given, midpoints are inserted (up to ``max_refine``
-    rounds) until the estimate drops below it.
+    cell problem at exchange_fn(s); all samples share one CoupledCellProblem,
+    whose held factor preconditions every rate. The midpoint interpolation
+    error is the largest gap between the tensor solved at the midpoint of
+    two adjacent samples and the interpolated one, attached to the table;
+    when ``midpoint_tol`` is given, midpoints are inserted (up to
+    ``max_refine`` rounds) until it drops below it.
     """
     s_grid = np.asarray(sorted(float(s) for s in s_grid))
     if len(s_grid) < 2:

@@ -137,15 +137,18 @@ def stiffness_elements(areas, grads, mats):
                      optimize=True)
 
 
-def assemble_stiffness(mesh, coeff):
-    """Stiffness matrix for -div(D grad u), D evaluated at element centroids."""
+def assemble_stiffness(mesh, coeff, geometry=None):
+    """Stiffness matrix for -div(D grad u), D evaluated at element centroids.
+
+    ``geometry`` is the mesh's ``triangle_geometry``, computed when omitted.
+    """
     mats = np.asarray(coeff.matrix_at(mesh.centroids))
-    return assemble_stiffness_elementwise(mesh, mats)
+    return assemble_stiffness_elementwise(mesh, mats, geometry)
 
 
-def assemble_stiffness_elementwise(mesh, mats):
+def assemble_stiffness_elementwise(mesh, mats, geometry=None):
     """Stiffness matrix from per-element 2x2 coefficient matrices (M,2,2)."""
-    local = stiffness_elements(*triangle_geometry(mesh), mats)
+    local = stiffness_elements(*(geometry or triangle_geometry(mesh)), mats)
     return scatter(mesh.triangles, mesh.n_nodes, local)
 
 

@@ -98,14 +98,14 @@ class MacroSolver(ImexStepper):
     def __init__(self, mesh, config):
         super().__init__(mesh, config)
         config.validate()
+        self.geometry = fem.triangle_geometry(mesh)
         self.K3 = fem.assemble_stiffness(
-            mesh, fem.CoefficientField.constant(config.d0))
+            mesh, fem.CoefficientField.constant(config.d0), self.geometry)
         dt, th = config.dt, config.theta
         self.A3_r = self.reducer.restrict(self.M + th * dt * self.K3)
         self.A3_handle = fem.factorize(self.A3_r)
         # A_c = 2M + theta dt K_B(c3) is replayed every step on the mesh's
         # pattern; M has that pattern, so 2M is its data
-        self.geometry = fem.triangle_geometry(mesh)
         self.pattern = fem.AssemblyPattern(mesh.triangles, mesh.n_nodes,
                                            self.reducer)
         self.two_m = 2.0 * self.M.data

@@ -153,12 +153,13 @@ class ExchangePairStepper(ImexStepper):
 
     ``coefficients`` are d1, d2, d3; ``at_scale`` maps one to the field
     that is assembled (the identity by default). Their stiffness matrices
-    are assembled once and kept in ``K``, and a coefficient that is the
-    same operator as an earlier one (``same_operator``) shares its K,
-    reduced operator and factor: for d2 the pair is equal and the block
-    decouples, for d3 the c3 solve uses that field's factor. The block
-    [[A1+C, -C], [-C, A2+C]] with A_k = M + dt K_k is built from them. A
-    subclass implements two hooks called every step:
+    are assembled once, from one element geometry, and kept in ``K``, and
+    a coefficient that is the same operator as an earlier one
+    (``same_operator``) shares its K, reduced operator and factor: for d2
+    the pair is equal and the block decouples, for d3 the c3 solve uses
+    that field's factor. The block [[A1+C, -C], [-C, A2+C]] with
+    A_k = M + dt K_k is built from them. A subclass implements two hooks
+    called every step:
     ``exchange_matrix(h_nodal)``, the exchange matrix C from nodal h(c3),
     restricted to the reduced dofs, and ``rates(state)``, the explicit
     (f1, f2, load3): nodal pair rates and the assembled c3 load.
@@ -170,8 +171,13 @@ class ExchangePairStepper(ImexStepper):
         owner = [next(j for j in range(k + 1)
                       if same_operator(coefficients[j], coefficients[k]))
                  for k in range(3)]
-        K = {j: fem.assemble_stiffness(mesh, at_scale(coefficients[j]))
+        geometry = fem.triangle_geometry(mesh)
+        K = {j: fem.assemble_stiffness(mesh, at_scale(coefficients[j]),
+                                       geometry)
              for j in dict.fromkeys(owner)}
+        # the basis gradients (11 MB at eps = 1/32) are not held through
+        # the factorizations below, where set-up memory peaks
+        del geometry
         self.K = [K[j] for j in owner]
         A1 = (self.M + config.dt * self.K[0]).tocsr()
         A2 = A1 if owner[1] == 0 else (self.M + config.dt * self.K[1]).tocsr()

@@ -178,9 +178,9 @@ class TestExchangePreconditioner:
         assembled = []
         assemble = fem.assemble_stiffness
 
-        def count(mesh, coeff):
+        def count(mesh, coeff, *geometry):
             assembled.append(coeff)
-            return assemble(mesh, coeff)
+            return assemble(mesh, coeff, *geometry)
 
         monkeypatch.setattr(fem, "assemble_stiffness", count)
         solver = micro.MicroSolver(mesh, 1 / 8, self.config(

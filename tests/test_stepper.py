@@ -24,20 +24,20 @@ def solver_and_state(kind, eps_mesh, macro_mesh, **cfg):
     mode = np.sin(np.pi * x) * np.sin(np.pi * y)
     if kind == "micro":
         unit = fem.CoefficientField.isotropic(1.0)
-        config = micro.MicroConfig(d1=unit, d2=unit, d3=unit, kinetics=k,
-                                   **cfg)
+        config = micro.MicroConfig(
+            kinetics=k, **{"d1": unit, "d2": unit, "d3": unit, **cfg})
         return (micro.MicroSolver(mesh, 0.25, config),
                 micro.MicroState(0.0, mode, 2 * mode, mode))
     if kind == "macro":
         config = macro.MacroConfig(
-            d0=np.eye(2), btable=cell.DispersionTable.constant(
-                np.eye(2), s_max=1.0),
-            kinetics=k, gamma_length=0.0, cell_area=1.0, **cfg)
+            btable=cell.DispersionTable.constant(np.eye(2), s_max=1.0),
+            kinetics=k, gamma_length=0.0, cell_area=1.0,
+            **{"d0": np.eye(2), **cfg})
         return (macro.MacroSolver(mesh, config),
                 macro.MacroState(0.0, mode, mode))
-    config = macro.VariantConfig(d1=np.eye(2), d2=np.eye(2), d3=np.eye(2),
-                                 kinetics=k, gamma_length=1.0, cell_area=1.0,
-                                 **cfg)
+    config = macro.VariantConfig(
+        kinetics=k, gamma_length=1.0, cell_area=1.0,
+        **{"d1": np.eye(2), "d2": np.eye(2), "d3": np.eye(2), **cfg})
     return (macro.MacroVariantSolver(mesh, config),
             macro.VariantState(0.0, mode, 2 * mode, mode))
 
@@ -65,6 +65,41 @@ def test_snapshot_cadence(kind, eps_mesh, macro_mesh_16):
     assert list(fields) == list(traj.field_names)
     for name, u in fields.items():
         assert np.array_equal(getattr(traj.final, name), u)
+
+
+@pytest.mark.parametrize("kind", SOLVERS)
+def test_set_up_computes_the_element_geometry_once(kind, eps_mesh,
+                                                   macro_mesh_16, monkeypatch,
+                                                   same_csr):
+    # distinct d1, d2, d3 give three stiffness matrices (the macro solver
+    # one, for d0); all come from one element geometry and are bitwise
+    # those of a separate assembly
+    mats = [k * np.eye(2) for k in (1.0, 2.0, 3.0)]
+    fields = [fem.CoefficientField.constant(m) for m in mats]
+    coefficients = {"micro": dict(zip(("d1", "d2", "d3"), fields)),
+                    "macro": {"d0": mats[2]},
+                    "variant": dict(zip(("d1", "d2", "d3"), mats))}[kind]
+    calls = []
+    geometry = fem.triangle_geometry
+
+    def count(mesh):
+        calls.append(mesh)
+        return geometry(mesh)
+
+    monkeypatch.setattr(fem, "triangle_geometry", count)
+    solver, _ = solver_and_state(kind, eps_mesh, macro_mesh_16,
+                                 **coefficients)
+    monkeypatch.undo()
+    assert len(calls) == 1 and calls[0] is solver.mesh
+    if kind == "macro":
+        built, fields = [solver.K3], fields[2:]
+    else:
+        built = solver.K
+    if kind == "micro":
+        fields = [f.at_fine_scale(0.25) for f in fields]
+    assert len(built) == len(fields)
+    for K, field in zip(built, fields):
+        assert same_csr(K, fem.assemble_stiffness(solver.mesh, field))
 
 
 def test_state_types_are_shared():
