@@ -16,10 +16,9 @@ from enum import Enum
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import fem
-from .errors import MeshMismatchError, NoMarkedBoundaryError, SingularSystemError
+from .errors import MeshMismatchError, NoMarkedBoundaryError
 from .geometry import EdgeMarker, Mesh, PeriodicMap, pair_periodic_nodes
 
 
@@ -102,19 +101,10 @@ def _solve_scalar(ctx, K, loads, tol):
     reducer = fem.ConstraintReducer(mesh.n_nodes, cs)
     A_r, _ = reducer.reduce(K, np.zeros(mesh.n_nodes))
     handle = fem.splu_factor(A_r)
-    out = {}
-    for j in range(2):
-        b_r = reducer.P.T @ loads[j]
-        b_r = np.concatenate([b_r, np.zeros(reducer.n_multipliers)])
-        x_r = handle.solve(b_r)
-        res = np.linalg.norm(A_r @ x_r - b_r)
-        scale = np.linalg.norm(b_r)
-        if scale > 0 and res / scale > tol:
-            raise SingularSystemError(
-                f"cell solve residual {res / scale:.2e} above {tol:.1e}"
-            )
-        out[j] = reducer.expand(x_r)
-    return CellSolution(mesh, out)
+    return CellSolution(mesh, {
+        j: reducer.expand(fem.solve_factored(
+            handle, A_r, reducer.reduce_rhs(loads[j]), tol))
+        for j in range(2)})
 
 
 def solve_scalar_pair(ctx, coeff, tol=1e-10):
@@ -180,17 +170,19 @@ class EffectiveTensor:
         }
 
 
-def _scalar_tensors(ctx, areas, grads, mats, sol):
-    """(energy-form, volume-form) tensors of one scalar solution."""
-    weighted, flux = _strain_and_flux(ctx.mesh, areas, grads, mats,
-                                      sol.directions)
+def _field_sums(mesh, areas, grads, mats, correctors):
+    """(energy, volume) sums of one field's correctors over the cell.
+
+    The tensors of both formulas before the division by |Y*|; a coupled
+    tensor adds the sums of its two fields and the exchange term.
+    """
+    weighted, flux = _strain_and_flux(mesh, areas, grads, mats, correctors)
     energy = np.empty((2, 2))
     volume = np.empty((2, 2))
     for j in range(2):
-        volume[:, j] = np.einsum("m,md->d", areas, flux[j]) / ctx.area
+        volume[:, j] = np.einsum("m,md->d", areas, flux[j])
         for i in range(2):
-            energy[i, j] = np.einsum("md,md->", weighted[i],
-                                     flux[j]) / ctx.area
+            energy[i, j] = np.einsum("md,md->", weighted[i], flux[j])
     return energy, volume
 
 
@@ -202,11 +194,11 @@ def effective_tensor_scalar(ctx, sol, coeff, form=TensorForm.SCALAR_ENERGY):
     if form not in (TensorForm.SCALAR_FORM, TensorForm.SCALAR_ENERGY):
         raise ValueError(f"{form} is not a scalar tensor form")
     mesh = ctx.mesh
-    energy, volume = _scalar_tensors(
-        ctx, *fem.triangle_geometry(mesh),
-        np.asarray(coeff.matrix_at(mesh.centroids)), sol)
+    energy, volume = _field_sums(
+        mesh, *fem.triangle_geometry(mesh),
+        np.asarray(coeff.matrix_at(mesh.centroids)), sol.directions)
     t = energy if form == TensorForm.SCALAR_ENERGY else volume
-    return EffectiveTensor(t, form, h=mesh.h)
+    return EffectiveTensor(t / ctx.area, form, h=mesh.h)
 
 
 def _block_periodic(pm, n):
@@ -221,11 +213,10 @@ class CoupledCellProblem:
     is diag(K1, K2) reduced by the block-periodic identification and one
     multiplier (first field mean zero), and E_r the Gamma mass on the
     corrector difference, a symmetric term of rank #Gamma nodes with a zero
-    multiplier row. Every positive rate is solved by CG under the
-    relative-residual contract, preconditioned by a HeldFactor of A(k_ref):
-    k_ref is the first positive rate, and a direction that needs more than
-    REFACTOR_ITERS iterations moves k_ref to its rate, the rule of the
-    macro A_c and the exchange block. A(k) - A(k_ref) = (k - k_ref) E_r leaves the multiplier
+    multiplier row. Every positive rate is solved by ``fem.HeldFactor``'s
+    CG on a held factor of A(k_ref): k_ref is the first positive rate, and
+    a slow direction moves it to its own rate. A(k) - A(k_ref) =
+    (k - k_ref) E_r leaves the multiplier
     rows alone, so the preconditioned iterates keep the first field at mean
     zero, where A(k) is SPD, and the rates differ by a term of rank
     #Gamma, which bounds the iterations. At k = 0 (or without Gamma) the
@@ -248,7 +239,8 @@ class CoupledCellProblem:
         self.mats = [np.asarray(c.matrix_at(mesh.centroids))
                      for c in self.coeffs]
         self._fields = [None, None]  # per field: (K, direction loads)
-        self.held = None  # HeldFactor of A(k_ref), built at the first k > 0
+        self.K_r = None  # the coupled system, assembled at the first k > 0
+        self.held = fem.HeldFactor()  # of A(k_ref)
 
     def _field(self, k):
         """(stiffness matrix, direction loads) of field k."""
@@ -294,20 +286,13 @@ class CoupledCellProblem:
                       for k in range(2))
             return CoupledCellSolution(mesh, s1.directions, s2.directions,
                                        exchange_rate)
-        if self.held is None:
+        if self.K_r is None:
             self._assemble_coupled()
         A = (self.K_r + float(exchange_rate) * self.E_r).tocsr()
-        if self.held is None:
-            self.held = fem.HeldFactor(fem.factorize(A))
         n = mesh.n_nodes
         first, second = {}, {}
         for j in range(2):
-            x, iters = fem.pcg(
-                A, self.B[:, j], spla.LinearOperator(
-                    A.shape, dtype=float, matvec=self.held.handle.solve),
-                tol)
-            self.held.refresh(iters, lambda: A)
-            x = self.reducer.expand(x)
+            x = self.reducer.expand(self.held.solve(A, self.B[:, j], tol))
             first[j], second[j] = x[:n], x[n:]
         return CoupledCellSolution(mesh, first, second, exchange_rate)
 
@@ -317,25 +302,16 @@ class CoupledCellProblem:
         _check_mesh(ctx, sol)
         if set(sol.first) != {0, 1} or set(sol.second) != {0, 1}:
             raise MeshMismatchError("both corrector directions are required")
-        # per field k: the weighted strains and fluxes of both directions
-        weighted, flux = zip(*(
-            _strain_and_flux(ctx.mesh, self.areas, self.grads, mats, corr)
-            for mats, corr in zip(self.mats, (sol.first, sol.second))))
-        t_form = np.empty((2, 2))
-        for j in range(2):
-            t_form[:, j] = np.einsum("m,md->d", self.areas,
-                                     flux[0][j] + flux[1][j]) / ctx.area
-        t_energy = np.empty((2, 2))
-        diff = [sol.first[j] - sol.second[j] for j in range(2)]
-        for i in range(2):
-            for j in range(2):
-                val = sum(np.einsum("md,md->", weighted[k][i], flux[k][j])
-                          for k in range(2))
-                if ctx.gamma_mass is not None and sol.exchange_rate > 0:
-                    val += sol.exchange_rate * float(
-                        diff[i] @ (ctx.gamma_mass @ diff[j]))
-                t_energy[i, j] = val / ctx.area
-        return t_energy, t_form
+        (e1, v1), (e2, v2) = (
+            _field_sums(ctx.mesh, self.areas, self.grads, mats, corr)
+            for mats, corr in zip(self.mats, (sol.first, sol.second)))
+        energy = e1 + e2
+        if ctx.gamma_mass is not None and sol.exchange_rate > 0:
+            diff = [sol.first[j] - sol.second[j] for j in range(2)]
+            energy += sol.exchange_rate * np.array(
+                [[diff[i] @ (ctx.gamma_mass @ diff[j]) for j in range(2)]
+                 for i in range(2)])
+        return energy / ctx.area, (v1 + v2) / ctx.area
 
 
 def solve_coupled_pair(ctx, coeff1, coeff2, exchange_rate, tol=1e-10,
@@ -375,7 +351,8 @@ def scalar_tensor_with_check(ctx, coeff, tol=1e-10):
     areas, grads = fem.triangle_geometry(mesh)
     mats = np.asarray(coeff.matrix_at(mesh.centroids))
     sol = _solve_scalar(ctx, *_field_operators(mesh, areas, grads, mats), tol)
-    energy, volume = _scalar_tensors(ctx, areas, grads, mats, sol)
+    energy, volume = (t / ctx.area for t in _field_sums(
+        mesh, areas, grads, mats, sol.directions))
     te = EffectiveTensor(energy, TensorForm.SCALAR_ENERGY, h=mesh.h,
                          cross_check_err=float(np.abs(energy - volume).max()))
     return te, sol

@@ -41,84 +41,60 @@ EXIT_BUDGET = 4
 
 _INITIAL_KINDS = ("zero", "constant", "bump", "sine")
 
+# section -> key -> (declared type, default); the top-level keys that are
+# not sections map to one (type, default) pair. A value must have its
+# declared type as given: an int passes for a float, a bool for no number,
+# and ``object`` takes any value.
 _SCHEMA = {
     "geometry": {
-        "inclusion": dict,
-        "h": float,
+        "inclusion": (dict, {"shape": "disc", "center": [0.5, 0.5],
+                             "radius": 0.25}),
+        "h": (float, 0.05),
     },
-    "domain": {
-        "rectangles": list,
-    },
-    "coefficients": {
-        "d1": object,
-        "d2": object,
-        "d3": object,
-    },
-    "kinetics": str,
+    "domain": {"rectangles": (list, [[0.0, 0.0, 1.0, 1.0]])},
+    "coefficients": {"d1": (object, 1.0), "d2": (object, 1.0),
+                     "d3": (object, 1.0)},
+    "kinetics": (str, "zero"),
     "cell": {
-        "h": float,
-        "s_grid": list,
-        "lambda_macro": float,
-        "midpoint_tol": object,
-        "exchange_values": list,
+        "h": (float, 0.05),
+        "s_grid": (list, [0.0, 0.5, 1.0, 2.0]),
+        "lambda_macro": (float, 2.0),
+        "midpoint_tol": (object, None),
+        "exchange_values": (list, [0.0, 0.5, 1.0, 10.0]),
     },
     "macro": {
-        "h": float,
-        "dt": float,
-        "t_end": float,
-        "theta": float,
-        "positivity": str,
-        "snapshot_every": int,
-        "initial": dict,
-        "forced_b": object,
-        "forced_d0": object,
-        "variant": bool,
+        "h": (float, 0.0625),
+        "dt": (float, 1e-3),
+        "t_end": (float, 0.05),
+        "theta": (float, 1.0),
+        "positivity": (str, "monitor"),
+        "snapshot_every": (int, 1),
+        "initial": (dict, {}),
+        "forced_b": (object, None),
+        "forced_d0": (object, None),
+        "variant": (bool, False),
     },
     "micro": {
-        "epsilon": float,
-        "h_cell": object,
-        "dt": float,
-        "t_end": float,
-        "scaling": str,
-        "positivity": str,
-        "snapshot_every": int,
-        "initial": dict,
+        "epsilon": (float, 0.25),
+        "h_cell": (object, None),
+        "dt": (float, 1e-3),
+        "t_end": (float, 0.05),
+        "scaling": (str, "fast_exchange"),
+        "positivity": (str, "monitor"),
+        "snapshot_every": (int, 1),
+        "initial": (dict, {}),
     },
     "sweep": {
-        "epsilons": list,
-        "dt": float,
-        "t_end": float,
-        "macro_h": float,
-        "scaling": str,
-        "snapshot_every": int,
-        "initial": dict,
+        "epsilons": (list, [0.25, 0.125, 0.0625]),
+        "dt": (float, 1e-3),
+        "t_end": (float, 0.1),
+        "macro_h": (float, 0.03125),
+        "scaling": (str, "fast_exchange"),
+        "snapshot_every": (int, 2),
+        "initial": (dict, {}),
     },
-    "output": {
-        "snapshot_fields": bool,
-    },
-    "seed": int,
-}
-
-_DEFAULTS = {
-    "geometry": {"inclusion": {"shape": "disc", "center": [0.5, 0.5],
-                               "radius": 0.25}, "h": 0.05},
-    "domain": {"rectangles": [[0.0, 0.0, 1.0, 1.0]]},
-    "coefficients": {"d1": 1.0, "d2": 1.0, "d3": 1.0},
-    "kinetics": "zero",
-    "cell": {"h": 0.05, "s_grid": [0.0, 0.5, 1.0, 2.0], "lambda_macro": 2.0,
-             "midpoint_tol": None, "exchange_values": [0.0, 0.5, 1.0, 10.0]},
-    "macro": {"h": 0.0625, "dt": 1e-3, "t_end": 0.05, "theta": 1.0,
-              "positivity": "monitor", "snapshot_every": 1,
-              "initial": {}, "forced_b": None, "forced_d0": None,
-              "variant": False},
-    "micro": {"epsilon": 0.25, "h_cell": None, "dt": 1e-3, "t_end": 0.05,
-              "scaling": "fast_exchange", "positivity": "monitor",
-              "snapshot_every": 1, "initial": {}},
-    "sweep": {"epsilons": [0.25, 0.125, 0.0625], "dt": 1e-3, "t_end": 0.1,
-              "macro_h": 0.03125, "scaling": "fast_exchange",
-              "snapshot_every": 2, "initial": {}},
-    "output": {"snapshot_fields": False},
-    "seed": 0,
+    "output": {"snapshot_fields": (bool, False)},
+    "seed": (int, 0),
 }
 
 _DEFAULT_INITIAL = {
@@ -148,8 +124,26 @@ def _check_keys(mapping, allowed, path):
             raise ConfigError(f"unknown config key {path}{key!r}")
 
 
+def _check_type(value, kind, path):
+    """ConfigError unless ``value`` has the declared type ``kind``."""
+    if kind is object:
+        return
+    if isinstance(value, bool):  # a bool is an int to isinstance
+        ok = kind is bool
+    else:
+        ok = isinstance(value, (int, float) if kind is float else kind)
+    if not ok:
+        raise ConfigError(
+            f"config key {path!r} must be of type {kind.__name__}, "
+            f"got {value!r}")
+
+
 def resolve_config(raw, command):
-    """Validate against the schema and materialize all defaults."""
+    """Validate against the schema and materialize all defaults.
+
+    Values are checked, never coerced, so a resolved config resolves to
+    itself.
+    """
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
     sections = _COMMAND_SECTIONS[command]
@@ -157,13 +151,15 @@ def resolve_config(raw, command):
     resolved = {}
     for section in sections:
         spec = _SCHEMA[section]
-        default = _DEFAULTS[section]
-        value = raw.get(section, default)
         if isinstance(spec, dict):
+            value = raw.get(section, {})
             if not isinstance(value, dict):
                 raise ConfigError(f"section {section!r} must be an object")
             _check_keys(value, spec, f"{section}.")
-            merged = json.loads(json.dumps(default))
+            for key, item in value.items():
+                _check_type(item, spec[key][0], f"{section}.{key}")
+            merged = json.loads(json.dumps(
+                {key: default for key, (_, default) in spec.items()}))
             merged.update(value)
             if "initial" in merged:
                 init = dict(_DEFAULT_INITIAL)
@@ -183,6 +179,9 @@ def resolve_config(raw, command):
                 merged["initial"] = init
             resolved[section] = merged
         else:
+            kind, default = spec
+            value = raw.get(section, default)
+            _check_type(value, kind, section)
             resolved[section] = value
     return resolved
 
@@ -202,11 +201,21 @@ def _initial_closure(spec):
 
 
 def _coefficient(value):
-    if isinstance(value, (int, float)):
-        return fem.CoefficientField.isotropic(float(value))
-    if isinstance(value, list):
-        return fem.CoefficientField.constant(np.asarray(value, dtype=float))
-    raise ConfigError(f"coefficient must be scalar or 2x2 matrix, got {value!r}")
+    """The constant coefficient of a scalar or 2x2 matrix value.
+
+    ConfigError unless the value is finite and positive definite.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, float, list)):
+        raise ConfigError(
+            f"coefficient must be scalar or 2x2 matrix, got {value!r}")
+    matrix = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(matrix)):
+        raise ConfigError(f"coefficient must be finite, got {value!r}")
+    field = fem.CoefficientField.constant(matrix)
+    if not field.alpha > 0:
+        raise ConfigError(
+            f"coefficient must be positive definite, got {value!r}")
+    return field
 
 
 def _inclusion(cfg):
@@ -334,18 +343,15 @@ def cmd_tensor_suite(cfg, outdir, args):
 
 
 def _macro_pieces(cfg):
+    """(domain, kinetics, d0, cell context, |Gamma|, |Y*|) of a macro run."""
     domain = _domain(cfg["domain"])
     kin = kin_mod.parse_kinetics(cfg["kinetics"])
     mcfg = cfg["macro"]
-    forced_b = mcfg["forced_b"]
     forced_d0 = mcfg["forced_d0"]
-    lam = cfg["cell"]["lambda_macro"]
-    if (forced_b is None) != (forced_d0 is None):
+    if (mcfg["forced_b"] is None) != (forced_d0 is None):
         raise ConfigError("forced_b and forced_d0 must be set together")
-    if forced_b is not None and forced_d0 is not None:
+    if forced_d0 is not None:
         d0 = np.asarray(forced_d0, dtype=float)
-        table = cell_mod.DispersionTable.constant(
-            np.asarray(forced_b, dtype=float), s_max=lam)
         ctx = None
         gamma_len, cell_area = 0.0, 1.0
         if kin.y_dependent:
@@ -353,19 +359,28 @@ def _macro_pieces(cfg):
             gamma_len, cell_area = ctx.gamma_length, ctx.area
     else:
         ctx = _cell_context(cfg)
-        d1 = _coefficient(cfg["coefficients"]["d1"])
-        d2 = _coefficient(cfg["coefficients"]["d2"])
         d3 = _coefficient(cfg["coefficients"]["d3"])
         tensor, _ = cell_mod.scalar_tensor_with_check(ctx, d3)
         d0 = tensor.matrix
-        table = cell_mod.tabulate_b(ctx, d1, d2, kin.h, cfg["cell"]["s_grid"],
-                                    midpoint_tol=cfg["cell"]["midpoint_tol"])
         gamma_len, cell_area = ctx.gamma_length, ctx.area
-    return domain, kin, d0, table, ctx, gamma_len, cell_area
+    return domain, kin, d0, ctx, gamma_len, cell_area
+
+
+def _dispersion_table(cfg, kin, ctx):
+    """The forced B-table, or the one tabulated on the cell of ``ctx``."""
+    forced_b = cfg["macro"]["forced_b"]
+    if forced_b is not None:
+        return cell_mod.DispersionTable.constant(
+            np.asarray(forced_b, dtype=float),
+            s_max=cfg["cell"]["lambda_macro"])
+    return cell_mod.tabulate_b(ctx, _coefficient(cfg["coefficients"]["d1"]),
+                               _coefficient(cfg["coefficients"]["d2"]),
+                               kin.h, cfg["cell"]["s_grid"],
+                               midpoint_tol=cfg["cell"]["midpoint_tol"])
 
 
 def cmd_macro(cfg, outdir, args):
-    domain, kin, d0, table, ctx, gamma_len, cell_area = _macro_pieces(cfg)
+    domain, kin, d0, ctx, gamma_len, cell_area = _macro_pieces(cfg)
     mcfg = cfg["macro"]
     mesh = geo.build_macro_mesh(domain, mcfg["h"])
     x, y = mesh.nodes.T
@@ -387,7 +402,8 @@ def cmd_macro(cfg, outdir, args):
         traj = solver.run(state)
     else:
         config = macro_mod.MacroConfig(
-            dt=mcfg["dt"], t_end=mcfg["t_end"], d0=d0, btable=table,
+            dt=mcfg["dt"], t_end=mcfg["t_end"], d0=d0,
+            btable=_dispersion_table(cfg, kin, ctx),
             kinetics=kin, gamma_length=gamma_len, cell_area=cell_area,
             theta=mcfg["theta"], lambda_macro=cfg["cell"]["lambda_macro"],
             positivity=macro_mod.PositivityPolicy(mcfg["positivity"]),

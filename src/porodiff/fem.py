@@ -438,11 +438,7 @@ def solve_sparse(A, b, tol=1e-10, method="direct", maxiter=None, x0=None):
     if np.linalg.norm(b) == 0.0:
         return np.zeros_like(b)
     if method == "direct":
-        try:
-            handle = splu_factor(A)
-        except (RuntimeError, ValueError) as exc:
-            raise SingularSystemError(str(exc)) from exc
-        return solve_factored(handle, A, b, tol)
+        return solve_factored(splu_factor(A), A, b, tol)
     if method == "cg":
         diag = A.diagonal()
         if np.any(diag <= 0):
@@ -521,10 +517,14 @@ def factorize(A):
 
     Every system porodiff factors is symmetric (the SPD steppers, and the
     cell saddle-point systems with mean-zero multipliers), so SuperLU orders
-    by minimum degree on A'+A and prefers diagonal pivots.
+    by minimum degree on A'+A and prefers diagonal pivots. A matrix SuperLU
+    cannot factor raises SingularSystemError.
     """
-    return _LUHandle(spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
-                               options=dict(SymmetricMode=True)))
+    try:
+        return _LUHandle(spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                                   options=dict(SymmetricMode=True)))
+    except (RuntimeError, ValueError) as exc:
+        raise SingularSystemError(str(exc)) from exc
 
 
 def splu_factor(A):
@@ -543,10 +543,13 @@ def splu_factor(A):
             return handle
     handle = factorize(A_csc)
     with _factor_lock:
+        # evict before inserting, so that a reader never sees the cache
+        # above its size
+        if key not in _factor_cache:
+            while len(_factor_cache) >= _FACTOR_CACHE_SIZE:
+                _factor_cache.popitem(last=False)
         handle = _factor_cache.setdefault(key, handle)
         _factor_cache.move_to_end(key)
-        while len(_factor_cache) > _FACTOR_CACHE_SIZE:
-            _factor_cache.popitem(last=False)
     return handle
 
 
@@ -566,18 +569,33 @@ class HeldFactor:
     A preconditioner only has to be spectrally close to the operator; the
     residual contract of the CG solve guards accuracy. So the factor is kept
     until a solve needs more than REFACTOR_ITERS iterations, and then
-    refactored at that solve's operator for the solves after it.
+    refactored at that solve's operator for the solves after it. Without a
+    ``handle`` the first solve factors its operator.
     """
 
-    def __init__(self, handle):
+    def __init__(self, handle=None):
         self.handle = handle
         self.refactors = 0
+        self.last_iterations = 0
 
-    def refresh(self, iterations, operator):
-        """After a solve of ``iterations``: refactor at ``operator()`` if slow."""
-        if iterations > REFACTOR_ITERS:
+    def solve(self, A, b, tol, x0=None, operator=None):
+        """x with A x = b by CG preconditioned with the held factor.
+
+        A is a matrix or LinearOperator; ``operator()`` is the matrix that
+        is factored after a slow solve (and by a handle-less first solve),
+        A itself by default.
+        """
+        operator = operator or (lambda: A)
+        if self.handle is None:
+            self.handle = factorize(operator())
+        x, self.last_iterations = pcg(
+            A, b, spla.LinearOperator(A.shape, matvec=self.handle.solve,
+                                      dtype=float),
+            tol, x0=x0)
+        if self.last_iterations > REFACTOR_ITERS:
             self.handle = factorize(operator())
             self.refactors += 1
+        return x
 
 
 class _BlockDiagonal:
@@ -631,19 +649,6 @@ class ExchangeBlock:
         self.held = HeldFactor(
             first if self.equal
             else _BlockDiagonal(self.factors, self.A1r.shape[0]))
-        self.last_iterations = 0
-
-    def _solve(self, apply, b, operator, tol, x0):
-        """CG on apply(x) = b; refactors at operator() if it was slow."""
-        shape = (len(b), len(b))
-        x, iters = pcg(
-            spla.LinearOperator(shape, matvec=apply, dtype=float), b,
-            spla.LinearOperator(shape, matvec=self.held.handle.solve,
-                                dtype=float),
-            tol, x0=x0)
-        self.last_iterations = iters
-        self.held.refresh(iters, operator)
-        return x
 
 
 def solve_exchange_block(block, Cr, b1, b2, tol=1e-10, x0=None):
@@ -672,10 +677,11 @@ def solve_exchange_block(block, Cr, b1, b2, tol=1e-10, x0=None):
     if block.equal:
         A = block.A1r
         x_sum = solve_factored(block.factors[0], A, b1r + b2r, tol)
-        x_diff = block._solve(
-            lambda d: A @ d + 2.0 * (Cr @ d), b1r - b2r,
-            lambda: A + 2.0 * Cr, tol,
-            None if x0r is None else x0r[0] - x0r[1])
+        x_diff = block.held.solve(
+            spla.LinearOperator(A.shape, dtype=float,
+                                matvec=lambda d: A @ d + 2.0 * (Cr @ d)),
+            b1r - b2r, tol, None if x0r is None else x0r[0] - x0r[1],
+            operator=lambda: A + 2.0 * Cr)
         x1r = 0.5 * (x_sum + x_diff)
         x2r = 0.5 * (x_sum - x_diff)
     else:
@@ -686,10 +692,12 @@ def solve_exchange_block(block, Cr, b1, b2, tol=1e-10, x0=None):
             flux = Cr @ (x1 - x2)
             return np.concatenate([A1r @ x1 + flux, A2r @ x2 - flux])
 
-        x = block._solve(
-            apply, np.concatenate([b1r, b2r]),
-            lambda: sp.bmat([[A1r + Cr, -Cr], [-Cr, A2r + Cr]], format="csc"),
-            tol, None if x0r is None else np.concatenate(x0r))
+        x = block.held.solve(
+            spla.LinearOperator((2 * n, 2 * n), matvec=apply, dtype=float),
+            np.concatenate([b1r, b2r]), tol,
+            None if x0r is None else np.concatenate(x0r),
+            operator=lambda: sp.bmat([[A1r + Cr, -Cr], [-Cr, A2r + Cr]],
+                                     format="csc"))
         x1r, x2r = x[:n], x[n:]
     return red.expand(x1r), red.expand(x2r)
 

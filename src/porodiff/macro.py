@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
 
 from . import fem, kinetics as kin_mod
 from .errors import TableRangeError
@@ -110,7 +109,7 @@ class MacroSolver(ImexStepper):
                                            self.reducer)
         self.two_m = 2.0 * self.M.data
         # preconditioner of the A_c solves, factored at the first step
-        self.held = None
+        self.held = fem.HeldFactor()
         gamma_over_cell = config.gamma_length / config.cell_area
         self.rate_pair = _averaged_pair_rate(config.kinetics, config.cell_ctx)
         self.rate_slow = _averaged_slow_rate(config.kinetics, config.cell_ctx,
@@ -153,13 +152,8 @@ class MacroSolver(ImexStepper):
             b_c = b_c - (1.0 - th) * dt * (self.pattern.matrix(k_data) @ c)
         A_r = self.pattern.restricted(self.two_m + (th * dt) * k_data)
         b_r = self.reducer.reduce_rhs(b_c)
-        if self.held is None:
-            self.held = fem.HeldFactor(fem.factorize(A_r))
-        x, iters = fem.pcg(
-            A_r, b_r, spla.LinearOperator(A_r.shape, dtype=float,
-                                          matvec=self.held.handle.solve),
-            cfg.solver_tol, x0=self.reducer.P.T @ c)
-        self.held.refresh(iters, lambda: A_r)
+        x = self.held.solve(A_r, b_r, cfg.solver_tol,
+                            x0=self.reducer.P.T @ c)
 
         f_3 = finite("f3+g3", self.rate_slow(c, c3), state.t)
         b_3 = self.M @ c3 + dt * (self.M @ f_3)

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from porodiff import cell, fem, geometry as geo, kinetics as kin
-from porodiff.errors import MeshMismatchError
+from porodiff.errors import MeshMismatchError, SingularSystemError
 from porodiff.interpolate import P1Interpolator
 
 # Frozen oracle for the effective coefficient of the unit-coefficient cell
@@ -185,6 +185,13 @@ class TestScalarCell:
         sol = cell.solve_scalar_pair(coarse_ctx, identity_field)
         with pytest.raises(MeshMismatchError):
             cell.effective_tensor_scalar(cell_ctx, sol, identity_field)
+
+    def test_zero_coefficient_is_a_singular_system(self, coarse_ctx):
+        # SuperLU's RuntimeError on the singular bordered matrix is
+        # reported as the solver error class
+        with pytest.raises(SingularSystemError):
+            cell.scalar_tensor_with_check(
+                coarse_ctx, fem.CoefficientField.isotropic(0.0))
 
 
 class TestCoupledCell:

@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from porodiff import cli, geometry as geo
+from porodiff import cell, cli, geometry as geo
 
 
 def run_cli(tmp_path, command, config, out="out", extra=()):
@@ -37,6 +37,40 @@ class TestConfigHandling:
         bad = {"shape": "disc", "center": [0.5, 0.5], "radius": 0.6}
         code, _ = run_cli(tmp_path, "cell-tensor",
                           {"geometry": {"inclusion": bad, "h": 0.05}})
+        assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("command,config", [
+        ("macro", {"macro": {"dt": "0.001"}}),
+        ("validate", {"kinetics": 5}),
+        ("micro", {"micro": {"snapshot_every": 1.5, "dt": 1e-3,
+                             "t_end": 2e-3}}),
+        ("micro", {"micro": {"epsilon": True, "dt": 1e-3, "t_end": 2e-3}}),
+        ("macro", {"macro": {"variant": 1, "h": 1 / 8, "t_end": 2e-3}}),
+        ("mesh", {"geometry": {"inclusion": DISC, "h": 0.1}, "seed": 1.0}),
+        ("mesh", {"geometry": {"inclusion": "disc", "h": 0.1}})])
+    def test_declared_types_enforced(self, tmp_path, command, config):
+        code, outdir = run_cli(tmp_path, command, config)
+        assert code == cli.EXIT_CONFIG
+        # rejected while resolving, before any artifact is written
+        assert not outdir.exists()
+
+    def test_int_passes_for_float_uncoerced(self, tmp_path):
+        code, outdir = run_cli(tmp_path, "validate",
+                               {"geometry": {"inclusion": DISC, "h": 1},
+                                "kinetics": "zero", "seed": 7})
+        assert code == 0
+        config = json.loads((outdir / "manifest.json").read_text())["config"]
+        assert config["geometry"]["h"] == 1
+        assert isinstance(config["geometry"]["h"], int)
+        assert config["seed"] == 7
+
+    @pytest.mark.parametrize("d3", [
+        0.0, -1.0, float("nan"), True, [[1, 0], [0, -1]],
+        [[1, 0], [0, float("inf")]]])
+    def test_bad_constant_coefficient_exit_2(self, tmp_path, d3):
+        code, _ = run_cli(tmp_path, "cell-tensor",
+                          {"geometry": {"inclusion": DISC, "h": 0.1},
+                           "coefficients": {"d3": d3}, "cell": {"h": 0.1}})
         assert code == cli.EXIT_CONFIG
 
     def test_defaults_materialized_in_manifest(self, tmp_path):
@@ -132,6 +166,29 @@ class TestCommands:
         decay_c3 = last["norm_c3"] / first["norm_c3"]
         assert abs(decay_c / math.exp(-math.pi ** 2 * T) - 1) < 0.05
         assert abs(decay_c3 / math.exp(-2 * math.pi ** 2 * T) - 1) < 0.05
+
+    def test_variant_macro_tabulates_no_b_table(self, tmp_path,
+                                                monkeypatch):
+        calls = []
+        tabulate_b = cell.tabulate_b
+
+        def record(*args, **kwargs):
+            calls.append(args)
+            return tabulate_b(*args, **kwargs)
+
+        monkeypatch.setattr(cell, "tabulate_b", record)
+        config = {
+            "geometry": {"inclusion": DISC, "h": 0.1},
+            "coefficients": {"d1": 1.0, "d2": [[2, 0], [0, 1]], "d3": 1.0},
+            "kinetics": "langmuir:a=1,b=1",
+            "cell": {"h": 0.1},
+            "macro": {"h": 1 / 8, "dt": 1e-3, "t_end": 2e-3,
+                      "variant": True},
+        }
+        code, outdir = run_cli(tmp_path, "macro", config)
+        assert code == 0 and calls == []
+        header = (outdir / "trajectory.csv").read_text().splitlines()[0]
+        assert "norm_c1" in header.split(",")
 
     def test_micro_outputs(self, tmp_path):
         config = {

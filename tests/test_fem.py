@@ -266,6 +266,59 @@ class TestSolve:
         assert np.allclose(x1, x2, rtol=1e-11, atol=1e-13)
 
 
+class TestHeldFactor:
+    @pytest.fixture
+    def pair(self, macro_mesh_16):
+        """Two SPD operators far apart, and a right-hand side."""
+        M = fem.assemble_mass(macro_mesh_16)
+        K = fem.assemble_stiffness(macro_mesh_16,
+                                   fem.CoefficientField.isotropic(1.0))
+        b = np.random.default_rng(3).standard_normal(macro_mesh_16.n_nodes)
+        return (M + 1e-3 * K).tocsr(), (M + 10.0 * K).tocsr(), b
+
+    def test_handle_less_factor_factors_its_first_operator(
+            self, pair, factorize_calls):
+        A, _, b = pair
+        held = fem.HeldFactor()
+        x = held.solve(A, b, 1e-10)
+        assert factorize_calls == [A.shape]
+        assert held.last_iterations == 1 and held.refactors == 0
+        assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    def test_slow_solve_refactors_once_at_the_operator(self, pair,
+                                                       monkeypatch):
+        near, far, b = pair
+        held = fem.HeldFactor(fem.factorize(near))
+        factored = []
+        factorize = fem.factorize
+
+        def record(A):
+            factored.append(A)
+            return factorize(A)
+
+        monkeypatch.setattr(fem, "factorize", record)
+        monkeypatch.setattr(fem, "REFACTOR_ITERS", 1)
+        target = far.copy()
+        held.solve(far, b, 1e-10, operator=lambda: target)
+        assert held.last_iterations > 1
+        assert held.refactors == 1 and len(factored) == 1
+        assert factored[0] is target
+        held.solve(far, b, 1e-10, operator=lambda: target)
+        assert held.last_iterations == 1
+        assert held.refactors == 1 and len(factored) == 1
+
+    def test_last_iterations_is_the_pcg_count(self, pair):
+        near, far, b = pair
+        handle = fem.factorize(near)
+        want, iters = fem.pcg(far, b, spla.LinearOperator(
+            far.shape, matvec=handle.solve, dtype=float), 1e-10,
+            x0=np.ones_like(b))
+        held = fem.HeldFactor(handle)
+        got = held.solve(far, b, 1e-10, x0=np.ones_like(b))
+        assert held.last_iterations == iters > 1
+        assert np.array_equal(got, want)
+
+
 def _unequal_pair(mesh):
     M = fem.assemble_mass(mesh)
     K1 = fem.assemble_stiffness(mesh, fem.CoefficientField.isotropic(1.0))
@@ -407,7 +460,7 @@ class TestExchangeBlock:
             fem.solve_exchange_block(block, red.restrict(C),
                                      rng.standard_normal(mesh.n_nodes),
                                      rng.standard_normal(mesh.n_nodes))
-            history.append((block.last_iterations, block.held.refactors))
+            history.append((block.held.last_iterations, block.held.refactors))
         return block, history
 
     def test_strong_exchange_refactors_once(self, cell_mesh):

@@ -158,7 +158,7 @@ class TestExchangePreconditioner:
         state = micro.initial_state(mesh, bump, bump, bump)
         for _ in range(2):
             state = solver.step(state)
-            assert solver.exchange.last_iterations <= bound
+            assert solver.exchange.held.last_iterations <= bound
         assert solver.A3_handle is solver.exchange.factors[0]
         assert solver.A3_r is solver.exchange.A1r
         assert factorize_calls == [(solver.reducer.n_reduced,) * 2] * 2
