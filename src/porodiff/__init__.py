@@ -17,8 +17,8 @@ from .cell import (CellContext, CoupledCellProblem, DispersionTable,
                    solve_scalar_pair, tabulate_b)
 from .convergence import (ConvergenceReport, SweepProblem, fit_rate,
                           run_sweep, tensor_suite)
-from .fem import (CoefficientField, ConstraintSet, assemble_boundary_mass,
-                  assemble_mass, assemble_stiffness, solve_sparse)
+from .fem import (CoefficientField, assemble_boundary_mass, assemble_mass,
+                  assemble_stiffness, solve_sparse)
 from .geometry import (EdgeMarker, EpsilonDomainSpec, InclusionSpec, Mesh,
                        PeriodicMap, RectUnion, build_epsilon_mesh,
                        build_macro_mesh, build_unit_cell_mesh,

@@ -97,8 +97,7 @@ def _field_operators(mesh, areas, grads, mats):
 def _solve_scalar(ctx, K, loads, tol):
     """Scalar correctors of both directions from K and the direction loads."""
     mesh = ctx.mesh
-    cs = fem.ConstraintSet(periodic=ctx.periodic, mean_zero=ctx.mean_weights)
-    reducer = fem.ConstraintReducer(mesh.n_nodes, cs)
+    reducer = fem.ConstraintReducer(ctx.periodic, ctx.mean_weights)
     A_r, _ = reducer.reduce(K, np.zeros(mesh.n_nodes))
     handle = fem.splu_factor(A_r)
     return CellSolution(mesh, {
@@ -257,8 +256,8 @@ class CoupledCellProblem:
         K = sp.block_diag([self._field(k)[0] for k in range(2)],
                           format="csr")
         mean_zero = np.concatenate([ctx.mean_weights, np.zeros(n)])
-        reducer = fem.ConstraintReducer(2 * n, fem.ConstraintSet(
-            periodic=_block_periodic(ctx.periodic, n), mean_zero=mean_zero))
+        reducer = fem.ConstraintReducer(_block_periodic(ctx.periodic, n),
+                                        mean_zero)
         self.reducer = reducer
         self.K_r, _ = reducer.reduce(K, np.zeros(2 * n))
         loads = [self._field(k)[1] for k in range(2)]
@@ -266,10 +265,9 @@ class CoupledCellProblem:
             reducer.reduce_rhs(np.concatenate([loads[0][j], loads[1][j]]))
             for j in range(2)])
         G = ctx.gamma_mass
-        zero = sp.csr_matrix((reducer.n_multipliers,) * 2)
         self.E_r = sp.block_diag(
-            [reducer.restrict(sp.bmat([[G, -G], [-G, G]])), zero],
-            format="csr")
+            [reducer.restrict(sp.bmat([[G, -G], [-G, G]])),
+             sp.csr_matrix((1, 1))], format="csr")
 
     def solve(self, exchange_rate, tol=1e-10):
         """Coupled correctors for both directions at one exchange rate."""

@@ -44,7 +44,7 @@ _INITIAL_KINDS = ("zero", "constant", "bump", "sine")
 # section -> key -> (declared type, default); the top-level keys that are
 # not sections map to one (type, default) pair. A value must have its
 # declared type as given: an int passes for a float, a bool for no number,
-# and ``object`` takes any value.
+# null passes where the default is null, and ``object`` takes any value.
 _SCHEMA = {
     "geometry": {
         "inclusion": (dict, {"shape": "disc", "center": [0.5, 0.5],
@@ -59,7 +59,7 @@ _SCHEMA = {
         "h": (float, 0.05),
         "s_grid": (list, [0.0, 0.5, 1.0, 2.0]),
         "lambda_macro": (float, 2.0),
-        "midpoint_tol": (object, None),
+        "midpoint_tol": (float, None),
         "exchange_values": (list, [0.0, 0.5, 1.0, 10.0]),
     },
     "macro": {
@@ -76,7 +76,7 @@ _SCHEMA = {
     },
     "micro": {
         "epsilon": (float, 0.25),
-        "h_cell": (object, None),
+        "h_cell": (float, None),
         "dt": (float, 1e-3),
         "t_end": (float, 0.05),
         "scaling": (str, "fast_exchange"),
@@ -124,9 +124,11 @@ def _check_keys(mapping, allowed, path):
             raise ConfigError(f"unknown config key {path}{key!r}")
 
 
-def _check_type(value, kind, path):
-    """ConfigError unless ``value`` has the declared type ``kind``."""
-    if kind is object:
+def _check_type(value, spec, path):
+    """ConfigError unless ``value`` has the declared type of ``spec``, a
+    (type, default) pair of ``_SCHEMA``."""
+    kind, default = spec
+    if kind is object or (value is None and default is None):
         return
     if isinstance(value, bool):  # a bool is an int to isinstance
         ok = kind is bool
@@ -157,7 +159,7 @@ def resolve_config(raw, command):
                 raise ConfigError(f"section {section!r} must be an object")
             _check_keys(value, spec, f"{section}.")
             for key, item in value.items():
-                _check_type(item, spec[key][0], f"{section}.{key}")
+                _check_type(item, spec[key], f"{section}.{key}")
             merged = json.loads(json.dumps(
                 {key: default for key, (_, default) in spec.items()}))
             merged.update(value)
@@ -179,9 +181,8 @@ def resolve_config(raw, command):
                 merged["initial"] = init
             resolved[section] = merged
         else:
-            kind, default = spec
-            value = raw.get(section, default)
-            _check_type(value, kind, section)
+            value = raw.get(section, spec[1])
+            _check_type(value, spec, section)
             resolved[section] = value
     return resolved
 
@@ -230,7 +231,14 @@ def _inclusion(cfg):
 
 
 def _domain(cfg):
-    return geo.RectUnion.of(*cfg["rectangles"])
+    rects = cfg["rectangles"]
+    for rect in rects:
+        if not (isinstance(rect, list) and len(rect) == 4 and all(
+                isinstance(v, (int, float)) and not isinstance(v, bool)
+                and np.isfinite(v) for v in rect)):
+            raise ConfigError(
+                f"domain rectangle must be four finite numbers, got {rect!r}")
+    return geo.RectUnion.of(*rects)
 
 
 def _write_json(obj, path):

@@ -33,10 +33,6 @@ class NoMarkedBoundaryError(PorodiffError):
     """The mesh carries no edges with the requested marker."""
 
 
-class ConflictingConstraintsError(PorodiffError):
-    """A degree of freedom carries more than one constraint class."""
-
-
 class SingularSystemError(PorodiffError):
     """Linear system is singular (usually a constraint-setup bug)."""
 

@@ -1,10 +1,11 @@
 """P1 finite-element assembly and constrained sparse linear algebra.
 
 Stiffness uses one-point (centroid) quadrature for the coefficient, mass and
-boundary mass use the exact P1 closed forms. Periodic identification is done
-by slave elimination, Dirichlet rows/columns are eliminated with the right
-hand side updated, and mean-zero conditions are enforced through Lagrange
-multipliers, so reduced systems stay symmetric.
+boundary mass use the exact P1 closed forms. Two reductions serve the two
+kinds of problems: zero Dirichlet rows and columns are dropped
+(DirichletReducer), and a cell problem eliminates its periodic slaves and
+enforces its mean-zero condition through one Lagrange multiplier
+(ConstraintReducer), so reduced systems stay symmetric.
 
 Assembly scatters element contributions in a fixed order and compresses
 duplicates by sorted index, so assembled matrices are bit-reproducible and
@@ -17,19 +18,14 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import (
-    ConflictingConstraintsError,
-    NoConvergenceError,
-    NoMarkedBoundaryError,
-    SingularSystemError,
-)
-from .geometry import EdgeMarker, PeriodicMap
+from .errors import NoConvergenceError, NoMarkedBoundaryError, SingularSystemError
+from .geometry import EdgeMarker
 
 
 @dataclass(frozen=True)
@@ -242,8 +238,8 @@ class AssemblyPattern:
         data = np.bincount(slot, local.ravel()[perm])
 
     adds the same numbers in the same order: ``matrix(data)`` is bitwise
-    equal to ``scatter``'s matrix. Built with a Dirichlet ``reducer``, it
-    also records which data entries the restricted matrix P'AP keeps, so
+    equal to ``scatter``'s matrix. Built with a DirichletReducer, it also
+    records which data entries the restricted matrix P'AP keeps, so
     ``restricted(data)`` is a slice of ``data``.
 
     Building a pattern costs about as much as one assembly, so one-shot
@@ -277,7 +273,7 @@ class AssemblyPattern:
         ).astype(self.indices.dtype)
         self._restriction = None
         if reducer is not None:
-            if reducer._kept is None:
+            if not isinstance(reducer, DirichletReducer):
                 raise ValueError("a pattern restricts by Dirichlet rows only")
             kept = reducer.restrict(self.matrix(np.arange(1.0, self.nnz + 1)))
             self._restriction = (kept.data.astype(np.intp) - 1, kept.indices,
@@ -303,124 +299,74 @@ class AssemblyPattern:
 # constraints
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ConstraintSet:
-    """Periodic pairs, Dirichlet values, and mean-zero functionals.
+class DirichletReducer:
+    """Zero Dirichlet values on ``nodes``; the reduced dofs are the rest.
 
-    ``mean_zero`` is a weight vector (or list of vectors) w with the
-    constraint w'x = 0, each enforced through one Lagrange multiplier.
+    The reduction P is the selection of the dofs that the boolean mask
+    ``kept`` marks, so P'AP is a slice of A and P'b, Px are a slice and a
+    scatter into zeros. Each adds +0.0 as the products P'b and Px do, which
+    turns -0.0 into +0.0. A mask slices and scatters faster than an index
+    array.
     """
 
-    periodic: PeriodicMap | None = None
-    dirichlet_nodes: np.ndarray | None = None
-    dirichlet_values: object = 0.0
-    mean_zero: object = None
+    def __init__(self, n, nodes):
+        self.kept = np.ones(int(n), dtype=bool)
+        self.kept[np.asarray(nodes, dtype=np.int64)] = False
+
+    def restrict(self, A):
+        """P'AP: A on the kept dofs."""
+        return A.tocsr()[self.kept][:, self.kept]
+
+    def reduce_rhs(self, b):
+        """P'b: b on the kept dofs."""
+        return np.asarray(b, dtype=float)[self.kept] + 0.0
+
+    def expand(self, x_reduced):
+        """Px: the full vector, zero on the Dirichlet nodes."""
+        x = np.zeros(len(self.kept))
+        x[self.kept] = x_reduced + 0.0
+        return x
 
 
 class ConstraintReducer:
-    """Reusable reduction full dofs -> constrained dofs for one ConstraintSet."""
+    """Periodic slave elimination plus one mean-zero multiplier.
 
-    def __init__(self, n, constraints):
-        self.n = int(n)
-        cs = constraints
-        master = np.arange(self.n, dtype=np.int64)
-        slaves = np.zeros(self.n, dtype=bool)
-        if cs.periodic is not None:
-            pairs = cs.periodic.pairs
-            master[pairs[:, 1]] = pairs[:, 0]
-            slaves[pairs[:, 1]] = True
+    P maps the periodic masters to all nodes; the constraint w'x = 0 for
+    the weights ``mean_zero`` is enforced by one Lagrange multiplier, so the
+    reduced system stays symmetric.
+    """
 
-        dir_mask = np.zeros(self.n, dtype=bool)
-        dir_vals = np.zeros(self.n)
-        if cs.dirichlet_nodes is not None and len(cs.dirichlet_nodes):
-            idx = np.asarray(cs.dirichlet_nodes, dtype=np.int64)
-            vals = np.broadcast_to(np.asarray(cs.dirichlet_values, dtype=float),
-                                   idx.shape)
-            dir_mask[idx] = True
-            dir_vals[idx] = vals
-            if cs.periodic is not None:
-                pairs = cs.periodic.pairs
-                touched = dir_mask[pairs[:, 0]] | dir_mask[pairs[:, 1]]
-                if touched.any():
-                    raise ConflictingConstraintsError(
-                        "a node is both periodic and Dirichlet"
-                    )
-
-        keep = ~(slaves | dir_mask)
-        # Without periodic slaves P only selects the kept dofs, so P'AP is
-        # an index slice of A.
-        self._kept = None if slaves.any() else np.nonzero(keep)[0]
+    def __init__(self, periodic, mean_zero):
+        n = periodic.n_nodes
+        keep = np.ones(n, dtype=bool)
+        keep[periodic.pairs[:, 1]] = False
         red_index = np.cumsum(keep) - 1
         self.n_reduced = int(keep.sum())
-        rows = np.nonzero(~dir_mask)[0]
-        targets = master[rows]
-        if dir_mask[targets].any():
-            raise ConflictingConstraintsError(
-                "a periodic master node carries a Dirichlet value"
-            )
         self.P = sp.coo_matrix(
-            (np.ones(len(rows)), (rows, red_index[targets])),
-            shape=(self.n, self.n_reduced),
+            (np.ones(n), (np.arange(n), red_index[periodic.master_of()])),
+            shape=(n, self.n_reduced),
         ).tocsr()
-        self.dirichlet_values = dir_vals
-        # zero Dirichlet values need no lift of b and no shift of x
-        self.lifts = bool(np.any(dir_vals))
-        self.dirichlet_mask = dir_mask
-
-        mz = cs.mean_zero
-        if mz is None:
-            mz_list = []
-        elif isinstance(mz, (list, tuple)):
-            mz_list = [np.asarray(w, dtype=float) for w in mz]
-        else:
-            mz_list = [np.asarray(mz, dtype=float)]
-        self.mean_zero_reduced = [self.P.T @ w for w in mz_list]
-        self.n_multipliers = len(mz_list)
+        self.mean_zero_reduced = self.P.T @ np.asarray(mean_zero, dtype=float)
 
     def restrict(self, A):
-        """P'AP: A on the reduced dofs, without multiplier rows."""
-        if self._kept is not None:
-            return A.tocsr()[self._kept][:, self._kept]
+        """P'AP: A on the reduced dofs, without the multiplier row."""
         return (self.P.T @ A @ self.P).tocsr()
 
     def reduce(self, A, b):
-        """Reduced, symmetric (A_r, b_r); multiplier rows appended last."""
-        A_r = self.restrict(A)
-        if self.n_multipliers:
-            cols = sp.hstack([sp.csr_matrix(w.reshape(-1, 1))
-                              for w in self.mean_zero_reduced])
-            zero = sp.csr_matrix((self.n_multipliers, self.n_multipliers))
-            A_r = sp.bmat([[A_r, cols], [cols.T, zero]], format="csr")
-        return A_r, self.reduce_rhs(b, self.lift(A))
+        """Reduced, symmetric (A_r, b_r); the multiplier row is last."""
+        w = sp.csr_matrix(self.mean_zero_reduced.reshape(-1, 1))
+        A_r = sp.bmat([[self.restrict(A), w], [w.T, sp.csr_matrix((1, 1))]],
+                      format="csr")
+        return A_r, self.reduce_rhs(b)
 
-    def lift(self, A):
-        """A g for the Dirichlet values g, or None when they are all zero.
-
-        A solver with a constant A computes this once and passes it to
-        every ``reduce_rhs``.
-        """
-        return A @ self.dirichlet_values if self.lifts else None
-
-    def reduce_rhs(self, b, lift=None):
-        """The b_r of ``reduce`` alone; ``lift`` is ``self.lift(A)``."""
-        b = np.asarray(b, dtype=float)
-        if self.lifts:
-            if lift is None:
-                raise ValueError("non-zero Dirichlet values need the lift A g")
-            b = b - lift
-        b_r = self.P.T @ b
-        if self.n_multipliers:
-            b_r = np.concatenate([b_r, np.zeros(self.n_multipliers)])
-        return b_r
+    def reduce_rhs(self, b):
+        """The b_r of ``reduce`` alone."""
+        return np.concatenate([self.P.T @ np.asarray(b, dtype=float),
+                               np.zeros(1)])
 
     def expand(self, x_reduced):
-        """Full nodal vector from a reduced solution (multipliers dropped)."""
-        if self.n_multipliers:
-            x_reduced = x_reduced[: self.n_reduced]
-        x = self.P @ x_reduced
-        if self.lifts:
-            x = x + self.dirichlet_values
-        return x
+        """Full nodal vector from a reduced solution (multiplier dropped)."""
+        return self.P @ x_reduced[: self.n_reduced]
 
 
 # ---------------------------------------------------------------------------
@@ -616,10 +562,9 @@ class _BlockDiagonal:
 class ExchangeBlock:
     """The constant part of the exchange block [[A1+C, -C], [-C, A2+C]].
 
-    Built once per stepper: it holds the reduced A1r and A2r, their
-    ``factors`` (one shared factor for an equal pair) and, for non-zero
-    Dirichlet values g, the ``lift_vectors`` A1 g and A2 g; the full A1 and
-    A2 are not kept. ``held`` is the CG preconditioner, a HeldFactor of the
+    Built once per stepper: it holds the reduced A1r and A2r and their
+    ``factors`` (one shared factor for an equal pair); the full A1 and A2
+    are not kept. ``held`` is the CG preconditioner, a HeldFactor of the
     block itself at a held exchange matrix C_ref. C_ref starts at zero,
     where the block is diag(A1r, A2r) and the preconditioner is one solve
     with each field's factor, exact for C = 0 and any pair. When a solve
@@ -628,22 +573,17 @@ class ExchangeBlock:
     is about twice the size of a field factor and is held beside the field
     factors.
 
-    ``reducer`` is the single-field constraint reduction, applied to both
+    ``reducer`` is the single-field DirichletReducer, applied to both
     fields. With ``equal=True`` (A1 and A2 are the same operator) the block
     decouples exactly into sum and difference fields, and ``held`` is a
     factor of A + 2 C_ref for the difference field.
     """
 
     def __init__(self, A1, A2, reducer, equal=False):
-        if reducer.n_multipliers:
-            raise ConflictingConstraintsError(
-                "exchange block solve does not support mean-zero multipliers"
-            )
         self.reducer = reducer
         self.equal = bool(equal)
         self.A1r = reducer.restrict(A1)
         self.A2r = self.A1r if self.equal else reducer.restrict(A2)
-        self.lift_vectors = (reducer.lift(A1), reducer.lift(A2))
         first = factorize(self.A1r)
         self.factors = (first, first if self.equal else factorize(self.A2r))
         self.held = HeldFactor(
@@ -669,10 +609,10 @@ def solve_exchange_block(block, Cr, b1, b2, tol=1e-10, x0=None):
     Every solve meets the relative-residual contract.
     """
     red = block.reducer
-    P = red.P
-    b1r = red.reduce_rhs(b1, block.lift_vectors[0])
-    b2r = red.reduce_rhs(b2, block.lift_vectors[1])
-    x0r = None if x0 is None else (P.T @ x0[0], P.T @ x0[1])
+    b1r = red.reduce_rhs(b1)
+    b2r = red.reduce_rhs(b2)
+    x0r = None if x0 is None else (red.reduce_rhs(x0[0]),
+                                   red.reduce_rhs(x0[1]))
     n = len(b1r)
     if block.equal:
         A = block.A1r

@@ -180,7 +180,8 @@ def parse_kinetics(text):
     """Parse CLI-style kinetics, e.g. ``mm_triple+langmuir:a=1,b=1``.
 
     Parts are joined with ``+``; the langmuir part overrides the exchange
-    rate of the volume/surface part.
+    rate of the volume/surface part. Only langmuir takes parameters from
+    text, its ``a`` and ``b``.
     """
     parts = [p.strip() for p in text.split("+") if p.strip()]
     if not parts:
@@ -189,15 +190,20 @@ def parse_kinetics(text):
     exchange = None
     for part in parts:
         name, _, argtext = part.partition(":")
+        is_langmuir = name.strip().lower() in ("langmuir", "langmuir_exchange")
         params = {}
         if argtext:
             for item in argtext.split(","):
                 k, _, v = item.partition("=")
                 if not _:
                     raise UnknownNameError(f"malformed kinetics parameter {item!r}")
-                params[k.strip()] = float(v)
+                k = k.strip()
+                if not (is_langmuir and k in ("a", "b")):
+                    raise UnknownNameError(
+                        f"unknown parameter {k!r} of kinetics {name!r}")
+                params[k] = float(v)
         k = builtin(name, **params)
-        if name.strip().lower() in ("langmuir", "langmuir_exchange"):
+        if is_langmuir:
             exchange = k
         else:
             if result is not None:

@@ -153,7 +153,7 @@ class MacroSolver(ImexStepper):
         A_r = self.pattern.restricted(self.two_m + (th * dt) * k_data)
         b_r = self.reducer.reduce_rhs(b_c)
         x = self.held.solve(A_r, b_r, cfg.solver_tol,
-                            x0=self.reducer.P.T @ c)
+                            x0=self.reducer.reduce_rhs(c))
 
         f_3 = finite("f3+g3", self.rate_slow(c, c3), state.t)
         b_3 = self.M @ c3 + dt * (self.M @ f_3)
@@ -288,7 +288,7 @@ def steady_sanity(mesh, d0, btable, case="slow_sine", dt=0.01,
         final, _ = run_to_steady(solver)
         mats_f = solver.dispersion_matrices(final.c3)
         K_Bf = fem.assemble_stiffness_elementwise(mesh, mats_f)
-        free = ~solver.reducer.dirichlet_mask
+        free = solver.reducer.kept
         res_c = (K_Bf @ final.c - cfg.source_vec_c)[free]
         res_c3 = (K3 @ final.c3 - cfg.source_vec_c3)[free]
         scale = max(np.linalg.norm(cfg.source_vec_c), 1e-300)

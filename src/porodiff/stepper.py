@@ -95,9 +95,8 @@ class ImexStepper:
         self.cfg = config
         self.M = fem.assemble_mass(mesh)
         self.mass_weights = np.asarray(self.M.sum(axis=1)).ravel()
-        dirichlet = mesh.nodes_with(EdgeMarker.OUTER)
-        self.reducer = fem.ConstraintReducer(
-            mesh.n_nodes, fem.ConstraintSet(dirichlet_nodes=dirichlet))
+        self.reducer = fem.DirichletReducer(
+            mesh.n_nodes, mesh.nodes_with(EdgeMarker.OUTER))
 
     def solve_c3(self, b3):
         """c3 from its right-hand side, under the residual contract."""

@@ -369,10 +369,8 @@ def direct_bordered_pair(ctx, coeff1, coeff2, kappa):
     K2 = fem.assemble_stiffness(mesh, coeff2)
     C = kappa * ctx.gamma_mass
     A = sp.bmat([[K1 + C, -C], [-C, K2 + C]], format="csr")
-    cs = fem.ConstraintSet(
-        periodic=cell._block_periodic(ctx.periodic, n),
-        mean_zero=[np.concatenate([ctx.mean_weights, np.zeros(n)])])
-    red = fem.ConstraintReducer(2 * n, cs)
+    red = fem.ConstraintReducer(cell._block_periodic(ctx.periodic, n),
+                                np.concatenate([ctx.mean_weights, np.zeros(n)]))
     A_r, _ = red.reduce(A, np.zeros(2 * n))
     loads = [cell._direction_loads(mesh, *fem.triangle_geometry(mesh),
                                    np.asarray(c.matrix_at(mesh.centroids)))

@@ -47,7 +47,9 @@ class TestConfigHandling:
         ("micro", {"micro": {"epsilon": True, "dt": 1e-3, "t_end": 2e-3}}),
         ("macro", {"macro": {"variant": 1, "h": 1 / 8, "t_end": 2e-3}}),
         ("mesh", {"geometry": {"inclusion": DISC, "h": 0.1}, "seed": 1.0}),
-        ("mesh", {"geometry": {"inclusion": "disc", "h": 0.1}})])
+        ("mesh", {"geometry": {"inclusion": "disc", "h": 0.1}}),
+        ("micro", {"micro": {"h_cell": "0.01", "dt": 1e-3, "t_end": 2e-3}}),
+        ("btable", {"cell": {"midpoint_tol": "x"}})])
     def test_declared_types_enforced(self, tmp_path, command, config):
         code, outdir = run_cli(tmp_path, command, config)
         assert code == cli.EXIT_CONFIG
@@ -71,6 +73,22 @@ class TestConfigHandling:
         code, _ = run_cli(tmp_path, "cell-tensor",
                           {"geometry": {"inclusion": DISC, "h": 0.1},
                            "coefficients": {"d3": d3}, "cell": {"h": 0.1}})
+        assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("rectangles", [
+        [[0, 0, 1]], [[0, 0, 1, "1"]], [[0, 0, 1, True]], [[0, 0, 1, math.inf]],
+        [0, 0, 1, 1]])
+    def test_bad_domain_rectangle_exit_2(self, tmp_path, rectangles):
+        code, _ = run_cli(tmp_path, "micro",
+                          {"domain": {"rectangles": rectangles},
+                           "micro": {"dt": 1e-3, "t_end": 2e-3}})
+        assert code == cli.EXIT_CONFIG
+
+    @pytest.mark.parametrize("kinetics",
+                             ["mm_triple:a0=2", "mm_triple:foo=1", "zero:a=3"])
+    def test_kinetics_text_takes_langmuir_parameters_only(self, tmp_path,
+                                                         kinetics):
+        code, _ = run_cli(tmp_path, "validate", {"kinetics": kinetics})
         assert code == cli.EXIT_CONFIG
 
     def test_defaults_materialized_in_manifest(self, tmp_path):

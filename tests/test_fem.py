@@ -8,8 +8,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from porodiff import fem, geometry as geo
-from porodiff.errors import (ConflictingConstraintsError, NoConvergenceError,
-                             NoMarkedBoundaryError, SingularSystemError)
+from porodiff.errors import (NoConvergenceError, NoMarkedBoundaryError,
+                             SingularSystemError)
 
 
 def two_triangle_square():
@@ -118,8 +118,8 @@ class TestConstraints:
         rng = np.random.default_rng(0)
         f = rng.standard_normal(cell_mesh.n_nodes)
         f -= w * (f @ w) / (w @ w)
-        red = fem.ConstraintReducer(cell_mesh.n_nodes,
-                                    fem.ConstraintSet(mean_zero=w))
+        no_pairs = geo.PeriodicMap(np.zeros((0, 2)), cell_mesh.n_nodes)
+        red = fem.ConstraintReducer(no_pairs, w)
         A_r, b_r = red.reduce(K, f)
         x = fem.solve_sparse(A_r, b_r)
         assert np.linalg.norm(A_r @ x - b_r) / np.linalg.norm(b_r) <= 1e-10
@@ -127,76 +127,68 @@ class TestConstraints:
         assert abs(w @ full) < 1e-9
 
     def test_dirichlet_only_reduction_is_an_index_slice(self, macro_mesh_16):
+        # restrict, reduce_rhs and expand equal P'AP, P'b and Px bit for bit,
+        # P the selection of the kept dofs; the products add to +0.0, so
+        # they map -0.0 to +0.0
         mesh = macro_mesh_16
-        red = fem.ConstraintReducer(mesh.n_nodes, fem.ConstraintSet(
-            dirichlet_nodes=mesh.nodes_with(geo.EdgeMarker.OUTER)))
+        n = mesh.n_nodes
+        red = fem.DirichletReducer(n, mesh.nodes_with(geo.EdgeMarker.OUTER))
+        kept = np.nonzero(red.kept)[0]
+        P = sp.csr_matrix((np.ones(len(kept)), (kept, np.arange(len(kept)))),
+                          shape=(n, len(kept)))
+        rng = np.random.default_rng(3)
         M = fem.assemble_mass(mesh)
         K = fem.assemble_stiffness(
             mesh, fem.CoefficientField.constant(np.diag([2.0, 1.0])))
-        W = fem.assemble_weighted_mass(
-            mesh, np.random.default_rng(3).uniform(0.5, 1.0, mesh.n_nodes))
+        W = fem.assemble_weighted_mass(mesh, rng.uniform(0.5, 1.0, n))
+        W[kept[5], kept[5]] = np.nan
         for A in ((M + 1e-3 * K).tocsr(), W):
-            product = (red.P.T @ A @ red.P).tocsr()
+            product = (P.T @ A @ P).tocsr()
             product.sort_indices()
-            for sliced in (red.reduce(A, np.zeros(mesh.n_nodes))[0],
-                           red.restrict(A)):
-                for part in ("data", "indices", "indptr"):
-                    assert np.array_equal(getattr(sliced, part),
-                                          getattr(product, part))
+            sliced = red.restrict(A)
+            assert sliced.data.tobytes() == product.data.tobytes()
+            for part in ("indices", "indptr"):
+                assert np.array_equal(getattr(sliced, part),
+                                      getattr(product, part))
+        b = rng.standard_normal(n)
+        b[kept[::3]] = -0.0
+        b[kept[1]] = np.nan
+        b[kept[2]] = -np.nan
+        x = rng.standard_normal(len(kept))
+        x[::3] = -0.0
+        x[1] = np.nan
+        x[2] = -np.nan
+        assert red.reduce_rhs(b).tobytes() == (P.T @ b).tobytes()
+        assert red.expand(x).tobytes() == (P @ x).tobytes()
 
     def test_dirichlet_everywhere(self):
         mesh = two_triangle_square()
         K = fem.assemble_stiffness(mesh, fem.CoefficientField.isotropic(1.0))
-        cs = fem.ConstraintSet(dirichlet_nodes=np.arange(4),
-                               dirichlet_values=np.array([1.0, 2.0, 3.0, 4.0]))
-        red = fem.ConstraintReducer(4, cs)
-        A_r, b_r = red.reduce(K, np.zeros(4))
-        assert A_r.shape == (0, 0)
-        assert np.array_equal(red.expand(np.zeros(0)), [1.0, 2.0, 3.0, 4.0])
-
-    def test_non_zero_dirichlet_values_need_the_lift(self):
-        mesh = two_triangle_square()
-        K = fem.assemble_stiffness(mesh, fem.CoefficientField.isotropic(1.0))
-        b = np.ones(4)
-        red = fem.ConstraintReducer(4, fem.ConstraintSet(
-            dirichlet_nodes=np.array([0]), dirichlet_values=2.0))
-        with pytest.raises(ValueError, match="lift"):
-            red.reduce_rhs(b)
-        assert np.array_equal(red.reduce_rhs(b, red.lift(K)),
-                              red.reduce(K, b)[1])
-        zero = fem.ConstraintReducer(4, fem.ConstraintSet(
-            dirichlet_nodes=np.array([0])))
-        assert zero.lift(K) is None
-        assert np.array_equal(zero.reduce_rhs(b), b[1:])
+        red = fem.DirichletReducer(4, np.arange(4))
+        assert red.restrict(K).shape == (0, 0)
+        assert red.reduce_rhs(np.ones(4)).shape == (0,)
+        assert np.array_equal(red.expand(np.zeros(0)), np.zeros(4))
 
     def test_periodic_solve_residual(self, cell_ctx):
         mesh = cell_ctx.mesh
         K = fem.assemble_stiffness(mesh, fem.CoefficientField.isotropic(1.0))
         rng = np.random.default_rng(1)
         f = rng.standard_normal(mesh.n_nodes)
-        cs = fem.ConstraintSet(periodic=cell_ctx.periodic,
-                               mean_zero=cell_ctx.mean_weights)
-        A_r, b_r = fem.ConstraintReducer(mesh.n_nodes, cs).reduce(K, f)
+        A_r, b_r = fem.ConstraintReducer(
+            cell_ctx.periodic, cell_ctx.mean_weights).reduce(K, f)
         x = fem.solve_sparse(A_r, b_r)
         assert np.linalg.norm(A_r @ x - b_r) / np.linalg.norm(b_r) <= 1e-10
-
-    def test_conflicting_constraints(self, cell_ctx):
-        slave = int(cell_ctx.periodic.pairs[0, 1])
-        cs = fem.ConstraintSet(periodic=cell_ctx.periodic,
-                               dirichlet_nodes=np.array([slave]))
-        with pytest.raises(ConflictingConstraintsError):
-            fem.ConstraintReducer(cell_ctx.mesh.n_nodes, cs)
 
     def test_p1_reproduces_linears(self, macro_mesh_16):
         mesh = macro_mesh_16
         K = fem.assemble_stiffness(mesh, fem.CoefficientField.isotropic(1.0))
         boundary = mesh.nodes_with(geo.EdgeMarker.OUTER)
-        values = mesh.nodes[boundary, 0]
-        cs = fem.ConstraintSet(dirichlet_nodes=boundary,
-                               dirichlet_values=values)
-        red = fem.ConstraintReducer(mesh.n_nodes, cs)
-        x = red.expand(fem.solve_sparse(
-            *red.reduce(K, np.zeros(mesh.n_nodes))))
+        # lift the boundary values g: x = g + u, u zero on the boundary
+        g = np.zeros(mesh.n_nodes)
+        g[boundary] = mesh.nodes[boundary, 0]
+        red = fem.DirichletReducer(mesh.n_nodes, boundary)
+        x = g + red.expand(fem.solve_sparse(red.restrict(K),
+                                            red.reduce_rhs(-(K @ g))))
         assert np.abs(x - mesh.nodes[:, 0]).max() < 1e-10
 
 
@@ -214,12 +206,10 @@ class TestSolve:
     def test_residual_contract_random(self, cell_ctx):
         K = fem.assemble_stiffness(cell_ctx.mesh,
                                    fem.CoefficientField.isotropic(1.0))
-        cs = fem.ConstraintSet(periodic=cell_ctx.periodic,
-                               mean_zero=cell_ctx.mean_weights)
         rng = np.random.default_rng(5)
         b = rng.standard_normal(cell_ctx.mesh.n_nodes)
-        A_r, b_r = fem.ConstraintReducer(cell_ctx.mesh.n_nodes,
-                                         cs).reduce(K, b)
+        A_r, b_r = fem.ConstraintReducer(cell_ctx.periodic,
+                                         cell_ctx.mean_weights).reduce(K, b)
         x = fem.solve_sparse(A_r, b_r, tol=1e-10)
         assert np.linalg.norm(A_r @ x - b_r) / np.linalg.norm(b_r) <= 1e-10
 
@@ -258,11 +248,10 @@ class TestSolve:
         M = fem.assemble_mass(mesh)
         A = (M + K).tocsr()
         b = np.array([1.0, -2.0, 0.5, 0.25])
-        cs = fem.ConstraintSet(dirichlet_nodes=np.array([0]))
-        red = fem.ConstraintReducer(4, cs)
-        x1 = red.expand(fem.solve_sparse(*red.reduce(A, b)))
-        x2 = red.expand(fem.solve_sparse(
-            *red.reduce((scale * A).tocsr(), scale * b)))
+        red = fem.DirichletReducer(4, [0])
+        x1 = red.expand(fem.solve_sparse(red.restrict(A), red.reduce_rhs(b)))
+        x2 = red.expand(fem.solve_sparse(red.restrict((scale * A).tocsr()),
+                                         red.reduce_rhs(scale * b)))
         assert np.allclose(x1, x2, rtol=1e-11, atol=1e-13)
 
 
@@ -337,8 +326,8 @@ class TestAssemblyPattern:
                 geo.RectUnion.unit_square(), 1 / 8, disc_spec), 1 / 64)
         else:
             mesh = {"macro": macro_mesh_16, "cell": cell_mesh}[request.param]
-        red = fem.ConstraintReducer(mesh.n_nodes, fem.ConstraintSet(
-            dirichlet_nodes=mesh.nodes_with(geo.EdgeMarker.OUTER)))
+        red = fem.DirichletReducer(mesh.n_nodes,
+                                   mesh.nodes_with(geo.EdgeMarker.OUTER))
         return mesh, red, fem.AssemblyPattern(mesh.triangles, mesh.n_nodes,
                                               red)
 
@@ -386,8 +375,7 @@ class TestAssemblyPattern:
 
     def test_restricts_by_dirichlet_rows_only(self, cell_ctx):
         mesh = cell_ctx.mesh
-        red = fem.ConstraintReducer(mesh.n_nodes, fem.ConstraintSet(
-            periodic=cell_ctx.periodic))
+        red = fem.ConstraintReducer(cell_ctx.periodic, cell_ctx.mean_weights)
         with pytest.raises(ValueError, match="Dirichlet"):
             fem.AssemblyPattern(mesh.triangles, mesh.n_nodes, red)
 
@@ -398,7 +386,7 @@ class TestExchangeBlock:
         K = fem.assemble_stiffness(cell_mesh, fem.CoefficientField.isotropic(1.0))
         A = (M + 0.01 * K).tocsr()
         C = fem.assemble_boundary_mass(cell_mesh, geo.EdgeMarker.GAMMA, 0.7)
-        red = fem.ConstraintReducer(cell_mesh.n_nodes, fem.ConstraintSet())
+        red = fem.DirichletReducer(cell_mesh.n_nodes, [])
         block = fem.ExchangeBlock(A, A, red, equal=True)
         b = np.sin(cell_mesh.nodes[:, 0] * 3.0)
         x1, x2 = fem.solve_exchange_block(block, red.restrict(C), b, b)
@@ -407,7 +395,7 @@ class TestExchangeBlock:
     def test_block_solvable_any_parameters(self, cell_mesh):
         A1, A2 = _unequal_pair(cell_mesh)
         rng = np.random.default_rng(4)
-        red = fem.ConstraintReducer(cell_mesh.n_nodes, fem.ConstraintSet())
+        red = fem.DirichletReducer(cell_mesh.n_nodes, [])
         block = fem.ExchangeBlock(A1, A2, red)
         for kappa in (1e-4, 1.0, 1e4):
             w = rng.uniform(0.0, 1.0, cell_mesh.n_nodes)
@@ -428,9 +416,7 @@ class TestExchangeBlock:
         A1, A2 = _unequal_pair(mesh)
         n = mesh.n_nodes
         rng = np.random.default_rng(6)
-        red = fem.ConstraintReducer(n, fem.ConstraintSet(
-            dirichlet_nodes=mesh.nodes_with(geo.EdgeMarker.OUTER),
-            dirichlet_values=0.5))
+        red = fem.DirichletReducer(n, mesh.nodes_with(geo.EdgeMarker.OUTER))
         C = kappa * fem.assemble_boundary_mass(
             mesh, geo.EdgeMarker.GAMMA, rng.uniform(0.0, 1.0, n))
         b1 = rng.standard_normal(n)
@@ -439,18 +425,16 @@ class TestExchangeBlock:
                                           red.restrict(C), b1, b2)
         # reference: eliminate the Dirichlet nodes of the assembled 2N block
         block = sp.bmat([[A1 + C, -C], [-C, A2 + C]], format="csr")
-        fixed = np.concatenate([red.dirichlet_mask, red.dirichlet_mask])
-        g = np.where(fixed, 0.5, 0.0)
-        rhs = np.concatenate([b1, b2]) - block @ g
-        free = ~fixed
-        want = g.copy()
+        free = np.concatenate([red.kept, red.kept])
+        rhs = np.concatenate([b1, b2])
+        want = np.zeros(2 * n)
         want[free] = spla.spsolve(block[free][:, free].tocsc(), rhs[free])
         got = np.concatenate([x1, x2])
         assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want)
 
     def _solves(self, mesh, kappa, count):
         A1, A2 = _unequal_pair(mesh)
-        red = fem.ConstraintReducer(mesh.n_nodes, fem.ConstraintSet())
+        red = fem.DirichletReducer(mesh.n_nodes, [])
         block = fem.ExchangeBlock(A1, A2, red)
         rng = np.random.default_rng(8)
         history = []
@@ -481,7 +465,7 @@ class TestExchangeBlock:
         A1, A2 = _unequal_pair(cell_mesh)
         n = cell_mesh.n_nodes
         block = fem.ExchangeBlock(
-            A1, A2, fem.ConstraintReducer(n, fem.ConstraintSet()))
+            A1, A2, fem.DirichletReducer(n, []))
         C = fem.assemble_boundary_mass(cell_mesh, geo.EdgeMarker.GAMMA, 1.0)
         b1 = np.ones(n)
         b1[3] = np.nan
@@ -489,13 +473,6 @@ class TestExchangeBlock:
             fem.solve_exchange_block(block, block.reducer.restrict(C), b1,
                                      np.ones(n))
         assert err.value.iterations == 0
-
-    def test_rejects_mean_zero_multipliers(self, cell_ctx):
-        red = fem.ConstraintReducer(
-            cell_ctx.mesh.n_nodes, fem.ConstraintSet(mean_zero=cell_ctx.mean_weights))
-        A = fem.assemble_mass(cell_ctx.mesh)
-        with pytest.raises(ConflictingConstraintsError):
-            fem.ExchangeBlock(A, A, red)
 
 
 class TestFactorCache:
