@@ -210,18 +210,17 @@ class CoupledCellProblem:
 
     At exchange rate k > 0 the reduced system is A(k) = K_r + k E_r: K_r
     is diag(K1, K2) reduced by the block-periodic identification and one
-    multiplier (first field mean zero), and E_r the Gamma mass on the
-    corrector difference, a symmetric term of rank #Gamma nodes with a zero
-    multiplier row. Every positive rate is solved by ``fem.HeldFactor``'s
-    CG on a held factor of A(k_ref): k_ref is the first positive rate, and
-    a slow direction moves it to its own rate. A(k) - A(k_ref) =
-    (k - k_ref) E_r leaves the multiplier
-    rows alone, so the preconditioned iterates keep the first field at mean
-    zero, where A(k) is SPD, and the rates differ by a term of rank
-    #Gamma, which bounds the iterations. At k = 0 (or without Gamma) the
-    fields decouple, each with its own mean-zero condition, and are solved
-    as two scalar cell problems; equal constant coefficients share one
-    scalar corrector at every rate.
+    gauge dof (the first field's mean is restored on expansion), and E_r
+    the Gamma mass on the corrector difference, a symmetric term of rank
+    #Gamma nodes. A(k) is SPD, and every positive rate is solved by
+    ``fem.HeldFactor``'s CG on a held factor of A(k_ref): k_ref is the
+    first positive rate, and a slow direction moves it to its own rate.
+    The rates differ by (k - k_ref) E_r, of rank #Gamma, which bounds the
+    iterations, and each direction starts from its reduced solution at the
+    nearest positive rate already solved (the lower one on a tie). At k = 0
+    (or without Gamma) the fields decouple, each with its own mean-zero
+    condition, and are solved as two scalar cell problems; equal constant
+    coefficients share one scalar corrector at every rate.
 
     Element areas, basis gradients and coefficient matrices are computed
     once and shared by both tensor formulas; each field's stiffness matrix
@@ -240,6 +239,7 @@ class CoupledCellProblem:
         self._fields = [None, None]  # per field: (K, direction loads)
         self.K_r = None  # the coupled system, assembled at the first k > 0
         self.held = fem.HeldFactor()  # of A(k_ref)
+        self._reduced = {}  # positive rate -> reduced solutions (N_r, 2)
 
     def _field(self, k):
         """(stiffness matrix, direction loads) of field k."""
@@ -265,9 +265,7 @@ class CoupledCellProblem:
             reducer.reduce_rhs(np.concatenate([loads[0][j], loads[1][j]]))
             for j in range(2)])
         G = ctx.gamma_mass
-        self.E_r = sp.block_diag(
-            [reducer.restrict(sp.bmat([[G, -G], [-G, G]])),
-             sp.csr_matrix((1, 1))], format="csr")
+        self.E_r = reducer.restrict(sp.bmat([[G, -G], [-G, G]]))
 
     def solve(self, exchange_rate, tol=1e-10):
         """Coupled correctors for both directions at one exchange rate."""
@@ -286,12 +284,19 @@ class CoupledCellProblem:
                                        exchange_rate)
         if self.K_r is None:
             self._assemble_coupled()
-        A = (self.K_r + float(exchange_rate) * self.E_r).tocsr()
+        rate = float(exchange_rate)
+        A = (self.K_r + rate * self.E_r).tocsr()
+        start = self._reduced.get(min(
+            self._reduced, default=None, key=lambda k: (abs(k - rate), k)),
+            np.zeros_like(self.B))
+        X = np.empty_like(self.B)
         n = mesh.n_nodes
         first, second = {}, {}
         for j in range(2):
-            x = self.reducer.expand(self.held.solve(A, self.B[:, j], tol))
+            X[:, j] = self.held.solve(A, self.B[:, j], tol, x0=start[:, j])
+            x = self.reducer.expand(X[:, j])
             first[j], second[j] = x[:n], x[n:]
+        self._reduced[rate] = X
         return CoupledCellSolution(mesh, first, second, exchange_rate)
 
     def tensors(self, sol):

@@ -11,6 +11,8 @@ numerical results.
 from __future__ import annotations
 
 import argparse
+import ctypes
+import glob
 import json
 import os
 import sys
@@ -232,12 +234,16 @@ def _inclusion(cfg):
 
 def _domain(cfg):
     rects = cfg["rectangles"]
+    if not rects:
+        raise ConfigError("domain needs at least one rectangle")
     for rect in rects:
         if not (isinstance(rect, list) and len(rect) == 4 and all(
                 isinstance(v, (int, float)) and not isinstance(v, bool)
-                and np.isfinite(v) for v in rect)):
+                and np.isfinite(v) for v in rect)
+                and rect[2] > rect[0] and rect[3] > rect[1]):
             raise ConfigError(
-                f"domain rectangle must be four finite numbers, got {rect!r}")
+                "domain rectangle must be four finite numbers "
+                f"[x0, y0, x1, y1] with x1 > x0 and y1 > y0, got {rect!r}")
     return geo.RectUnion.of(*rects)
 
 
@@ -535,8 +541,21 @@ def build_parser():
     return parser
 
 
+def _pin_blas_to_one_thread():
+    """Set numpy's bundled OpenBLAS, if any, to one thread: small dense
+    calls stall on a thread pool, and --threads parallelizes whole runs."""
+    for path in glob.glob(os.path.join(
+            os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs",
+            "libscipy_openblas64_*.so")):
+        try:
+            ctypes.CDLL(path).scipy_openblas_set_num_threads64_(1)
+        except (OSError, AttributeError):
+            pass
+
+
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    _pin_blas_to_one_thread()
     try:
         with open(args.config) as f:
             raw = json.load(f)

@@ -4,8 +4,8 @@ Stiffness uses one-point (centroid) quadrature for the coefficient, mass and
 boundary mass use the exact P1 closed forms. Two reductions serve the two
 kinds of problems: zero Dirichlet rows and columns are dropped
 (DirichletReducer), and a cell problem eliminates its periodic slaves and
-enforces its mean-zero condition through one Lagrange multiplier
-(ConstraintReducer), so reduced systems stay symmetric.
+fixes its constant by one gauge dof, restoring the mean-zero condition on
+expansion (ConstraintReducer), so every reduced system is SPD.
 
 Assembly scatters element contributions in a fixed order and compresses
 duplicates by sorted index, so assembled matrices are bit-reproducible and
@@ -329,11 +329,14 @@ class DirichletReducer:
 
 
 class ConstraintReducer:
-    """Periodic slave elimination plus one mean-zero multiplier.
+    """Periodic slave elimination plus a gauge dof for the mean-zero condition.
 
-    P maps the periodic masters to all nodes; the constraint w'x = 0 for
-    the weights ``mean_zero`` is enforced by one Lagrange multiplier, so the
-    reduced system stays symmetric.
+    P maps the periodic masters to all nodes. Every operator reduced here is
+    singular only by the constant vector, so the reduced dof that is the
+    first with a positive ``mean_zero`` weight w is fixed at zero: P'AP
+    without its row and column is SPD. ``expand`` then shifts the full
+    vector by the constant that makes w'x = 0; for a coupled pair with
+    weights on the first field only, both fields shift by its mean.
     """
 
     def __init__(self, periodic, mean_zero):
@@ -341,32 +344,30 @@ class ConstraintReducer:
         keep = np.ones(n, dtype=bool)
         keep[periodic.pairs[:, 1]] = False
         red_index = np.cumsum(keep) - 1
-        self.n_reduced = int(keep.sum())
         self.P = sp.coo_matrix(
             (np.ones(n), (np.arange(n), red_index[periodic.master_of()])),
-            shape=(n, self.n_reduced),
+            shape=(n, int(keep.sum())),
         ).tocsr()
-        self.mean_zero_reduced = self.P.T @ np.asarray(mean_zero, dtype=float)
+        self.mean_zero = np.asarray(mean_zero, dtype=float)
+        gauge = np.flatnonzero(self.P.T @ self.mean_zero > 0)[0]
+        self._Pg = self.P[:, np.arange(self.P.shape[1]) != gauge]
 
     def restrict(self, A):
-        """P'AP: A on the reduced dofs, without the multiplier row."""
-        return (self.P.T @ A @ self.P).tocsr()
+        """P'AP without the gauge row and column."""
+        return (self._Pg.T @ A @ self._Pg).tocsr()
 
     def reduce(self, A, b):
-        """Reduced, symmetric (A_r, b_r); the multiplier row is last."""
-        w = sp.csr_matrix(self.mean_zero_reduced.reshape(-1, 1))
-        A_r = sp.bmat([[self.restrict(A), w], [w.T, sp.csr_matrix((1, 1))]],
-                      format="csr")
-        return A_r, self.reduce_rhs(b)
+        """The reduced SPD system (A_r, b_r)."""
+        return self.restrict(A), self.reduce_rhs(b)
 
     def reduce_rhs(self, b):
         """The b_r of ``reduce`` alone."""
-        return np.concatenate([self.P.T @ np.asarray(b, dtype=float),
-                               np.zeros(1)])
+        return self._Pg.T @ np.asarray(b, dtype=float)
 
     def expand(self, x_reduced):
-        """Full nodal vector from a reduced solution (multiplier dropped)."""
-        return self.P @ x_reduced[: self.n_reduced]
+        """Full nodal vector of a reduced solution, shifted to w'x = 0."""
+        x = self._Pg @ x_reduced
+        return x - (self.mean_zero @ x) / self.mean_zero.sum()
 
 
 # ---------------------------------------------------------------------------
@@ -461,9 +462,9 @@ def _matrix_key(A):
 def factorize(A):
     """Sparse LU factorization of A, owned by the caller (not cached).
 
-    Every system porodiff factors is symmetric (the SPD steppers, and the
-    cell saddle-point systems with mean-zero multipliers), so SuperLU orders
-    by minimum degree on A'+A and prefers diagonal pivots. A matrix SuperLU
+    Every system porodiff factors is SPD (the steppers, and the cell
+    systems with their gauge dof removed), so SuperLU orders by minimum
+    degree on A'+A and prefers diagonal pivots. A matrix SuperLU
     cannot factor raises SingularSystemError.
     """
     try:

@@ -280,7 +280,7 @@ class Mesh:
         return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
 
-def validate_mesh(mesh, check_gamma_loops=True):
+def validate_mesh(mesh):
     """Raise MeshFailureError on inverted elements or broken GAMMA loops."""
     if mesh.nodes.shape[1] != 2:
         raise UnsupportedDimensionError("only 2D meshes are supported")
@@ -292,65 +292,60 @@ def validate_mesh(mesh, check_gamma_loops=True):
         raise MeshFailureError(
             f"triangle {bad} has nonpositive area {areas.min():.3e}"
         )
-    if check_gamma_loops:
-        gamma = mesh.edges_with(EdgeMarker.GAMMA)
-        if len(gamma):
-            ids, counts = np.unique(gamma, return_counts=True)
-            if not np.all(counts == 2):
-                raise MeshFailureError(
-                    "inclusion boundary edges do not form closed loops"
-                )
+    gamma = mesh.edges_with(EdgeMarker.GAMMA)
+    if len(gamma):
+        ids, counts = np.unique(gamma, return_counts=True)
+        if not np.all(counts == 2):
+            raise MeshFailureError(
+                "inclusion boundary edges do not form closed loops"
+            )
+
+
+def _least_joined(n, links):
+    """For each of n nodes, the least node the (K, 2) links join it to."""
+    links = np.asarray(links, dtype=np.int64).reshape(-1, 2)
+    least = np.arange(n, dtype=np.int64)
+    while True:
+        step = least.copy()
+        for a, b in (links.T, links.T[::-1]):
+            np.minimum.at(step, a, least[b])
+        step = step[step]  # jump along the chain of least nodes
+        if np.array_equal(step, least):
+            return least
+        least = step
 
 
 def count_marked_loops(mesh, marker=EdgeMarker.GAMMA):
     """Number of connected components of the edges carrying ``marker``."""
     edges = mesh.edges_with(marker)
-    if len(edges) == 0:
-        return 0
-    parent = {}
-
-    def find(i):
-        while parent.setdefault(i, i) != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i, j in edges:
-        ri, rj = find(int(i)), find(int(j))
-        if ri != rj:
-            parent[rj] = ri
-    return len({find(int(i)) for i in np.unique(edges)})
+    return len(np.unique(_least_joined(mesh.n_nodes, edges)[edges]))
 
 
 # ---------------------------------------------------------------------------
 # structured crossed grid + interface cutting
 # ---------------------------------------------------------------------------
 
-def _crossed_grid(nx, ny, g, x0=0.0, y0=0.0, keep_cell=None):
-    """Crossed-pattern grid: 4 CCW triangles per kept square cell."""
-    corner = lambda ix, iy: iy * (nx + 1) + ix
-    n_corner = (nx + 1) * (ny + 1)
-    xs = x0 + g * np.arange(nx + 1)
-    ys = y0 + g * np.arange(ny + 1)
-    cx, cy = np.meshgrid(xs, ys)
+def _crossed_grid(nx, ny, g, x0=0.0, y0=0.0, keep=None):
+    """Crossed-pattern grid: 4 CCW triangles per square cell, row by row.
+
+    ``keep`` optionally masks the cells, ny * nx booleans in row order.
+    """
+    cx, cy = np.meshgrid(x0 + g * np.arange(nx + 1), y0 + g * np.arange(ny + 1))
     corners = np.column_stack([cx.ravel(), cy.ravel()])
     mx, my = np.meshgrid(x0 + g * (np.arange(nx) + 0.5),
                          y0 + g * (np.arange(ny) + 0.5))
     centers = np.column_stack([mx.ravel(), my.ravel()])
     nodes = np.vstack([corners, centers])
 
-    tris = []
-    for iy in range(ny):
-        for ix in range(nx):
-            if keep_cell is not None and not keep_cell(ix, iy):
-                continue
-            a = corner(ix, iy)
-            b = corner(ix + 1, iy)
-            c = corner(ix + 1, iy + 1)
-            d = corner(ix, iy + 1)
-            m = n_corner + iy * nx + ix
-            tris.extend([(a, b, m), (b, c, m), (c, d, m), (d, a, m)])
-    return nodes, np.asarray(tris, dtype=np.int64)
+    cell = np.arange(nx * ny, dtype=np.int64)
+    if keep is not None:
+        cell = cell[np.asarray(keep).ravel()]
+    iy, ix = np.divmod(cell, nx)
+    a = iy * (nx + 1) + ix
+    b, c, d = a + 1, a + nx + 2, a + nx + 1
+    m = (nx + 1) * (ny + 1) + cell  # the centre node
+    tris = np.array([(a, b, m), (b, c, m), (c, d, m), (d, a, m)])
+    return nodes, tris.transpose(2, 0, 1).reshape(-1, 3)
 
 
 def _compact(nodes, tris):
@@ -587,18 +582,12 @@ def build_macro_mesh(domain, h):
                 )
     nx = int(round((x1 - x0) / g))
     ny = int(round((y1 - y0) / g))
-    centers_x = x0 + g * (np.arange(nx) + 0.5)
-    centers_y = y0 + g * (np.arange(ny) + 0.5)
-    keep = {}
-    for iy, cy in enumerate(centers_y):
-        row = domain.contains(np.column_stack(
-            [centers_x, np.full(nx, cy)]))
-        for ix in range(nx):
-            keep[(ix, iy)] = bool(row[ix])
-    if not any(keep.values()):
+    cx, cy = np.meshgrid(x0 + g * (np.arange(nx) + 0.5),
+                         y0 + g * (np.arange(ny) + 0.5))
+    keep = domain.contains(np.column_stack([cx.ravel(), cy.ravel()]))
+    if not keep.any():
         raise MeshFailureError("domain contains no grid cells at this pitch")
-    nodes, tris = _crossed_grid(nx, ny, g, x0, y0,
-                                keep_cell=lambda ix, iy: keep[(ix, iy)])
+    nodes, tris = _crossed_grid(nx, ny, g, x0, y0, keep=keep)
     nodes, tris = _compact(nodes, tris)
     bedges = _boundary_edges(tris)
     markers = np.full(len(bedges), EdgeMarker.OUTER, dtype=np.uint8)
@@ -737,11 +726,13 @@ def _match_face(nodes, lo_ids, hi_ids, axis, snap_tol):
     return list(zip(lo.tolist(), hi.tolist()))
 
 
-def pair_periodic_nodes(mesh, snap_tol=None):
-    """Pair opposite periodic faces into a bijection; corners become one class."""
-    if snap_tol is None:
-        span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
-        snap_tol = 1e-9 * float(np.hypot(*span))
+def pair_periodic_nodes(mesh):
+    """Pair opposite periodic faces into a bijection; corners become one class.
+
+    Nodes pair when they lie within 1e-9 of the mesh diameter.
+    """
+    span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
+    snap_tol = 1e-9 * float(np.hypot(*span))
     raw_pairs = []
     for axis, marker in ((0, EdgeMarker.PERIODIC_X), (1, EdgeMarker.PERIODIC_Y)):
         ids = mesh.nodes_with(marker)
@@ -761,27 +752,10 @@ def pair_periodic_nodes(mesh, snap_tol=None):
             raise UnmatchedNodeError(mesh.nodes[stray])
         raw_pairs.extend(_match_face(mesh.nodes, lo_ids, hi_ids, axis, snap_tol))
 
-    parent = np.arange(mesh.n_nodes, dtype=np.int64)
-
-    def find(i):
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    for a, b in raw_pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-    pairs = []
-    for i in range(mesh.n_nodes):
-        r = find(i)
-        if r != i:
-            pairs.append((r, i))
-    return PeriodicMap(np.asarray(pairs, dtype=np.int64).reshape(-1, 2),
-                       mesh.n_nodes)
+    # a node's master is the least node of its class (corners join four)
+    master = _least_joined(mesh.n_nodes, raw_pairs)
+    slaves = np.flatnonzero(master != np.arange(mesh.n_nodes))
+    return PeriodicMap(np.column_stack([master[slaves], slaves]), mesh.n_nodes)
 
 
 # ---------------------------------------------------------------------------

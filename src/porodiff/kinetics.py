@@ -260,23 +260,24 @@ class ValidationReport:
         raise KeyError(name)
 
 
-def _sample_grid(lam, n):
-    axis = np.linspace(-lam, 2 * lam, n)
-    g = np.meshgrid(axis, axis, axis, indexing="ij")
-    return [a.ravel() for a in g]
+RATIO_CAP = 100.0
 
 
-def _sample_y(n):
-    axis = (np.arange(n) + 0.5) / n
-    gx, gy = np.meshgrid(axis, axis)
-    return np.column_stack([gx.ravel(), gy.ravel()])
+def validate(kin):
+    """Sampled hypothesis checks; the report carries failures, never raises.
 
-
-def validate(kin, n_s=7, n_y=4, ratio_cap=100.0):
-    """Sampled hypothesis checks; the report carries failures, never raises."""
+    Each concentration is sampled at 7 points of [-lam, 2 lam], the cell at
+    the centres of a 4 x 4 grid; growth ratios must stay within RATIO_CAP.
+    """
     lam = kin.lam
-    s1, s2, s3 = _sample_grid(lam, n_s)
-    ys = _sample_y(n_y) if kin.y_dependent else np.array([[0.5, 0.5]])
+    axis = np.linspace(-lam, 2 * lam, 7)
+    s1, s2, s3 = (a.ravel() for a in np.meshgrid(axis, axis, axis,
+                                                 indexing="ij"))
+    ys = np.array([[0.5, 0.5]])
+    if kin.y_dependent:
+        centres = (np.arange(4) + 0.5) / 4
+        gx, gy = np.meshgrid(centres, centres)
+        ys = np.column_stack([gx.ravel(), gy.ravel()])
     checks = []
 
     saxis = np.linspace(-lam, 2 * lam, 101)
@@ -332,7 +333,7 @@ def validate(kin, n_s=7, n_y=4, ratio_cap=100.0):
                 worst_ratio = float(r[k])
                 idx = np.nonzero(nz)[0][k]
                 point = (float(s1[idx]), float(s2[idx]), float(s3[idx]))
-        checks.append(CheckResult(label, worst_ratio <= ratio_cap,
+        checks.append(CheckResult(label, worst_ratio <= RATIO_CAP,
                                   worst_ratio, point,
                                   measured_constant=worst_ratio))
 
@@ -350,7 +351,7 @@ def validate(kin, n_s=7, n_y=4, ratio_cap=100.0):
     idx = np.nonzero(mask)[0][k] if mask.any() else 0
     checks.append(CheckResult(
         "negative_orthant_sign_volume",
-        (worst_ratio <= ratio_cap) and not viol_zero.any(),
+        (worst_ratio <= RATIO_CAP) and not viol_zero.any(),
         worst_ratio,
         (float(s1[idx]), float(s2[idx]), float(s3[idx])),
         measured_constant=worst_ratio))
@@ -360,7 +361,7 @@ def validate(kin, n_s=7, n_y=4, ratio_cap=100.0):
     g_worst = float(g_ratios.max()) if mask.any() else 0.0
     checks.append(CheckResult(
         "negative_orthant_sign_surface",
-        (g_worst <= ratio_cap) and not (g_lhs[~mask] > 1e-12).any(),
+        (g_worst <= RATIO_CAP) and not (g_lhs[~mask] > 1e-12).any(),
         g_worst, None, measured_constant=g_worst))
 
     above = [(s1, kin.f1, "f1"), (s2, kin.f2, "f2"), (s3, kin.f3, "f3")]

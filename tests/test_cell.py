@@ -187,8 +187,8 @@ class TestScalarCell:
             cell.effective_tensor_scalar(cell_ctx, sol, identity_field)
 
     def test_zero_coefficient_is_a_singular_system(self, coarse_ctx):
-        # SuperLU's RuntimeError on the singular bordered matrix is
-        # reported as the solver error class
+        # SuperLU's RuntimeError on the singular cell matrix is reported
+        # as the solver error class
         with pytest.raises(SingularSystemError):
             cell.scalar_tensor_with_check(
                 coarse_ctx, fem.CoefficientField.isotropic(0.0))
@@ -357,11 +357,32 @@ class TestDispersionTable:
                 "cross_check_err"} == set(tdoc)
 
 
+def periodic_selection(pm):
+    """The 0/1 matrix P (nodes x masters) of a periodic map, built here."""
+    masters = np.setdiff1d(np.arange(pm.n_nodes), pm.pairs[:, 1])
+    return sp.csr_matrix(
+        (np.ones(pm.n_nodes),
+         (np.arange(pm.n_nodes), np.searchsorted(masters, pm.master_of()))),
+        shape=(pm.n_nodes, len(masters)))
+
+
+def bordered_solve(P, A, w, loads):
+    """x = P y for each load b, from one sparse direct solve of the
+    bordered multiplier system [[P'AP, P'w], [w'P, 0]] (y, lam) = (P'b, 0).
+    """
+    border = sp.csr_matrix((P.T @ w).reshape(-1, 1))
+    A_b = sp.bmat([[P.T @ A @ P, border], [border.T, None]], format="csc")
+    m = P.shape[1]
+    return [P @ spla.spsolve(A_b, np.concatenate([P.T @ b, [0.0]]))[:m]
+            for b in loads]
+
+
 def direct_bordered_pair(ctx, coeff1, coeff2, kappa):
     """Correctors from one sparse direct solve of the assembled 2N block.
 
     The block [[K1 + C, -C], [-C, K2 + C]], C = kappa * Gamma mass, reduced
-    by the block-periodic map and the first-field mean-zero multiplier.
+    by the block-periodic map and bordered by the first-field mean-zero
+    multiplier.
     """
     mesh = ctx.mesh
     n = mesh.n_nodes
@@ -369,18 +390,91 @@ def direct_bordered_pair(ctx, coeff1, coeff2, kappa):
     K2 = fem.assemble_stiffness(mesh, coeff2)
     C = kappa * ctx.gamma_mass
     A = sp.bmat([[K1 + C, -C], [-C, K2 + C]], format="csr")
-    red = fem.ConstraintReducer(cell._block_periodic(ctx.periodic, n),
-                                np.concatenate([ctx.mean_weights, np.zeros(n)]))
-    A_r, _ = red.reduce(A, np.zeros(2 * n))
     loads = [cell._direction_loads(mesh, *fem.triangle_geometry(mesh),
                                    np.asarray(c.matrix_at(mesh.centroids)))
              for c in (coeff1, coeff2)]
-    first, second = {}, {}
-    for j in range(2):
-        b_r = red.reduce_rhs(np.concatenate([loads[0][j], loads[1][j]]))
-        x = red.expand(spla.spsolve(A_r.tocsc(), b_r))
-        first[j], second[j] = x[:n], x[n:]
-    return cell.CoupledCellSolution(mesh, first, second, kappa)
+    xs = bordered_solve(
+        periodic_selection(cell._block_periodic(ctx.periodic, n)), A,
+        np.concatenate([ctx.mean_weights, np.zeros(n)]),
+        [np.concatenate([loads[0][j], loads[1][j]]) for j in range(2)])
+    return cell.CoupledCellSolution(mesh, {j: xs[j][:n] for j in range(2)},
+                                    {j: xs[j][n:] for j in range(2)}, kappa)
+
+
+class TestGaugeReduction:
+    def test_gauge_system_is_sparse_spd_and_matches_the_border(
+            self, coarse_ctx, identity_field, aniso_field):
+        ctx = coarse_ctx
+        mesh = ctx.mesh
+        n = mesh.n_nodes
+        w = ctx.mean_weights
+        kappa = 0.7
+        K1 = fem.assemble_stiffness(mesh, identity_field)
+        K2 = fem.assemble_stiffness(mesh, aniso_field)
+        C = kappa * ctx.gamma_mass
+        loads = [cell._direction_loads(mesh, *fem.triangle_geometry(mesh),
+                                       np.asarray(c.matrix_at(mesh.centroids)))
+                 for c in (identity_field, aniso_field)]
+        scalar = (fem.ConstraintReducer(ctx.periodic, w), ctx.periodic, K2,
+                  w, list(loads[1]))
+        block_pm = cell._block_periodic(ctx.periodic, n)
+        w2 = np.concatenate([w, np.zeros(n)])
+        coupled = (fem.ConstraintReducer(block_pm, w2), block_pm,
+                   sp.bmat([[K1 + C, -C], [-C, K2 + C]], format="csr"), w2,
+                   [np.concatenate([loads[0][j], loads[1][j]])
+                    for j in range(2)])
+        problem = cell.CoupledCellProblem(ctx, identity_field, aniso_field)
+        problem.solve(kappa)
+        rng = np.random.default_rng(11)
+        for red, pm, A, weights, rhs in (scalar, coupled):
+            A_r, _ = red.reduce(A, rhs[0])
+            # no dense border row
+            assert np.diff(A_r.indptr).max() < 30
+            # SPD: symmetric, and a Cholesky factor exists
+            assert abs(A_r - A_r.T).max() == 0.0
+            np.linalg.cholesky(A_r.toarray())
+            # expand: the reduced vector with the gauge (the first master
+            # with a positive weight) at zero, shifted by one constant on
+            # every node to w'x = 0
+            P = periodic_selection(pm)
+            gauge = np.flatnonzero(P.T @ weights > 0)[0]
+            x_r = rng.standard_normal(A_r.shape[0])
+            x = red.expand(x_r)
+            shift = x - P @ np.insert(x_r, gauge, 0.0)
+            assert np.abs(shift - shift[0]).max() <= 1e-12
+            assert abs(weights @ x) <= 1e-12
+            # the gauge solution is the bordered one
+            for b, want in zip(rhs, bordered_solve(P, A, weights, rhs)):
+                got = red.expand(spla.spsolve(A_r.tocsc(),
+                                              red.reduce_rhs(b)))
+                assert np.linalg.norm(got - want) \
+                    <= 1e-12 * np.linalg.norm(want)
+        A_k = (problem.K_r + kappa * problem.E_r).tocsr()
+        assert np.diff(A_k.indptr).max() < 30
+        assert abs(A_k - coupled[0].restrict(coupled[2])).max() \
+            <= 1e-14 * abs(A_k).max()
+
+    def test_rates_start_from_the_nearest_solved_rate(
+            self, coarse_ctx, identity_field, aniso_field, monkeypatch):
+        problem = cell.CoupledCellProblem(coarse_ctx, identity_field,
+                                          aniso_field)
+        starts = []
+        solve = problem.held.solve
+
+        def record(A, b, tol, x0=None, operator=None):
+            starts.append(x0.copy())
+            return solve(A, b, tol, x0=x0, operator=operator)
+
+        monkeypatch.setattr(problem.held, "solve", record)
+        for kappa in (1.0, 3.0, 2.0, 2.5):
+            problem.solve(kappa)
+        assert not np.any(starts[0]) and not np.any(starts[1])
+        # 3.0 from 1.0; 2.0 is as near 1.0 as 3.0 and takes the lower rate;
+        # 2.5 is as near 2.0 as 3.0
+        for k, source in enumerate((1.0, 1.0, 2.0), start=1):
+            for j in range(2):
+                assert np.array_equal(starts[2 * k + j],
+                                      problem._reduced[source][:, j])
 
 
 class TestCoupledCellProblem:

@@ -1,3 +1,5 @@
+import ctypes
+import glob
 import json
 import math
 import os
@@ -77,7 +79,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("rectangles", [
         [[0, 0, 1]], [[0, 0, 1, "1"]], [[0, 0, 1, True]], [[0, 0, 1, math.inf]],
-        [0, 0, 1, 1]])
+        [0, 0, 1, 1], [[0, 0, 0, 1]], [[1, 0, 0, 1]], []])
     def test_bad_domain_rectangle_exit_2(self, tmp_path, rectangles):
         code, _ = run_cli(tmp_path, "micro",
                           {"domain": {"rectangles": rectangles},
@@ -321,3 +323,15 @@ def test_field_snapshot_output(tmp_path):
     n = int(text[0].split()[-1])
     assert len(text) == n + 1
     float(text[1])
+
+
+def test_main_pins_bundled_blas_to_one_thread(tmp_path):
+    libs = glob.glob(os.path.join(os.path.dirname(os.path.dirname(
+        np.__file__)), "numpy.libs", "libscipy_openblas64_*.so"))
+    if not libs:
+        pytest.skip("numpy has no bundled OpenBLAS")
+    lib = ctypes.CDLL(libs[0])
+    lib.scipy_openblas_set_num_threads64_(2)
+    code, _ = run_cli(tmp_path, "validate", {"kinetics": "langmuir:a=1,b=1"})
+    assert code == 0
+    assert lib.scipy_openblas_get_num_threads64_() == 1

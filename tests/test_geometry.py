@@ -209,10 +209,13 @@ class TestPeriodicPairing:
         mesh = geo.build_unit_cell_mesh(disc_spec, h)
         pm = geo.pair_periodic_nodes(mesh)
         K = fem.assemble_stiffness(mesh, fem.CoefficientField.isotropic(1.0))
-        A_r = fem.ConstraintReducer(
-            pm, fem.lumped_integral_weights(mesh)).restrict(K)
-        ev = np.linalg.eigvalsh(A_r.toarray())
+        red = fem.ConstraintReducer(pm, fem.lumped_integral_weights(mesh))
+        # periodic pairing leaves only the constants in the kernel ...
+        ev = np.linalg.eigvalsh((red.P.T @ K @ red.P).toarray())
         assert int((np.abs(ev) < 1e-10 * ev.max()).sum()) == 1
+        # ... and the gauge dof removes them
+        ev = np.linalg.eigvalsh(red.restrict(K).toarray())
+        assert ev.min() > 1e-10 * ev.max()
 
 
 class TestPoromeshIO:
