@@ -12,9 +12,7 @@ __version__ = "0.1.0"
 
 from .cell import (CellContext, CoupledCellProblem, DispersionTable,
                    EffectiveTensor, TensorForm, coupled_tensor_with_check,
-                   effective_tensor_coupled, effective_tensor_scalar,
-                   scalar_tensor_with_check, solve_coupled_pair,
-                   solve_scalar_pair, tabulate_b)
+                   scalar_tensor_with_check, solve_coupled_pair, tabulate_b)
 from .convergence import (ConvergenceReport, SweepProblem, fit_rate,
                           run_sweep, tensor_suite)
 from .fem import (CoefficientField, assemble_boundary_mass, assemble_mass,
@@ -29,4 +27,4 @@ from .macro import (MacroConfig, MacroSolver, MacroState, MacroVariantSolver,
                     PositivityPolicy, VariantConfig, VariantState,
                     steady_sanity)
 from .micro import (MicroConfig, MicroSolver, MicroState, Scaling,
-                    cell_average_unfold, restrict_macro_to_micro)
+                    restrict_macro_to_micro)

@@ -3,15 +3,14 @@
 The scalar problem yields the constant effective diffusion tensor of the
 slow species; the two-field problem, coupled through an exchange term on the
 inclusion boundary, yields the concentration-dependent dispersion tensor of
-the fast pair. Each tensor can be assembled from the volume-average formula
-or the energy formula; on one discrete solution the two agree to solver
+the fast pair. Each tensor is the energy formula, cross-checked against the
+volume-average formula; on one discrete solution the two agree to solver
 precision, which the tests pin at 1e-9.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,9 +22,7 @@ from .geometry import EdgeMarker, Mesh, PeriodicMap, pair_periodic_nodes
 
 
 class TensorForm(str, Enum):
-    SCALAR_FORM = "SCALAR_FORM"
     SCALAR_ENERGY = "SCALAR_ENERGY"
-    COUPLED_FORM = "COUPLED_FORM"
     COUPLED_ENERGY = "COUPLED_ENERGY"
 
 
@@ -60,10 +57,6 @@ class CellSolution:
     mesh: Mesh
     directions: dict[int, np.ndarray]
 
-    def mean_residual(self, weights, area):
-        return max(abs(float(weights @ corr)) / area
-                   for corr in self.directions.values())
-
 
 @dataclass
 class CoupledCellSolution:
@@ -94,7 +87,7 @@ def _field_operators(mesh, areas, grads, mats):
     return K, _direction_loads(mesh, areas, grads, mats)
 
 
-def _solve_scalar(ctx, K, loads, tol):
+def _solve_scalar(ctx, K, loads):
     """Scalar correctors of both directions from K and the direction loads."""
     mesh = ctx.mesh
     reducer = fem.ConstraintReducer(ctx.periodic, ctx.mean_weights)
@@ -102,16 +95,8 @@ def _solve_scalar(ctx, K, loads, tol):
     handle = fem.splu_factor(A_r)
     return CellSolution(mesh, {
         j: reducer.expand(fem.solve_factored(
-            handle, A_r, reducer.reduce_rhs(loads[j]), tol))
+            handle, A_r, reducer.reduce_rhs(loads[j])))
         for j in range(2)})
-
-
-def solve_scalar_pair(ctx, coeff, tol=1e-10):
-    """Correctors for both directions (one factorization, two loads)."""
-    mesh = ctx.mesh
-    mats = np.asarray(coeff.matrix_at(mesh.centroids))
-    return _solve_scalar(ctx, *_field_operators(
-        mesh, *fem.triangle_geometry(mesh), mats), tol)
 
 
 def _element_gradients(mesh, grads, values):
@@ -129,11 +114,6 @@ def _strain_and_flux(mesh, areas, grads, mats, correctors):
               for j in range(2)]
     return ([areas[:, None] * e for e in strain],
             [np.einsum("mde,me->md", mats, e) for e in strain])
-
-
-def _check_mesh(ctx, sol):
-    if sol.mesh is not ctx.mesh:
-        raise MeshMismatchError("solution was computed on a different mesh")
 
 
 @dataclass
@@ -183,21 +163,6 @@ def _field_sums(mesh, areas, grads, mats, correctors):
         for i in range(2):
             energy[i, j] = np.einsum("md,md->", weighted[i], flux[j])
     return energy, volume
-
-
-def effective_tensor_scalar(ctx, sol, coeff, form=TensorForm.SCALAR_ENERGY):
-    """Effective tensor from the scalar correctors, either formula."""
-    _check_mesh(ctx, sol)
-    if set(sol.directions) != {0, 1}:
-        raise MeshMismatchError("both corrector directions are required")
-    if form not in (TensorForm.SCALAR_FORM, TensorForm.SCALAR_ENERGY):
-        raise ValueError(f"{form} is not a scalar tensor form")
-    mesh = ctx.mesh
-    energy, volume = _field_sums(
-        mesh, *fem.triangle_geometry(mesh),
-        np.asarray(coeff.matrix_at(mesh.centroids)), sol.directions)
-    t = energy if form == TensorForm.SCALAR_ENERGY else volume
-    return EffectiveTensor(t / ctx.area, form, h=mesh.h)
 
 
 def _block_periodic(pm, n):
@@ -267,19 +232,18 @@ class CoupledCellProblem:
         G = ctx.gamma_mass
         self.E_r = reducer.restrict(sp.bmat([[G, -G], [-G, G]]))
 
-    def solve(self, exchange_rate, tol=1e-10):
+    def solve(self, exchange_rate):
         """Coupled correctors for both directions at one exchange rate."""
         if exchange_rate < 0:
             raise ValueError("exchange rate must be nonnegative")
         ctx = self.ctx
         mesh = ctx.mesh
         if self.equal:
-            scal = _solve_scalar(ctx, *self._field(0), tol)
+            scal = _solve_scalar(ctx, *self._field(0))
             return CoupledCellSolution(mesh, dict(scal.directions),
                                        dict(scal.directions), exchange_rate)
         if exchange_rate == 0 or ctx.gamma_mass is None:
-            s1, s2 = (_solve_scalar(ctx, *self._field(k), tol)
-                      for k in range(2))
+            s1, s2 = (_solve_scalar(ctx, *self._field(k)) for k in range(2))
             return CoupledCellSolution(mesh, s1.directions, s2.directions,
                                        exchange_rate)
         if self.K_r is None:
@@ -293,7 +257,7 @@ class CoupledCellProblem:
         n = mesh.n_nodes
         first, second = {}, {}
         for j in range(2):
-            X[:, j] = self.held.solve(A, self.B[:, j], tol, x0=start[:, j])
+            X[:, j] = self.held.solve(A, self.B[:, j], x0=start[:, j])
             x = self.reducer.expand(X[:, j])
             first[j], second[j] = x[:n], x[n:]
         self._reduced[rate] = X
@@ -302,7 +266,8 @@ class CoupledCellProblem:
     def tensors(self, sol):
         """(energy-form, volume-form) dispersion matrices of one solution."""
         ctx = self.ctx
-        _check_mesh(ctx, sol)
+        if sol.mesh is not ctx.mesh:
+            raise MeshMismatchError("solution was computed on a different mesh")
         if set(sol.first) != {0, 1} or set(sol.second) != {0, 1}:
             raise MeshMismatchError("both corrector directions are required")
         (e1, v1), (e2, v2) = (
@@ -317,8 +282,7 @@ class CoupledCellProblem:
         return energy / ctx.area, (v1 + v2) / ctx.area
 
 
-def solve_coupled_pair(ctx, coeff1, coeff2, exchange_rate, tol=1e-10,
-                       problem=None):
+def solve_coupled_pair(ctx, coeff1, coeff2, exchange_rate, problem=None):
     """Coupled correctors for both directions at one exchange rate.
 
     The boundary exchange enters as a symmetric positive-semidefinite
@@ -330,21 +294,10 @@ def solve_coupled_pair(ctx, coeff1, coeff2, exchange_rate, tol=1e-10,
     """
     if problem is None:
         problem = CoupledCellProblem(ctx, coeff1, coeff2)
-    return problem.solve(exchange_rate, tol=tol)
+    return problem.solve(exchange_rate)
 
 
-def effective_tensor_coupled(ctx, sol, coeff1, coeff2,
-                             form=TensorForm.COUPLED_ENERGY):
-    """Dispersion tensor from the coupled correctors, either formula."""
-    if form not in (TensorForm.COUPLED_ENERGY, TensorForm.COUPLED_FORM):
-        raise ValueError(f"{form} is not a coupled tensor form")
-    energy, volume = CoupledCellProblem(ctx, coeff1, coeff2).tensors(sol)
-    t = energy if form == TensorForm.COUPLED_ENERGY else volume
-    return EffectiveTensor(t, form, h=ctx.mesh.h,
-                           exchange_rate=sol.exchange_rate)
-
-
-def scalar_tensor_with_check(ctx, coeff, tol=1e-10):
+def scalar_tensor_with_check(ctx, coeff):
     """Energy-form tensor plus the cross-check against the volume form.
 
     One element geometry and one set of coefficient matrices serve the
@@ -353,7 +306,7 @@ def scalar_tensor_with_check(ctx, coeff, tol=1e-10):
     mesh = ctx.mesh
     areas, grads = fem.triangle_geometry(mesh)
     mats = np.asarray(coeff.matrix_at(mesh.centroids))
-    sol = _solve_scalar(ctx, *_field_operators(mesh, areas, grads, mats), tol)
+    sol = _solve_scalar(ctx, *_field_operators(mesh, areas, grads, mats))
     energy, volume = (t / ctx.area for t in _field_sums(
         mesh, areas, grads, mats, sol.directions))
     te = EffectiveTensor(energy, TensorForm.SCALAR_ENERGY, h=mesh.h,
@@ -362,14 +315,14 @@ def scalar_tensor_with_check(ctx, coeff, tol=1e-10):
 
 
 def coupled_tensor_with_check(ctx, coeff1, coeff2, exchange_rate, s=None,
-                              tol=1e-10, problem=None):
+                              problem=None):
     """Energy-form dispersion tensor plus its volume-form cross check.
 
     ``problem`` is passed on to ``solve_coupled_pair``.
     """
     if problem is None:
         problem = CoupledCellProblem(ctx, coeff1, coeff2)
-    sol = solve_coupled_pair(ctx, coeff1, coeff2, exchange_rate, tol=tol,
+    sol = solve_coupled_pair(ctx, coeff1, coeff2, exchange_rate,
                              problem=problem)
     energy, volume = problem.tensors(sol)
     te = EffectiveTensor(energy, TensorForm.COUPLED_ENERGY, h=ctx.mesh.h, s=s,
@@ -449,8 +402,11 @@ class DispersionTable:
         }
 
 
-def tabulate_b(ctx, coeff1, coeff2, exchange_fn, s_grid,
-               midpoint_tol=None, max_refine=1, tol=1e-10):
+# rounds of midpoint insertion in tabulate_b
+MAX_REFINE = 1
+
+
+def tabulate_b(ctx, coeff1, coeff2, exchange_fn, s_grid, midpoint_tol=None):
     """Tabulate the dispersion tensor over an s grid.
 
     The tensor only sees the exchange rate, so each sample solves the coupled
@@ -459,7 +415,7 @@ def tabulate_b(ctx, coeff1, coeff2, exchange_fn, s_grid,
     error is the largest gap between the tensor solved at the midpoint of
     two adjacent samples and the interpolated one, attached to the table;
     when ``midpoint_tol`` is given, midpoints are inserted (up to
-    ``max_refine`` rounds) until it drops below it.
+    MAX_REFINE rounds) until it drops below it.
     """
     s_grid = np.asarray(sorted(float(s) for s in s_grid))
     if len(s_grid) < 2:
@@ -473,7 +429,7 @@ def tabulate_b(ctx, coeff1, coeff2, exchange_fn, s_grid,
     def tensor_at(s):
         if s not in cache:
             te, _ = coupled_tensor_with_check(
-                ctx, coeff1, coeff2, float(exchange_fn(s)), s=s, tol=tol,
+                ctx, coeff1, coeff2, float(exchange_fn(s)), s=s,
                 problem=problem)
             cache[s] = te
         return cache[s]
@@ -491,7 +447,7 @@ def tabulate_b(ctx, coeff1, coeff2, exchange_fn, s_grid,
             errs.append(float(np.abs(interp - direct).max()))
         midpoint_error = max(errs) if errs else 0.0
         if midpoint_tol is None or midpoint_error <= midpoint_tol \
-                or rounds >= max_refine:
+                or rounds >= MAX_REFINE:
             break
         samples = sorted(set(samples) | set(mids))
         rounds += 1
@@ -501,15 +457,3 @@ def tabulate_b(ctx, coeff1, coeff2, exchange_fn, s_grid,
     return DispersionTable(np.asarray(samples), mats,
                            midpoint_error=midpoint_error,
                            cross_check_err=cross, h=ctx.mesh.h)
-
-
-def write_tensor_json(tensor, path):
-    with open(path, "w") as f:
-        json.dump(tensor.as_json_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")
-
-
-def write_table_json(table, path):
-    with open(path, "w") as f:
-        json.dump(table.as_json_dict(), f, indent=2, sort_keys=True)
-        f.write("\n")

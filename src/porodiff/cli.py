@@ -204,9 +204,10 @@ def _initial_closure(spec):
 
 
 def _coefficient(value):
-    """The constant coefficient of a scalar or 2x2 matrix value.
+    """The constant coefficient of a scalar or 2x2 matrix value; a scalar s
+    is s times the identity.
 
-    ConfigError unless the value is finite and positive definite.
+    ConfigError unless the value is finite, symmetric and positive definite.
     """
     if isinstance(value, bool) or not isinstance(value, (int, float, list)):
         raise ConfigError(
@@ -215,10 +216,20 @@ def _coefficient(value):
     if not np.all(np.isfinite(matrix)):
         raise ConfigError(f"coefficient must be finite, got {value!r}")
     field = fem.CoefficientField.constant(matrix)
+    try:
+        field.validate()
+    except ValueError as exc:
+        raise ConfigError(f"{exc}, got {value!r}") from exc
     if not field.alpha > 0:
         raise ConfigError(
             f"coefficient must be positive definite, got {value!r}")
     return field
+
+
+def _tensor(value):
+    """The 2x2 matrix of a forced effective tensor, checked as a
+    coefficient (``_coefficient``)."""
+    return _coefficient(value).matrix_at(np.zeros(2))[0]
 
 
 def _inclusion(cfg):
@@ -322,7 +333,7 @@ def cmd_cell_tensor(cfg, outdir, args):
     ctx = _cell_context(cfg)
     d3 = _coefficient(cfg["coefficients"]["d3"])
     tensor, _ = cell_mod.scalar_tensor_with_check(ctx, d3)
-    cell_mod.write_tensor_json(tensor, os.path.join(outdir, "d0.json"))
+    _write_json(tensor.as_json_dict(), os.path.join(outdir, "d0.json"))
     print(f"d0 = {tensor.matrix.tolist()} (cross check "
           f"{tensor.cross_check_err:.2e})")
     return EXIT_OK
@@ -335,7 +346,7 @@ def cmd_btable(cfg, outdir, args):
     kin = kin_mod.parse_kinetics(cfg["kinetics"])
     table = cell_mod.tabulate_b(ctx, d1, d2, kin.h, cfg["cell"]["s_grid"],
                                 midpoint_tol=cfg["cell"]["midpoint_tol"])
-    cell_mod.write_table_json(table, os.path.join(outdir, "btable.json"))
+    _write_json(table.as_json_dict(), os.path.join(outdir, "btable.json"))
     print(f"btable: {len(table.s)} samples, midpoint error "
           f"{table.midpoint_error:.3e}")
     return EXIT_OK
@@ -365,7 +376,8 @@ def _macro_pieces(cfg):
     if (mcfg["forced_b"] is None) != (forced_d0 is None):
         raise ConfigError("forced_b and forced_d0 must be set together")
     if forced_d0 is not None:
-        d0 = np.asarray(forced_d0, dtype=float)
+        d0 = _tensor(forced_d0)
+        _tensor(mcfg["forced_b"])  # checked also where a variant run ignores it
         ctx = None
         gamma_len, cell_area = 0.0, 1.0
         if kin.y_dependent:
@@ -385,8 +397,7 @@ def _dispersion_table(cfg, kin, ctx):
     forced_b = cfg["macro"]["forced_b"]
     if forced_b is not None:
         return cell_mod.DispersionTable.constant(
-            np.asarray(forced_b, dtype=float),
-            s_max=cfg["cell"]["lambda_macro"])
+            _tensor(forced_b), s_max=cfg["cell"]["lambda_macro"])
     return cell_mod.tabulate_b(ctx, _coefficient(cfg["coefficients"]["d1"]),
                                _coefficient(cfg["coefficients"]["d2"]),
                                kin.h, cfg["cell"]["s_grid"],

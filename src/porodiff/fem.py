@@ -79,13 +79,14 @@ class CoefficientField:
         return CoefficientField(evaluate, self.alpha, self.beta,
                                 descriptor=f"{self.descriptor}@eps={eps}")
 
-    def validate(self, n=17, tol=1e-12):
-        """Sample a grid and check symmetry and the eigenvalue bounds."""
-        xs = (np.arange(n) + 0.5) / n
+    def validate(self):
+        """Sample a 17 x 17 grid and check symmetry (to 1e-12) and the
+        eigenvalue bounds."""
+        xs = (np.arange(17) + 0.5) / 17
         gx, gy = np.meshgrid(xs, xs)
         mats = np.asarray(self.matrix_at(np.column_stack([gx.ravel(), gy.ravel()])))
         asym = np.abs(mats - np.swapaxes(mats, 1, 2)).max()
-        if asym > tol:
+        if asym > 1e-12:
             raise ValueError(f"coefficient not symmetric (deviation {asym:.2e})")
         eigs = np.linalg.eigvalsh(mats)
         if eigs.min() < self.alpha - 1e-9 or eigs.max() > self.beta + 1e-9:
@@ -374,8 +375,13 @@ class ConstraintReducer:
 # solving
 # ---------------------------------------------------------------------------
 
-def solve_sparse(A, b, tol=1e-10, method="direct", maxiter=None, x0=None):
-    """Solve A x = b with a relative-residual contract.
+# The relative-residual contract of every linear solve: ||A x - b|| <=
+# RESIDUAL_TOL ||b||. Solves read it when they run; none takes a tolerance.
+RESIDUAL_TOL = 1e-10
+
+
+def solve_sparse(A, b, method="direct", maxiter=None):
+    """Solve A x = b under the relative-residual contract.
 
     ``direct`` uses sparse LU, ``cg`` a Jacobi-preconditioned conjugate
     gradient (A must be symmetric positive definite). Raises
@@ -385,16 +391,16 @@ def solve_sparse(A, b, tol=1e-10, method="direct", maxiter=None, x0=None):
     if np.linalg.norm(b) == 0.0:
         return np.zeros_like(b)
     if method == "direct":
-        return solve_factored(splu_factor(A), A, b, tol)
+        return solve_factored(splu_factor(A), A, b)
     if method == "cg":
         diag = A.diagonal()
         if np.any(diag <= 0):
             raise SingularSystemError("nonpositive diagonal in CG path")
-        return pcg(A, b, sp.diags(1.0 / diag), tol, x0=x0, maxiter=maxiter)[0]
+        return pcg(A, b, sp.diags(1.0 / diag), maxiter=maxiter)[0]
     raise ValueError(f"unknown solve method {method!r}")
 
 
-def solve_factored(handle, A, b, tol=1e-10):
+def solve_factored(handle, A, b):
     """``handle.solve(b)`` for a factor of A, under the residual contract."""
     b = np.asarray(b, dtype=float)
     bnorm = np.linalg.norm(b)
@@ -404,12 +410,12 @@ def solve_factored(handle, A, b, tol=1e-10):
     if not np.all(np.isfinite(x)):
         raise SingularSystemError("factorization produced non-finite values")
     res = np.linalg.norm(A @ x - b) / bnorm
-    if res > tol:
+    if res > RESIDUAL_TOL:
         raise NoConvergenceError(1, res)
     return x
 
 
-def pcg(A, b, M, tol, x0=None, maxiter=None):
+def pcg(A, b, M, x0=None, maxiter=None):
     """Preconditioned CG under the residual contract; (x, iterations).
 
     A and M are matrices or LinearOperators; M applies the inverse of the
@@ -421,6 +427,7 @@ def pcg(A, b, M, tol, x0=None, maxiter=None):
     if not np.isfinite(bnorm):
         # CG would run to maxiter on a non-finite right-hand side
         raise NoConvergenceError(0, bnorm)
+    tol = RESIDUAL_TOL
     iters = 0
 
     def count(_):
@@ -525,7 +532,7 @@ class HeldFactor:
         self.refactors = 0
         self.last_iterations = 0
 
-    def solve(self, A, b, tol, x0=None, operator=None):
+    def solve(self, A, b, x0=None, operator=None):
         """x with A x = b by CG preconditioned with the held factor.
 
         A is a matrix or LinearOperator; ``operator()`` is the matrix that
@@ -538,7 +545,7 @@ class HeldFactor:
         x, self.last_iterations = pcg(
             A, b, spla.LinearOperator(A.shape, matvec=self.handle.solve,
                                       dtype=float),
-            tol, x0=x0)
+            x0=x0)
         if self.last_iterations > REFACTOR_ITERS:
             self.handle = factorize(operator())
             self.refactors += 1
@@ -592,7 +599,7 @@ class ExchangeBlock:
             else _BlockDiagonal(self.factors, self.A1r.shape[0]))
 
 
-def solve_exchange_block(block, Cr, b1, b2, tol=1e-10, x0=None):
+def solve_exchange_block(block, Cr, b1, b2, x0=None):
     """Solve [[A1+C, -C], [-C, A2+C]] (x1, x2) = (b1, b2) for an ExchangeBlock.
 
     ``Cr`` is the exchange matrix C restricted to the reduced dofs,
@@ -617,11 +624,11 @@ def solve_exchange_block(block, Cr, b1, b2, tol=1e-10, x0=None):
     n = len(b1r)
     if block.equal:
         A = block.A1r
-        x_sum = solve_factored(block.factors[0], A, b1r + b2r, tol)
+        x_sum = solve_factored(block.factors[0], A, b1r + b2r)
         x_diff = block.held.solve(
             spla.LinearOperator(A.shape, dtype=float,
                                 matvec=lambda d: A @ d + 2.0 * (Cr @ d)),
-            b1r - b2r, tol, None if x0r is None else x0r[0] - x0r[1],
+            b1r - b2r, None if x0r is None else x0r[0] - x0r[1],
             operator=lambda: A + 2.0 * Cr)
         x1r = 0.5 * (x_sum + x_diff)
         x2r = 0.5 * (x_sum - x_diff)
@@ -635,7 +642,7 @@ def solve_exchange_block(block, Cr, b1, b2, tol=1e-10, x0=None):
 
         x = block.held.solve(
             spla.LinearOperator((2 * n, 2 * n), matvec=apply, dtype=float),
-            np.concatenate([b1r, b2r]), tol,
+            np.concatenate([b1r, b2r]),
             None if x0r is None else np.concatenate(x0r),
             operator=lambda: sp.bmat([[A1r + Cr, -Cr], [-Cr, A2r + Cr]],
                                      format="csc"))

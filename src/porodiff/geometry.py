@@ -558,13 +558,6 @@ class RectUnion:
                        & (pts[:, 1] >= y0 - _FACE_TOL) & (pts[:, 1] <= y1 + _FACE_TOL))
         return inside
 
-    def to_config(self):
-        return {"rectangles": [list(r) for r in self.rects]}
-
-    @classmethod
-    def from_config(cls, cfg):
-        return cls.of(*cfg["rectangles"])
-
 
 def build_macro_mesh(domain, h):
     """Mesh a rectangle-union domain; every boundary edge is marked OUTER."""
@@ -696,14 +689,6 @@ class PeriodicMap:
             self, "pairs",
             np.ascontiguousarray(self.pairs, dtype=np.int64).reshape(-1, 2))
         self.pairs.setflags(write=False)
-
-    @property
-    def n_slaves(self):
-        return len(self.pairs)
-
-    @property
-    def ndof(self):
-        return self.n_nodes - self.n_slaves
 
     def master_of(self):
         """Full-length map i -> representative node index."""

@@ -6,6 +6,10 @@ import numpy as np
 
 from .errors import PointOutsideDomainError
 
+# a point whose smallest barycentric coordinate in a triangle is at least
+# -INSIDE_TOL lies inside it
+INSIDE_TOL = 1e-9
+
 
 def _expand(counts):
     """Owner and rank within its owner of each of ``counts.sum()`` items."""
@@ -22,15 +26,15 @@ class P1Interpolator:
 
     Triangles are bucketed by bounding box on a square grid of bins. A point
     goes to the first triangle of its bin, by ascending triangle index, whose
-    smallest barycentric coordinate is >= -tol, so a point on a shared vertex
-    or edge goes to the lowest-numbered triangle holding it. If there is
-    none, it goes to the first triangle with the largest smallest coordinate,
-    and PointOutsideDomainError is raised when the bin is empty or that
-    coordinate is below -1e-6. The weights are clipped at zero and
-    renormalised.
+    smallest barycentric coordinate is >= -INSIDE_TOL, so a point on a
+    shared vertex or edge goes to the lowest-numbered triangle holding it.
+    If there is none, it goes to the first triangle with the largest
+    smallest coordinate, and PointOutsideDomainError is raised when the bin
+    is empty or that coordinate is below -1e-6. The weights are clipped at
+    zero and renormalised.
     """
 
-    def __init__(self, mesh, points, tol=1e-9):
+    def __init__(self, mesh, points):
         self.mesh = mesh
         points = np.atleast_2d(np.asarray(points, dtype=float))
         self.points = points
@@ -74,7 +78,7 @@ class P1Interpolator:
 
         # Any candidate inside scores +inf, so the first maximum of the score
         # is the first candidate inside, else the first largest ``short``.
-        score = np.where(short >= -tol, np.inf, short)
+        score = np.where(short >= -INSIDE_TOL, np.inf, short)
         n = len(points)
         has = n_cand > 0
         best = np.full(n, np.nan)
@@ -84,7 +88,7 @@ class P1Interpolator:
         chosen = np.full(n, -1)
         chosen[hit_pt] = hit[first]
         bad = chosen < 0
-        bad[~bad] = short[chosen[~bad]] < min(-tol, -1e-6)
+        bad[~bad] = short[chosen[~bad]] < -1e-6
         if bad.any():
             i = int(np.argmax(bad))
             raise PointOutsideDomainError(

@@ -45,9 +45,7 @@ class MicroConfig:
     kinetics: object
     scaling: Scaling = Scaling.FAST_EXCHANGE
     positivity: PositivityPolicy = PositivityPolicy.MONITOR
-    solver_tol: float = 1e-10
     snapshot_every: int = 1
-    linf_bound: float | None = None
 
 
 class MicroSolver(ExchangePairStepper):
@@ -98,22 +96,15 @@ class MicroSolver(ExchangePairStepper):
         """Record the norms and bounds, then the micro series.
 
         The series are the boundary-gap norm of the pair (for the square-root
-        law), per-field gradient energies (so the space-time H1 accumulators
-        of the a-priori bounds can be formed), and L-infinity monitor events
-        when ``linf_bound`` is configured.
+        law) and per-field gradient energies (so the space-time H1
+        accumulators of the a-priori bounds can be formed).
         """
         super().record(traj, state, snapshot)
         traj.series.setdefault("gamma_gap", []).append(
             self.gamma_gap_norm(state))
-        bound = self.cfg.linf_bound
         for K, (name, u) in zip(self.K, self.fields_of(state).items()):
             traj.series.setdefault(f"grad_energy_{name}", []).append(
                 float(u @ (K @ u)))
-            if bound is not None:
-                peak = float(np.abs(u).max())
-                if peak > bound:
-                    traj.add_event(kind="linf", field=name, t=state.t,
-                                   max=peak, bound=bound)
 
     @staticmethod
     def h1_accumulator(traj, name):
@@ -143,24 +134,3 @@ def write_gamma_gap_csv(traj, path):
 def restrict_macro_to_micro(macro_mesh, macro_field, micro_mesh):
     """P1-interpolate a macroscopic nodal field onto perforated-mesh nodes."""
     return P1Interpolator(macro_mesh, micro_mesh.nodes)(macro_field)
-
-
-def cell_average_unfold(mesh, values, epsilon):
-    """Area-weighted average of a nodal field over each epsilon cell.
-
-    Returns (cells, averages) where cells are integer lattice indices (K,2);
-    the element centroid determines the cell.
-    """
-    values = np.asarray(values, dtype=float)
-    areas = mesh.areas
-    elem_mean = values[mesh.triangles].mean(axis=1)
-    kx = np.floor(mesh.centroids[:, 0] / epsilon).astype(np.int64)
-    ky = np.floor(mesh.centroids[:, 1] / epsilon).astype(np.int64)
-    keys = kx * (2 ** 31) + ky
-    uniq, inv = np.unique(keys, return_inverse=True)
-    sums = np.zeros(len(uniq))
-    wsum = np.zeros(len(uniq))
-    np.add.at(sums, inv, areas * elem_mean)
-    np.add.at(wsum, inv, areas)
-    cells = np.column_stack([uniq // (2 ** 31), uniq % (2 ** 31)])
-    return cells, sums / wsum

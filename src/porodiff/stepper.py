@@ -74,7 +74,8 @@ class ImexStepper:
 
     Owns the mass matrix, the OUTER Dirichlet reduction, the c3 solve, the
     positivity policy and the run loop. ``config`` carries ``dt``,
-    ``t_end``, ``snapshot_every``, ``positivity`` and ``solver_tol``. A
+    ``t_end``, ``snapshot_every`` and ``positivity``; every solve meets the
+    residual contract ``fem.RESIDUAL_TOL``. A
     subclass names its fields in ``field_names`` (the attributes of its
     ``state_type``), sets the reduced c3 operator ``A3_r`` and its factor
     ``A3_handle``, and implements ``_advance(state)``: the new fields, by
@@ -101,8 +102,7 @@ class ImexStepper:
     def solve_c3(self, b3):
         """c3 from its right-hand side, under the residual contract."""
         return self.reducer.expand(fem.solve_factored(
-            self.A3_handle, self.A3_r, self.reducer.reduce_rhs(b3),
-            self.cfg.solver_tol))
+            self.A3_handle, self.A3_r, self.reducer.reduce_rhs(b3)))
 
     def step(self, state, events=None):
         """One IMEX step; returns the new state.
@@ -198,7 +198,6 @@ class ExchangePairStepper(ImexStepper):
         f1, f2, load3 = self.rates(state)
         c1, c2 = fem.solve_exchange_block(
             self.exchange, Cr, M @ state.c1 + dt * (M @ f1),
-            M @ state.c2 + dt * (M @ f2), tol=cfg.solver_tol,
-            x0=(state.c1, state.c2))
+            M @ state.c2 + dt * (M @ f2), x0=(state.c1, state.c2))
         return {"c1": c1, "c2": c2,
                 "c3": self.solve_c3(M @ state.c3 + dt * load3)}

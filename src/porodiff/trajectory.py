@@ -53,9 +53,6 @@ class Trajectory:
             self.snapshots.append(
                 (float(t), {k: v.copy() for k, v in fields.items()}))
 
-    def add_event(self, **event):
-        self.events.append(event)
-
     @property
     def columns(self):
         cols = ["t"]

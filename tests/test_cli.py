@@ -70,7 +70,7 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("d3", [
         0.0, -1.0, float("nan"), True, [[1, 0], [0, -1]],
-        [[1, 0], [0, float("inf")]]])
+        [[1, 0], [0, float("inf")]], [[1, 0.5], [0, 1]]])
     def test_bad_constant_coefficient_exit_2(self, tmp_path, d3):
         code, _ = run_cli(tmp_path, "cell-tensor",
                           {"geometry": {"inclusion": DISC, "h": 0.1},
@@ -250,6 +250,22 @@ class TestCommands:
         config = {"geometry": {"inclusion": DISC, "h": 0.05},
                   "macro": {"h": 1 / 8, "forced_b": eye, "forced_d0": eye,
                             "dt": 1e-3, "t_end": 2e-3, "theta": theta}}
+        got, outdir = run_cli(tmp_path, "macro", config)
+        assert got == code
+        assert (outdir / "trajectory.csv").exists() == (code == cli.EXIT_OK)
+
+    @pytest.mark.parametrize("key", ["forced_b", "forced_d0"])
+    @pytest.mark.parametrize("value,code", [
+        ([[1, 0], [0, -1]], cli.EXIT_CONFIG),
+        ([[1, 0], [0, float("nan")]], cli.EXIT_CONFIG),
+        ([[1, 0.5], [0, 1]], cli.EXIT_CONFIG),
+        (1.0, cli.EXIT_OK)])
+    def test_macro_forced_tensors_checked(self, tmp_path, key, value, code):
+        # a forced tensor is checked as a coefficient; a scalar s is s I
+        config = {"geometry": {"inclusion": DISC, "h": 0.05},
+                  "macro": {"h": 1 / 8, "forced_b": [[1, 0], [0, 1]],
+                            "forced_d0": [[1, 0], [0, 1]], key: value,
+                            "dt": 1e-3, "t_end": 2e-3}}
         got, outdir = run_cli(tmp_path, "macro", config)
         assert got == code
         assert (outdir / "trajectory.csv").exists() == (code == cli.EXIT_OK)

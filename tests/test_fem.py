@@ -7,7 +7,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from porodiff import fem, geometry as geo
+from porodiff import cell, fem, geometry as geo, kinetics as kin, macro
 from porodiff.errors import (NoConvergenceError, NoMarkedBoundaryError,
                              SingularSystemError)
 
@@ -211,7 +211,7 @@ class TestSolve:
         b = rng.standard_normal(cell_ctx.mesh.n_nodes)
         A_r, b_r = fem.ConstraintReducer(cell_ctx.periodic,
                                          cell_ctx.mean_weights).reduce(K, b)
-        x = fem.solve_sparse(A_r, b_r, tol=1e-10)
+        x = fem.solve_sparse(A_r, b_r)
         assert np.linalg.norm(A_r @ x - b_r) / np.linalg.norm(b_r) <= 1e-10
 
     def test_cg_matches_direct(self, macro_mesh_16):
@@ -270,7 +270,7 @@ class TestHeldFactor:
             self, pair, factorize_calls):
         A, _, b = pair
         held = fem.HeldFactor()
-        x = held.solve(A, b, 1e-10)
+        x = held.solve(A, b)
         assert factorize_calls == [A.shape]
         assert held.last_iterations == 1 and held.refactors == 0
         assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
@@ -289,11 +289,11 @@ class TestHeldFactor:
         monkeypatch.setattr(fem, "factorize", record)
         monkeypatch.setattr(fem, "REFACTOR_ITERS", 1)
         target = far.copy()
-        held.solve(far, b, 1e-10, operator=lambda: target)
+        held.solve(far, b, operator=lambda: target)
         assert held.last_iterations > 1
         assert held.refactors == 1 and len(factored) == 1
         assert factored[0] is target
-        held.solve(far, b, 1e-10, operator=lambda: target)
+        held.solve(far, b, operator=lambda: target)
         assert held.last_iterations == 1
         assert held.refactors == 1 and len(factored) == 1
 
@@ -301,10 +301,9 @@ class TestHeldFactor:
         near, far, b = pair
         handle = fem.factorize(near)
         want, iters = fem.pcg(far, b, spla.LinearOperator(
-            far.shape, matvec=handle.solve, dtype=float), 1e-10,
-            x0=np.ones_like(b))
+            far.shape, matvec=handle.solve, dtype=float), x0=np.ones_like(b))
         held = fem.HeldFactor(handle)
-        got = held.solve(far, b, 1e-10, x0=np.ones_like(b))
+        got = held.solve(far, b, x0=np.ones_like(b))
         assert held.last_iterations == iters > 1
         assert np.array_equal(got, want)
 
@@ -538,3 +537,64 @@ class TestCoefficientField:
         v2 = fine.matrix_at(np.array([[0.35, 0.0]]))[0, 0, 0]
         assert abs(v1 - v2) < 1e-12
 
+
+
+class TestResidualTolerance:
+    """Every solve reads fem.RESIDUAL_TOL when it runs, not at import."""
+
+    @pytest.fixture
+    def cg_rtols(self, monkeypatch):
+        """The ``rtol`` of each spla.cg call while the test runs."""
+        rtols = []
+        cg = spla.cg
+
+        def spy(*args, **kwargs):
+            rtols.append(kwargs["rtol"])
+            return cg(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "cg", spy)
+        return rtols
+
+    @staticmethod
+    def macro_solver(mesh):
+        config = macro.MacroConfig(
+            dt=1e-3, t_end=1e-3, d0=np.eye(2),
+            btable=cell.DispersionTable.constant(np.eye(2)),
+            kinetics=kin.zero_kinetics(), gamma_length=0.0, cell_area=1.0)
+        return macro.MacroSolver(mesh, config)
+
+    def test_cg_paths_read_the_patched_tolerance(
+            self, monkeypatch, cg_rtols, cell_mesh, coarse_ctx,
+            identity_field, aniso_field, macro_mesh_16):
+        tol = 1e-6
+        monkeypatch.setattr(fem, "RESIDUAL_TOL", tol)
+        A1, A2 = _unequal_pair(cell_mesh)
+        red = fem.DirichletReducer(cell_mesh.n_nodes, [])
+        C = fem.assemble_boundary_mass(cell_mesh, geo.EdgeMarker.GAMMA, 0.7)
+        b = np.sin(3.0 * cell_mesh.nodes[:, 0])
+        x, _ = macro_mesh_16.nodes.T
+        solver = self.macro_solver(macro_mesh_16)
+        runs = {
+            "exchange block": lambda: fem.solve_exchange_block(
+                fem.ExchangeBlock(A1, A2, red), red.restrict(C), b, 2.0 * b),
+            "coupled cell rate": lambda: cell.CoupledCellProblem(
+                coarse_ctx, identity_field, aniso_field).solve(0.5),
+            "macro step": lambda: solver.step(macro.MacroState(
+                0.0, np.sin(np.pi * x), np.sin(np.pi * x))),
+        }
+        for name, run in runs.items():
+            del cg_rtols[:]
+            run()
+            assert cg_rtols, name
+            assert all(r == tol * 0.1 for r in cg_rtols), name
+
+    def test_factored_paths_fail_at_zero_tolerance(
+            self, monkeypatch, coarse_ctx, identity_field, macro_mesh_16):
+        solver = self.macro_solver(macro_mesh_16)
+        b3 = solver.M @ np.sin(np.pi * macro_mesh_16.nodes[:, 0])
+        solver.solve_c3(b3)
+        monkeypatch.setattr(fem, "RESIDUAL_TOL", 0.0)
+        with pytest.raises(NoConvergenceError):
+            solver.solve_c3(b3)
+        with pytest.raises(NoConvergenceError):
+            cell.scalar_tensor_with_check(coarse_ctx, identity_field)

@@ -405,7 +405,7 @@ class TestSteadySanity:
         table = cell.tabulate_b(coarse_ctx, identity_field, aniso_field, lang,
                                 (0.0, 0.5, 1.0, 2.0))
         rep = macro.steady_sanity(macro_mesh_16, np.eye(2), table,
-                                  case="coupled", dt=0.05, solver_tol=1e-10)
+                                  case="coupled", dt=0.05)
         assert rep["steady_residual"] <= 10 * 1e-10 + 1e-7
 
 
