@@ -10,6 +10,9 @@ from .errors import PointOutsideDomainError
 # -INSIDE_TOL lies inside it
 INSIDE_TOL = 1e-9
 
+# bins per axis of the location grid, per square root of the triangle count
+BIN_DENSITY = 2
+
 
 def _expand(counts):
     """Owner and rank within its owner of each of ``counts.sum()`` items."""
@@ -24,13 +27,16 @@ class P1Interpolator:
     Location is done once at construction; evaluation is a sparse weighted
     gather, cheap enough to run per snapshot.
 
-    Triangles are bucketed by bounding box on a square grid of bins. A point
-    goes to the first triangle of its bin, by ascending triangle index, whose
-    smallest barycentric coordinate is >= -INSIDE_TOL, so a point on a
-    shared vertex or edge goes to the lowest-numbered triangle holding it.
-    If there is none, it goes to the first triangle with the largest
-    smallest coordinate, and PointOutsideDomainError is raised when the bin
-    is empty or that coordinate is below -1e-6. The weights are clipped at
+    Triangles are bucketed by bounding box on a square grid of
+    BIN_DENSITY sqrt(T) bins per axis, for T triangles. The bins only prune
+    the candidates: every triangle whose bounding box holds a point is in
+    that point's bin at any bin count. A point goes to the first triangle of
+    its bin, by ascending triangle index, whose smallest barycentric
+    coordinate is >= -INSIDE_TOL, so a point on a shared vertex or edge goes
+    to the lowest-numbered triangle holding it. If there is none, it goes to
+    the first triangle with the largest smallest coordinate, and
+    PointOutsideDomainError is raised when the bin is empty or that
+    coordinate is below -1e-6. The weights are clipped at
     zero and renormalised.
     """
 
@@ -42,7 +48,7 @@ class P1Interpolator:
         bbox_lo = mesh.nodes.min(axis=0)
         bbox_hi = mesh.nodes.max(axis=0)
         span = np.maximum(bbox_hi - bbox_lo, 1e-300)
-        nbin = max(1, int(np.sqrt(mesh.n_triangles)))
+        nbin = max(1, int(BIN_DENSITY * np.sqrt(mesh.n_triangles)))
 
         def bin_of(xy):
             b = np.floor((xy - bbox_lo) / span * nbin).astype(np.int64)

@@ -1,4 +1,7 @@
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -7,7 +10,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
-from porodiff import cell, fem, geometry as geo, kinetics as kin, macro
+from porodiff import cell, fem, geometry as geo, kinetics as kin, macro, micro
 from porodiff.errors import (NoConvergenceError, NoMarkedBoundaryError,
                              SingularSystemError)
 
@@ -598,3 +601,97 @@ class TestResidualTolerance:
             solver.solve_c3(b3)
         with pytest.raises(NoConvergenceError):
             cell.scalar_tensor_with_check(coarse_ctx, identity_field)
+
+
+class TestFactorize:
+    """fem.factorize against SuperLU with its default supernode sizes."""
+
+    @staticmethod
+    def factored(build):
+        """The last matrix that ``build()`` hands to fem.factorize."""
+        seen = []
+        factorize = fem.factorize
+
+        def spy(A):
+            seen.append(A)
+            return factorize(A)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(fem, "factorize", spy)
+            build()
+        return seen[-1]
+
+    @pytest.fixture(scope="class")
+    def operators(self, disc_spec, cell_ctx, identity_field, aniso_field,
+                  macro_mesh_16):
+        spec = geo.EpsilonDomainSpec(geo.RectUnion.unit_square(), 0.25,
+                                     disc_spec)
+        eps_mesh = geo.build_epsilon_mesh(spec, 0.25 / 8)
+        config = micro.MicroConfig(
+            dt=1e-3, t_end=1e-3, d1=identity_field, d2=aniso_field,
+            d3=identity_field, kinetics=kin.zero_kinetics())
+        solver = TestResidualTolerance.macro_solver(macro_mesh_16)
+        x, _ = macro_mesh_16.nodes.T
+        state = macro.MacroState(0.0, np.sin(np.pi * x), np.sin(np.pi * x))
+        return {
+            "epsilon field": self.factored(
+                lambda: micro.MicroSolver(eps_mesh, 0.25, config)),
+            "coupled cell block": self.factored(
+                lambda: cell.CoupledCellProblem(
+                    cell_ctx, identity_field, aniso_field).solve(0.5)),
+            "macro A_c": self.factored(lambda: solver.step(state)),
+        }
+
+    def test_solves_agree_with_default_supernodes(self, operators, cell_ctx):
+        assert operators["coupled cell block"].shape[0] > cell_ctx.mesh.n_nodes
+        rng = np.random.default_rng(3)
+        for name, A in operators.items():
+            b = rng.standard_normal(A.shape[0])
+            x = fem.factorize(A).solve(b)
+            ref = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A",
+                            options=dict(SymmetricMode=True)).solve(b)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref), name
+            res = np.linalg.norm(A @ x - b) / np.linalg.norm(b)
+            assert res <= fem.RESIDUAL_TOL, name
+
+    def test_supernode_sizes_reach_superlu(self, monkeypatch):
+        calls = []
+        splu = spla.splu
+
+        def spy(*args, **kwargs):
+            calls.append(kwargs)
+            return splu(*args, **kwargs)
+
+        monkeypatch.setattr(spla, "splu", spy)
+        fem.factorize(sp.identity(4, format="csc"))
+        assert calls[0]["relax"] == fem.SUPERNODE_RELAX
+        assert calls[0]["panel_size"] == fem.SUPERNODE_PANEL
+
+    def test_repeated_factors_of_the_cell_block_exit_cleanly(self):
+        """20 factor/solve/free cycles of the B-table's 2N cell block, then
+        a normal interpreter exit: with relax = 16, panel_size = 32 SuperLU
+        crashes the interpreter (SIGSEGV) within these cycles."""
+        script = textwrap.dedent("""
+            import gc
+            import numpy as np
+            from porodiff import cell, fem, geometry as geo
+            spec = geo.InclusionSpec.disc((0.5, 0.5), 0.25)
+            ctx = cell.CellContext.from_mesh(
+                geo.build_unit_cell_mesh(spec, 0.0125))
+            problem = cell.CoupledCellProblem(
+                ctx, fem.CoefficientField.isotropic(1.0),
+                fem.CoefficientField.constant(np.diag([2.0, 1.0])))
+            problem.solve(0.5)
+            A = (problem.K_r + 0.5 * problem.E_r).tocsc()
+            b = np.ones(A.shape[0])
+            for _ in range(20):
+                fem.solve_factored(fem.factorize(A), A, b)
+                gc.collect()
+            print(A.shape[0])
+        """)
+        src = os.path.dirname(os.path.dirname(fem.__file__))
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        assert int(proc.stdout) > 20000

@@ -5,7 +5,8 @@ import weakref
 import numpy as np
 import pytest
 
-from porodiff import fem, geometry as geo, kinetics as kin, micro
+from porodiff import fem, geometry as geo, interpolate, kinetics as kin
+from porodiff import micro
 from porodiff.errors import (ConfigError, NoConvergenceError,
                              NonFiniteValueError,
                              PointOutsideDomainError)
@@ -264,33 +265,42 @@ class TestRestriction:
         with pytest.raises(PointOutsideDomainError):
             P1Interpolator(macro_mesh_16, np.array([[1.5, 0.5]]))
 
-    def test_location_matches_brute_force(self):
-        mm = geo.build_macro_mesh(geo.RectUnion.unit_square(), 1 / 8)
-        tris = mm.triangles
-        ends = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]], tris[:, [2, 0]]])
-        mids = 0.5 * (mm.nodes[ends[:, 0]] + mm.nodes[ends[:, 1]])
+    def test_location_matches_brute_force(self, monkeypatch):
         rng = np.random.default_rng(7)
-        pts = np.unique(np.vstack([mm.nodes, mids, rng.random((100, 2))]),
-                        axis=0)
-        interp = P1Interpolator(mm, pts)
-        # reference: scan all triangles in index order, take the first one
-        # whose smallest barycentric coordinate is >= -tol
-        p = mm.nodes[tris]
-        p0 = p[:, 0]
-        e1 = p[:, 1] - p0
-        e2 = p[:, 2] - p0
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        rel = pts[:, None, :] - p0[None]
-        l1 = (rel[..., 0] * e2[:, 1] - rel[..., 1] * e2[:, 0]) / det
-        l2 = (e1[:, 0] * rel[..., 1] - e1[:, 1] * rel[..., 0]) / det
-        lam = np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
-        inside = lam.min(axis=-1) >= -1e-9
-        assert inside.any(axis=1).all()
-        tri = np.argmax(inside, axis=1)
-        bary = np.clip(lam[np.arange(len(pts)), tri], 0.0, None)
-        bary /= bary.sum(axis=1, keepdims=True)
-        assert np.array_equal(interp.tri_idx, tri)
-        assert np.array_equal(interp.bary, bary)
+        for mm in (geo.build_macro_mesh(geo.RectUnion.unit_square(), 1 / 8),
+                   geo.build_macro_mesh(geo.RectUnion.of(
+                       (0, 0, 1, 0.5), (0, 0.5, 0.5, 1)), 1 / 12)):
+            tris = mm.triangles
+            p = mm.nodes[tris]
+            ends = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]],
+                              tris[:, [2, 0]]])
+            a, b = mm.nodes[ends[:, 0]], mm.nodes[ends[:, 1]]
+            on_edges = [(1 - t) * a + t * b for t in (0.5, 1 / 3, 0.1)]
+            weights = rng.dirichlet(np.ones(3), len(tris))
+            interior = [p.mean(axis=1), np.einsum("tk,tkd->td", weights, p)]
+            pts = np.unique(np.vstack([mm.nodes, *on_edges, *interior]),
+                            axis=0)
+            # reference: scan all triangles in index order, take the first
+            # one whose smallest barycentric coordinate is >= -tol
+            p0 = p[:, 0]
+            e1 = p[:, 1] - p0
+            e2 = p[:, 2] - p0
+            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+            rel = pts[:, None, :] - p0[None]
+            l1 = (rel[..., 0] * e2[:, 1] - rel[..., 1] * e2[:, 0]) / det
+            l2 = (e1[:, 0] * rel[..., 1] - e1[:, 1] * rel[..., 0]) / det
+            lam = np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+            inside = lam.min(axis=-1) >= -interpolate.INSIDE_TOL
+            assert inside.any(axis=1).all()
+            tri = np.argmax(inside, axis=1)
+            bary = np.clip(lam[np.arange(len(pts)), tri], 0.0, None)
+            bary /= bary.sum(axis=1, keepdims=True)
+            # the bins only prune candidates: any bin count gives the same
+            for density in (1, 2, 5):
+                monkeypatch.setattr(interpolate, "BIN_DENSITY", density)
+                interp = P1Interpolator(mm, pts)
+                assert np.array_equal(interp.tri_idx, tri), density
+                assert np.array_equal(interp.bary, bary), density
 
 
 @pytest.mark.parametrize("domain,eps,n_cells", [
