@@ -196,7 +196,7 @@ class CoupledCellProblem:
     def __init__(self, ctx, coeff1, coeff2):
         self.ctx = ctx
         self.coeffs = (coeff1, coeff2)
-        self.equal = coeff1.is_equal_constant(coeff2) or coeff1 is coeff2
+        self.equal = coeff1.same_operator(coeff2)
         mesh = ctx.mesh
         self.areas, self.grads = fem.triangle_geometry(mesh)
         self.mats = [np.asarray(c.matrix_at(mesh.centroids))

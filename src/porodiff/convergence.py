@@ -173,12 +173,12 @@ def run_sweep(problem, epsilons, threads=1, keep_trajectories=False):
                 f"(budget {problem.node_budget})"
             )
 
+    macro_mesh = build_macro_mesh(problem.domain, problem.macro_h)
     ctx = cell_mod.CellContext.from_mesh(unit_mesh)
     d0_tensor, _ = cell_mod.scalar_tensor_with_check(ctx, problem.d3)
     btable = cell_mod.tabulate_b(ctx, problem.d1, problem.d2,
                                  problem.kinetics.h, problem.s_grid)
 
-    macro_mesh = build_macro_mesh(problem.domain, problem.macro_h)
     x, y = macro_mesh.nodes.T
     c0 = 0.5 * (np.asarray(problem.init_c1(x, y), dtype=float)
                 + np.asarray(problem.init_c2(x, y), dtype=float))

@@ -96,10 +96,11 @@ class CoefficientField:
             )
         return True
 
-    def is_equal_constant(self, other):
-        """True when both fields are the same constant matrix."""
-        return (self.descriptor.startswith("constant:")
-                and self.descriptor == other.descriptor)
+    def same_operator(self, other):
+        """True when both fields give one operator: the same field, or the
+        same constant matrix."""
+        return self is other or (self.descriptor.startswith("constant:")
+                                 and self.descriptor == other.descriptor)
 
 
 def triangle_geometry(mesh):

@@ -176,15 +176,22 @@ class InclusionSpec:
         raise InvalidGeometryError(f"unknown inclusion shape {shape!r}")
 
 
-def _polygon_signed_distance(pts, verts):
+def _polygon_closest(pts, verts):
+    """(closest point of every polygon edge (P,K,2), its distance (P,K))."""
     a = verts
-    b = np.roll(verts, -1, axis=0)
-    ab = b - a
+    ab = np.roll(verts, -1, axis=0) - a
     ab2 = np.einsum("kd,kd->k", ab, ab)
     ap = pts[:, None, :] - a[None, :, :]
     t = np.clip(np.einsum("pkd,kd->pk", ap, ab) / ab2[None, :], 0.0, 1.0)
     closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    dist = np.min(np.linalg.norm(pts[:, None, :] - closest, axis=2), axis=1)
+    return closest, np.linalg.norm(pts[:, None, :] - closest, axis=2)
+
+
+def _polygon_signed_distance(pts, verts):
+    dist = np.min(_polygon_closest(pts, verts)[1], axis=1)
+    a = verts
+    b = np.roll(verts, -1, axis=0)
+    ab = b - a
     x = pts[:, 0:1]
     y = pts[:, 1:2]
     cond = (a[None, :, 1] > y) != (b[None, :, 1] > y)
@@ -196,14 +203,7 @@ def _polygon_signed_distance(pts, verts):
 
 
 def _polygon_project(pts, verts):
-    a = verts
-    b = np.roll(verts, -1, axis=0)
-    ab = b - a
-    ab2 = np.einsum("kd,kd->k", ab, ab)
-    ap = pts[:, None, :] - a[None, :, :]
-    t = np.clip(np.einsum("pkd,kd->pk", ap, ab) / ab2[None, :], 0.0, 1.0)
-    closest = a[None, :, :] + t[:, :, None] * ab[None, :, :]
-    d = np.linalg.norm(pts[:, None, :] - closest, axis=2)
+    closest, d = _polygon_closest(pts, verts)
     best = np.argmin(d, axis=1)
     return closest[np.arange(len(pts)), best]
 
@@ -214,15 +214,13 @@ class Mesh:
 
     ``nodes`` is (N,2), ``triangles`` (M,3) counter-clockwise, ``edges`` the
     (E,2) marked boundary edges with ``edge_markers`` (E,) from
-    :class:`EdgeMarker`. ``element_markers`` carries the epsilon-cell index on
-    epsilon-domain meshes (-1 elsewhere). Arrays are read-only.
+    :class:`EdgeMarker`. Arrays are read-only.
     """
 
     nodes: np.ndarray
     triangles: np.ndarray
     edges: np.ndarray
     edge_markers: np.ndarray
-    element_markers: np.ndarray | None = None
     h: float = 0.0
 
     def __post_init__(self):
@@ -230,13 +228,7 @@ class Mesh:
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.edges = np.ascontiguousarray(self.edges, dtype=np.int64)
         self.edge_markers = np.ascontiguousarray(self.edge_markers, dtype=np.uint8)
-        if self.element_markers is None:
-            self.element_markers = np.full(len(self.triangles), -1, dtype=np.int64)
-        else:
-            self.element_markers = np.ascontiguousarray(
-                self.element_markers, dtype=np.int64)
-        for arr in (self.nodes, self.triangles, self.edges,
-                    self.edge_markers, self.element_markers):
+        for arr in (self.nodes, self.triangles, self.edges, self.edge_markers):
             arr.setflags(write=False)
 
     @property
@@ -561,6 +553,8 @@ class RectUnion:
 
 def build_macro_mesh(domain, h):
     """Mesh a rectangle-union domain; every boundary edge is marked OUTER."""
+    if not 0.0 < h <= 0.5:
+        raise ValueError(f"macro mesh size must satisfy 0 < h <= 1/2, got {h!r}")
     if isinstance(domain, (tuple, list)):
         domain = RectUnion.of(*domain)
     domain.validate()
@@ -658,7 +652,6 @@ def build_epsilon_mesh(spec, h_cell, node_cap=DEFAULT_NODE_CAP):
     local = np.argsort(order)[inverse].reshape(len(cells), unit.n_nodes)
     nodes = shifted[first[order]]
     tris = local[:, unit.triangles].reshape(-1, 3)
-    elem_cell = np.repeat(np.arange(len(cells)), unit.n_triangles)
     bedges = _boundary_edges(tris)
 
     n = len(nodes)
@@ -668,7 +661,7 @@ def build_epsilon_mesh(spec, h_cell, node_cap=DEFAULT_NODE_CAP):
     markers = np.where(is_gamma, EdgeMarker.GAMMA, EdgeMarker.OUTER).astype(np.uint8)
     if int(is_gamma.sum()) != len(gamma_keys):
         raise MeshFailureError("an inclusion boundary touches the outer boundary")
-    mesh = Mesh(nodes, tris, bedges, markers, element_markers=elem_cell, h=h_cell)
+    mesh = Mesh(nodes, tris, bedges, markers, h=h_cell)
     validate_mesh(mesh)
     return mesh
 

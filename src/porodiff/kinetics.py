@@ -22,8 +22,8 @@ from .geometry import EdgeMarker
 class Rate:
     """Reaction rate r(y, s1, s2, s3); ``y`` is ignored when y_independent.
 
-    Separable rates r = a0(y) * g(s) carry both factors so cell averaging can
-    reuse the precomputed mean of a0. Evaluators must be pure and vectorize
+    Separable rates r = a0(y) * g(s) carry both factors so cell averaging
+    needs the mean of a0 only. Evaluators must be pure and vectorize
     over numpy arrays.
     """
 
@@ -80,10 +80,6 @@ class KineticsSet:
     def volume_rate(self, i):
         return (self.f1, self.f2, self.f3)[i - 1]
 
-    def with_exchange(self, h, l, lip, name=None):
-        return replace(self, h=h, l=l, lip=lip,
-                       name=name or f"{self.name}+exchange")
-
 
 def _mm_triple(s1, s2, s3):
     s1, s2, s3 = np.asarray(s1, float), np.asarray(s2, float), np.asarray(s3, float)
@@ -94,6 +90,7 @@ def _mm_triple(s1, s2, s3):
 
 
 def _mm_pair(si, sj, sk):
+    si, sj, sk = np.asarray(si, float), np.asarray(sj, float), np.asarray(sk, float)
     denom = (1.0 + np.abs(si) + np.abs(sj) + np.abs(si * sj)
              + np.abs(si * sj * sk))
     return si * sj / denom
@@ -109,8 +106,9 @@ def langmuir(a, b):
     """Saturating exchange rate a*s/(1+b*s), clamped to 0 for s < 0."""
     a = float(a)
     b = float(b)
-    if a <= 0 or b <= 0:
-        raise UnknownNameError("langmuir parameters must be positive")
+    if not (0 < a < math.inf and 0 < b < math.inf):
+        raise UnknownNameError(
+            f"langmuir parameters must be finite and positive, got a={a}, b={b}")
 
     def h(s):
         sp = np.maximum(np.asarray(s, float), 0.0)
@@ -138,20 +136,14 @@ def mm_triple_kinetics(a0=None):
 
 def mm_mixed_kinetics(a0=None):
     """Mixed saturating volume rates plus the saturating surface rate."""
-    pair12 = lambda s1, s2, s3: _mm_pair(np.asarray(s1, float),
-                                         np.asarray(s2, float),
-                                         np.asarray(s3, float))
     if a0 is None:
-        f1 = Rate.of_s(lambda s1, s2, s3: pair12(s1, s2, s3) + np.asarray(s1, float))
+        f1 = Rate.of_s(lambda s1, s2, s3: _mm_pair(s1, s2, s3)
+                       + np.asarray(s1, float))
     else:
-        f1 = Rate.of_ys(lambda y, s1, s2, s3: a0(y) * pair12(s1, s2, s3)
+        f1 = Rate.of_ys(lambda y, s1, s2, s3: a0(y) * _mm_pair(s1, s2, s3)
                         + np.asarray(s1, float))
-    f2 = Rate.of_s(lambda s1, s2, s3: _mm_pair(np.asarray(s2, float),
-                                               np.asarray(s3, float),
-                                               np.asarray(s1, float)))
-    f3 = Rate.of_s(lambda s1, s2, s3: _mm_pair(np.asarray(s1, float),
-                                               np.asarray(s3, float),
-                                               np.asarray(s2, float))
+    f2 = Rate.of_s(lambda s1, s2, s3: _mm_pair(s2, s3, s1))
+    f3 = Rate.of_s(lambda s1, s2, s3: _mm_pair(s1, s3, s2)
                    + np.asarray(s3, float))
     zero_h = lambda s: np.zeros_like(np.asarray(s, float))
     return KineticsSet(f1, f2, f3, Rate.of_s(_g3_saturating), h=zero_h,
@@ -210,10 +202,10 @@ def parse_kinetics(text):
                 raise UnknownNameError("at most one volume kinetics part allowed")
             result = k
     if result is None:
-        result = exchange if exchange is not None else zero_kinetics()
-    elif exchange is not None:
-        result = result.with_exchange(exchange.h, exchange.l, exchange.lip,
-                                      name=f"{result.name}+{exchange.name}")
+        return exchange if exchange is not None else zero_kinetics()
+    if exchange is not None:
+        result = replace(result, h=exchange.h, l=exchange.l, lip=exchange.lip,
+                         name=f"{result.name}+{exchange.name}")
     return result
 
 
@@ -263,16 +255,31 @@ class ValidationReport:
 RATIO_CAP = 100.0
 
 
+def _worst(values, floor=-math.inf):
+    """(largest sample, index of the first sample reaching it) of ``values``.
+
+    A NaN sample is the largest. The index is None when the largest does not
+    exceed ``floor``; no samples give (0.0, None).
+    """
+    values = np.asarray(values, dtype=float)
+    if not values.size:
+        return 0.0, None
+    worst = float(values.max())
+    return worst, None if worst <= floor else int(np.argmax(values))
+
+
 def validate(kin):
     """Sampled hypothesis checks; the report carries failures, never raises.
 
     Each concentration is sampled at 7 points of [-lam, 2 lam], the cell at
     the centres of a 4 x 4 grid; growth ratios must stay within RATIO_CAP.
+    A check fails when its worst sample exceeds its bound or is NaN.
     """
     lam = kin.lam
     axis = np.linspace(-lam, 2 * lam, 7)
     s1, s2, s3 = (a.ravel() for a in np.meshgrid(axis, axis, axis,
                                                  indexing="ij"))
+    grid = np.column_stack([s1, s2, s3])
     ys = np.array([[0.5, 0.5]])
     if kin.y_dependent:
         centres = (np.arange(4) + 0.5) / 4
@@ -280,119 +287,66 @@ def validate(kin):
         ys = np.column_stack([gx.ravel(), gy.ravel()])
     checks = []
 
+    def check(name, bound, values, points=None, floor=-math.inf,
+              constant=False, also=True):
+        """Record a check on the worst of ``values``; ``points`` holds the
+        witness point of each sample, ``also`` a further pass condition."""
+        worst, k = _worst(np.concatenate([np.ravel(v) for v in values]),
+                          floor)
+        point = (None if points is None or k is None
+                 else tuple(float(v) for v in points[k]))
+        checks.append(CheckResult(name, bool(worst <= bound and also), worst,
+                                  point, worst if constant else None))
+
     saxis = np.linspace(-lam, 2 * lam, 101)
     hv = np.asarray(kin.h(saxis), dtype=float)
-    bad = (hv < -1e-12) | (hv > kin.l + 1e-12)
-    worst = float(np.max(np.maximum(hv - kin.l, -hv)))
-    wp = (float(saxis[np.argmax(np.maximum(hv - kin.l, -hv))]),)
-    checks.append(CheckResult("exchange_rate_bounds", not bad.any(), worst, wp))
-
-    h0 = float(np.asarray(kin.h(0.0)))
-    checks.append(CheckResult("exchange_rate_zero_at_zero",
-                              abs(h0) <= 1e-12, abs(h0), (0.0,)))
-
-    dh = np.abs(np.diff(hv)) / np.diff(saxis)
-    worst_lip = float(dh.max()) if len(dh) else 0.0
-    checks.append(CheckResult(
-        "exchange_rate_lipschitz", worst_lip <= kin.lip * (1 + 1e-9),
-        worst_lip, None, measured_constant=worst_lip))
+    check("exchange_rate_bounds", 1e-12, [np.maximum(hv - kin.l, -hv)],
+          saxis[:, None])
+    check("exchange_rate_zero_at_zero", 1e-12,
+          [abs(float(np.asarray(kin.h(0.0))))], [(0.0,)])
+    check("exchange_rate_lipschitz", kin.lip * (1 + 1e-9),
+          [np.abs(np.diff(hv)) / np.diff(saxis)], constant=True)
 
     zero = np.zeros(1)
-    worst_f0 = 0.0
-    point = None
-    for i in (1, 2, 3):
-        rate = kin.volume_rate(i)
-        for y in ys:
-            v = float(np.max(np.abs(np.asarray(
-                rate(y[None, :], zero, zero, zero)))))
-            if v > worst_f0:
-                worst_f0, point = v, (i, float(y[0]), float(y[1]))
-    checks.append(CheckResult("volume_rate_zero_at_zero",
-                              worst_f0 <= 1e-12, worst_f0, point))
 
-    worst_g0 = 0.0
-    for y in ys:
-        v = float(np.max(np.abs(np.asarray(kin.g3(y[None, :], zero, zero, zero)))))
-        worst_g0 = max(worst_g0, v)
-    checks.append(CheckResult("surface_rate_zero_at_zero",
-                              worst_g0 <= 1e-12, worst_g0))
+    def at_origin(rate, y):
+        return np.max(np.abs(np.asarray(rate(y[None, :], zero, zero, zero))))
 
+    volume = (kin.f1, kin.f2, kin.f3)
+    check("volume_rate_zero_at_zero", 1e-12,
+          [[at_origin(r, y) for r in volume for y in ys]],
+          [(i, *y) for i in (1, 2, 3) for y in ys], floor=0.0)
+    check("surface_rate_zero_at_zero", 1e-12,
+          [[at_origin(kin.g3, y) for y in ys]], floor=0.0)
+
+    y_mid = ys[len(ys) // 2][None, :]
+    f1, f2, f3, g3 = (np.asarray(r(y_mid, s1, s2, s3), dtype=float)
+                      for r in (*volume, kin.g3))
     total = np.abs(s1) + np.abs(s2) + np.abs(s3)
     nz = total > 0
-    y_mid = ys[len(ys) // 2]
+    for label, values in (("volume_rate_linear_growth", (f1, f2, f3)),
+                          ("surface_rate_linear_growth", (g3,))):
+        check(label, RATIO_CAP, [np.abs(v)[nz] / total[nz] for v in values],
+              np.tile(grid[nz], (len(values), 1)), floor=0.0, constant=True)
 
-    for label, rates in (("volume_rate_linear_growth", (kin.f1, kin.f2, kin.f3)),
-                         ("surface_rate_linear_growth", (kin.g3,))):
-        worst_ratio = 0.0
-        point = None
-        for rate in rates:
-            v = np.abs(np.asarray(rate(y_mid[None, :], s1, s2, s3), dtype=float))
-            r = v[nz] / total[nz]
-            k = int(np.argmax(r))
-            if r[k] > worst_ratio:
-                worst_ratio = float(r[k])
-                idx = np.nonzero(nz)[0][k]
-                point = (float(s1[idx]), float(s2[idx]), float(s3[idx]))
-        checks.append(CheckResult(label, worst_ratio <= RATIO_CAP,
-                                  worst_ratio, point,
-                                  measured_constant=worst_ratio))
-
-    neg = np.minimum
-    s1n, s2n, s3n = neg(s1, 0.0), neg(s2, 0.0), neg(s3, 0.0)
+    s1n, s2n, s3n = (np.minimum(s, 0.0) for s in (s1, s2, s3))
     denom = s1n ** 2 + s2n ** 2 + s3n ** 2
-    lhs = (np.asarray(kin.f1(y_mid[None, :], s1, s2, s3), float) * s1n
-           + np.asarray(kin.f2(y_mid[None, :], s1, s2, s3), float) * s2n
-           + np.asarray(kin.f3(y_mid[None, :], s1, s2, s3), float) * s3n)
     mask = denom > 0
-    ratios = lhs[mask] / denom[mask]
-    viol_zero = lhs[~mask] > 1e-12
-    worst_ratio = float(ratios.max()) if mask.any() else 0.0
-    k = int(np.argmax(ratios)) if mask.any() else 0
-    idx = np.nonzero(mask)[0][k] if mask.any() else 0
-    checks.append(CheckResult(
-        "negative_orthant_sign_volume",
-        (worst_ratio <= RATIO_CAP) and not viol_zero.any(),
-        worst_ratio,
-        (float(s1[idx]), float(s2[idx]), float(s3[idx])),
-        measured_constant=worst_ratio))
+    lhs = f1 * s1n + f2 * s2n + f3 * s3n
+    check("negative_orthant_sign_volume", RATIO_CAP, [lhs[mask] / denom[mask]],
+          grid[mask], constant=True, also=not (lhs[~mask] > 1e-12).any())
+    g_lhs = g3 * s3n
+    check("negative_orthant_sign_surface", RATIO_CAP,
+          [g_lhs[mask] / denom[mask]], constant=True,
+          also=not (g_lhs[~mask] > 1e-12).any())
 
-    g_lhs = np.asarray(kin.g3(y_mid[None, :], s1, s2, s3), float) * s3n
-    g_ratios = g_lhs[mask] / denom[mask]
-    g_worst = float(g_ratios.max()) if mask.any() else 0.0
-    checks.append(CheckResult(
-        "negative_orthant_sign_surface",
-        (g_worst <= RATIO_CAP) and not (g_lhs[~mask] > 1e-12).any(),
-        g_worst, None, measured_constant=g_worst))
-
-    above = [(s1, kin.f1, "f1"), (s2, kin.f2, "f2"), (s3, kin.f3, "f3")]
-    worst_gap = -math.inf
-    point = None
-    ok = True
-    for si, rate, _tag in above:
-        mask_i = si >= lam
-        if not mask_i.any():
-            continue
-        v = np.asarray(rate(y_mid[None, :], s1, s2, s3), float)[mask_i]
-        gap = v - kin.growth * si[mask_i]
-        k = int(np.argmax(gap))
-        if gap[k] > worst_gap:
-            worst_gap = float(gap[k])
-            idx = np.nonzero(mask_i)[0][k]
-            point = (float(s1[idx]), float(s2[idx]), float(s3[idx]))
-        ok = ok and gap.max() <= 1e-9
-    checks.append(CheckResult("large_value_growth_volume", ok,
-                              worst_gap if worst_gap > -math.inf else 0.0,
-                              point))
-
-    mask3 = s3 >= lam
-    if mask3.any():
-        v = np.asarray(kin.g3(y_mid[None, :], s1, s2, s3), float)[mask3]
-        gap = v - kin.growth * s3[mask3]
-        checks.append(CheckResult("large_value_growth_surface",
-                                  float(gap.max()) <= 1e-9, float(gap.max())))
-    else:
-        checks.append(CheckResult("large_value_growth_surface", True, 0.0))
-
+    large = [s >= lam for s in (s1, s2, s3)]
+    check("large_value_growth_volume", 1e-9,
+          [f[m] - kin.growth * s[m]
+           for f, s, m in zip((f1, f2, f3), (s1, s2, s3), large)],
+          np.concatenate([grid[m] for m in large]))
+    check("large_value_growth_surface", 1e-9,
+          [g3[large[2]] - kin.growth * s3[large[2]]])
     return ValidationReport(checks)
 
 
@@ -400,28 +354,45 @@ def validate(kin):
 # cell averages
 # ---------------------------------------------------------------------------
 
-def _require_ctx(rate, ctx):
-    if rate.y_dependent and ctx is None:
+def _average(rate, s, ctx, quadrature):
+    """Weighted mean of rate(., s) over the points of ``quadrature(mesh)``.
+
+    ``quadrature`` maps the cell mesh to (points, weights). A y-independent
+    rate is its pointwise value, a separable one the weighted mean of a0
+    times its s-part; a general rate is evaluated at every point.
+    """
+    s1, s2, s3 = s
+    if not rate.y_dependent:
+        return rate(None, s1, s2, s3)
+    if ctx is None:
         raise MeshRequiredError("y-dependent kinetics need a cell mesh")
+    points, weights = quadrature(ctx.mesh)
+    total = weights.sum()
+    if rate.a0 is not None:
+        mean = float(np.asarray(rate.a0(points), dtype=float) @ weights) / total
+        return mean * rate.s_part(s1, s2, s3)
+    vals = rate(points, np.asarray(s1)[..., None],
+                np.asarray(s2)[..., None], np.asarray(s3)[..., None])
+    return np.einsum("...m,m->...", np.asarray(vals), weights) / total
+
+
+def _centroids(mesh):
+    return mesh.centroids, mesh.areas
+
+
+def _gamma_midpoints(mesh):
+    edges = mesh.edges_with(EdgeMarker.GAMMA)
+    if len(edges) == 0:
+        raise MeshRequiredError("cell mesh has no inclusion boundary")
+    p0 = mesh.nodes[edges[:, 0]]
+    p1 = mesh.nodes[edges[:, 1]]
+    return 0.5 * (p0 + p1), np.hypot(*(p1 - p0).T)
 
 
 def cell_average_rate(rate, s, ctx=None):
-    """Volume average of rate(., s) over the perforated cell.
-
-    For y-independent rates this is the pointwise value; separable rates use
-    the cached mean of their y factor; general rates fall back to centroid
-    quadrature.
-    """
-    s1, s2, s3 = s
-    _require_ctx(rate, ctx)
-    if not rate.y_dependent:
-        return rate(None, s1, s2, s3)
-    if rate.a0 is not None:
-        return mean_a0(rate, ctx) * rate.s_part(s1, s2, s3)
-    mesh = ctx.mesh
-    vals = rate(mesh.centroids, np.asarray(s1)[..., None],
-                np.asarray(s2)[..., None], np.asarray(s3)[..., None])
-    return np.einsum("...m,m->...", np.asarray(vals), mesh.areas) / ctx.area
+    """Volume average of rate(., s) over the perforated cell, by centroid
+    quadrature."""
+    return _average(rate, s, ctx, _centroids)
 
 
 def cell_average_f(kin, i, s, ctx=None):
@@ -430,29 +401,6 @@ def cell_average_f(kin, i, s, ctx=None):
 
 
 def surface_average_g3(kin, s, ctx=None):
-    """Boundary average of the surface rate over the inclusion boundary."""
-    rate = kin.g3
-    s1, s2, s3 = s
-    _require_ctx(rate, ctx)
-    if not rate.y_dependent:
-        return rate(None, s1, s2, s3)
-    mesh = ctx.mesh
-    edges = mesh.edges_with(EdgeMarker.GAMMA)
-    if len(edges) == 0:
-        raise MeshRequiredError("cell mesh has no inclusion boundary")
-    p0 = mesh.nodes[edges[:, 0]]
-    p1 = mesh.nodes[edges[:, 1]]
-    mids = 0.5 * (p0 + p1)
-    lengths = np.hypot(*(p1 - p0).T)
-    if rate.a0 is not None:
-        mean = float(np.asarray(rate.a0(mids)) @ lengths) / lengths.sum()
-        return mean * rate.s_part(s1, s2, s3)
-    vals = rate(mids, np.asarray(s1)[..., None],
-                np.asarray(s2)[..., None], np.asarray(s3)[..., None])
-    return np.einsum("...m,m->...", np.asarray(vals), lengths) / lengths.sum()
-
-
-def mean_a0(rate, ctx):
-    mesh = ctx.mesh
-    vals = np.asarray(rate.a0(mesh.centroids), dtype=float)
-    return float(vals @ mesh.areas) / ctx.area
+    """Boundary average of the surface rate over the inclusion boundary, by
+    edge-midpoint quadrature."""
+    return _average(kin.g3, s, ctx, _gamma_midpoints)

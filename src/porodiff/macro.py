@@ -63,28 +63,15 @@ class MacroConfig:
             )
 
 
-def _averaged_pair_rate(kin, ctx):
-    """Nodal evaluator of avg(F1)+avg(F2) at arguments (c, c, c3)."""
-
-    def evaluate(c, c3):
-        return (np.asarray(kin_mod.cell_average_f(kin, 1, (c, c, c3), ctx))
-                + np.asarray(kin_mod.cell_average_f(kin, 2, (c, c, c3), ctx)))
-
-    return evaluate
-
-
-def _averaged_slow_rate(kin, ctx, gamma_over_cell):
-    """Nodal evaluator of avg(F3) + (|Gamma|/|Y*|) avg_boundary(G3)."""
-
-    def evaluate(c, c3):
-        out = np.asarray(kin_mod.cell_average_f(kin, 3, (c, c, c3), ctx),
-                         dtype=float)
-        if gamma_over_cell > 0:
-            out = out + gamma_over_cell * np.asarray(
-                kin_mod.surface_average_g3(kin, (c, c, c3), ctx))
-        return out
-
-    return evaluate
+def averaged_rates(kin, ctx, gamma_over_cell, s):
+    """Nodal (avg F1, avg F2, avg F3 + (|Gamma|/|Y*|) avg_boundary G3) at
+    the concentrations ``s``, as float arrays."""
+    f1, f2, f3 = (np.asarray(kin_mod.cell_average_f(kin, i, s, ctx),
+                             dtype=float) for i in (1, 2, 3))
+    if gamma_over_cell > 0:
+        f3 = f3 + gamma_over_cell * np.asarray(
+            kin_mod.surface_average_g3(kin, s, ctx), dtype=float)
+    return f1, f2, f3
 
 
 class MacroSolver(ImexStepper):
@@ -109,10 +96,7 @@ class MacroSolver(ImexStepper):
         self.two_m = 2.0 * self.M.data
         # preconditioner of the A_c solves, factored at the first step
         self.held = fem.HeldFactor()
-        gamma_over_cell = config.gamma_length / config.cell_area
-        self.rate_pair = _averaged_pair_rate(config.kinetics, config.cell_ctx)
-        self.rate_slow = _averaged_slow_rate(config.kinetics, config.cell_ctx,
-                                             gamma_over_cell)
+        self.gamma_over_cell = config.gamma_length / config.cell_area
 
     def dispersion_matrices(self, c3):
         """Element-wise dispersion matrices at the element average of c3."""
@@ -143,7 +127,10 @@ class MacroSolver(ImexStepper):
         k_data = self.pattern.assemble(
             fem.stiffness_elements(*self.geometry, mats))
 
-        f_c = finite("f1+f2", self.rate_pair(c, c3), state.t)
+        f1, f2, f3 = averaged_rates(cfg.kinetics, cfg.cell_ctx,
+                                    self.gamma_over_cell, (c, c, c3))
+        f_c = finite("f1+f2", f1 + f2, state.t)
+        f_3 = finite("f3+g3", f3, state.t)
         b_c = 2.0 * (self.M @ c) + dt * (self.M @ f_c)
         if cfg.source_vec_c is not None:
             b_c = b_c + dt * cfg.source_vec_c
@@ -153,7 +140,6 @@ class MacroSolver(ImexStepper):
         b_r = self.reducer.reduce_rhs(b_c)
         x = self.held.solve(A_r, b_r, x0=self.reducer.reduce_rhs(c))
 
-        f_3 = finite("f3+g3", self.rate_slow(c, c3), state.t)
         b_3 = self.M @ c3 + dt * (self.M @ f_3)
         if cfg.source_vec_c3 is not None:
             b_3 = b_3 + dt * cfg.source_vec_c3
@@ -204,14 +190,11 @@ class MacroVariantSolver(ExchangePairStepper):
         return self.pattern.restricted(scale * self.pattern.assemble(local))
 
     def rates(self, state):
-        kin, ctx, t = self.cfg.kinetics, self.cfg.cell_ctx, state.t
-        args = (state.c1, state.c2, state.c3)
-        f1, f2, f3 = (
-            finite(f"f{k}", kin_mod.cell_average_f(kin, k, args, ctx), t)
-            for k in (1, 2, 3))
-        if self.gamma_over_cell > 0:
-            f3 = f3 + self.gamma_over_cell * finite(
-                "g3", kin_mod.surface_average_g3(kin, args, ctx), t)
+        rates = averaged_rates(self.cfg.kinetics, self.cfg.cell_ctx,
+                               self.gamma_over_cell,
+                               (state.c1, state.c2, state.c3))
+        f1, f2, f3 = (finite(f"f{k}", f, state.t)
+                      for k, f in enumerate(rates, 1))
         return f1, f2, self.M @ f3
 
 

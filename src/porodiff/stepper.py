@@ -141,12 +141,6 @@ class ImexStepper:
         return traj
 
 
-def same_operator(a, b):
-    """True when two diffusion coefficients give one operator: the same
-    field, or the same constant matrix."""
-    return a is b or a.is_equal_constant(b)
-
-
 class ExchangePairStepper(ImexStepper):
     """The (c1, c2) pair through the implicit exchange block, then c3.
 
@@ -154,9 +148,9 @@ class ExchangePairStepper(ImexStepper):
     that is assembled (the identity by default). Their stiffness matrices
     are assembled once, from one element geometry, and kept in ``K``, and
     a coefficient that is the same operator as an earlier one
-    (``same_operator``) shares its K, reduced operator and factor: for d2
-    the pair is equal and the block decouples, for d3 the c3 solve uses
-    that field's factor. The block [[A1+C, -C], [-C, A2+C]] with
+    (``CoefficientField.same_operator``) shares its K, reduced operator and
+    factor: for d2 the pair is equal and the block decouples, for d3 the c3
+    solve uses that field's factor. The block [[A1+C, -C], [-C, A2+C]] with
     A_k = M + dt K_k is built from them. A subclass implements two hooks
     called every step:
     ``exchange_matrix(h_nodal)``, the exchange matrix C from nodal h(c3),
@@ -168,7 +162,7 @@ class ExchangePairStepper(ImexStepper):
         super().__init__(mesh, config)
         at_scale = at_scale or (lambda d: d)
         owner = [next(j for j in range(k + 1)
-                      if same_operator(coefficients[j], coefficients[k]))
+                      if coefficients[j].same_operator(coefficients[k]))
                  for k in range(3)]
         geometry = fem.triangle_geometry(mesh)
         K = {j: fem.assemble_stiffness(mesh, at_scale(coefficients[j]),

@@ -93,6 +93,19 @@ class TestConfigHandling:
         code, _ = run_cli(tmp_path, "validate", {"kinetics": kinetics})
         assert code == cli.EXIT_CONFIG
 
+    @pytest.mark.parametrize("command,kinetics", [
+        ("micro", "mm_triple+langmuir:a=nan,b=1"),
+        ("validate", "langmuir:a=inf,b=1"),
+        ("validate", "langmuir:a=1,b=nan")])
+    def test_non_finite_langmuir_parameter_exit_2(self, tmp_path, command,
+                                                 kinetics):
+        config = {"kinetics": kinetics}
+        if command == "micro":
+            config["micro"] = {"dt": 1e-3, "t_end": 2e-3}
+        code, outdir = run_cli(tmp_path, command, config)
+        assert code == cli.EXIT_CONFIG
+        assert not (outdir / "validate.json").exists()
+
     def test_defaults_materialized_in_manifest(self, tmp_path):
         code, outdir = run_cli(tmp_path, "mesh",
                                {"geometry": {"inclusion": DISC, "h": 0.1}})
@@ -269,6 +282,20 @@ class TestCommands:
         got, outdir = run_cli(tmp_path, "macro", config)
         assert got == code
         assert (outdir / "trajectory.csv").exists() == (code == cli.EXIT_OK)
+
+    @pytest.mark.parametrize("command,section", [
+        ("macro", {"h": -0.1}), ("macro", {"h": 5.0}),
+        ("sweep", {"macro_h": -0.1, "epsilons": [0.25]})])
+    def test_macro_mesh_size_exit_2(self, tmp_path, command, section):
+        eye = [[1, 0], [0, 1]]
+        config = {"geometry": {"inclusion": DISC, "h": 0.05},
+                  "macro": {"forced_b": eye, "forced_d0": eye},
+                  command: {**section, "dt": 1e-3, "t_end": 2e-3}}
+        if command == "sweep":
+            del config["macro"]
+        got, outdir = run_cli(tmp_path, command, config)
+        assert got == cli.EXIT_CONFIG
+        assert not (outdir / "trajectory.csv").exists()
 
     def test_micro_budget_exit_4(self, tmp_path):
         config = {

@@ -113,6 +113,13 @@ class TestMacroMesh:
         with pytest.raises(MeshFailureError):
             geo.build_macro_mesh(geo.RectUnion.of((0, 0, 1, 0)), 0.1)
 
+    @pytest.mark.parametrize("h", [-0.1, 0.0, 0.6, 5.0, np.nan, np.inf])
+    def test_mesh_size_checked(self, h):
+        with pytest.raises(ValueError, match="0 < h <= 1/2"):
+            geo.build_macro_mesh(geo.RectUnion.unit_square(), h)
+        assert geo.build_macro_mesh(geo.RectUnion.unit_square(),
+                                    0.5).n_nodes == 13
+
     def test_l_shape_boundary_length(self):
         domain = geo.RectUnion.of((0, 0, 1, 2), (1, 0, 2, 1))
         mesh = geo.build_macro_mesh(domain, 0.1)

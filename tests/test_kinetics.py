@@ -1,4 +1,6 @@
 import dataclasses
+import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -76,6 +78,98 @@ class TestValidationFixtures:
             f2=kin.Rate.of_s(lambda s1, s2, s3: np.ones_like(
                 np.asarray(s1, float))))
         assert not kin.validate(bad)["volume_rate_zero_at_zero"].passed
+
+
+def _a0(y):
+    y = np.atleast_2d(y)
+    return 1.0 + 0.5 * np.cos(2 * np.pi * y[:, 0]) * np.sin(2 * np.pi * y[:, 1])
+
+
+def _zero_with(**rates):
+    """zero kinetics with the given fields replaced; rates map (s1, s2, s3)."""
+    return dataclasses.replace(kin.zero_kinetics(), **{
+        k: kin.Rate.of_s(v) if k in ("f1", "f2", "f3", "g3") else v
+        for k, v in rates.items()})
+
+
+# every builtin, the composed string, the a0 variants, and one case that
+# fails each check, with its witness point
+VALIDATE_CASES = {
+    "zero": lambda: kin.builtin("zero"),
+    "mm_triple": lambda: kin.builtin("mm_triple"),
+    "mm_mixed": lambda: kin.builtin("mm_mixed"),
+    "langmuir": lambda: kin.builtin("langmuir"),
+    "langmuir:a=2,b=0.5": lambda: kin.parse_kinetics("langmuir:a=2,b=0.5"),
+    "mm_mixed+langmuir:a=1,b=1":
+        lambda: kin.parse_kinetics("mm_mixed+langmuir:a=1,b=1"),
+    "mm_triple_a0": lambda: kin.mm_triple_kinetics(a0=_a0),
+    "mm_mixed_a0": lambda: kin.mm_mixed_kinetics(a0=_a0),
+    "fail_exchange_rate_bounds":
+        lambda: dataclasses.replace(kin.builtin("langmuir"), l=0.25),
+    "fail_exchange_rate_zero_at_zero":
+        lambda: _zero_with(h=lambda s: 0.5 + 0.0 * np.asarray(s, float)),
+    "fail_exchange_rate_lipschitz":
+        lambda: dataclasses.replace(kin.builtin("langmuir"), lip=0.5),
+    "fail_volume_rate_zero_at_zero": lambda: dataclasses.replace(
+        kin.zero_kinetics(), f2=kin.Rate.of_ys(
+            lambda y, s1, s2, s3: 0.1 * _a0(y) + np.asarray(s1, float))),
+    "fail_surface_rate_zero_at_zero": lambda: _zero_with(
+        g3=lambda s1, s2, s3: 0.2 + np.asarray(s3, float)),
+    "fail_volume_rate_linear_growth": lambda: _zero_with(
+        f1=lambda s1, s2, s3: 1000.0 * np.asarray(s1, float) ** 2),
+    "fail_surface_rate_linear_growth": lambda: _zero_with(
+        g3=lambda s1, s2, s3: 1000.0 * np.asarray(s3, float) ** 2),
+    "fail_negative_orthant_sign_volume": lambda: _zero_with(
+        f1=lambda s1, s2, s3: -200.0 * np.asarray(s2, float)),
+    "fail_negative_orthant_sign_surface": lambda: _zero_with(
+        g3=lambda s1, s2, s3: -200.0 * np.asarray(s1, float)),
+    "fail_large_value_growth_volume": lambda: _zero_with(
+        f3=lambda s1, s2, s3: 3.0 * np.asarray(s3, float)),
+    "fail_large_value_growth_surface": lambda: _zero_with(
+        g3=lambda s1, s2, s3: 3.0 * np.asarray(s3, float)),
+}
+
+# validate(k).as_dict() of every case, recorded before the checks shared
+# one worst-sample helper
+VALIDATE_REFERENCE = pathlib.Path(__file__).with_name("validate_reference.json")
+
+
+@pytest.mark.parametrize("case", sorted(VALIDATE_CASES))
+def test_validate_report_pinned(case):
+    got = kin.validate(VALIDATE_CASES[case]()).as_dict()
+    want = json.loads(VALIDATE_REFERENCE.read_text())[case]
+    assert got == want
+    # == takes -0.0 for 0.0; the serialized report tells them apart
+    assert json.dumps(got) == json.dumps(want)
+    if case.startswith("fail_"):
+        failed = [c["name"] for c in got["checks"] if not c["passed"]]
+        assert case[len("fail_"):] in failed
+
+
+class TestNonFinite:
+    @pytest.mark.parametrize("a,b", [(np.nan, 1.0), (np.inf, 1.0),
+                                     (1.0, np.nan), (1.0, np.inf)])
+    def test_langmuir_parameters_finite(self, a, b):
+        with pytest.raises(UnknownNameError, match="finite"):
+            kin.langmuir(a, b)
+
+    def test_nan_exchange_sample_fails_bounds(self):
+        k = dataclasses.replace(
+            kin.zero_kinetics(),
+            h=lambda s: np.where(np.asarray(s, float) > 1.0, np.nan, 0.0))
+        check = kin.validate(k)["exchange_rate_bounds"]
+        assert not check.passed
+        assert np.isnan(check.worst_value)
+        # the witness is the first NaN sample of [-1, 2]
+        assert check.worst_point == pytest.approx((1.01,))
+
+    def test_nan_volume_sample_fails_linear_growth(self):
+        k = dataclasses.replace(kin.zero_kinetics(), f2=kin.Rate.of_s(
+            lambda s1, s2, s3: np.where(np.asarray(s2) < 0, np.nan, 0.0)))
+        report = kin.validate(k)
+        assert not report["volume_rate_linear_growth"].passed
+        assert report["volume_rate_zero_at_zero"].passed
+        assert not report.passed
 
 
 class TestLangmuirShape:

@@ -108,7 +108,9 @@ class TestMacroStep:
         new = solver.step(state)
         mats = solver.dispersion_matrices(state.c3)
         K_B = fem.assemble_stiffness_elementwise(macro_mesh_16, mats)
-        f = solver.rate_pair(state.c, state.c3)
+        f1, f2, _ = macro.averaged_rates(k, ctx, solver.gamma_over_cell,
+                                         (state.c, state.c, state.c3))
+        f = f1 + f2
         r = (2.0 * (solver.M @ (new.c - state.c))
              + cfg.dt * (K_B @ new.c) - cfg.dt * (solver.M @ f))
         free = solver.reducer.kept
@@ -131,8 +133,10 @@ class TestMacroStep:
         for _ in range(25):
             K_B = fem.assemble_stiffness_elementwise(
                 macro_mesh_16, solver.dispersion_matrices(state.c3))
-            b = (2.0 * (solver.M @ state.c)
-                 + cfg.dt * (solver.M @ solver.rate_pair(state.c, state.c3)))
+            f1, f2, _ = macro.averaged_rates(k, cfg.cell_ctx,
+                                             solver.gamma_over_cell,
+                                             (state.c, state.c, state.c3))
+            b = (2.0 * (solver.M @ state.c) + cfg.dt * (solver.M @ (f1 + f2)))
             A_r = red.restrict(2.0 * solver.M + cfg.dt * K_B)
             direct = red.expand(spla.spsolve(A_r.tocsc(), red.reduce_rhs(b)))
             state = solver.step(state)

@@ -313,7 +313,6 @@ def test_epsilon_mesh_merges_shared_nodes(disc_spec, domain, eps, n_cells):
     unit = geo.build_unit_cell_mesh(disc_spec, 1 / 8)
     assert len(np.unique(mesh.nodes, axis=0)) == mesh.n_nodes
     assert np.array_equal(np.unique(mesh.triangles), np.arange(mesh.n_nodes))
-    assert len(np.unique(mesh.element_markers)) == n_cells
     assert (len(mesh.edges_with(geo.EdgeMarker.GAMMA))
             == n_cells * len(unit.edges_with(geo.EdgeMarker.GAMMA)))
 
