@@ -1,9 +1,10 @@
 """Command-line front end: config-driven, reproducible runs.
 
 Every run resolves its JSON config (defaults materialized, unknown keys
-rejected), writes the artifacts plus a manifest.json carrying the resolved
-config and its fingerprint, and uses exit codes 0 (ok), 2 (config), 3
-(solver), 4 (budget) so sweeps stay scriptable. Reruns of a manifest are
+rejected) and builds the model objects of all its sections before it
+writes anything; it then writes the artifacts plus a manifest.json
+carrying the resolved config and its fingerprint, and uses exit codes 0
+(ok), 2 (config), 3 (solver), 4 (budget) so sweeps stay scriptable. Reruns of a manifest are
 byte-identical; --threads parallelizes independent runs without touching
 numerical results.
 """
@@ -16,6 +17,7 @@ import glob
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,6 +32,7 @@ from . import micro as micro_mod
 from .errors import (BudgetExceededError, ConfigError, InvalidGeometryError,
                      PorodiffError, ResourceLimitError,
                      UnknownNameError, UnsupportedDimensionError)
+from .trajectory import step_count
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,8 +43,6 @@ EXIT_BUDGET = 4
 # ---------------------------------------------------------------------------
 # config schema
 # ---------------------------------------------------------------------------
-
-_INITIAL_KINDS = ("zero", "constant", "bump", "sine")
 
 # section -> key -> (declared type, default); the top-level keys that are
 # not sections map to one (type, default) pair. A value must have its
@@ -175,10 +176,7 @@ def resolve_config(raw, command):
                             set(fval) - {"kind", "amplitude"}:
                         raise ConfigError(
                             f"initial data {fname!r} must set kind/amplitude")
-                    kind = fval.get("kind", "bump")
-                    if kind not in _INITIAL_KINDS:
-                        raise ConfigError(f"unknown initial kind {kind!r}")
-                    init[fname] = {"kind": kind,
+                    init[fname] = {"kind": fval.get("kind", "bump"),
                                    "amplitude": float(fval.get("amplitude", 1.0))}
                 merged["initial"] = init
             resolved[section] = merged
@@ -226,23 +224,6 @@ def _coefficient(value):
     return field
 
 
-def _tensor(value):
-    """The 2x2 matrix of a forced effective tensor, checked as a
-    coefficient (``_coefficient``)."""
-    return _coefficient(value).matrix_at(np.zeros(2))[0]
-
-
-def _inclusion(cfg):
-    try:
-        incl = geo.InclusionSpec.from_config(cfg)
-        incl.validate()
-        return incl
-    except InvalidGeometryError:
-        raise
-    except (KeyError, TypeError) as exc:
-        raise ConfigError(f"bad inclusion config: {exc}") from exc
-
-
 def _domain(cfg):
     rects = cfg["rectangles"]
     if not rects:
@@ -256,6 +237,67 @@ def _domain(cfg):
                 "domain rectangle must be four finite numbers "
                 f"[x0, y0, x1, y1] with x1 > x0 and y1 > y0, got {rect!r}")
     return geo.RectUnion.of(*rects)
+
+
+def _model(cfg, command, args):
+    """The model objects of every section of ``cfg``.
+
+    The coefficients, forced tensors, kinetics, inclusion, domain, epsilons,
+    initial data, positivity policy, scaling and time grid are converted and
+    checked here once, before anything is written, whether or not
+    ``command`` reads them. For ``validate`` an inadmissible inclusion is
+    kept as ``geometry_error``, which it reports.
+    """
+    if args.threads < 1 or args.budget_nodes < 1:
+        raise ConfigError("--threads and --budget-nodes must be at least 1, "
+                          f"got {args.threads} and {args.budget_nodes}")
+    model = SimpleNamespace(geometry_error=None, forced_b=None,
+                            forced_d0=None)
+    if "geometry" in cfg:
+        try:
+            model.inclusion = geo.InclusionSpec.from_config(
+                cfg["geometry"]["inclusion"])
+            model.inclusion.validate()
+        except (KeyError, TypeError) as exc:
+            raise ConfigError(f"bad inclusion config: {exc}") from exc
+        except InvalidGeometryError as exc:
+            if command != "validate":
+                raise
+            model.geometry_error = exc
+    if "domain" in cfg:
+        model.domain = _domain(cfg["domain"])
+    if "coefficients" in cfg:
+        model.d1, model.d2, model.d3 = (
+            _coefficient(cfg["coefficients"][k]) for k in ("d1", "d2", "d3"))
+    if "kinetics" in cfg:
+        model.kinetics = kin_mod.parse_kinetics(cfg["kinetics"])
+    for section in ("macro", "micro", "sweep"):  # a command runs at most one
+        if section in cfg:
+            run = cfg[section]
+            step_count(run["t_end"], run["dt"])
+            model.initial = {name: _initial_closure(spec)
+                             for name, spec in run["initial"].items()}
+            if "positivity" in run:
+                model.positivity = macro_mod.PositivityPolicy(
+                    run["positivity"])
+            if "scaling" in run:
+                model.scaling = micro_mod.Scaling(run["scaling"])
+    if "macro" in cfg:
+        forced = (cfg["macro"]["forced_b"], cfg["macro"]["forced_d0"])
+        if forced.count(None) == 1:
+            raise ConfigError("forced_b and forced_d0 must be set together")
+        if None not in forced:
+            # a forced tensor is checked as a coefficient
+            model.forced_b, model.forced_d0 = (
+                _coefficient(v).matrix_at(np.zeros(2))[0] for v in forced)
+    if "micro" in cfg:
+        model.spec = geo.EpsilonDomainSpec(
+            model.domain, cfg["micro"]["epsilon"], model.inclusion)
+        model.spec.validate()
+    if "sweep" in cfg:
+        conv_mod.epsilon_specs(model.domain, model.inclusion,
+                               cfg["sweep"]["epsilons"])
+    return model
 
 
 def _write_json(obj, path):
@@ -282,20 +324,25 @@ def write_field(path, name, values):
             f.write(f"{float(v)!r}\n")
 
 
+def _write_run(traj, cfg, outdir):
+    """trajectory.csv and, if ``output.snapshot_fields``, the last snapshot
+    of every field."""
+    traj.write_csv(os.path.join(outdir, "trajectory.csv"))
+    if cfg["output"]["snapshot_fields"]:
+        t, fields = traj.snapshots[-1]
+        for name in traj.field_names:
+            write_field(os.path.join(outdir, f"final_{name}.field"),
+                        name, fields[name])
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
 
-def cmd_validate(cfg, outdir, args):
-    kin = kin_mod.parse_kinetics(cfg["kinetics"])
-    report = kin_mod.validate(kin)
-    geo_ok = True
-    geo_msg = "ok"
-    try:
-        _inclusion(cfg["geometry"]["inclusion"])
-    except InvalidGeometryError as exc:
-        geo_ok = False
-        geo_msg = str(exc)
+def cmd_validate(cfg, model, outdir, args):
+    report = kin_mod.validate(model.kinetics)
+    geo_ok = model.geometry_error is None
+    geo_msg = "ok" if geo_ok else str(model.geometry_error)
     out = {"kinetics": report.as_dict(),
            "geometry": {"passed": geo_ok, "message": geo_msg},
            "passed": report.passed and geo_ok}
@@ -307,9 +354,8 @@ def cmd_validate(cfg, outdir, args):
     return EXIT_OK
 
 
-def cmd_mesh(cfg, outdir, args):
-    incl = _inclusion(cfg["geometry"]["inclusion"])
-    mesh = geo.build_unit_cell_mesh(incl, cfg["geometry"]["h"])
+def cmd_mesh(cfg, model, outdir, args):
+    mesh = geo.build_unit_cell_mesh(model.inclusion, cfg["geometry"]["h"])
     geo.write_poromesh(mesh, os.path.join(outdir, "cell.poromesh"))
     stats = {
         "n_nodes": mesh.n_nodes,
@@ -323,28 +369,23 @@ def cmd_mesh(cfg, outdir, args):
     return EXIT_OK
 
 
-def _cell_context(cfg):
-    incl = _inclusion(cfg["geometry"]["inclusion"])
-    mesh = geo.build_unit_cell_mesh(incl, cfg["cell"]["h"])
+def _cell_context(cfg, model):
+    mesh = geo.build_unit_cell_mesh(model.inclusion, cfg["cell"]["h"])
     return cell_mod.CellContext.from_mesh(mesh)
 
 
-def cmd_cell_tensor(cfg, outdir, args):
-    ctx = _cell_context(cfg)
-    d3 = _coefficient(cfg["coefficients"]["d3"])
-    tensor, _ = cell_mod.scalar_tensor_with_check(ctx, d3)
+def cmd_cell_tensor(cfg, model, outdir, args):
+    tensor, _ = cell_mod.scalar_tensor_with_check(_cell_context(cfg, model),
+                                                  model.d3)
     _write_json(tensor.as_json_dict(), os.path.join(outdir, "d0.json"))
     print(f"d0 = {tensor.matrix.tolist()} (cross check "
           f"{tensor.cross_check_err:.2e})")
     return EXIT_OK
 
 
-def cmd_btable(cfg, outdir, args):
-    ctx = _cell_context(cfg)
-    d1 = _coefficient(cfg["coefficients"]["d1"])
-    d2 = _coefficient(cfg["coefficients"]["d2"])
-    kin = kin_mod.parse_kinetics(cfg["kinetics"])
-    table = cell_mod.tabulate_b(ctx, d1, d2, kin.h, cfg["cell"]["s_grid"],
+def cmd_btable(cfg, model, outdir, args):
+    table = cell_mod.tabulate_b(_cell_context(cfg, model), model.d1, model.d2,
+                                model.kinetics.h, cfg["cell"]["s_grid"],
                                 midpoint_tol=cfg["cell"]["midpoint_tol"])
     _write_json(table.as_json_dict(), os.path.join(outdir, "btable.json"))
     print(f"btable: {len(table.s)} samples, midpoint error "
@@ -352,13 +393,10 @@ def cmd_btable(cfg, outdir, args):
     return EXIT_OK
 
 
-def cmd_tensor_suite(cfg, outdir, args):
+def cmd_tensor_suite(cfg, model, outdir, args):
     report = conv_mod.tensor_suite(
-        inclusion=_inclusion(cfg["geometry"]["inclusion"]),
-        h=cfg["cell"]["h"],
-        d1=_coefficient(cfg["coefficients"]["d1"]),
-        d2=_coefficient(cfg["coefficients"]["d2"]),
-        d3=_coefficient(cfg["coefficients"]["d3"]),
+        inclusion=model.inclusion, h=cfg["cell"]["h"], d1=model.d1,
+        d2=model.d2, d3=model.d3,
         exchange_values=tuple(cfg["cell"]["exchange_values"]))
     _write_json(report, os.path.join(outdir, "suite.json"))
     for check in report["checks"]:
@@ -367,143 +405,83 @@ def cmd_tensor_suite(cfg, outdir, args):
     return EXIT_OK if report["passed"] else EXIT_SOLVER
 
 
-def _macro_pieces(cfg):
-    """(domain, kinetics, d0, cell context, |Gamma|, |Y*|) of a macro run."""
-    domain = _domain(cfg["domain"])
-    kin = kin_mod.parse_kinetics(cfg["kinetics"])
+def cmd_macro(cfg, model, outdir, args):
     mcfg = cfg["macro"]
-    forced_d0 = mcfg["forced_d0"]
-    if (mcfg["forced_b"] is None) != (forced_d0 is None):
-        raise ConfigError("forced_b and forced_d0 must be set together")
-    if forced_d0 is not None:
-        d0 = _tensor(forced_d0)
-        _tensor(mcfg["forced_b"])  # checked also where a variant run ignores it
-        ctx = None
-        gamma_len, cell_area = 0.0, 1.0
-        if kin.y_dependent:
-            ctx = _cell_context(cfg)
-            gamma_len, cell_area = ctx.gamma_length, ctx.area
-    else:
-        ctx = _cell_context(cfg)
-        d3 = _coefficient(cfg["coefficients"]["d3"])
-        tensor, _ = cell_mod.scalar_tensor_with_check(ctx, d3)
-        d0 = tensor.matrix
-        gamma_len, cell_area = ctx.gamma_length, ctx.area
-    return domain, kin, d0, ctx, gamma_len, cell_area
-
-
-def _dispersion_table(cfg, kin, ctx):
-    """The forced B-table, or the one tabulated on the cell of ``ctx``."""
-    forced_b = cfg["macro"]["forced_b"]
-    if forced_b is not None:
-        return cell_mod.DispersionTable.constant(
-            _tensor(forced_b), s_max=cfg["cell"]["lambda_macro"])
-    return cell_mod.tabulate_b(ctx, _coefficient(cfg["coefficients"]["d1"]),
-                               _coefficient(cfg["coefficients"]["d2"]),
-                               kin.h, cfg["cell"]["s_grid"],
-                               midpoint_tol=cfg["cell"]["midpoint_tol"])
-
-
-def cmd_macro(cfg, outdir, args):
-    domain, kin, d0, ctx, gamma_len, cell_area = _macro_pieces(cfg)
-    mcfg = cfg["macro"]
-    mesh = geo.build_macro_mesh(domain, mcfg["h"])
+    mesh = geo.build_macro_mesh(model.domain, mcfg["h"])
+    kin, d0 = model.kinetics, model.forced_d0
+    # forced tensors need no cell, unless the rates or the variant read it
+    ctx = None
+    if d0 is None or kin.y_dependent or mcfg["variant"]:
+        ctx = _cell_context(cfg, model)
+    if d0 is None:
+        d0 = cell_mod.scalar_tensor_with_check(ctx, model.d3)[0].matrix
     x, y = mesh.nodes.T
-    init = {k: _initial_closure(v)(x, y) for k, v in mcfg["initial"].items()}
+    init = {name: build(x, y) for name, build in model.initial.items()}
+    shared = dict(dt=mcfg["dt"], t_end=mcfg["t_end"], kinetics=kin,
+                  positivity=model.positivity,
+                  snapshot_every=mcfg["snapshot_every"], cell_ctx=ctx)
     if mcfg["variant"]:
-        d1 = _coefficient(cfg["coefficients"]["d1"])
-        d2 = _coefficient(cfg["coefficients"]["d2"])
-        ctx2 = ctx or _cell_context(cfg)
-        t1, _ = cell_mod.scalar_tensor_with_check(ctx2, d1)
-        t2, _ = cell_mod.scalar_tensor_with_check(ctx2, d2)
-        vcfg = macro_mod.VariantConfig(
-            dt=mcfg["dt"], t_end=mcfg["t_end"], d1=t1.matrix, d2=t2.matrix,
-            d3=d0, kinetics=kin, gamma_length=ctx2.gamma_length,
-            cell_area=ctx2.area,
-            positivity=macro_mod.PositivityPolicy(mcfg["positivity"]),
-            snapshot_every=mcfg["snapshot_every"], cell_ctx=ctx2)
-        solver = macro_mod.MacroVariantSolver(mesh, vcfg)
+        t1, t2 = (cell_mod.scalar_tensor_with_check(ctx, d)[0].matrix
+                  for d in (model.d1, model.d2))
+        solver = macro_mod.MacroVariantSolver(mesh, macro_mod.VariantConfig(
+            d1=t1, d2=t2, d3=d0, gamma_length=ctx.gamma_length,
+            cell_area=ctx.area, **shared))
         state = macro_mod.VariantState(0.0, init["c1"], init["c2"], init["c3"])
-        traj = solver.run(state)
     else:
-        config = macro_mod.MacroConfig(
-            dt=mcfg["dt"], t_end=mcfg["t_end"], d0=d0,
-            btable=_dispersion_table(cfg, kin, ctx),
-            kinetics=kin, gamma_length=gamma_len, cell_area=cell_area,
-            theta=mcfg["theta"], lambda_macro=cfg["cell"]["lambda_macro"],
-            positivity=macro_mod.PositivityPolicy(mcfg["positivity"]),
-            snapshot_every=mcfg["snapshot_every"], cell_ctx=ctx)
-        solver = macro_mod.MacroSolver(mesh, config)
+        if model.forced_b is not None:
+            btable = cell_mod.DispersionTable.constant(
+                model.forced_b, s_max=cfg["cell"]["lambda_macro"])
+        else:
+            btable = cell_mod.tabulate_b(
+                ctx, model.d1, model.d2, kin.h, cfg["cell"]["s_grid"],
+                midpoint_tol=cfg["cell"]["midpoint_tol"])
+        solver = macro_mod.MacroSolver(mesh, macro_mod.MacroConfig(
+            d0=d0, btable=btable,
+            gamma_length=ctx.gamma_length if ctx else 0.0,
+            cell_area=ctx.area if ctx else 1.0, theta=mcfg["theta"],
+            lambda_macro=cfg["cell"]["lambda_macro"], **shared))
         c0 = 0.5 * (init["c1"] + init["c2"])
         state = macro_mod.MacroState(0.0, c0, init["c3"])
-        traj = solver.run(state)
-    traj.write_csv(os.path.join(outdir, "trajectory.csv"))
-    if cfg["output"]["snapshot_fields"]:
-        for name in traj.field_names:
-            t, fields = traj.snapshots[-1]
-            write_field(os.path.join(outdir, f"final_{name}.field"),
-                        name, fields[name])
+    traj = solver.run(state)
+    _write_run(traj, cfg, outdir)
     print(f"macro run: {len(traj.times) - 1} steps, "
           f"events={len(traj.events)}")
     return EXIT_OK
 
 
-def cmd_micro(cfg, outdir, args):
-    domain = _domain(cfg["domain"])
-    kin = kin_mod.parse_kinetics(cfg["kinetics"])
-    incl = _inclusion(cfg["geometry"]["inclusion"])
+def cmd_micro(cfg, model, outdir, args):
     mcfg = cfg["micro"]
     eps = mcfg["epsilon"]
     h_cell = mcfg["h_cell"] if mcfg["h_cell"] is not None else eps / 8.0
-    spec = geo.EpsilonDomainSpec(domain, eps, incl)
-    mesh = geo.build_epsilon_mesh(spec, h_cell, node_cap=args.budget_nodes)
+    mesh = geo.build_epsilon_mesh(model.spec, h_cell,
+                                  node_cap=args.budget_nodes)
     config = micro_mod.MicroConfig(
-        dt=mcfg["dt"], t_end=mcfg["t_end"],
-        d1=_coefficient(cfg["coefficients"]["d1"]),
-        d2=_coefficient(cfg["coefficients"]["d2"]),
-        d3=_coefficient(cfg["coefficients"]["d3"]),
-        kinetics=kin, scaling=micro_mod.Scaling(mcfg["scaling"]),
-        positivity=macro_mod.PositivityPolicy(mcfg["positivity"]),
-        snapshot_every=mcfg["snapshot_every"])
-    init = mcfg["initial"]
-    state = micro_mod.initial_state(
-        mesh, _initial_closure(init["c1"]), _initial_closure(init["c2"]),
-        _initial_closure(init["c3"]))
+        dt=mcfg["dt"], t_end=mcfg["t_end"], d1=model.d1, d2=model.d2,
+        d3=model.d3, kinetics=model.kinetics, scaling=model.scaling,
+        positivity=model.positivity, snapshot_every=mcfg["snapshot_every"])
+    init = model.initial
+    state = micro_mod.initial_state(mesh, init["c1"], init["c2"], init["c3"])
     solver = micro_mod.MicroSolver(mesh, eps, config)
     traj = solver.run(state)
-    traj.write_csv(os.path.join(outdir, "trajectory.csv"))
+    _write_run(traj, cfg, outdir)
     micro_mod.write_gamma_gap_csv(traj, os.path.join(outdir, "gamma_gap.csv"))
-    if cfg["output"]["snapshot_fields"]:
-        t, fields = traj.snapshots[-1]
-        for name in traj.field_names:
-            write_field(os.path.join(outdir, f"final_{name}.field"),
-                        name, fields[name])
     print(f"micro run (eps={eps}): {mesh.n_nodes} nodes, "
           f"{len(traj.times) - 1} steps, events={len(traj.events)}")
     return EXIT_OK
 
 
-def cmd_sweep(cfg, outdir, args):
+def cmd_sweep(cfg, model, outdir, args):
     scfg = cfg["sweep"]
-    init = scfg["initial"]
+    init = model.initial
     problem = conv_mod.SweepProblem(
-        inclusion=_inclusion(cfg["geometry"]["inclusion"]),
-        cell_h=cfg["cell"]["h"],
-        d1=_coefficient(cfg["coefficients"]["d1"]),
-        d2=_coefficient(cfg["coefficients"]["d2"]),
-        d3=_coefficient(cfg["coefficients"]["d3"]),
-        kinetics=kin_mod.parse_kinetics(cfg["kinetics"]),
-        init_c1=_initial_closure(init["c1"]),
-        init_c2=_initial_closure(init["c2"]),
-        init_c3=_initial_closure(init["c3"]),
+        inclusion=model.inclusion, cell_h=cfg["cell"]["h"], d1=model.d1,
+        d2=model.d2, d3=model.d3, kinetics=model.kinetics,
+        init_c1=init["c1"], init_c2=init["c2"], init_c3=init["c3"],
         dt=scfg["dt"], t_end=scfg["t_end"], macro_h=scfg["macro_h"],
-        scaling=micro_mod.Scaling(scfg["scaling"]),
-        s_grid=tuple(cfg["cell"]["s_grid"]),
+        scaling=model.scaling, s_grid=tuple(cfg["cell"]["s_grid"]),
         lambda_macro=cfg["cell"]["lambda_macro"],
         snapshot_every=scfg["snapshot_every"],
-        node_budget=args.budget_nodes,
-        domain=_domain(cfg["domain"]),
-        config_dict=cfg)
+        node_budget=args.budget_nodes, domain=model.domain, config_dict=cfg)
     report = conv_mod.run_sweep(problem, scfg["epsilons"],
                                 threads=args.threads,
                                 keep_trajectories=True)
@@ -575,9 +553,10 @@ def main(argv=None):
         return EXIT_CONFIG
     try:
         resolved = resolve_config(raw, args.command)
+        model = _model(resolved, args.command, args)
         os.makedirs(args.out, exist_ok=True)
         write_manifest(args.out, args.command, resolved)
-        return _COMMANDS[args.command](resolved, args.out, args)
+        return _COMMANDS[args.command](resolved, model, args.out, args)
     except (ConfigError, InvalidGeometryError, UnknownNameError,
             UnsupportedDimensionError, ValueError) as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)

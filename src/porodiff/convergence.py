@@ -159,17 +159,30 @@ def _micro_errors_for_epsilon(problem, eps, macro_mesh, macro_traj):
     return errors, diagnostics, traj
 
 
+def epsilon_specs(domain, inclusion, epsilons):
+    """The checked perforated domain of each epsilon of a sweep.
+
+    ValueError if there is no epsilon, InvalidGeometryError if one does not
+    tile ``domain``.
+    """
+    specs = [EpsilonDomainSpec(domain, float(e), inclusion) for e in epsilons]
+    if not specs:
+        raise ValueError("a sweep needs at least one epsilon")
+    for spec in specs:
+        spec.validate()
+    return specs
+
+
 def run_sweep(problem, epsilons, threads=1, keep_trajectories=False):
     """Full micro-vs-macro sweep over the given epsilons."""
-    epsilons = [float(e) for e in epsilons]
+    specs = epsilon_specs(problem.domain, problem.inclusion, epsilons)
+    epsilons = [spec.epsilon for spec in specs]
     unit_mesh = build_unit_cell_mesh(problem.inclusion, problem.cell_h)
-    for eps in epsilons:
-        spec = EpsilonDomainSpec(problem.domain, eps, problem.inclusion)
-        spec.validate()
+    for spec in specs:
         projected = len(_epsilon_cells(spec)) * unit_mesh.n_nodes
         if projected > problem.node_budget:
             raise BudgetExceededError(
-                f"epsilon={eps} needs about {projected} nodes "
+                f"epsilon={spec.epsilon} needs about {projected} nodes "
                 f"(budget {problem.node_budget})"
             )
 

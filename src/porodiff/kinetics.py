@@ -171,9 +171,10 @@ def builtin(name, **params):
 def parse_kinetics(text):
     """Parse CLI-style kinetics, e.g. ``mm_triple+langmuir:a=1,b=1``.
 
-    Parts are joined with ``+``; the langmuir part overrides the exchange
-    rate of the volume/surface part. Only langmuir takes parameters from
-    text, its ``a`` and ``b``.
+    Parts are joined with ``+``, at most one volume/surface part and one
+    langmuir part; the langmuir part overrides the exchange rate of the
+    volume/surface part. Only langmuir takes parameters from text, its
+    ``a`` and ``b``.
     """
     parts = [p.strip() for p in text.split("+") if p.strip()]
     if not parts:
@@ -196,6 +197,8 @@ def parse_kinetics(text):
                 params[k] = float(v)
         k = builtin(name, **params)
         if is_langmuir:
+            if exchange is not None:
+                raise UnknownNameError("at most one langmuir exchange part allowed")
             exchange = k
         else:
             if result is not None:

@@ -12,11 +12,14 @@ from .errors import ConfigError
 def step_count(t_end, dt):
     """Number of dt steps from 0 to t_end.
 
-    Raises ConfigError unless t_end/dt is within 1e-9 (relative) of an
-    integer, so a run never stops short of t_end.
+    Raises ConfigError unless dt is finite and positive and t_end/dt is
+    within 1e-9 (relative) of an integer, so a run never stops short of
+    t_end.
     """
+    if not (np.isfinite(dt) and dt > 0):
+        raise ConfigError(f"dt must be finite and positive, got {dt!r}")
     ratio = t_end / dt
-    n = round(ratio)
+    n = round(ratio) if np.isfinite(ratio) else -1
     if n < 0 or abs(ratio - n) > 1e-9 * abs(ratio):
         raise ConfigError(f"t_end={t_end!r} is not a multiple of dt={dt!r}")
     return n

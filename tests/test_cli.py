@@ -19,7 +19,63 @@ def run_cli(tmp_path, command, config, out="out", extra=()):
     return code, outdir
 
 
+def assert_config_error(tmp_path, command, config, extra=()):
+    """The run exits 2 and leaves no output directory."""
+    code, outdir = run_cli(tmp_path, command, config, extra=extra)
+    assert code == cli.EXIT_CONFIG
+    assert not outdir.exists()
+
+
 DISC = {"shape": "disc", "center": [0.5, 0.5], "radius": 0.25}
+EYE = [[1, 0], [0, 1]]
+CELL = {"geometry": {"inclusion": DISC, "h": 0.1}, "cell": {"h": 0.1}}
+FORCED = {"h": 1 / 8, "dt": 1e-3, "t_end": 2e-3, "forced_b": EYE,
+          "forced_d0": EYE}
+MICRO = {"epsilon": 0.25, "dt": 1e-3, "t_end": 2e-3}
+SWEEP = {"epsilons": [0.25], "dt": 1e-3, "t_end": 2e-3, "macro_h": 1 / 8}
+
+# One bad value each, in a section the command may not read: every value
+# is converted before the output directory is made.
+BAD_VALUES = [
+    pytest.param("cell-tensor", {**CELL, "coefficients": {
+        "d2": [[1, 0.5], [0, 1]]}}, (), id="unread-asymmetric-d2"),
+    pytest.param("btable", {**CELL, "coefficients": {
+        "d3": [[1, 0], [0, -1]]}}, (), id="unread-indefinite-d3"),
+    pytest.param("macro", {"coefficients": {"d1": 0.0}, "macro": FORCED},
+                 (), id="unread-zero-d1"),
+    pytest.param("macro", {"macro": {**FORCED, "forced_b": None}}, (),
+                 id="forced-d0-alone"),
+    pytest.param("macro", {"macro": {**FORCED, "variant": True,
+                                     "forced_b": [[1, 0], [0, -1]]}}, (),
+                 id="variant-unread-forced-b"),
+    pytest.param("validate", {"kinetics": "langmuir:a=1,b=1+langmuir:a=3,b=1"},
+                 (), id="two-langmuir-parts"),
+    pytest.param("micro", {
+        "kinetics": "mm_triple+langmuir:a=1,b=1+langmuir:a=3,b=1",
+        "micro": MICRO}, (), id="volume-and-two-langmuir-parts"),
+    pytest.param("btable", {**CELL, "kinetics": "nope"}, (),
+                 id="unknown-kinetics"),
+    pytest.param("macro", {"geometry": {"inclusion": {**DISC, "radius": 0.6}},
+                           "macro": FORCED}, (), id="forced-macro-inclusion"),
+    pytest.param("validate", {"geometry": {"inclusion": {"shape": "disc"}}},
+                 (), id="inclusion-without-radius"),
+    pytest.param("sweep", {"domain": {"rectangles": [[0, 0, 0, 1]]},
+                           "sweep": SWEEP}, (), id="degenerate-rectangle"),
+    pytest.param("micro", {"micro": {**MICRO, "epsilon": 0.3}}, (),
+                 id="epsilon-not-tiling"),
+    pytest.param("macro", {"macro": {**FORCED, "positivity": "sometimes"}},
+                 (), id="positivity"),
+    pytest.param("micro", {"micro": {**MICRO, "scaling": "slow"}}, (),
+                 id="scaling"),
+    pytest.param("sweep", {"sweep": {**SWEEP, "t_end": 2.5e-3}}, (),
+                 id="t_end-off-grid"),
+    pytest.param("macro", {"macro": {**FORCED, "dt": 0.0}}, (), id="zero-dt"),
+    pytest.param("sweep", {"sweep": {**SWEEP, "epsilons": []}}, (),
+                 id="no-epsilon"),
+    pytest.param("validate", {}, ("--threads", "-3"), id="negative-threads"),
+    pytest.param("micro", {"micro": MICRO}, ("--budget-nodes", "-1"),
+                 id="negative-node-budget"),
+]
 
 
 class TestConfigHandling:
@@ -37,9 +93,13 @@ class TestConfigHandling:
 
     def test_invalid_geometry_exit_2(self, tmp_path):
         bad = {"shape": "disc", "center": [0.5, 0.5], "radius": 0.6}
-        code, _ = run_cli(tmp_path, "cell-tensor",
-                          {"geometry": {"inclusion": bad, "h": 0.05}})
-        assert code == cli.EXIT_CONFIG
+        assert_config_error(tmp_path, "cell-tensor",
+                            {"geometry": {"inclusion": bad, "h": 0.05}})
+
+    @pytest.mark.parametrize("command,config,extra", BAD_VALUES)
+    def test_bad_value_exit_2_before_any_output(self, tmp_path, command,
+                                                config, extra):
+        assert_config_error(tmp_path, command, config, extra)
 
     @pytest.mark.parametrize("command,config", [
         ("macro", {"macro": {"dt": "0.001"}}),
@@ -51,12 +111,10 @@ class TestConfigHandling:
         ("mesh", {"geometry": {"inclusion": DISC, "h": 0.1}, "seed": 1.0}),
         ("mesh", {"geometry": {"inclusion": "disc", "h": 0.1}}),
         ("micro", {"micro": {"h_cell": "0.01", "dt": 1e-3, "t_end": 2e-3}}),
-        ("btable", {"cell": {"midpoint_tol": "x"}})])
+        ("btable", {"cell": {"midpoint_tol": "x"}}),
+        ("macro", {"macro": {"initial": {"c1": {"kind": "cubic"}}}})])
     def test_declared_types_enforced(self, tmp_path, command, config):
-        code, outdir = run_cli(tmp_path, command, config)
-        assert code == cli.EXIT_CONFIG
-        # rejected while resolving, before any artifact is written
-        assert not outdir.exists()
+        assert_config_error(tmp_path, command, config)
 
     def test_int_passes_for_float_uncoerced(self, tmp_path):
         code, outdir = run_cli(tmp_path, "validate",
@@ -72,26 +130,22 @@ class TestConfigHandling:
         0.0, -1.0, float("nan"), True, [[1, 0], [0, -1]],
         [[1, 0], [0, float("inf")]], [[1, 0.5], [0, 1]]])
     def test_bad_constant_coefficient_exit_2(self, tmp_path, d3):
-        code, _ = run_cli(tmp_path, "cell-tensor",
-                          {"geometry": {"inclusion": DISC, "h": 0.1},
-                           "coefficients": {"d3": d3}, "cell": {"h": 0.1}})
-        assert code == cli.EXIT_CONFIG
+        assert_config_error(tmp_path, "cell-tensor",
+                            {**CELL, "coefficients": {"d3": d3}})
 
     @pytest.mark.parametrize("rectangles", [
         [[0, 0, 1]], [[0, 0, 1, "1"]], [[0, 0, 1, True]], [[0, 0, 1, math.inf]],
         [0, 0, 1, 1], [[0, 0, 0, 1]], [[1, 0, 0, 1]], []])
     def test_bad_domain_rectangle_exit_2(self, tmp_path, rectangles):
-        code, _ = run_cli(tmp_path, "micro",
-                          {"domain": {"rectangles": rectangles},
-                           "micro": {"dt": 1e-3, "t_end": 2e-3}})
-        assert code == cli.EXIT_CONFIG
+        assert_config_error(tmp_path, "micro",
+                            {"domain": {"rectangles": rectangles},
+                             "micro": MICRO})
 
     @pytest.mark.parametrize("kinetics",
                              ["mm_triple:a0=2", "mm_triple:foo=1", "zero:a=3"])
     def test_kinetics_text_takes_langmuir_parameters_only(self, tmp_path,
                                                          kinetics):
-        code, _ = run_cli(tmp_path, "validate", {"kinetics": kinetics})
-        assert code == cli.EXIT_CONFIG
+        assert_config_error(tmp_path, "validate", {"kinetics": kinetics})
 
     @pytest.mark.parametrize("command,kinetics", [
         ("micro", "mm_triple+langmuir:a=nan,b=1"),
@@ -101,10 +155,8 @@ class TestConfigHandling:
                                                  kinetics):
         config = {"kinetics": kinetics}
         if command == "micro":
-            config["micro"] = {"dt": 1e-3, "t_end": 2e-3}
-        code, outdir = run_cli(tmp_path, command, config)
-        assert code == cli.EXIT_CONFIG
-        assert not (outdir / "validate.json").exists()
+            config["micro"] = MICRO
+        assert_config_error(tmp_path, command, config)
 
     def test_defaults_materialized_in_manifest(self, tmp_path):
         code, outdir = run_cli(tmp_path, "mesh",
@@ -329,6 +381,36 @@ class TestCommands:
         for fname in files:
             assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes(), \
                 fname
+
+
+def test_sweep_builds_initial_data_through_the_module_closure(
+        tmp_path, monkeypatch):
+    # Benchmarks seed the sweep's initial data by replacing
+    # cli._initial_closure, so the CLI must look it up at run time.
+    specs, evaluated = [], []
+    build = cli._initial_closure
+
+    def record(spec):
+        index = len(specs)
+        specs.append(spec)
+        closure = build(spec)
+
+        def evaluate(x, y):
+            evaluated.append(index)
+            return closure(x, y)
+
+        return evaluate
+
+    monkeypatch.setattr(cli, "_initial_closure", record)
+    code, _ = run_cli(tmp_path, "sweep", {
+        **CELL, "cell": {"h": 0.125, "s_grid": [0.0, 0.5, 1.0, 1.5],
+                         "lambda_macro": 1.5},
+        "sweep": {**SWEEP, "initial": {"c3": {"kind": "sine"}}}})
+    assert code == 0
+    assert specs == [{"kind": "bump", "amplitude": 1.0}] * 2 + [
+        {"kind": "sine", "amplitude": 1.0}]
+    # each closure is evaluated on the macro mesh and the epsilon mesh
+    assert sorted(evaluated) == [0, 0, 1, 1, 2, 2]
 
 
 class TestManifestRerun:

@@ -105,6 +105,14 @@ class TestSweep:
         with pytest.raises(BudgetExceededError):
             conv.run_sweep(problem, [1 / 4])
 
+    def test_no_epsilon_rejected_before_any_work(self, monkeypatch):
+        def no_work(*args):
+            raise AssertionError("a cell mesh was built")
+
+        monkeypatch.setattr(conv, "build_unit_cell_mesh", no_work)
+        with pytest.raises(ValueError, match="at least one epsilon"):
+            conv.run_sweep(self.make_problem(), [])
+
     def test_heat_only_errors_decrease(self):
         problem = self.make_problem(
             kinetics=kin.zero_kinetics(),

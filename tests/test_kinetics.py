@@ -32,6 +32,10 @@ class TestBuiltins:
             kin.builtin("nope")
         with pytest.raises(UnknownNameError):
             kin.parse_kinetics("mm_triple+mm_mixed")
+        for text in ("langmuir:a=1,b=1+langmuir:a=3,b=1",
+                     "mm_triple+langmuir:a=1,b=1+langmuir:a=3,b=1"):
+            with pytest.raises(UnknownNameError, match="one langmuir"):
+                kin.parse_kinetics(text)
 
     @pytest.mark.parametrize("name", ["zero", "mm_triple", "mm_mixed"])
     def test_builtins_validate(self, name):

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 import weakref
 
 import numpy as np
@@ -345,8 +346,9 @@ def test_step_count_on_the_grid(t_end, dt, steps):
     assert step_count(t_end, dt) == steps
 
 
-@pytest.mark.parametrize("t_end,dt", [(0.01, 0.004), (0.0105, 1e-3),
-                                      (-0.01, 1e-3)])
+@pytest.mark.parametrize("t_end,dt", [
+    (0.01, 0.004), (0.0105, 1e-3), (-0.01, 1e-3), (0.05, 0), (0.05, -1e-3),
+    (0.05, math.nan), (0.05, math.inf), (math.inf, 1e-3), (math.nan, 1e-3)])
 def test_step_count_off_the_grid(t_end, dt):
     with pytest.raises(ConfigError):
         step_count(t_end, dt)
