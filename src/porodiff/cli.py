@@ -163,6 +163,8 @@ def resolve_config(raw, command):
             _check_keys(value, spec, f"{section}.")
             for key, item in value.items():
                 _check_type(item, spec[key], f"{section}.{key}")
+            for k, eps in enumerate(value.get("epsilons", ())):
+                _check_type(eps, (float, 0.25), f"{section}.epsilons[{k}]")
             merged = json.loads(json.dumps(
                 {key: default for key, (_, default) in spec.items()}))
             merged.update(value)
@@ -176,6 +178,8 @@ def resolve_config(raw, command):
                             set(fval) - {"kind", "amplitude"}:
                         raise ConfigError(
                             f"initial data {fname!r} must set kind/amplitude")
+                    _check_type(fval.get("amplitude", 1.0), (float, 1.0),
+                                f"{section}.initial.{fname}.amplitude")
                     init[fname] = {"kind": fval.get("kind", "bump"),
                                    "amplitude": float(fval.get("amplitude", 1.0))}
                 merged["initial"] = init

@@ -122,9 +122,10 @@ def _micro_errors_for_epsilon(problem, eps, macro_mesh, macro_traj):
                                     problem.init_c3)
     solver = micro_mod.MicroSolver(mesh, eps, cfg)
     traj = solver.run(state)
+    M_eps = solver.M
+    del solver  # its operators and factors are not held past the run
 
     interp = P1Interpolator(macro_mesh, mesh.nodes)
-    M_eps = solver.M
     times = []
     sq = {"c1": [], "c2": [], "c3": []}
     macro_snaps = dict()

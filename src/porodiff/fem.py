@@ -121,18 +121,28 @@ def scatter(connectivity, n, local):
     """The n x n CSR matrix of element matrices ``local`` (E,k,k) by COO.
 
     Element e adds local[e, i, j] at (connectivity[e, i], connectivity[e, j]).
+    The COO indices are int32 where n fits, as scipy's CSR indices are.
     """
-    k = connectivity.shape[1]
-    rows = np.repeat(connectivity, k, axis=1).reshape(-1)
-    cols = np.tile(connectivity, (1, k)).reshape(-1)
+    conn = connectivity.astype(np.int32 if n < 2 ** 31 else np.int64)
+    k = conn.shape[1]
+    rows = np.repeat(conn, k, axis=1).reshape(-1)
+    cols = np.tile(conn, (1, k)).reshape(-1)
     return sp.coo_matrix((local.reshape(-1), (rows, cols)),
                          shape=(n, n)).tocsr()
 
 
+# Elements per einsum in stiffness_elements, which bounds its temporaries
+STIFFNESS_CHUNK = 16384
+
+
 def stiffness_elements(areas, grads, mats):
     """Element stiffness matrices (M,3,3) for coefficient matrices (M,2,2)."""
-    return np.einsum("m,mid,mde,mje->mij", areas, grads, mats, grads,
-                     optimize=True)
+    local = np.empty((len(areas), 3, 3))
+    for start in range(0, len(areas), STIFFNESS_CHUNK):
+        c = slice(start, start + STIFFNESS_CHUNK)
+        np.einsum("m,mid,mde,mje->mij", areas[c], grads[c], mats[c],
+                  grads[c], optimize=True, out=local[c])
+    return local
 
 
 def assemble_stiffness(mesh, coeff, geometry=None):
@@ -585,28 +595,26 @@ class _BlockDiagonal:
 class ExchangeBlock:
     """The constant part of the exchange block [[A1+C, -C], [-C, A2+C]].
 
-    Built once per stepper: it holds the reduced A1r and A2r and their
-    ``factors`` (one shared factor for an equal pair); the full A1 and A2
-    are not kept. ``held`` is the CG preconditioner, a HeldFactor of the
-    block itself at a held exchange matrix C_ref. C_ref starts at zero,
-    where the block is diag(A1r, A2r) and the preconditioner is one solve
-    with each field's factor, exact for C = 0 and any pair. When a solve
-    needs more than REFACTOR_ITERS CG iterations, C_ref becomes that
-    solve's exchange matrix and the whole 2N block is factored; that factor
-    is about twice the size of a field factor and is held beside the field
-    factors.
+    Built once per stepper from the reduced A1r and A2r alone, which it
+    holds with their ``factors`` (one shared factor for an equal pair).
+    ``held`` is the CG preconditioner, a HeldFactor of the block itself at
+    a held exchange matrix C_ref. C_ref starts at zero, where the block is
+    diag(A1r, A2r) and the preconditioner is one solve with each field's
+    factor, exact for C = 0 and any pair. When a solve needs more than
+    REFACTOR_ITERS CG iterations, C_ref becomes that solve's exchange
+    matrix and the whole 2N block is factored; that factor is about twice
+    the size of a field factor and is held beside the field factors.
 
-    ``reducer`` is the single-field DirichletReducer, applied to both
-    fields. With ``equal=True`` (A1 and A2 are the same operator) the block
+    ``reducer`` is the single-field DirichletReducer of A1r and A2r. With
+    ``equal=True`` (A1 and A2 are the same operator, A1r is A2r) the block
     decouples exactly into sum and difference fields, and ``held`` is a
     factor of A + 2 C_ref for the difference field.
     """
 
-    def __init__(self, A1, A2, reducer, equal=False):
+    def __init__(self, A1r, A2r, reducer, equal=False):
         self.reducer = reducer
         self.equal = bool(equal)
-        self.A1r = reducer.restrict(A1)
-        self.A2r = self.A1r if self.equal else reducer.restrict(A2)
+        self.A1r, self.A2r = A1r, A2r
         first = factorize(self.A1r)
         self.factors = (first, first if self.equal else factorize(self.A2r))
         self.held = HeldFactor(

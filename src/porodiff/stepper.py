@@ -151,8 +151,8 @@ class ExchangePairStepper(ImexStepper):
     (``CoefficientField.same_operator``) shares its K, reduced operator and
     factor: for d2 the pair is equal and the block decouples, for d3 the c3
     solve uses that field's factor. The block [[A1+C, -C], [-C, A2+C]] with
-    A_k = M + dt K_k is built from them. A subclass implements two hooks
-    called every step:
+    A_k = M + dt K_k is built from their reduced P'A_kP. A subclass
+    implements two hooks called every step:
     ``exchange_matrix(h_nodal)``, the exchange matrix C from nodal h(c3),
     restricted to the reduced dofs, and ``rates(state)``, the explicit
     (f1, f2, load3): nodal pair rates and the assembled c3 load.
@@ -172,16 +172,13 @@ class ExchangePairStepper(ImexStepper):
         # the factorizations below, where set-up memory peaks
         del geometry
         self.K = [K[j] for j in owner]
-        A1 = (self.M + config.dt * self.K[0]).tocsr()
-        A2 = A1 if owner[1] == 0 else (self.M + config.dt * self.K[1]).tocsr()
-        self.exchange = fem.ExchangeBlock(A1, A2, self.reducer,
+        # each full M + dt K is freed once restricted, before any factoring
+        A_r = {j: self.reducer.restrict(self.M + config.dt * K[j]) for j in K}
+        self.exchange = fem.ExchangeBlock(A_r[0], A_r[owner[1]], self.reducer,
                                           equal=owner[1] == 0)
-        if owner[2] < 2:
-            self.A3_r = (self.exchange.A1r, self.exchange.A2r)[owner[2]]
-            self.A3_handle = self.exchange.factors[owner[2]]
-        else:
-            self.A3_r = self.reducer.restrict(self.M + config.dt * self.K[2])
-            self.A3_handle = fem.factorize(self.A3_r)
+        self.A3_r = A_r[owner[2]]
+        self.A3_handle = (self.exchange.factors[owner[2]] if owner[2] < 2
+                          else fem.factorize(self.A3_r))
 
     def _advance(self, state):
         cfg = self.cfg

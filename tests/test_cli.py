@@ -72,6 +72,13 @@ BAD_VALUES = [
     pytest.param("macro", {"macro": {**FORCED, "dt": 0.0}}, (), id="zero-dt"),
     pytest.param("sweep", {"sweep": {**SWEEP, "epsilons": []}}, (),
                  id="no-epsilon"),
+    *(pytest.param("micro", {"micro": {**MICRO, "initial": {
+        "c2": {"kind": "sine", "amplitude": amp}}}}, (),
+        id=f"amplitude-{name}")
+      for name, amp in (("string", "2"), ("bool", True), ("null", None))),
+    *(pytest.param("sweep", {"sweep": {**SWEEP, "epsilons": [eps]}}, (),
+                   id=f"epsilon-{name}")
+      for name, eps in (("null", None), ("string", "x"), ("bool", True))),
     pytest.param("validate", {}, ("--threads", "-3"), id="negative-threads"),
     pytest.param("micro", {"micro": MICRO}, ("--budget-nodes", "-1"),
                  id="negative-node-budget"),

@@ -1,10 +1,13 @@
+import weakref
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from porodiff import cell, convergence as conv, fem, geometry as geo
-from porodiff import kinetics as kin
+from porodiff import kinetics as kin, micro
 from porodiff.errors import BudgetExceededError, DegenerateDataError
+from porodiff.interpolate import P1Interpolator
 
 
 def bump(x, y):
@@ -126,6 +129,25 @@ class TestSweep:
         r1 = conv.run_sweep(problem, [1 / 4, 1 / 8], threads=1)
         r2 = conv.run_sweep(problem, [1 / 4, 1 / 8], threads=2)
         assert r1.as_json_dict() == r2.as_json_dict()
+
+    def test_each_solver_is_freed_before_its_interpolator(self, monkeypatch):
+        # the operators and factors of one epsilon are not held while its
+        # interpolator is built
+        refs, dead = [], []
+
+        class Tracked(micro.MicroSolver):
+            def __init__(self, *args):
+                super().__init__(*args)
+                refs.append(weakref.ref(self))
+
+        def interpolator(*args):
+            dead.append(refs[-1]() is None)
+            return P1Interpolator(*args)
+
+        monkeypatch.setattr(micro, "MicroSolver", Tracked)
+        monkeypatch.setattr(conv, "P1Interpolator", interpolator)
+        conv.run_sweep(self.make_problem(), [1 / 4, 1 / 8])
+        assert dead == [True, True]
 
     def test_fingerprint_stable(self):
         problem = self.make_problem()

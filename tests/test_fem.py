@@ -64,6 +64,40 @@ class TestStiffness:
         d = np.abs((K - K.T).toarray()).max()
         assert d <= 1e-12 * np.abs(K.toarray()).max()
 
+    @pytest.mark.parametrize("count", [
+        100, fem.STIFFNESS_CHUNK, 7 * fem.STIFFNESS_CHUNK // 2])
+    def test_chunked_elements_equal_one_einsum(self, count):
+        # below one chunk, exactly one, and 3.5 chunks (the element count of
+        # the eps = 1/16 mesh)
+        rng = np.random.default_rng(count)
+        areas = rng.uniform(0.1, 1.0, count)
+        grads = rng.standard_normal((count, 3, 2))
+        draw = rng.standard_normal((count, 2, 2))
+        for mats in (draw + np.swapaxes(draw, 1, 2),
+                     np.broadcast_to(np.diag([2.0, 1.0]), (count, 2, 2))):
+            want = np.einsum("m,mid,mde,mje->mij", areas, grads, mats, grads,
+                             optimize=True)
+            assert np.array_equal(
+                fem.stiffness_elements(areas, grads, mats), want)
+
+    def test_scatter_equals_the_int64_coo_matrix(self, cell_mesh, same_csr):
+        n = cell_mesh.n_nodes
+        edges, lengths = fem.marked_edges(cell_mesh, geo.EdgeMarker.GAMMA)
+        rng = np.random.default_rng(3)
+        for conn, local in (
+                (cell_mesh.triangles, fem.stiffness_elements(
+                    *fem.triangle_geometry(cell_mesh),
+                    rng.uniform(0.5, 1.0, (len(cell_mesh.triangles), 2, 2)))),
+                (edges, fem.boundary_mass_elements(
+                    cell_mesh, edges, lengths, rng.uniform(0.0, 1.0, n)))):
+            conn = conn.astype(np.int64)
+            k = conn.shape[1]
+            want = sp.coo_matrix(
+                (local.reshape(-1), (np.repeat(conn, k, axis=1).reshape(-1),
+                                     np.tile(conn, (1, k)).reshape(-1))),
+                shape=(n, n)).tocsr()
+            assert same_csr(fem.scatter(conn, n, local), want)
+
 
 class TestMass:
     def test_partition_of_unity(self, cell_mesh):
@@ -390,7 +424,8 @@ class TestExchangeBlock:
         A = (M + 0.01 * K).tocsr()
         C = fem.assemble_boundary_mass(cell_mesh, geo.EdgeMarker.GAMMA, 0.7)
         red = fem.DirichletReducer(cell_mesh.n_nodes, [])
-        block = fem.ExchangeBlock(A, A, red, equal=True)
+        Ar = red.restrict(A)
+        block = fem.ExchangeBlock(Ar, Ar, red, equal=True)
         b = np.sin(cell_mesh.nodes[:, 0] * 3.0)
         x1, x2 = fem.solve_exchange_block(block, red.restrict(C), b, b)
         assert np.array_equal(x1, x2)
@@ -399,7 +434,7 @@ class TestExchangeBlock:
         A1, A2 = _unequal_pair(cell_mesh)
         rng = np.random.default_rng(4)
         red = fem.DirichletReducer(cell_mesh.n_nodes, [])
-        block = fem.ExchangeBlock(A1, A2, red)
+        block = fem.ExchangeBlock(red.restrict(A1), red.restrict(A2), red)
         for kappa in (1e-4, 1.0, 1e4):
             w = rng.uniform(0.0, 1.0, cell_mesh.n_nodes)
             C = kappa * fem.assemble_boundary_mass(
@@ -424,8 +459,9 @@ class TestExchangeBlock:
             mesh, geo.EdgeMarker.GAMMA, rng.uniform(0.0, 1.0, n))
         b1 = rng.standard_normal(n)
         b2 = rng.standard_normal(n)
-        x1, x2 = fem.solve_exchange_block(fem.ExchangeBlock(A1, A2, red),
-                                          red.restrict(C), b1, b2)
+        x1, x2 = fem.solve_exchange_block(
+            fem.ExchangeBlock(red.restrict(A1), red.restrict(A2), red),
+            red.restrict(C), b1, b2)
         # reference: eliminate the Dirichlet nodes of the assembled 2N block
         block = sp.bmat([[A1 + C, -C], [-C, A2 + C]], format="csr")
         free = np.concatenate([red.kept, red.kept])
@@ -438,7 +474,7 @@ class TestExchangeBlock:
     def _solves(self, mesh, kappa, count):
         A1, A2 = _unequal_pair(mesh)
         red = fem.DirichletReducer(mesh.n_nodes, [])
-        block = fem.ExchangeBlock(A1, A2, red)
+        block = fem.ExchangeBlock(red.restrict(A1), red.restrict(A2), red)
         rng = np.random.default_rng(8)
         history = []
         for _ in range(count):
@@ -467,8 +503,8 @@ class TestExchangeBlock:
     def test_non_finite_rhs_fails_at_once(self, cell_mesh):
         A1, A2 = _unequal_pair(cell_mesh)
         n = cell_mesh.n_nodes
-        block = fem.ExchangeBlock(
-            A1, A2, fem.DirichletReducer(n, []))
+        red = fem.DirichletReducer(n, [])
+        block = fem.ExchangeBlock(red.restrict(A1), red.restrict(A2), red)
         C = fem.assemble_boundary_mass(cell_mesh, geo.EdgeMarker.GAMMA, 1.0)
         b1 = np.ones(n)
         b1[3] = np.nan
@@ -579,7 +615,8 @@ class TestResidualTolerance:
         solver = self.macro_solver(macro_mesh_16)
         runs = {
             "exchange block": lambda: fem.solve_exchange_block(
-                fem.ExchangeBlock(A1, A2, red), red.restrict(C), b, 2.0 * b),
+                fem.ExchangeBlock(red.restrict(A1), red.restrict(A2), red),
+                red.restrict(C), b, 2.0 * b),
             "coupled cell rate": lambda: cell.CoupledCellProblem(
                 coarse_ctx, identity_field, aniso_field).solve(0.5),
             "macro step": lambda: solver.step(macro.MacroState(

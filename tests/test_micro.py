@@ -1,6 +1,7 @@
 import dataclasses
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -134,6 +135,25 @@ class TestMicroStep:
         K_osc = solver.K[0]
         K_unit = solver.K[2]
         assert abs((K_osc - 1.5 * K_unit)).max() > 1e-3
+
+    def test_setup_memory_high_water(self, disc_spec):
+        # tracemalloc counts numpy's buffers exactly: set-up's high-water
+        # against what the solver keeps, on the acceptance data at eps =
+        # 1/16 with the mesh built before tracing
+        spec = geo.EpsilonDomainSpec(geo.RectUnion.unit_square(), 1 / 16,
+                                     disc_spec)
+        mesh = geo.build_epsilon_mesh(spec, 1 / 128)
+        cfg = heat_cfg(
+            d2=fem.CoefficientField.constant(np.diag([2.0, 1.0])),
+            kinetics=kin.parse_kinetics("mm_triple+langmuir:a=1,b=1"),
+            scaling=micro.Scaling.ALL_EPS)
+        tracemalloc.start()
+        try:
+            solver = micro.MicroSolver(mesh, 1 / 16, cfg)
+            kept, high_water = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert high_water <= 1.8 * kept, high_water / kept
 
 
 class TestExchangePreconditioner:
