@@ -24,7 +24,6 @@ from .geometry import (EdgeMarker, EpsilonDomainSpec, InclusionSpec, Mesh,
 from .kinetics import (KineticsSet, Rate, builtin, cell_average_f,
                        parse_kinetics, surface_average_g3, validate)
 from .macro import (MacroConfig, MacroSolver, MacroState, MacroVariantSolver,
-                    PositivityPolicy, VariantConfig, VariantState,
-                    steady_sanity)
+                    PositivityPolicy, VariantConfig, VariantState)
 from .micro import (MicroConfig, MicroSolver, MicroState, Scaling,
                     restrict_macro_to_micro)

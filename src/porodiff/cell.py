@@ -66,7 +66,6 @@ class CoupledCellSolution:
     first: dict[int, np.ndarray]
     second: dict[int, np.ndarray]
     exchange_rate: float
-    s: float | None = None
 
 
 def _direction_loads(mesh, areas, grads, mats):
@@ -347,7 +346,6 @@ class DispersionTable:
 
     s: np.ndarray
     matrices: np.ndarray  # (K, 2, 2)
-    interpolation: str = "piecewise-linear-clamped"
     midpoint_error: float | None = None
     cross_check_err: float | None = None
     h: float | None = None
@@ -361,9 +359,6 @@ class DispersionTable:
     @property
     def s_max(self):
         return float(self.s[-1])
-
-    def covers(self, lo, hi, tol=0.0):
-        return self.s[0] - tol <= lo and hi <= self.s[-1] + tol
 
     def evaluate(self, s):
         return self.evaluate_many(np.asarray([s], dtype=float))[0]
@@ -386,7 +381,7 @@ class DispersionTable:
 
     def as_json_dict(self):
         return {
-            "interpolation": self.interpolation,
+            "interpolation": "piecewise-linear-clamped",
             "midpoint_error": self.midpoint_error,
             "cross_check_err": self.cross_check_err,
             "h": self.h,

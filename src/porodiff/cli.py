@@ -100,6 +100,9 @@ _SCHEMA = {
     "seed": (int, 0),
 }
 
+# list keys whose every entry must be a number
+_NUMBER_LISTS = ("epsilons", "s_grid", "exchange_values")
+
 _DEFAULT_INITIAL = {
     "c1": {"kind": "bump", "amplitude": 1.0},
     "c2": {"kind": "bump", "amplitude": 1.0},
@@ -163,8 +166,10 @@ def resolve_config(raw, command):
             _check_keys(value, spec, f"{section}.")
             for key, item in value.items():
                 _check_type(item, spec[key], f"{section}.{key}")
-            for k, eps in enumerate(value.get("epsilons", ())):
-                _check_type(eps, (float, 0.25), f"{section}.epsilons[{k}]")
+                if key in _NUMBER_LISTS:
+                    for k, entry in enumerate(item):
+                        _check_type(entry, (float, 0.0),
+                                    f"{section}.{key}[{k}]")
             merged = json.loads(json.dumps(
                 {key: default for key, (_, default) in spec.items()}))
             merged.update(value)

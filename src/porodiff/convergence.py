@@ -350,9 +350,8 @@ def tensor_suite(inclusion=None, h=0.05, d1=None, d2=None, d3=None,
     add("langmuir_saturation", sat <= 0.02, sat, 0.02)
 
     delta = 1e-4
-    b_a = coupled(1.0)
     b_b = coupled(1.0 + delta)
-    cont = float(np.abs(b_b.matrix - b_a.matrix).max()) / delta
+    cont = float(np.abs(b_b.matrix - b_inf.matrix).max()) / delta
     add("exchange_continuity", cont <= continuity_cap, cont, continuity_cap)
 
     if inclusion.kind == "disc" and abs(inclusion.center[0] - 0.5) < 1e-12 \

@@ -64,10 +64,6 @@ class CoefficientField:
     def isotropic(cls, value):
         return cls.constant(float(value) * np.eye(2))
 
-    @classmethod
-    def from_closure(cls, fn, alpha, beta, descriptor="closure"):
-        return cls(fn, float(alpha), float(beta), descriptor)
-
     def at_fine_scale(self, epsilon):
         """The field x -> D(x/epsilon) on the epsilon-periodic domain."""
         base = self.matrix_at

@@ -307,9 +307,9 @@ def _least_joined(n, links):
         least = step
 
 
-def count_marked_loops(mesh, marker=EdgeMarker.GAMMA):
-    """Number of connected components of the edges carrying ``marker``."""
-    edges = mesh.edges_with(marker)
+def count_marked_loops(mesh):
+    """Number of connected components of the inclusion boundary edges."""
+    edges = mesh.edges_with(EdgeMarker.GAMMA)
     return len(np.unique(_least_joined(mesh.n_nodes, edges)[edges]))
 
 

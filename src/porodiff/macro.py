@@ -49,16 +49,16 @@ class MacroConfig:
     positivity: PositivityPolicy = PositivityPolicy.MONITOR
     snapshot_every: int = 1
     cell_ctx: object = None
-    source_vec_c: np.ndarray | None = None
-    source_vec_c3: np.ndarray | None = None
 
     def validate(self):
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError(
                 f"theta must lie in [0, 1], got {self.theta!r}")
-        if not self.btable.covers(0.0, self.lambda_macro, tol=1e-12):
+        table, tol = self.btable, 1e-12
+        if not (table.s[0] - tol <= 0.0
+                and self.lambda_macro <= table.s_max + tol):
             raise TableRangeError(
-                f"dispersion table [{self.btable.s[0]}, {self.btable.s_max}] "
+                f"dispersion table [{table.s[0]}, {table.s_max}] "
                 f"does not cover [0, {self.lambda_macro}]"
             )
 
@@ -132,8 +132,6 @@ class MacroSolver(ImexStepper):
         f_c = finite("f1+f2", f1 + f2, state.t)
         f_3 = finite("f3+g3", f3, state.t)
         b_c = 2.0 * (self.M @ c) + dt * (self.M @ f_c)
-        if cfg.source_vec_c is not None:
-            b_c = b_c + dt * cfg.source_vec_c
         if th < 1.0:
             b_c = b_c - (1.0 - th) * dt * (self.pattern.matrix(k_data) @ c)
         A_r = self.pattern.restricted(self.two_m + (th * dt) * k_data)
@@ -141,8 +139,6 @@ class MacroSolver(ImexStepper):
         x = self.held.solve(A_r, b_r, x0=self.reducer.reduce_rhs(c))
 
         b_3 = self.M @ c3 + dt * (self.M @ f_3)
-        if cfg.source_vec_c3 is not None:
-            b_3 = b_3 + dt * cfg.source_vec_c3
         if th < 1.0:
             b_3 = b_3 - (1.0 - th) * dt * (self.K3 @ c3)
         return {"c": self.reducer.expand(x), "c3": self.solve_c3(b_3)}
@@ -196,84 +192,3 @@ class MacroVariantSolver(ExchangePairStepper):
         f1, f2, f3 = (finite(f"f{k}", f, state.t)
                       for k, f in enumerate(rates, 1))
         return f1, f2, self.M @ f3
-
-
-# ---------------------------------------------------------------------------
-# manufactured-solution sanity
-# ---------------------------------------------------------------------------
-
-def steady_sanity(mesh, d0, btable, case="slow_sine", dt=0.01):
-    """Drive manufactured steady states and report recovery errors.
-
-    ``zero``: zero source must stay identically zero. ``slow_sine``: the slow
-    field recovers a product-of-sines steady state against its analytic
-    source. ``coupled``: both fields recover nodal targets whose sources come
-    from the discrete operators themselves, so the steady residual is bounded
-    by the residual tolerance ``fem.RESIDUAL_TOL``. A run is steady when
-    the largest rate of change falls below 1e-10, and stops after 20000
-    steps.
-    """
-    steady_tol, max_steps = 1e-10, 20000
-    nodes = mesh.nodes
-    sin = np.sin
-    pi = np.pi
-    target_c3 = sin(pi * nodes[:, 0]) * sin(pi * nodes[:, 1])
-    M = fem.assemble_mass(mesh)
-    zero_kin = kin_mod.zero_kinetics()
-
-    def fresh_cfg(**kw):
-        return MacroConfig(dt=dt, t_end=dt * max_steps, d0=d0, btable=btable,
-                           kinetics=zero_kin, gamma_length=0.0, cell_area=1.0,
-                           **kw)
-
-    def run_to_steady(solver):
-        """(final state, steps): step from zero until steady."""
-        state = MacroState(0.0, np.zeros(mesh.n_nodes), np.zeros(mesh.n_nodes))
-        steps = 0
-        while steps < max_steps:
-            prev, state = state, solver.step(state)
-            steps += 1
-            rate = max(np.abs(state.c - prev.c).max(),
-                       np.abs(state.c3 - prev.c3).max()) / dt
-            if rate < steady_tol:
-                break
-        return state, steps
-
-    report = {"case": case}
-    if case == "zero":
-        cfg = fresh_cfg()
-        final, _ = run_to_steady(MacroSolver(mesh, cfg))
-        report["final_max"] = float(max(np.abs(final.c).max(),
-                                        np.abs(final.c3).max()))
-        return report
-    if case == "slow_sine":
-        d0 = np.asarray(d0, dtype=float)
-        lap = d0[0, 0] + d0[1, 1]
-        source = lap * pi ** 2 * target_c3
-        cfg = fresh_cfg(source_vec_c3=M @ source)
-        final, report["steps"] = run_to_steady(MacroSolver(mesh, cfg))
-        report["l2_error"] = fem.mass_norm(M, final.c3 - target_c3)
-        return report
-    if case == "coupled":
-        target_c = 0.5 * target_c3
-        cfg0 = fresh_cfg()
-        solver = MacroSolver(mesh, cfg0)
-        mats = solver.dispersion_matrices(target_c3)
-        K_B = fem.assemble_stiffness_elementwise(mesh, mats)
-        K3 = solver.K3
-        cfg = fresh_cfg(source_vec_c=K_B @ target_c,
-                        source_vec_c3=K3 @ target_c3)
-        solver = MacroSolver(mesh, cfg)
-        final, _ = run_to_steady(solver)
-        mats_f = solver.dispersion_matrices(final.c3)
-        K_Bf = fem.assemble_stiffness_elementwise(mesh, mats_f)
-        free = solver.reducer.kept
-        res_c = (K_Bf @ final.c - cfg.source_vec_c)[free]
-        res_c3 = (K3 @ final.c3 - cfg.source_vec_c3)[free]
-        scale = max(np.linalg.norm(cfg.source_vec_c), 1e-300)
-        report["steady_residual"] = float(
-            max(np.linalg.norm(res_c), np.linalg.norm(res_c3)) / scale)
-        report["l2_error_c"] = fem.mass_norm(M, final.c - target_c)
-        report["l2_error_c3"] = fem.mass_norm(M, final.c3 - target_c3)
-        return report
-    raise ValueError(f"unknown steady_sanity case {case!r}")

@@ -73,8 +73,7 @@ class MicroSolver(ExchangePairStepper):
 
     def gamma_gap_norm(self, state):
         """L2 norm of c1 - c2 on the inclusion boundaries."""
-        d = state.c1 - state.c2
-        return float(np.sqrt(max(d @ (self.gamma_mass @ d), 0.0)))
+        return fem.mass_norm(self.gamma_mass, state.c1 - state.c2)
 
     def exchange_matrix(self, h_nodal):
         """(dt/eps or dt eps) times the Gamma boundary mass of h(c3)."""

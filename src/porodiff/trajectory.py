@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError
+from .fem import mass_norm
 
 
 def step_count(t_end, dt):
@@ -47,8 +48,7 @@ class Trajectory:
     def record(self, t, fields, mass_matrix, mass_weights, snapshot=False):
         self.times.append(float(t))
         for name, u in fields.items():
-            self.series[f"norm_{name}"].append(
-                float(np.sqrt(max(u @ (mass_matrix @ u), 0.0))))
+            self.series[f"norm_{name}"].append(mass_norm(mass_matrix, u))
             self.series[f"min_{name}"].append(float(u.min()))
             self.series[f"max_{name}"].append(float(u.max()))
             self.series[f"mass_{name}"].append(float(mass_weights @ u))

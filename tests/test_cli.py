@@ -79,6 +79,11 @@ BAD_VALUES = [
     *(pytest.param("sweep", {"sweep": {**SWEEP, "epsilons": [eps]}}, (),
                    id=f"epsilon-{name}")
       for name, eps in (("null", None), ("string", "x"), ("bool", True))),
+    *(pytest.param(command, {**CELL, "cell": {**CELL["cell"], key: grid}},
+                   (), id=f"{key}-{name}")
+      for command, key in (("btable", "s_grid"),
+                           ("tensor-suite", "exchange_values"))
+      for name, grid in (("null", [0.0, None]), ("bool", [True]))),
     pytest.param("validate", {}, ("--threads", "-3"), id="negative-threads"),
     pytest.param("micro", {"micro": MICRO}, ("--budget-nodes", "-1"),
                  id="negative-node-budget"),

@@ -552,7 +552,7 @@ class TestCoefficientField:
         fem.CoefficientField.constant(np.diag([2.0, 1.0])).validate()
 
     def test_validate_rejects_asymmetric(self):
-        bad = fem.CoefficientField.from_closure(
+        bad = fem.CoefficientField(
             lambda pts: np.broadcast_to(np.array([[1.0, 0.5], [0.0, 1.0]]),
                                         (len(pts), 2, 2)),
             alpha=0.5, beta=2.0)
@@ -560,14 +560,14 @@ class TestCoefficientField:
             bad.validate()
 
     def test_validate_rejects_bound_violation(self):
-        bad = fem.CoefficientField.from_closure(
+        bad = fem.CoefficientField(
             lambda pts: np.broadcast_to(3.0 * np.eye(2), (len(pts), 2, 2)),
             alpha=1.0, beta=2.0)
         with pytest.raises(ValueError):
             bad.validate()
 
     def test_fine_scale_wraps_periodically(self):
-        base = fem.CoefficientField.from_closure(
+        base = fem.CoefficientField(
             lambda pts: (1.0 + 0.5 * np.cos(2 * np.pi * pts[:, 0]))[:, None, None]
             * np.eye(2),
             alpha=0.5, beta=1.5)

@@ -127,7 +127,7 @@ class TestMicroStep:
         assert abs(slow.exchange_factor - 1e-3 * 0.25) < 1e-15
 
     def test_fine_scale_coefficient_used(self, eps_mesh):
-        osc = fem.CoefficientField.from_closure(
+        osc = fem.CoefficientField(
             lambda pts: (1.5 + 0.5 * np.cos(2 * np.pi * pts[:, 0]))[
                 :, None, None] * np.eye(2),
             alpha=1.0, beta=2.0)
