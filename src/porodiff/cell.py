@@ -233,7 +233,7 @@ class CoupledCellProblem:
 
     def solve(self, exchange_rate):
         """Coupled correctors for both directions at one exchange rate."""
-        if exchange_rate < 0:
+        if not exchange_rate >= 0:  # NaN too
             raise ValueError("exchange rate must be nonnegative")
         ctx = self.ctx
         mesh = ctx.mesh
@@ -353,7 +353,7 @@ class DispersionTable:
     def __post_init__(self):
         self.s = np.asarray(self.s, dtype=float)
         self.matrices = np.asarray(self.matrices, dtype=float)
-        if np.any(np.diff(self.s) <= 0):
+        if not np.all(np.diff(self.s) > 0):  # NaN too
             raise ValueError("table abscissae must be strictly increasing")
 
     @property

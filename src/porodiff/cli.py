@@ -46,13 +46,12 @@ EXIT_BUDGET = 4
 
 # section -> key -> (declared type, default); the top-level keys that are
 # not sections map to one (type, default) pair. A value must have its
-# declared type as given: an int passes for a float, a bool for no number,
-# null passes where the default is null, and ``object`` takes any value.
+# declared type as given: an int passes for a float, a float must be finite,
+# a bool is no number, null passes for a null default, ``object`` takes any.
 _SCHEMA = {
     "geometry": {
         "inclusion": (dict, {"shape": "disc", "center": [0.5, 0.5],
                              "radius": 0.25}),
-        "h": (float, 0.05),
     },
     "domain": {"rectangles": (list, [[0.0, 0.0, 1.0, 1.0]])},
     "coefficients": {"d1": (object, 1.0), "d2": (object, 1.0),
@@ -71,7 +70,6 @@ _SCHEMA = {
         "t_end": (float, 0.05),
         "theta": (float, 1.0),
         "positivity": (str, "monitor"),
-        "snapshot_every": (int, 1),
         "initial": (dict, {}),
         "forced_b": (object, None),
         "forced_d0": (object, None),
@@ -84,7 +82,6 @@ _SCHEMA = {
         "t_end": (float, 0.05),
         "scaling": (str, "fast_exchange"),
         "positivity": (str, "monitor"),
-        "snapshot_every": (int, 1),
         "initial": (dict, {}),
     },
     "sweep": {
@@ -97,7 +94,6 @@ _SCHEMA = {
         "initial": (dict, {}),
     },
     "output": {"snapshot_fields": (bool, False)},
-    "seed": (int, 0),
 }
 
 # list keys whose every entry must be a number
@@ -110,17 +106,17 @@ _DEFAULT_INITIAL = {
 }
 
 _COMMAND_SECTIONS = {
-    "validate": ("geometry", "kinetics", "seed"),
-    "mesh": ("geometry", "seed"),
-    "cell-tensor": ("geometry", "coefficients", "cell", "seed"),
-    "btable": ("geometry", "coefficients", "cell", "kinetics", "seed"),
+    "validate": ("geometry", "kinetics"),
+    "mesh": ("geometry", "cell"),
+    "cell-tensor": ("geometry", "coefficients", "cell"),
+    "btable": ("geometry", "coefficients", "cell", "kinetics"),
     "macro": ("geometry", "domain", "coefficients", "cell", "kinetics",
-              "macro", "output", "seed"),
+              "macro", "output"),
     "micro": ("geometry", "domain", "coefficients", "kinetics", "micro",
-              "output", "seed"),
+              "output"),
     "sweep": ("geometry", "domain", "coefficients", "cell", "kinetics",
-              "sweep", "output", "seed"),
-    "tensor-suite": ("geometry", "coefficients", "cell", "seed"),
+              "sweep", "output"),
+    "tensor-suite": ("geometry", "coefficients", "cell"),
 }
 
 
@@ -138,12 +134,14 @@ def _check_type(value, spec, path):
         return
     if isinstance(value, bool):  # a bool is an int to isinstance
         ok = kind is bool
+    elif kind is float:  # json reads NaN and Infinity as floats
+        ok = isinstance(value, (int, float)) and np.isfinite(value)
     else:
-        ok = isinstance(value, (int, float) if kind is float else kind)
+        ok = isinstance(value, kind)
     if not ok:
+        name = "finite float" if kind is float else kind.__name__
         raise ConfigError(
-            f"config key {path!r} must be of type {kind.__name__}, "
-            f"got {value!r}")
+            f"config key {path!r} must be of type {name}, got {value!r}")
 
 
 def resolve_config(raw, command):
@@ -334,14 +332,13 @@ def write_field(path, name, values):
 
 
 def _write_run(traj, cfg, outdir):
-    """trajectory.csv and, if ``output.snapshot_fields``, the last snapshot
+    """trajectory.csv and, if ``output.snapshot_fields``, the final value
     of every field."""
     traj.write_csv(os.path.join(outdir, "trajectory.csv"))
     if cfg["output"]["snapshot_fields"]:
-        t, fields = traj.snapshots[-1]
         for name in traj.field_names:
             write_field(os.path.join(outdir, f"final_{name}.field"),
-                        name, fields[name])
+                        name, getattr(traj.final, name))
 
 
 # ---------------------------------------------------------------------------
@@ -364,7 +361,7 @@ def cmd_validate(cfg, model, outdir, args):
 
 
 def cmd_mesh(cfg, model, outdir, args):
-    mesh = geo.build_unit_cell_mesh(model.inclusion, cfg["geometry"]["h"])
+    mesh = geo.build_unit_cell_mesh(model.inclusion, cfg["cell"]["h"])
     geo.write_poromesh(mesh, os.path.join(outdir, "cell.poromesh"))
     stats = {
         "n_nodes": mesh.n_nodes,
@@ -418,23 +415,22 @@ def cmd_macro(cfg, model, outdir, args):
     mcfg = cfg["macro"]
     mesh = geo.build_macro_mesh(model.domain, mcfg["h"])
     kin, d0 = model.kinetics, model.forced_d0
-    # forced tensors need no cell, unless the rates or the variant read it
-    ctx = None
-    if d0 is None or kin.y_dependent or mcfg["variant"]:
-        ctx = _cell_context(cfg, model)
+    # the cell gives |Gamma|/|Y*| even when both tensors are forced
+    ctx = _cell_context(cfg, model)
     if d0 is None:
         d0 = cell_mod.scalar_tensor_with_check(ctx, model.d3)[0].matrix
     x, y = mesh.nodes.T
     init = {name: build(x, y) for name, build in model.initial.items()}
+    # a single run writes per-step series and the final fields only
     shared = dict(dt=mcfg["dt"], t_end=mcfg["t_end"], kinetics=kin,
-                  positivity=model.positivity,
-                  snapshot_every=mcfg["snapshot_every"], cell_ctx=ctx)
+                  positivity=model.positivity, cell_ctx=ctx,
+                  snapshot_every=max(1, step_count(mcfg["t_end"], mcfg["dt"])),
+                  gamma_length=ctx.gamma_length, cell_area=ctx.area)
     if mcfg["variant"]:
         t1, t2 = (cell_mod.scalar_tensor_with_check(ctx, d)[0].matrix
                   for d in (model.d1, model.d2))
         solver = macro_mod.MacroVariantSolver(mesh, macro_mod.VariantConfig(
-            d1=t1, d2=t2, d3=d0, gamma_length=ctx.gamma_length,
-            cell_area=ctx.area, **shared))
+            d1=t1, d2=t2, d3=d0, **shared))
         state = macro_mod.VariantState(0.0, init["c1"], init["c2"], init["c3"])
     else:
         if model.forced_b is not None:
@@ -445,9 +441,7 @@ def cmd_macro(cfg, model, outdir, args):
                 ctx, model.d1, model.d2, kin.h, cfg["cell"]["s_grid"],
                 midpoint_tol=cfg["cell"]["midpoint_tol"])
         solver = macro_mod.MacroSolver(mesh, macro_mod.MacroConfig(
-            d0=d0, btable=btable,
-            gamma_length=ctx.gamma_length if ctx else 0.0,
-            cell_area=ctx.area if ctx else 1.0, theta=mcfg["theta"],
+            d0=d0, btable=btable, theta=mcfg["theta"],
             lambda_macro=cfg["cell"]["lambda_macro"], **shared))
         c0 = 0.5 * (init["c1"] + init["c2"])
         state = macro_mod.MacroState(0.0, c0, init["c3"])
@@ -467,7 +461,8 @@ def cmd_micro(cfg, model, outdir, args):
     config = micro_mod.MicroConfig(
         dt=mcfg["dt"], t_end=mcfg["t_end"], d1=model.d1, d2=model.d2,
         d3=model.d3, kinetics=model.kinetics, scaling=model.scaling,
-        positivity=model.positivity, snapshot_every=mcfg["snapshot_every"])
+        positivity=model.positivity,  # first and last snapshots only
+        snapshot_every=max(1, step_count(mcfg["t_end"], mcfg["dt"])))
     init = model.initial
     state = micro_mod.initial_state(mesh, init["c1"], init["c2"], init["c3"])
     solver = micro_mod.MicroSolver(mesh, eps, config)
@@ -492,15 +487,13 @@ def cmd_sweep(cfg, model, outdir, args):
         snapshot_every=scfg["snapshot_every"],
         node_budget=args.budget_nodes, domain=model.domain, config_dict=cfg)
     report = conv_mod.run_sweep(problem, scfg["epsilons"],
-                                threads=args.threads,
-                                keep_trajectories=True)
-    trajectories = report.meta.pop("trajectories")
-    macro_traj = report.meta.pop("macro_trajectory")
+                                threads=args.threads)
     _write_json(report.as_json_dict(), os.path.join(outdir, "report.json"))
     with open(os.path.join(outdir, "report.csv"), "w") as f:
         f.write(report.csv_text())
-    macro_traj.write_csv(os.path.join(outdir, "macro_trajectory.csv"))
-    for eps, traj in zip(report.epsilons, trajectories):
+    report.macro_trajectory.write_csv(
+        os.path.join(outdir, "macro_trajectory.csv"))
+    for eps, traj in zip(report.epsilons, report.trajectories):
         tag = f"{eps:g}".replace(".", "p")
         traj.write_csv(os.path.join(outdir, f"micro_trajectory_eps{tag}.csv"))
         micro_mod.write_gamma_gap_csv(

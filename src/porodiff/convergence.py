@@ -81,12 +81,16 @@ class SweepProblem:
 
 @dataclass
 class ConvergenceReport:
+    """A sweep's results; its trajectories stay out of ``as_json_dict``."""
+
     epsilons: list
     errors: dict
     rates: dict
     monotone: dict
     fingerprint: str
     meta: dict
+    trajectories: list
+    macro_trajectory: object
 
     def as_json_dict(self):
         return {
@@ -174,7 +178,7 @@ def epsilon_specs(domain, inclusion, epsilons):
     return specs
 
 
-def run_sweep(problem, epsilons, threads=1, keep_trajectories=False):
+def run_sweep(problem, epsilons, threads=1):
     """Full micro-vs-macro sweep over the given epsilons."""
     specs = epsilon_specs(problem.domain, problem.inclusion, epsilons)
     epsilons = [spec.epsilon for spec in specs]
@@ -254,13 +258,10 @@ def run_sweep(problem, epsilons, threads=1, keep_trajectories=False):
         "macro_min": {n: macro_traj.min_over_run(n) for n in ("c", "c3")},
         "macro_max": {n: macro_traj.max_over_run(n) for n in ("c", "c3")},
     }
-    report = ConvergenceReport(
+    return ConvergenceReport(
         epsilons=epsilons, errors=errors, rates=rates, monotone=monotone,
-        fingerprint=config_fingerprint(config), meta=meta)
-    if keep_trajectories:
-        report.meta["trajectories"] = [res[2] for res in results]
-        report.meta["macro_trajectory"] = macro_traj
-    return report
+        fingerprint=config_fingerprint(config), meta=meta,
+        trajectories=[res[2] for res in results], macro_trajectory=macro_traj)
 
 
 # ---------------------------------------------------------------------------

@@ -89,7 +89,12 @@ class InclusionSpec:
         return self.kind == "none" or (self.kind == "disc" and self.radius == 0.0)
 
     def validate(self):
-        """Check admissibility: strictly inside the cell, positive area."""
+        """Check admissibility: finite, strictly inside the cell, area > 0."""
+        values = ((*self.center, self.radius) if self.kind == "disc"
+                  else self.vertices if self.kind == "polygon" else ())
+        if not np.all(np.isfinite(values)):
+            raise InvalidGeometryError(
+                f"inclusion coordinates must be finite, got {values!r}")
         if self.is_empty:
             return
         if self.kind == "disc":

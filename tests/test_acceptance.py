@@ -219,7 +219,7 @@ def test_criterion_9_positivity_and_uniform_bounds(fast_sweep, all_eps_sweep):
 def test_criterion_10_determinism(tmp_path):
     config = {
         "geometry": {"inclusion": {"shape": "disc", "center": [0.5, 0.5],
-                                   "radius": 0.25}, "h": 0.05},
+                                   "radius": 0.25}},
         "coefficients": {"d1": 1.0, "d2": [[2, 0], [0, 1]], "d3": 1.0},
         "kinetics": "mm_triple+langmuir:a=1,b=1",
         "cell": {"h": 0.125, "s_grid": [0.0, 0.5, 1.0, 1.5],

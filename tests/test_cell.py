@@ -332,6 +332,12 @@ class TestDispersionTable:
         assert table.midpoint_error is not None
         assert table.cross_check_err <= 1e-9
 
+    @pytest.mark.parametrize("s", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0],
+                                   [0.0, np.nan, 1.0]])
+    def test_abscissae_strictly_increasing(self, s):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            cell.DispersionTable(s, np.stack([np.eye(2)] * 3))
+
     @settings(max_examples=25, deadline=None)
     @given(s=st.floats(min_value=-1.0, max_value=6.0, allow_nan=False))
     def test_interpolated_min_eig(self, s):
@@ -646,6 +652,7 @@ class TestCoupledNormalization:
 
     def test_negative_exchange_rejected(self, cell_ctx, identity_field,
                                         aniso_field):
-        with pytest.raises(ValueError):
-            cell.solve_coupled_pair(cell_ctx, identity_field, aniso_field,
-                                    -1.0)
+        for rate in (-1.0, float("nan")):
+            with pytest.raises(ValueError):
+                cell.solve_coupled_pair(cell_ctx, identity_field,
+                                        aniso_field, rate)

@@ -3,11 +3,14 @@ import glob
 import json
 import math
 import os
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from porodiff import cell, cli, geometry as geo
+from porodiff import cell, cli, geometry as geo, kinetics, macro
+from porodiff.trajectory import Trajectory
 
 
 def run_cli(tmp_path, command, config, out="out", extra=()):
@@ -28,7 +31,7 @@ def assert_config_error(tmp_path, command, config, extra=()):
 
 DISC = {"shape": "disc", "center": [0.5, 0.5], "radius": 0.25}
 EYE = [[1, 0], [0, 1]]
-CELL = {"geometry": {"inclusion": DISC, "h": 0.1}, "cell": {"h": 0.1}}
+CELL = {"geometry": {"inclusion": DISC}, "cell": {"h": 0.1}}
 FORCED = {"h": 1 / 8, "dt": 1e-3, "t_end": 2e-3, "forced_b": EYE,
           "forced_d0": EYE}
 MICRO = {"epsilon": 0.25, "dt": 1e-3, "t_end": 2e-3}
@@ -59,6 +62,13 @@ BAD_VALUES = [
                            "macro": FORCED}, (), id="forced-macro-inclusion"),
     pytest.param("validate", {"geometry": {"inclusion": {"shape": "disc"}}},
                  (), id="inclusion-without-radius"),
+    *(pytest.param("mesh", {"geometry": {"inclusion": inclusion}}, (),
+                   id=f"inclusion-nan-{name}")
+      for name, inclusion in (
+          ("radius", {**DISC, "radius": math.nan}),
+          ("center", {**DISC, "center": [math.nan, 0.5]}),
+          ("vertex", {"shape": "polygon", "vertices": [
+              [0.3, 0.3], [0.7, 0.3], [0.5, math.nan]]}))),
     pytest.param("sweep", {"domain": {"rectangles": [[0, 0, 0, 1]]},
                            "sweep": SWEEP}, (), id="degenerate-rectangle"),
     pytest.param("micro", {"micro": {**MICRO, "epsilon": 0.3}}, (),
@@ -75,15 +85,27 @@ BAD_VALUES = [
     *(pytest.param("micro", {"micro": {**MICRO, "initial": {
         "c2": {"kind": "sine", "amplitude": amp}}}}, (),
         id=f"amplitude-{name}")
-      for name, amp in (("string", "2"), ("bool", True), ("null", None))),
+      for name, amp in (("string", "2"), ("bool", True), ("null", None),
+                        ("nan", math.nan))),
     *(pytest.param("sweep", {"sweep": {**SWEEP, "epsilons": [eps]}}, (),
                    id=f"epsilon-{name}")
-      for name, eps in (("null", None), ("string", "x"), ("bool", True))),
+      for name, eps in (("null", None), ("string", "x"), ("bool", True),
+                        ("inf", math.inf))),
     *(pytest.param(command, {**CELL, "cell": {**CELL["cell"], key: grid}},
                    (), id=f"{key}-{name}")
       for command, key in (("btable", "s_grid"),
                            ("tensor-suite", "exchange_values"))
-      for name, grid in (("null", [0.0, None]), ("bool", [True]))),
+      for name, grid in (("null", [0.0, None]), ("bool", [True]),
+                         ("nan", [0.0, math.nan, 1.0]))),
+    pytest.param("btable", {**CELL, "coefficients": {"d2": [[2, 0], [0, 1]]},
+                            "cell": {**CELL["cell"],
+                                     "s_grid": [0.0, math.nan, 1.0]}},
+                 (), id="s_grid-nan-coupled"),
+    pytest.param("btable", {**CELL, "cell": {**CELL["cell"],
+                                             "lambda_macro": math.inf}},
+                 (), id="unread-infinite-lambda-macro"),
+    pytest.param("macro", {"macro": {**FORCED, "theta": math.nan}}, (),
+                 id="nan-theta"),
     pytest.param("validate", {}, ("--threads", "-3"), id="negative-threads"),
     pytest.param("micro", {"micro": MICRO}, ("--budget-nodes", "-1"),
                  id="negative-node-budget"),
@@ -93,20 +115,18 @@ BAD_VALUES = [
 class TestConfigHandling:
     def test_unknown_top_level_key(self, tmp_path):
         code, _ = run_cli(tmp_path, "mesh",
-                          {"geometry": {"inclusion": DISC, "h": 0.1},
-                           "bogus": 1})
+                          {"geometry": {"inclusion": DISC}, "bogus": 1})
         assert code == cli.EXIT_CONFIG
 
     def test_unknown_nested_key(self, tmp_path):
         code, _ = run_cli(tmp_path, "mesh",
-                          {"geometry": {"inclusion": DISC, "h": 0.1,
-                                        "oops": 2}})
+                          {"geometry": {"inclusion": DISC, "oops": 2}})
         assert code == cli.EXIT_CONFIG
 
     def test_invalid_geometry_exit_2(self, tmp_path):
         bad = {"shape": "disc", "center": [0.5, 0.5], "radius": 0.6}
         assert_config_error(tmp_path, "cell-tensor",
-                            {"geometry": {"inclusion": bad, "h": 0.05}})
+                            {"geometry": {"inclusion": bad}})
 
     @pytest.mark.parametrize("command,config,extra", BAD_VALUES)
     def test_bad_value_exit_2_before_any_output(self, tmp_path, command,
@@ -116,12 +136,11 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command,config", [
         ("macro", {"macro": {"dt": "0.001"}}),
         ("validate", {"kinetics": 5}),
-        ("micro", {"micro": {"snapshot_every": 1.5, "dt": 1e-3,
-                             "t_end": 2e-3}}),
+        ("micro", {"micro": {"scaling": 1, "dt": 1e-3, "t_end": 2e-3}}),
         ("micro", {"micro": {"epsilon": True, "dt": 1e-3, "t_end": 2e-3}}),
         ("macro", {"macro": {"variant": 1, "h": 1 / 8, "t_end": 2e-3}}),
-        ("mesh", {"geometry": {"inclusion": DISC, "h": 0.1}, "seed": 1.0}),
-        ("mesh", {"geometry": {"inclusion": "disc", "h": 0.1}}),
+        ("mesh", {"geometry": {"inclusion": DISC}, "cell": {"h": "0.1"}}),
+        ("mesh", {"geometry": {"inclusion": "disc"}}),
         ("micro", {"micro": {"h_cell": "0.01", "dt": 1e-3, "t_end": 2e-3}}),
         ("btable", {"cell": {"midpoint_tol": "x"}}),
         ("macro", {"macro": {"initial": {"c1": {"kind": "cubic"}}}})])
@@ -129,14 +148,18 @@ class TestConfigHandling:
         assert_config_error(tmp_path, command, config)
 
     def test_int_passes_for_float_uncoerced(self, tmp_path):
-        code, outdir = run_cli(tmp_path, "validate",
-                               {"geometry": {"inclusion": DISC, "h": 1},
-                                "kinetics": "zero", "seed": 7})
+        code, outdir = run_cli(tmp_path, "mesh", {
+            **CELL, "cell": {**CELL["cell"], "lambda_macro": 2}})
         assert code == 0
         config = json.loads((outdir / "manifest.json").read_text())["config"]
-        assert config["geometry"]["h"] == 1
-        assert isinstance(config["geometry"]["h"], int)
-        assert config["seed"] == 7
+        assert config["cell"]["lambda_macro"] == 2
+        assert isinstance(config["cell"]["lambda_macro"], int)
+
+    @pytest.mark.parametrize("config", [{"seed": 0},
+                                        {"geometry": {"h": 0.05}}])
+    def test_removed_keys_exit_2(self, tmp_path, config):
+        # seed and geometry.h changed no output; a manifest with them is stale
+        assert_config_error(tmp_path, "mesh", config)
 
     @pytest.mark.parametrize("d3", [
         0.0, -1.0, float("nan"), True, [[1, 0], [0, -1]],
@@ -171,11 +194,11 @@ class TestConfigHandling:
         assert_config_error(tmp_path, command, config)
 
     def test_defaults_materialized_in_manifest(self, tmp_path):
-        code, outdir = run_cli(tmp_path, "mesh",
-                               {"geometry": {"inclusion": DISC, "h": 0.1}})
+        code, outdir = run_cli(tmp_path, "mesh", CELL)
         assert code == 0
         manifest = json.loads((outdir / "manifest.json").read_text())
-        assert manifest["config"]["geometry"]["h"] == 0.1
+        assert manifest["config"]["cell"]["h"] == 0.1
+        assert manifest["config"]["cell"]["s_grid"] == [0.0, 0.5, 1.0, 2.0]
         assert "fingerprint" in manifest
         assert manifest["command"] == "mesh"
 
@@ -184,7 +207,7 @@ class TestCommands:
     def test_cell_tensor_artifact(self, tmp_path):
         code, outdir = run_cli(
             tmp_path, "cell-tensor",
-            {"geometry": {"inclusion": DISC, "h": 0.05},
+            {"geometry": {"inclusion": DISC},
              "coefficients": {"d3": 1.0}})
         assert code == 0
         doc = json.loads((outdir / "d0.json").read_text())
@@ -197,7 +220,7 @@ class TestCommands:
         grid = [0.0, 0.5, 1.0, 2.0]
         code, outdir = run_cli(
             tmp_path, "btable",
-            {"geometry": {"inclusion": DISC, "h": 0.1},
+            {"geometry": {"inclusion": DISC},
              "coefficients": {"d1": 1.0, "d2": [[2, 0], [0, 1]]},
              "kinetics": "langmuir:a=1,b=1",
              "cell": {"h": 0.1, "s_grid": grid}})
@@ -206,13 +229,21 @@ class TestCommands:
         assert len(doc["entries"]) >= len(grid)
 
     def test_mesh_roundtrip(self, tmp_path):
-        code, outdir = run_cli(tmp_path, "mesh",
-                               {"geometry": {"inclusion": DISC, "h": 0.1}})
+        code, outdir = run_cli(tmp_path, "mesh", CELL)
         assert code == 0
         mesh = geo.read_poromesh(outdir / "cell.poromesh")
         stats = json.loads((outdir / "mesh_stats.json").read_text())
         assert stats["n_nodes"] == mesh.n_nodes
         assert stats["gamma_loops"] == 1
+
+    def test_mesh_is_the_cell_mesh_at_cell_h(self, tmp_path):
+        code, outdir = run_cli(tmp_path, "mesh", CELL)
+        assert code == 0
+        expected = tmp_path / "expected.poromesh"
+        geo.write_poromesh(geo.build_unit_cell_mesh(
+            geo.InclusionSpec.from_config(DISC), CELL["cell"]["h"]), expected)
+        assert (outdir / "cell.poromesh").read_bytes() == \
+            expected.read_bytes()
 
     def test_validate_builtin_passes(self, tmp_path):
         code, outdir = run_cli(tmp_path, "validate",
@@ -224,7 +255,7 @@ class TestCommands:
     def test_validate_reports_geometry_failure(self, tmp_path):
         bad = {"shape": "disc", "center": [0.5, 0.5], "radius": 0.49}
         code, outdir = run_cli(tmp_path, "validate",
-                               {"geometry": {"inclusion": bad, "h": 0.05},
+                               {"geometry": {"inclusion": bad},
                                 "kinetics": "zero"})
         assert code == 0
         doc = json.loads((outdir / "validate.json").read_text())
@@ -234,7 +265,7 @@ class TestCommands:
     def test_tensor_suite(self, tmp_path):
         code, outdir = run_cli(
             tmp_path, "tensor-suite",
-            {"geometry": {"inclusion": DISC, "h": 0.1},
+            {"geometry": {"inclusion": DISC},
              "coefficients": {"d1": 1.0, "d2": [[2, 0], [0, 1]], "d3": 1.0},
              "cell": {"h": 0.1}})
         assert code == 0
@@ -275,7 +306,7 @@ class TestCommands:
 
         monkeypatch.setattr(cell, "tabulate_b", record)
         config = {
-            "geometry": {"inclusion": DISC, "h": 0.1},
+            "geometry": {"inclusion": DISC},
             "coefficients": {"d1": 1.0, "d2": [[2, 0], [0, 1]], "d3": 1.0},
             "kinetics": "langmuir:a=1,b=1",
             "cell": {"h": 0.1},
@@ -287,9 +318,46 @@ class TestCommands:
         header = (outdir / "trajectory.csv").read_text().splitlines()[0]
         assert "norm_c1" in header.split(",")
 
+    def test_forced_macro_keeps_the_surface_source(self, tmp_path):
+        # with both tensors forced the G3 source still needs |Gamma|/|Y*|
+        code, outdir = run_cli(tmp_path, "macro", {
+            "kinetics": "mm_mixed", "macro": {**FORCED, "t_end": 5e-3}})
+        assert code == 0
+        ctx = cell.CellContext.from_mesh(geo.build_unit_cell_mesh(
+            geo.InclusionSpec.from_config(DISC), 0.05))
+        mesh = geo.build_macro_mesh(geo.RectUnion.unit_square(), 1 / 8)
+        x, y = mesh.nodes.T
+        bump = 16.0 * x * (1 - x) * y * (1 - y)
+        solver = macro.MacroSolver(mesh, macro.MacroConfig(
+            dt=1e-3, t_end=5e-3, d0=np.eye(2),
+            btable=cell.DispersionTable.constant(np.eye(2), s_max=2.0),
+            kinetics=kinetics.parse_kinetics("mm_mixed"),
+            gamma_length=ctx.gamma_length, cell_area=ctx.area,
+            lambda_macro=2.0, cell_ctx=ctx))
+        traj = solver.run(macro.MacroState(0.0, bump, bump))
+        assert (outdir / "trajectory.csv").read_text() == traj.csv_text()
+
+    @pytest.mark.parametrize("command,config", [
+        ("micro", {"micro": {**MICRO, "t_end": 5e-3}}),
+        ("macro", {"macro": {**FORCED, "t_end": 5e-3},
+                   "output": {"snapshot_fields": True}})])
+    def test_single_runs_keep_first_and_last_snapshots(
+            self, tmp_path, monkeypatch, command, config):
+        kept = []
+        record = Trajectory.record
+
+        def spy(self, t, fields, *args, snapshot=False):
+            kept.extend([t] if snapshot else [])
+            return record(self, t, fields, *args, snapshot=snapshot)
+
+        monkeypatch.setattr(Trajectory, "record", spy)
+        code, _ = run_cli(tmp_path, command, config)
+        assert code == 0
+        assert kept == [0.0, pytest.approx(5e-3)]
+
     def test_micro_outputs(self, tmp_path):
         config = {
-            "geometry": {"inclusion": DISC, "h": 0.05},
+            "geometry": {"inclusion": DISC},
             "coefficients": {"d1": 1.0, "d2": 1.0, "d3": 1.0},
             "kinetics": "langmuir:a=1,b=1",
             "micro": {"epsilon": 0.25, "dt": 1e-3, "t_end": 5e-3,
@@ -302,7 +370,7 @@ class TestCommands:
 
     def test_t_end_off_the_time_grid_exit_2(self, tmp_path):
         config = {
-            "geometry": {"inclusion": DISC, "h": 0.05},
+            "geometry": {"inclusion": DISC},
             "micro": {"epsilon": 0.25, "dt": 0.004, "t_end": 0.01},
         }
         code, _ = run_cli(tmp_path, "micro", config)
@@ -311,9 +379,12 @@ class TestCommands:
     @pytest.mark.parametrize("command,section", [
         ("micro", {"epsilon": 0.25}),
         ("macro", {"h": 1 / 8, "forced_b": [[1, 0], [0, 1]],
-                   "forced_d0": [[1, 0], [0, 1]]})])
+                   "forced_d0": [[1, 0], [0, 1]]}),
+        ("sweep", {"epsilons": [0.25], "macro_h": 1 / 8})])
     def test_snapshot_every_zero_exit_2(self, tmp_path, command, section):
-        config = {"geometry": {"inclusion": DISC, "h": 0.05},
+        # only a sweep reads snapshot_every (its error quadrature); the single
+        # runs no longer take the key at all
+        config = {"geometry": {"inclusion": DISC},
                   command: {**section, "dt": 1e-3, "t_end": 2e-3,
                             "snapshot_every": 0}}
         code, _ = run_cli(tmp_path, command, config)
@@ -324,7 +395,7 @@ class TestCommands:
         (0.5, cli.EXIT_OK), (1, cli.EXIT_OK)])
     def test_macro_theta_range(self, tmp_path, theta, code):
         eye = [[1, 0], [0, 1]]
-        config = {"geometry": {"inclusion": DISC, "h": 0.05},
+        config = {"geometry": {"inclusion": DISC},
                   "macro": {"h": 1 / 8, "forced_b": eye, "forced_d0": eye,
                             "dt": 1e-3, "t_end": 2e-3, "theta": theta}}
         got, outdir = run_cli(tmp_path, "macro", config)
@@ -339,7 +410,7 @@ class TestCommands:
         (1.0, cli.EXIT_OK)])
     def test_macro_forced_tensors_checked(self, tmp_path, key, value, code):
         # a forced tensor is checked as a coefficient; a scalar s is s I
-        config = {"geometry": {"inclusion": DISC, "h": 0.05},
+        config = {"geometry": {"inclusion": DISC},
                   "macro": {"h": 1 / 8, "forced_b": [[1, 0], [0, 1]],
                             "forced_d0": [[1, 0], [0, 1]], key: value,
                             "dt": 1e-3, "t_end": 2e-3}}
@@ -352,7 +423,7 @@ class TestCommands:
         ("sweep", {"macro_h": -0.1, "epsilons": [0.25]})])
     def test_macro_mesh_size_exit_2(self, tmp_path, command, section):
         eye = [[1, 0], [0, 1]]
-        config = {"geometry": {"inclusion": DISC, "h": 0.05},
+        config = {"geometry": {"inclusion": DISC},
                   "macro": {"forced_b": eye, "forced_d0": eye},
                   command: {**section, "dt": 1e-3, "t_end": 2e-3}}
         if command == "sweep":
@@ -363,7 +434,7 @@ class TestCommands:
 
     def test_micro_budget_exit_4(self, tmp_path):
         config = {
-            "geometry": {"inclusion": DISC, "h": 0.05},
+            "geometry": {"inclusion": DISC},
             "micro": {"epsilon": 0.125, "dt": 1e-3, "t_end": 1e-3},
         }
         code, _ = run_cli(tmp_path, "micro", config,
@@ -372,7 +443,7 @@ class TestCommands:
 
     def test_sweep_rows_and_threads_determinism(self, tmp_path):
         config = {
-            "geometry": {"inclusion": DISC, "h": 0.05},
+            "geometry": {"inclusion": DISC},
             "coefficients": {"d1": 1.0, "d2": [[2, 0], [0, 1]], "d3": 1.0},
             "kinetics": "langmuir:a=1,b=1",
             "cell": {"h": 0.125, "s_grid": [0.0, 0.5, 1.0, 1.5],
@@ -428,7 +499,7 @@ def test_sweep_builds_initial_data_through_the_module_closure(
 class TestManifestRerun:
     def test_rerun_byte_identical(self, tmp_path):
         config = {
-            "geometry": {"inclusion": DISC, "h": 0.05},
+            "geometry": {"inclusion": DISC},
             "coefficients": {"d1": 1.0, "d2": 1.0, "d3": 1.0},
             "kinetics": "langmuir:a=1,b=1",
             "micro": {"epsilon": 0.25, "dt": 1e-3, "t_end": 5e-3},
@@ -472,3 +543,13 @@ def test_main_pins_bundled_blas_to_one_thread(tmp_path):
     code, _ = run_cli(tmp_path, "validate", {"kinetics": "langmuir:a=1,b=1"})
     assert code == 0
     assert lib.scipy_openblas_get_num_threads64_() == 1
+
+
+def test_readme_sweep_example_resolves():
+    # a key deleted from the schema must not linger in the documented config
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```json\n(.*?)```", readme, re.S)
+    examples = [json.loads(b) for b in blocks if '"sweep"' in b]
+    assert len(examples) == 1
+    resolved = cli.resolve_config(examples[0], "sweep")
+    assert cli.resolve_config(resolved, "sweep") == resolved
