@@ -126,6 +126,11 @@ def _check_keys(mapping, allowed, path):
             raise ConfigError(f"unknown config key {path}{key!r}")
 
 
+def _finite_number(value):  # NaN, Infinity and ints past floats fail
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)
+
+
 def _check_type(value, spec, path):
     """ConfigError unless ``value`` has the declared type of ``spec``, a
     (type, default) pair of ``_SCHEMA``."""
@@ -135,7 +140,7 @@ def _check_type(value, spec, path):
     if isinstance(value, bool):  # a bool is an int to isinstance
         ok = kind is bool
     elif kind is float:  # json reads NaN and Infinity as floats
-        ok = isinstance(value, (int, float)) and np.isfinite(value)
+        ok = _finite_number(value)
     else:
         ok = isinstance(value, kind)
     if not ok:
@@ -214,13 +219,10 @@ def _coefficient(value):
 
     ConfigError unless the value is finite, symmetric and positive definite.
     """
-    if isinstance(value, bool) or not isinstance(value, (int, float, list)):
-        raise ConfigError(
-            f"coefficient must be scalar or 2x2 matrix, got {value!r}")
-    matrix = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(matrix)):
-        raise ConfigError(f"coefficient must be finite, got {value!r}")
-    field = fem.CoefficientField.constant(matrix)
+    if not all(map(_finite_number, np.ravel(np.array(value, dtype=object)))):
+        raise ConfigError("coefficient must be a scalar or 2x2 matrix of "
+                          f"finite numbers, got {value!r}")
+    field = fem.CoefficientField.constant(np.asarray(value, dtype=float))
     try:
         field.validate()
     except ValueError as exc:
@@ -236,9 +238,8 @@ def _domain(cfg):
     if not rects:
         raise ConfigError("domain needs at least one rectangle")
     for rect in rects:
-        if not (isinstance(rect, list) and len(rect) == 4 and all(
-                isinstance(v, (int, float)) and not isinstance(v, bool)
-                and np.isfinite(v) for v in rect)
+        if not (isinstance(rect, list) and len(rect) == 4
+                and all(_finite_number(v) for v in rect)
                 and rect[2] > rect[0] and rect[3] > rect[1]):
             raise ConfigError(
                 "domain rectangle must be four finite numbers "
@@ -314,14 +315,10 @@ def _write_json(obj, path):
 
 
 def write_manifest(outdir, command, resolved):
-    manifest = {
-        "command": command,
-        "version": __version__,
-        "config": resolved,
-        "fingerprint": conv_mod.config_fingerprint(resolved),
-    }
-    _write_json(manifest, os.path.join(outdir, "manifest.json"))
-    return manifest
+    _write_json({"command": command, "version": __version__,
+                 "config": resolved,
+                 "fingerprint": conv_mod.config_fingerprint(resolved)},
+                os.path.join(outdir, "manifest.json"))
 
 
 def write_field(path, name, values):

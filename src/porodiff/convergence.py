@@ -81,7 +81,7 @@ class SweepProblem:
 
 @dataclass
 class ConvergenceReport:
-    """A sweep's results; its trajectories stay out of ``as_json_dict``."""
+    """A sweep's results; its snapshot-free trajectories stay out of JSON."""
 
     epsilons: list
     errors: dict
@@ -146,6 +146,7 @@ def _micro_errors_for_epsilon(problem, eps, macro_mesh, macro_traj):
         for name, ref in (("c1", c_ref), ("c2", c_ref), ("c3", c3_ref)):
             d = fields[name] - ref
             sq[name].append(float(d @ (M_eps @ d)))
+    traj.snapshots.clear()  # only the per-step series outlive the errors
     times = np.asarray(times)
     errors = {name: float(np.sqrt(np.trapezoid(np.asarray(v), times)))
               for name, v in sq.items()}
@@ -218,6 +219,7 @@ def run_sweep(problem, epsilons, threads=1):
             results = list(pool.map(job, epsilons))
     else:
         results = [job(eps) for eps in epsilons]
+    macro_traj.snapshots.clear()
 
     names = ("c1", "c2", "c3", "gamma_gap")
     errors = {n: [res[0][n] for res in results] for n in names}

@@ -106,6 +106,12 @@ BAD_VALUES = [
                  (), id="unread-infinite-lambda-macro"),
     pytest.param("macro", {"macro": {**FORCED, "theta": math.nan}}, (),
                  id="nan-theta"),
+    pytest.param("macro", {"macro": {**FORCED, "theta": 10 ** 400}}, (),
+                 id="huge-int-theta"),
+    pytest.param("micro", {"domain": {"rectangles": [[0, 0, 1, 10 ** 400]]},
+                           "micro": MICRO}, (), id="huge-int-rectangle"),
+    pytest.param("cell-tensor", {**CELL, "coefficients": {"d1": 10 ** 400}},
+                 (), id="huge-int-d1"),
     pytest.param("validate", {}, ("--threads", "-3"), id="negative-threads"),
     pytest.param("micro", {"micro": MICRO}, ("--budget-nodes", "-1"),
                  id="negative-node-budget"),
@@ -143,17 +149,25 @@ class TestConfigHandling:
         ("mesh", {"geometry": {"inclusion": "disc"}}),
         ("micro", {"micro": {"h_cell": "0.01", "dt": 1e-3, "t_end": 2e-3}}),
         ("btable", {"cell": {"midpoint_tol": "x"}}),
-        ("macro", {"macro": {"initial": {"c1": {"kind": "cubic"}}}})])
+        ("macro", {"macro": {"initial": {"c1": {"kind": "cubic"}}}}),
+        ("sweep", {"sweep": {"snapshot_every": 1.5, "epsilons": [0.25],
+                             "dt": 1e-3, "t_end": 2e-3}})])
     def test_declared_types_enforced(self, tmp_path, command, config):
         assert_config_error(tmp_path, command, config)
 
     def test_int_passes_for_float_uncoerced(self, tmp_path):
-        code, outdir = run_cli(tmp_path, "mesh", {
-            **CELL, "cell": {**CELL["cell"], "lambda_macro": 2}})
+        code, outdir = run_cli(tmp_path, "macro", {
+            **CELL, "cell": {**CELL["cell"], "lambda_macro": 2},
+            "macro": FORCED})
         assert code == 0
         config = json.loads((outdir / "manifest.json").read_text())["config"]
         assert config["cell"]["lambda_macro"] == 2
         assert isinstance(config["cell"]["lambda_macro"], int)
+
+    def test_int_beyond_uint64_passes_for_float(self):
+        # a float holds it, though numpy makes it an object scalar
+        cfg = cli.resolve_config({"cell": {"lambda_macro": 10 ** 23}}, "macro")
+        assert cfg["cell"]["lambda_macro"] == 10 ** 23
 
     @pytest.mark.parametrize("config", [{"seed": 0},
                                         {"geometry": {"h": 0.05}}])
@@ -163,7 +177,8 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("d3", [
         0.0, -1.0, float("nan"), True, [[1, 0], [0, -1]],
-        [[1, 0], [0, float("inf")]], [[1, 0.5], [0, 1]]])
+        [[1, 0], [0, float("inf")]], [[1, 0.5], [0, 1]],
+        [[1, "0"], ["0", 1]], [[True, 0], [0, 1]]])
     def test_bad_constant_coefficient_exit_2(self, tmp_path, d3):
         assert_config_error(tmp_path, "cell-tensor",
                             {**CELL, "coefficients": {"d3": d3}})

@@ -149,6 +149,13 @@ class TestSweep:
         conv.run_sweep(self.make_problem(), [1 / 4, 1 / 8])
         assert dead == [True, True]
 
+    def test_report_keeps_series_not_snapshots(self):
+        report = conv.run_sweep(self.make_problem(), [1 / 4, 1 / 8])
+        steps = 1 + round(0.01 / 2e-3)
+        for traj in (*report.trajectories, report.macro_trajectory):
+            assert traj.snapshots == []
+            assert len(traj.times) == steps
+
     def test_fingerprint_stable(self):
         problem = self.make_problem()
         r1 = conv.run_sweep(problem, [1 / 4])
