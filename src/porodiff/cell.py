@@ -187,9 +187,9 @@ class CoupledCellProblem:
     coefficients share one scalar corrector at every rate.
 
     Element areas, basis gradients and coefficient matrices are computed
-    once and shared by both tensor formulas; each field's stiffness matrix
-    and direction loads are assembled once, on first use, and shared by
-    the coupled system and the decoupled scalar solves.
+    once and shared by both tensor formulas; each field's stiffness matrix,
+    direction loads and scalar correctors are computed once, on first use,
+    and shared by the coupled system and every decoupled solve.
     """
 
     def __init__(self, ctx, coeff1, coeff2):
@@ -201,6 +201,7 @@ class CoupledCellProblem:
         self.mats = [np.asarray(c.matrix_at(mesh.centroids))
                      for c in self.coeffs]
         self._fields = [None, None]  # per field: (K, direction loads)
+        self._scalars = [None, None]  # per field: scalar correctors
         self.K_r = None  # the coupled system, assembled at the first k > 0
         self.held = fem.HeldFactor()  # of A(k_ref)
         self._reduced = {}  # positive rate -> reduced solutions (N_r, 2)
@@ -211,6 +212,13 @@ class CoupledCellProblem:
             self._fields[k] = _field_operators(self.ctx.mesh, self.areas,
                                                self.grads, self.mats[k])
         return self._fields[k]
+
+    def _scalar(self, k):
+        """A new dict of field k's held scalar correctors, by direction."""
+        if self._scalars[k] is None:
+            self._scalars[k] = _solve_scalar(self.ctx,
+                                             *self._field(k)).directions
+        return dict(self._scalars[k])
 
     def _assemble_coupled(self):
         """The rate-independent K_r, E_r and loads B of the coupled system."""
@@ -238,12 +246,10 @@ class CoupledCellProblem:
         ctx = self.ctx
         mesh = ctx.mesh
         if self.equal:
-            scal = _solve_scalar(ctx, *self._field(0))
-            return CoupledCellSolution(mesh, dict(scal.directions),
-                                       dict(scal.directions), exchange_rate)
+            return CoupledCellSolution(mesh, self._scalar(0), self._scalar(0),
+                                       exchange_rate)
         if exchange_rate == 0 or ctx.gamma_mass is None:
-            s1, s2 = (_solve_scalar(ctx, *self._field(k)) for k in range(2))
-            return CoupledCellSolution(mesh, s1.directions, s2.directions,
+            return CoupledCellSolution(mesh, self._scalar(0), self._scalar(1),
                                        exchange_rate)
         if self.K_r is None:
             self._assemble_coupled()
@@ -280,17 +286,36 @@ class CoupledCellProblem:
                  for i in range(2)])
         return energy / ctx.area, (v1 + v2) / ctx.area
 
+    def _tensor_at(self, exchange_fn, s):
+        """The checked dispersion tensor at s, solved at exchange_fn(s)."""
+        return coupled_tensor_with_check(
+            self.ctx, *self.coeffs, float(exchange_fn(s)), s=s,
+            problem=self)[0]
+
+    def table(self, exchange_fn, s_grid):
+        """The dispersion table over the checked ``s_grid``: each sample,
+        in ascending s, solves this problem at the rate exchange_fn(s)."""
+        s_grid = check_s_grid(s_grid)
+        tensors = [self._tensor_at(exchange_fn, s) for s in s_grid]
+        return DispersionTable(
+            s_grid, np.stack([t.matrix for t in tensors]),
+            cross_check_err=max(t.cross_check_err for t in tensors),
+            h=self.ctx.mesh.h)
+
+    def midpoint_error(self, exchange_fn, table):
+        """Largest entry gap between the tensor solved at the midpoint of
+        two adjacent samples of ``table`` and the interpolated one."""
+        s, mats = table.s, table.matrices
+        return max(
+            float(np.abs(0.5 * (mats[k] + mats[k + 1]) - self._tensor_at(
+                exchange_fn, 0.5 * (s[k] + s[k + 1])).matrix).max())
+            for k in range(len(s) - 1))
+
 
 def solve_coupled_pair(ctx, coeff1, coeff2, exchange_rate, problem=None):
-    """Coupled correctors for both directions at one exchange rate.
-
-    The boundary exchange enters as a symmetric positive-semidefinite
-    coupling on the corrector difference; the first field is normalized to
-    mean zero, and for exchange_rate == 0 the (then decoupled) second field
-    is normalized independently. ``problem``, a CoupledCellProblem of the
-    same (ctx, coeff1, coeff2), keeps its factor for further rates; by
-    default a fresh one is built.
-    """
+    """Coupled correctors for both directions at one exchange rate, by
+    ``problem`` (a CoupledCellProblem of the same (ctx, coeff1, coeff2),
+    which keeps its factor for further rates) or by a fresh one."""
     if problem is None:
         problem = CoupledCellProblem(ctx, coeff1, coeff2)
     return problem.solve(exchange_rate)
@@ -315,10 +340,8 @@ def scalar_tensor_with_check(ctx, coeff):
 
 def coupled_tensor_with_check(ctx, coeff1, coeff2, exchange_rate, s=None,
                               problem=None):
-    """Energy-form dispersion tensor plus its volume-form cross check.
-
-    ``problem`` is passed on to ``solve_coupled_pair``.
-    """
+    """Energy-form dispersion tensor plus its volume-form cross check, solved
+    by ``problem`` or a fresh one as in ``solve_coupled_pair``."""
     if problem is None:
         problem = CoupledCellProblem(ctx, coeff1, coeff2)
     sol = solve_coupled_pair(ctx, coeff1, coeff2, exchange_rate,
@@ -340,6 +363,16 @@ def mean_coefficient(ctx, coeff):
 # dispersion table
 # ---------------------------------------------------------------------------
 
+def check_s_grid(s_grid):
+    """The sorted s grid of a dispersion table; ValueError unless it has at
+    least two samples, starts at 0 and repeats no entry (nor holds NaN)."""
+    s = np.asarray(sorted(float(v) for v in s_grid))
+    if len(s) < 2 or s[0] != 0.0 or not np.all(np.diff(s) > 0):
+        raise ValueError("s grid needs two or more distinct samples from 0, "
+                         f"got {list(s_grid)!r}")
+    return s
+
+
 @dataclass
 class DispersionTable:
     """Sampled map s -> dispersion matrix with clamped linear interpolation."""
@@ -359,9 +392,6 @@ class DispersionTable:
     @property
     def s_max(self):
         return float(self.s[-1])
-
-    def evaluate(self, s):
-        return self.evaluate_many(np.asarray([s], dtype=float))[0]
 
     def evaluate_many(self, s):
         s = np.clip(np.asarray(s, dtype=float), self.s[0], self.s[-1])
@@ -397,58 +427,7 @@ class DispersionTable:
         }
 
 
-# rounds of midpoint insertion in tabulate_b
-MAX_REFINE = 1
-
-
-def tabulate_b(ctx, coeff1, coeff2, exchange_fn, s_grid, midpoint_tol=None):
-    """Tabulate the dispersion tensor over an s grid.
-
-    The tensor only sees the exchange rate, so each sample solves the coupled
-    cell problem at exchange_fn(s); all samples share one CoupledCellProblem,
-    whose held factor preconditions every rate. The midpoint interpolation
-    error is the largest gap between the tensor solved at the midpoint of
-    two adjacent samples and the interpolated one, attached to the table;
-    when ``midpoint_tol`` is given, midpoints are inserted (up to
-    MAX_REFINE rounds) until it drops below it.
-    """
-    s_grid = np.asarray(sorted(float(s) for s in s_grid))
-    if len(s_grid) < 2:
-        raise ValueError("s grid needs at least two samples")
-    if s_grid[0] != 0.0:
-        raise ValueError("s grid must start at 0")
-
-    cache = {}
-    problem = CoupledCellProblem(ctx, coeff1, coeff2)
-
-    def tensor_at(s):
-        if s not in cache:
-            te, _ = coupled_tensor_with_check(
-                ctx, coeff1, coeff2, float(exchange_fn(s)), s=s,
-                problem=problem)
-            cache[s] = te
-        return cache[s]
-
-    samples = list(s_grid)
-    rounds = 0
-    while True:
-        mats = np.stack([tensor_at(s).matrix for s in samples])
-        mids = [0.5 * (samples[k] + samples[k + 1])
-                for k in range(len(samples) - 1)]
-        errs = []
-        for k, sm in enumerate(mids):
-            direct = tensor_at(sm).matrix
-            interp = 0.5 * (mats[k] + mats[k + 1])
-            errs.append(float(np.abs(interp - direct).max()))
-        midpoint_error = max(errs) if errs else 0.0
-        if midpoint_tol is None or midpoint_error <= midpoint_tol \
-                or rounds >= MAX_REFINE:
-            break
-        samples = sorted(set(samples) | set(mids))
-        rounds += 1
-
-    mats = np.stack([tensor_at(s).matrix for s in samples])
-    cross = max(tensor_at(s).cross_check_err or 0.0 for s in samples)
-    return DispersionTable(np.asarray(samples), mats,
-                           midpoint_error=midpoint_error,
-                           cross_check_err=cross, h=ctx.mesh.h)
+def tabulate_b(ctx, coeff1, coeff2, exchange_fn, s_grid):
+    """Tabulate the dispersion tensor over an s grid (see
+    ``CoupledCellProblem.table``) on a fresh coupled cell problem."""
+    return CoupledCellProblem(ctx, coeff1, coeff2).table(exchange_fn, s_grid)

@@ -29,9 +29,9 @@ from . import geometry as geo
 from . import kinetics as kin_mod
 from . import macro as macro_mod
 from . import micro as micro_mod
-from .errors import (BudgetExceededError, ConfigError, InvalidGeometryError,
-                     PorodiffError, ResourceLimitError,
-                     UnknownNameError, UnsupportedDimensionError)
+from .errors import (ConfigError, InvalidGeometryError, PorodiffError,
+                     ResourceLimitError, UnknownNameError,
+                     UnsupportedDimensionError)
 from .trajectory import step_count
 
 EXIT_OK = 0
@@ -61,7 +61,6 @@ _SCHEMA = {
         "h": (float, 0.05),
         "s_grid": (list, [0.0, 0.5, 1.0, 2.0]),
         "lambda_macro": (float, 2.0),
-        "midpoint_tol": (float, None),
         "exchange_values": (list, [0.0, 0.5, 1.0, 10.0]),
     },
     "macro": {
@@ -115,7 +114,7 @@ _COMMAND_SECTIONS = {
     "micro": ("geometry", "domain", "coefficients", "kinetics", "micro",
               "output"),
     "sweep": ("geometry", "domain", "coefficients", "cell", "kinetics",
-              "sweep", "output"),
+              "sweep"),
     "tensor-suite": ("geometry", "coefficients", "cell"),
 }
 
@@ -250,11 +249,11 @@ def _domain(cfg):
 def _model(cfg, command, args):
     """The model objects of every section of ``cfg``.
 
-    The coefficients, forced tensors, kinetics, inclusion, domain, epsilons,
-    initial data, positivity policy, scaling and time grid are converted and
-    checked here once, before anything is written, whether or not
-    ``command`` reads them. For ``validate`` an inadmissible inclusion is
-    kept as ``geometry_error``, which it reports.
+    The coefficients, forced tensors, kinetics, inclusion, domain, s grid,
+    epsilons, snapshot cadence, initial data, positivity policy, scaling and
+    time grid are converted and checked here once, before anything is
+    written, whether or not ``command`` reads them. For ``validate`` an
+    inadmissible inclusion is kept as ``geometry_error``, which it reports.
     """
     if args.threads < 1 or args.budget_nodes < 1:
         raise ConfigError("--threads and --budget-nodes must be at least 1, "
@@ -279,6 +278,8 @@ def _model(cfg, command, args):
             _coefficient(cfg["coefficients"][k]) for k in ("d1", "d2", "d3"))
     if "kinetics" in cfg:
         model.kinetics = kin_mod.parse_kinetics(cfg["kinetics"])
+    if "cell" in cfg:
+        cell_mod.check_s_grid(cfg["cell"]["s_grid"])
     for section in ("macro", "micro", "sweep"):  # a command runs at most one
         if section in cfg:
             run = cfg[section]
@@ -305,6 +306,9 @@ def _model(cfg, command, args):
     if "sweep" in cfg:
         conv_mod.epsilon_specs(model.domain, model.inclusion,
                                cfg["sweep"]["epsilons"])
+        if cfg["sweep"]["snapshot_every"] < 1:
+            raise ConfigError("sweep.snapshot_every must be at least 1, "
+                              f"got {cfg['sweep']['snapshot_every']}")
     return model
 
 
@@ -387,9 +391,11 @@ def cmd_cell_tensor(cfg, model, outdir, args):
 
 
 def cmd_btable(cfg, model, outdir, args):
-    table = cell_mod.tabulate_b(_cell_context(cfg, model), model.d1, model.d2,
-                                model.kinetics.h, cfg["cell"]["s_grid"],
-                                midpoint_tol=cfg["cell"]["midpoint_tol"])
+    # the midpoints are solved after the samples, on the same problem
+    problem = cell_mod.CoupledCellProblem(_cell_context(cfg, model),
+                                          model.d1, model.d2)
+    table = problem.table(model.kinetics.h, cfg["cell"]["s_grid"])
+    table.midpoint_error = problem.midpoint_error(model.kinetics.h, table)
     _write_json(table.as_json_dict(), os.path.join(outdir, "btable.json"))
     print(f"btable: {len(table.s)} samples, midpoint error "
           f"{table.midpoint_error:.3e}")
@@ -434,9 +440,8 @@ def cmd_macro(cfg, model, outdir, args):
             btable = cell_mod.DispersionTable.constant(
                 model.forced_b, s_max=cfg["cell"]["lambda_macro"])
         else:
-            btable = cell_mod.tabulate_b(
-                ctx, model.d1, model.d2, kin.h, cfg["cell"]["s_grid"],
-                midpoint_tol=cfg["cell"]["midpoint_tol"])
+            btable = cell_mod.tabulate_b(ctx, model.d1, model.d2, kin.h,
+                                         cfg["cell"]["s_grid"])
         solver = macro_mod.MacroSolver(mesh, macro_mod.MacroConfig(
             d0=d0, btable=btable, theta=mcfg["theta"],
             lambda_macro=cfg["cell"]["lambda_macro"], **shared))
@@ -560,7 +565,7 @@ def main(argv=None):
             UnsupportedDimensionError, ValueError) as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (BudgetExceededError, ResourceLimitError) as exc:
+    except ResourceLimitError as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except PorodiffError as exc:

@@ -22,10 +22,10 @@ from . import cell as cell_mod
 from . import fem
 from . import macro as macro_mod
 from . import micro as micro_mod
-from .errors import BudgetExceededError, DegenerateDataError
-from .geometry import (EpsilonDomainSpec, InclusionSpec, RectUnion,
-                       _epsilon_cells, build_epsilon_mesh, build_macro_mesh,
-                       build_unit_cell_mesh)
+from .errors import DegenerateDataError, ResourceLimitError
+from .geometry import (DEFAULT_NODE_CAP, EpsilonDomainSpec, InclusionSpec,
+                       RectUnion, _epsilon_cells, build_epsilon_mesh,
+                       build_macro_mesh, build_unit_cell_mesh)
 from .interpolate import P1Interpolator
 
 
@@ -74,7 +74,7 @@ class SweepProblem:
     s_grid: tuple = (0.0, 0.5, 1.0, 2.0)
     lambda_macro: float = 2.0
     snapshot_every: int = 1
-    node_budget: int = 2_000_000
+    node_budget: int = DEFAULT_NODE_CAP
     domain: RectUnion = field(default_factory=RectUnion.unit_square)
     config_dict: dict | None = None
 
@@ -187,10 +187,9 @@ def run_sweep(problem, epsilons, threads=1):
     for spec in specs:
         projected = len(_epsilon_cells(spec)) * unit_mesh.n_nodes
         if projected > problem.node_budget:
-            raise BudgetExceededError(
+            raise ResourceLimitError(
                 f"epsilon={spec.epsilon} needs about {projected} nodes "
-                f"(budget {problem.node_budget})"
-            )
+                f"(budget {problem.node_budget})")
 
     macro_mesh = build_macro_mesh(problem.domain, problem.macro_h)
     ctx = cell_mod.CellContext.from_mesh(unit_mesh)

@@ -82,9 +82,5 @@ class DegenerateDataError(PorodiffError):
     """Rate fit needs at least three positive error values."""
 
 
-class BudgetExceededError(PorodiffError):
-    """Projected sweep cost exceeds the configured budget."""
-
-
 class ConfigError(PorodiffError):
     """Run configuration failed schema validation."""

@@ -200,18 +200,13 @@ def marked_edges(mesh, marker):
 def boundary_mass_elements(mesh, edges, lengths, weight):
     """Edge mass matrices (E,2,2), weight at edge midpoints.
 
-    ``weight`` may be a scalar, a callable on midpoint coordinates, or a
-    nodal array (averaged onto midpoints).
+    ``weight`` may be a scalar or a nodal array (averaged onto midpoints).
     """
-    if callable(weight):
-        mid = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
-        w = np.asarray(weight(mid), dtype=float)
+    w = np.asarray(weight, dtype=float)
+    if w.shape == (mesh.n_nodes,):
+        w = 0.5 * (w[edges[:, 0]] + w[edges[:, 1]])
     else:
-        w = np.asarray(weight, dtype=float)
-        if w.shape == (mesh.n_nodes,):
-            w = 0.5 * (w[edges[:, 0]] + w[edges[:, 1]])
-        else:
-            w = np.broadcast_to(w, (len(edges),))
+        w = np.broadcast_to(w, (len(edges),))
     return (w * lengths)[:, None, None] * _EDGE_MASS_LOCAL
 
 

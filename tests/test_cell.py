@@ -324,12 +324,13 @@ class TestDispersionTable:
     def test_table_entries_and_interpolation(self, coarse_ctx, identity_field,
                                              aniso_field):
         lang = lambda s: np.maximum(s, 0.0) / (1.0 + np.maximum(s, 0.0))
-        table = cell.tabulate_b(coarse_ctx, identity_field, aniso_field, lang,
-                                (0.0, 0.5, 1.0, 2.0, 4.0))
+        problem = cell.CoupledCellProblem(coarse_ctx, identity_field,
+                                          aniso_field)
+        table = problem.table(lang, (0.0, 0.5, 1.0, 2.0, 4.0))
         for mat in table.matrices:
             assert np.abs(mat - mat.T).max() <= 1e-10
             assert np.linalg.eigvalsh(mat).min() > 0
-        assert table.midpoint_error is not None
+        assert problem.midpoint_error(lang, table) > 0
         assert table.cross_check_err <= 1e-9
 
     @pytest.mark.parametrize("s", [[0.0, 1.0, 1.0], [0.0, 2.0, 1.0],
@@ -344,7 +345,7 @@ class TestDispersionTable:
         mats = np.stack([np.diag([2.0, 1.0]), np.diag([1.5, 1.2]),
                          np.diag([1.1, 1.05])])
         table = cell.DispersionTable(np.array([0.0, 1.0, 3.0]), mats)
-        val = table.evaluate(s)
+        val = table.evaluate_many([s])[0]
         assert np.abs(val - val.T).max() <= 1e-12
         sc = min(max(s, 0.0), 3.0)
         idx = min(int(np.searchsorted(table.s, sc, side="right")) - 1, 1)
@@ -352,22 +353,39 @@ class TestDispersionTable:
                            np.linalg.eigvalsh(mats[idx + 1]).min())
         assert np.linalg.eigvalsh(val).min() >= (1 - 1e-6) * neighbor_min
 
-    def test_midpoint_refinement(self, coarse_ctx, identity_field,
-                                 aniso_field):
-        lang = lambda s: np.maximum(s, 0.0) / (1.0 + np.maximum(s, 0.0))
-        rough = cell.tabulate_b(coarse_ctx, identity_field, aniso_field, lang,
-                                (0.0, 2.0, 4.0))
-        tol = rough.midpoint_error * 0.6
-        refined = cell.tabulate_b(coarse_ctx, identity_field, aniso_field,
-                                  lang, (0.0, 2.0, 4.0), midpoint_tol=tol)
-        assert refined.midpoint_error <= tol
-        assert len(refined.s) > len(rough.s)
-
     def test_grid_must_start_at_zero(self, coarse_ctx, identity_field,
                                      aniso_field):
         with pytest.raises(ValueError):
             cell.tabulate_b(coarse_ctx, identity_field, aniso_field,
                             lambda s: s, (0.5, 1.0))
+
+    @pytest.mark.parametrize("grid", [(0.0,), (0.0, 1.0, 1.0),
+                                      (0.0, np.nan, 1.0)])
+    def test_bad_grid_rejected_before_any_solve(self, coarse_ctx,
+                                                identity_field, aniso_field,
+                                                monkeypatch, grid):
+        def no_solve(*args, **kwargs):
+            raise AssertionError("a cell problem was solved")
+
+        monkeypatch.setattr(cell, "solve_coupled_pair", no_solve)
+        with pytest.raises(ValueError, match="s grid"):
+            cell.tabulate_b(coarse_ctx, identity_field, aniso_field,
+                            lambda s: s, grid)
+
+    def test_table_is_sorted_and_solves_only_its_samples(
+            self, coarse_ctx, identity_field, aniso_field, monkeypatch):
+        rates = []
+        solve = cell.CoupledCellProblem.solve
+
+        def spy(problem, rate):
+            rates.append(rate)
+            return solve(problem, rate)
+
+        monkeypatch.setattr(cell.CoupledCellProblem, "solve", spy)
+        table = cell.tabulate_b(coarse_ctx, identity_field, aniso_field,
+                                lambda s: s / (1.0 + s), (2.0, 0.0, 1.0))
+        assert table.s.tolist() == [0.0, 1.0, 2.0]
+        assert rates == [0.0, 0.5, 2.0 / 3.0]
 
     def test_json_schema(self, coarse_ctx, identity_field, aniso_field):
         table = cell.tabulate_b(coarse_ctx, identity_field, aniso_field,
@@ -566,11 +584,13 @@ class TestCoupledCellProblem:
                                                     aniso_field,
                                                     factorize_calls):
         # the acceptance pair and kinetics over the benchmark's s grid:
-        # eight positive rates (four samples, four midpoints) share one
-        # held factor
+        # eight positive rates (four samples, then the four midpoints that
+        # `porodiff btable` checks) share one held factor
         h = kin.parse_kinetics("mm_triple+langmuir:a=1,b=1").h
-        table = cell.tabulate_b(coarse_ctx, identity_field, aniso_field, h,
-                                (0.0, 0.25, 0.5, 1.0, 2.0))
+        problem = cell.CoupledCellProblem(coarse_ctx, identity_field,
+                                          aniso_field)
+        table = problem.table(h, (0.0, 0.25, 0.5, 1.0, 2.0))
+        problem.midpoint_error(h, table)
         assert len(table.s) == 5
         n = coarse_ctx.mesh.n_nodes
         assert len([shape for shape in factorize_calls if shape[0] > n]) == 1
@@ -612,6 +632,38 @@ class TestCoupledCellProblem:
             scalar = scalar_correctors(coarse_ctx, coeff)
             for j in range(2):
                 assert np.array_equal(field[j], scalar.directions[j])
+
+    def test_scalar_correctors_solved_once_per_field(self, coarse_ctx,
+                                                     identity_field,
+                                                     aniso_field,
+                                                     monkeypatch):
+        # an equal pair and the zero rate reuse each field's held scalar
+        # correctors; the held arrays are bitwise the scalar solve's
+        solved = []
+        solve_scalar = cell._solve_scalar
+
+        def count(ctx, K, loads):
+            solved.append(K)
+            return solve_scalar(ctx, K, loads)
+
+        monkeypatch.setattr(cell, "_solve_scalar", count)
+        h = kin.parse_kinetics("langmuir:a=1,b=1").h
+        table = cell.tabulate_b(coarse_ctx, identity_field, identity_field, h,
+                                (0.0, 0.5, 1.0, 2.0))
+        assert len(solved) == 1
+        del solved[:]
+        problem = cell.CoupledCellProblem(coarse_ctx, identity_field,
+                                          aniso_field)
+        for kappa in (0.0, 0.5, 0.0):
+            sol = problem.solve(kappa)
+        assert len(solved) == 2
+        monkeypatch.undo()
+        scalar = scalar_correctors(coarse_ctx, identity_field)
+        t1, _ = cell.scalar_tensor_with_check(coarse_ctx, identity_field)
+        for j in range(2):
+            assert np.array_equal(sol.first[j], scalar.directions[j])
+        assert np.array_equal(table.matrices,
+                              np.stack([2.0 * t1.matrix] * 4))
 
     @pytest.mark.parametrize("kappa", [0.0, 0.2, 0.667])
     def test_tensors_match_the_four_operand_formulas(self, cell_ctx,

@@ -148,7 +148,7 @@ class TestConfigHandling:
         ("mesh", {"geometry": {"inclusion": DISC}, "cell": {"h": "0.1"}}),
         ("mesh", {"geometry": {"inclusion": "disc"}}),
         ("micro", {"micro": {"h_cell": "0.01", "dt": 1e-3, "t_end": 2e-3}}),
-        ("btable", {"cell": {"midpoint_tol": "x"}}),
+        ("btable", {"cell": {"lambda_macro": "x"}}),
         ("macro", {"macro": {"initial": {"c1": {"kind": "cubic"}}}}),
         ("sweep", {"sweep": {"snapshot_every": 1.5, "epsilons": [0.25],
                              "dt": 1e-3, "t_end": 2e-3}})])
@@ -170,9 +170,11 @@ class TestConfigHandling:
         assert cfg["cell"]["lambda_macro"] == 10 ** 23
 
     @pytest.mark.parametrize("config", [{"seed": 0},
-                                        {"geometry": {"h": 0.05}}])
+                                        {"geometry": {"h": 0.05}},
+                                        {"cell": {"midpoint_tol": 0.1}}])
     def test_removed_keys_exit_2(self, tmp_path, config):
-        # seed and geometry.h changed no output; a manifest with them is stale
+        # seed and geometry.h changed no output, and a table no longer
+        # refines its grid; a manifest with them is stale
         assert_config_error(tmp_path, "mesh", config)
 
     @pytest.mark.parametrize("d3", [
@@ -397,13 +399,33 @@ class TestCommands:
                    "forced_d0": [[1, 0], [0, 1]]}),
         ("sweep", {"epsilons": [0.25], "macro_h": 1 / 8})])
     def test_snapshot_every_zero_exit_2(self, tmp_path, command, section):
-        # only a sweep reads snapshot_every (its error quadrature); the single
-        # runs no longer take the key at all
+        # only a sweep reads snapshot_every (its error quadrature) and
+        # checks it before any output; the single runs do not take the key
         config = {"geometry": {"inclusion": DISC},
                   command: {**section, "dt": 1e-3, "t_end": 2e-3,
                             "snapshot_every": 0}}
-        code, _ = run_cli(tmp_path, command, config)
-        assert code == cli.EXIT_CONFIG
+        assert_config_error(tmp_path, command, config)
+
+    def test_sweep_takes_no_output_section(self, tmp_path):
+        assert_config_error(tmp_path, "sweep", {
+            "sweep": SWEEP, "output": {"snapshot_fields": True}})
+
+    @pytest.mark.parametrize("grid", [[0.0, 1.0, 1.0], [0.5, 1.0]])
+    def test_bad_s_grid_exit_2_before_any_solve(self, tmp_path, monkeypatch,
+                                                grid):
+        calls = []
+        solve = cell.solve_coupled_pair
+
+        def spy(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(cell, "solve_coupled_pair", spy)
+        assert_config_error(tmp_path, "btable", {
+            **CELL, "coefficients": {"d2": [[2, 0], [0, 1]]},
+            "kinetics": "langmuir:a=1,b=1",
+            "cell": {**CELL["cell"], "s_grid": grid}})
+        assert calls == []
 
     @pytest.mark.parametrize("theta,code", [
         (-1, cli.EXIT_CONFIG), (3, cli.EXIT_CONFIG), (0, cli.EXIT_OK),

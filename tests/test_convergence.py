@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from porodiff import cell, convergence as conv, fem, geometry as geo
 from porodiff import kinetics as kin, micro
-from porodiff.errors import BudgetExceededError, DegenerateDataError
+from porodiff.errors import DegenerateDataError, ResourceLimitError
 from porodiff.interpolate import P1Interpolator
 
 
@@ -105,7 +105,7 @@ class TestSweep:
 
     def test_budget_exceeded(self):
         problem = self.make_problem(node_budget=100)
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(ResourceLimitError):
             conv.run_sweep(problem, [1 / 4])
 
     def test_no_epsilon_rejected_before_any_work(self, monkeypatch):

@@ -279,8 +279,9 @@ class TestMacroRun:
     def test_table_refinement_consistency(self, macro_mesh_16, coarse_ctx,
                                           identity_field, aniso_field):
         lang = lambda s: np.maximum(s, 0.0) / (1.0 + np.maximum(s, 0.0))
-        rough = cell.tabulate_b(coarse_ctx, identity_field, aniso_field, lang,
-                                (0.0, 1.0, 2.0))
+        problem = cell.CoupledCellProblem(coarse_ctx, identity_field,
+                                          aniso_field)
+        rough = problem.table(lang, (0.0, 1.0, 2.0))
         fine = cell.tabulate_b(coarse_ctx, identity_field, aniso_field, lang,
                                (0.0, 0.5, 1.0, 1.5, 2.0))
         mode = sine_mode(macro_mesh_16)
@@ -293,7 +294,7 @@ class TestMacroRun:
             traj = solver.run(macro.MacroState(0.0, mode.copy(), mode.copy()))
             finals.append(traj.final.c)
         diff = np.abs(finals[0] - finals[1]).max()
-        bound = 10.0 * rough.midpoint_error * (0.02 / 1e-3)
+        bound = 10.0 * problem.midpoint_error(lang, rough) * (0.02 / 1e-3)
         assert diff <= bound
 
     def test_csv_header(self, macro_mesh_16, tmp_path):
