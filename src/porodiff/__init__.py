@@ -20,7 +20,7 @@ from .fem import (CoefficientField, assemble_boundary_mass, assemble_mass,
 from .geometry import (EdgeMarker, EpsilonDomainSpec, InclusionSpec, Mesh,
                        PeriodicMap, RectUnion, build_epsilon_mesh,
                        build_macro_mesh, build_unit_cell_mesh,
-                       pair_periodic_nodes, read_poromesh, write_poromesh)
+                       pair_periodic_nodes, write_poromesh)
 from .kinetics import (KineticsSet, Rate, builtin, cell_average_f,
                        parse_kinetics, surface_average_g3, validate)
 from .macro import (MacroConfig, MacroSolver, MacroState, MacroVariantSolver,

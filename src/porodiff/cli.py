@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import ctypes
 import glob
+import hashlib
 import json
 import os
 import sys
@@ -29,9 +30,9 @@ from . import geometry as geo
 from . import kinetics as kin_mod
 from . import macro as macro_mod
 from . import micro as micro_mod
-from .errors import (ConfigError, InvalidGeometryError, PorodiffError,
-                     ResourceLimitError, UnknownNameError,
-                     UnsupportedDimensionError)
+from .errors import (ConfigError, InvalidGeometryError, MeshFailureError,
+                     PorodiffError, ResourceLimitError, TableRangeError,
+                     UnknownNameError, UnsupportedDimensionError)
 from .trajectory import step_count
 
 EXIT_OK = 0
@@ -246,20 +247,28 @@ def _domain(cfg):
     return geo.RectUnion.of(*rects)
 
 
+def _config_check(check, *args):
+    """``check(*args)``, whose mesh or table error is the config's fault."""
+    try:
+        return check(*args)
+    except (MeshFailureError, TableRangeError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
 def _model(cfg, command, args):
     """The model objects of every section of ``cfg``.
 
     The coefficients, forced tensors, kinetics, inclusion, domain, s grid,
-    epsilons, snapshot cadence, initial data, positivity policy, scaling and
-    time grid are converted and checked here once, before anything is
-    written, whether or not ``command`` reads them. For ``validate`` an
-    inadmissible inclusion is kept as ``geometry_error``, which it reports.
+    mesh sizes, epsilons, snapshot cadence, initial data, positivity policy,
+    scaling, theta, table range and time grid are converted and checked here
+    once, before anything is written, whether or not ``command`` reads them.
+    For ``validate`` an inadmissible inclusion is kept as ``geometry_error``.
     """
     if args.threads < 1 or args.budget_nodes < 1:
         raise ConfigError("--threads and --budget-nodes must be at least 1, "
                           f"got {args.threads} and {args.budget_nodes}")
-    model = SimpleNamespace(geometry_error=None, forced_b=None,
-                            forced_d0=None)
+    model = SimpleNamespace(geometry_error=None, forced_d0=None,
+                            btable=None)
     if "geometry" in cfg:
         try:
             model.inclusion = geo.InclusionSpec.from_config(
@@ -279,7 +288,8 @@ def _model(cfg, command, args):
     if "kinetics" in cfg:
         model.kinetics = kin_mod.parse_kinetics(cfg["kinetics"])
     if "cell" in cfg:
-        cell_mod.check_s_grid(cfg["cell"]["s_grid"])
+        geo.check_cell_h(cfg["cell"]["h"])
+        s_grid = cell_mod.check_s_grid(cfg["cell"]["s_grid"])
     for section in ("macro", "micro", "sweep"):  # a command runs at most one
         if section in cfg:
             run = cfg[section]
@@ -292,20 +302,39 @@ def _model(cfg, command, args):
             if "scaling" in run:
                 model.scaling = micro_mod.Scaling(run["scaling"])
     if "macro" in cfg:
-        forced = (cfg["macro"]["forced_b"], cfg["macro"]["forced_d0"])
+        mcfg = cfg["macro"]
+        macro_mod.check_theta(mcfg["theta"])
+        _config_check(geo.macro_grid_pitch, model.domain, mcfg["h"])
+        forced = (mcfg["forced_b"], mcfg["forced_d0"])
         if forced.count(None) == 1:
             raise ConfigError("forced_b and forced_d0 must be set together")
         if None not in forced:
             # a forced tensor is checked as a coefficient
-            model.forced_b, model.forced_d0 = (
+            forced_b, model.forced_d0 = (
                 _coefficient(v).matrix_at(np.zeros(2))[0] for v in forced)
+        if not mcfg["variant"]:  # the variant reads no dispersion table
+            lam = cfg["cell"]["lambda_macro"]
+            if model.forced_d0 is None:
+                _config_check(macro_mod.check_table_range, s_grid, lam)
+            else:  # the forced table spans [0, lambda_macro]
+                model.btable = cell_mod.DispersionTable.constant(
+                    forced_b, s_max=lam)
     if "micro" in cfg:
-        model.spec = geo.EpsilonDomainSpec(
-            model.domain, cfg["micro"]["epsilon"], model.inclusion)
+        eps = cfg["micro"]["epsilon"]
+        model.spec = geo.EpsilonDomainSpec(model.domain, eps, model.inclusion)
         model.spec.validate()
+        h_cell = cfg["micro"]["h_cell"]
+        model.h_cell = eps / 8.0 if h_cell is None else h_cell
+        geo.check_epsilon_h(eps, model.h_cell)
     if "sweep" in cfg:
-        conv_mod.epsilon_specs(model.domain, model.inclusion,
-                               cfg["sweep"]["epsilons"])
+        # the sweep meshes every epsilon-cell at cell.h
+        for spec in conv_mod.epsilon_specs(model.domain, model.inclusion,
+                                           cfg["sweep"]["epsilons"]):
+            geo.check_epsilon_h(spec.epsilon, spec.epsilon * cfg["cell"]["h"])
+        _config_check(geo.macro_grid_pitch, model.domain,
+                      cfg["sweep"]["macro_h"])
+        _config_check(macro_mod.check_table_range, s_grid,
+                      cfg["cell"]["lambda_macro"])
         if cfg["sweep"]["snapshot_every"] < 1:
             raise ConfigError("sweep.snapshot_every must be at least 1, "
                               f"got {cfg['sweep']['snapshot_every']}")
@@ -318,10 +347,16 @@ def _write_json(obj, path):
         f.write("\n")
 
 
+def config_fingerprint(config):
+    """sha256 of the canonical JSON encoding of a config mapping."""
+    text = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def write_manifest(outdir, command, resolved):
     _write_json({"command": command, "version": __version__,
                  "config": resolved,
-                 "fingerprint": conv_mod.config_fingerprint(resolved)},
+                 "fingerprint": config_fingerprint(resolved)},
                 os.path.join(outdir, "manifest.json"))
 
 
@@ -436,10 +471,8 @@ def cmd_macro(cfg, model, outdir, args):
             d1=t1, d2=t2, d3=d0, **shared))
         state = macro_mod.VariantState(0.0, init["c1"], init["c2"], init["c3"])
     else:
-        if model.forced_b is not None:
-            btable = cell_mod.DispersionTable.constant(
-                model.forced_b, s_max=cfg["cell"]["lambda_macro"])
-        else:
+        btable = model.btable
+        if btable is None:
             btable = cell_mod.tabulate_b(ctx, model.d1, model.d2, kin.h,
                                          cfg["cell"]["s_grid"])
         solver = macro_mod.MacroSolver(mesh, macro_mod.MacroConfig(
@@ -457,8 +490,7 @@ def cmd_macro(cfg, model, outdir, args):
 def cmd_micro(cfg, model, outdir, args):
     mcfg = cfg["micro"]
     eps = mcfg["epsilon"]
-    h_cell = mcfg["h_cell"] if mcfg["h_cell"] is not None else eps / 8.0
-    mesh = geo.build_epsilon_mesh(model.spec, h_cell,
+    mesh = geo.build_epsilon_mesh(model.spec, model.h_cell,
                                   node_cap=args.budget_nodes)
     config = micro_mod.MicroConfig(
         dt=mcfg["dt"], t_end=mcfg["t_end"], d1=model.d1, d2=model.d2,
@@ -487,10 +519,13 @@ def cmd_sweep(cfg, model, outdir, args):
         scaling=model.scaling, s_grid=tuple(cfg["cell"]["s_grid"]),
         lambda_macro=cfg["cell"]["lambda_macro"],
         snapshot_every=scfg["snapshot_every"],
-        node_budget=args.budget_nodes, domain=model.domain, config_dict=cfg)
+        node_budget=args.budget_nodes, domain=model.domain)
     report = conv_mod.run_sweep(problem, scfg["epsilons"],
                                 threads=args.threads)
-    _write_json(report.as_json_dict(), os.path.join(outdir, "report.json"))
+    # the manifest's fingerprint, so a report names the config it ran
+    _write_json({**report.as_json_dict(),
+                 "fingerprint": config_fingerprint(cfg)},
+                os.path.join(outdir, "report.json"))
     with open(os.path.join(outdir, "report.csv"), "w") as f:
         f.write(report.csv_text())
     report.macro_trajectory.write_csv(

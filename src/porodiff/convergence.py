@@ -11,8 +11,6 @@ information.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -48,12 +46,6 @@ def fit_rate(errors, epsilons):
     return float(coeffs[0]), residual
 
 
-def config_fingerprint(config):
-    """sha256 of the canonical JSON encoding of a config mapping."""
-    text = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 @dataclass
 class SweepProblem:
     """Everything one sweep needs; identical data feeds macro and micro."""
@@ -76,7 +68,6 @@ class SweepProblem:
     snapshot_every: int = 1
     node_budget: int = DEFAULT_NODE_CAP
     domain: RectUnion = field(default_factory=RectUnion.unit_square)
-    config_dict: dict | None = None
 
 
 @dataclass
@@ -87,7 +78,6 @@ class ConvergenceReport:
     errors: dict
     rates: dict
     monotone: dict
-    fingerprint: str
     meta: dict
     trajectories: list
     macro_trajectory: object
@@ -98,7 +88,6 @@ class ConvergenceReport:
             "errors": self.errors,
             "rates": self.rates,
             "monotone": self.monotone,
-            "fingerprint": self.fingerprint,
             "meta": self.meta,
         }
 
@@ -233,19 +222,6 @@ def run_sweep(problem, epsilons, threads=1):
         except DegenerateDataError:
             rates[n] = None
 
-    config = problem.config_dict or {
-        "inclusion": problem.inclusion.to_config(),
-        "cell_h": problem.cell_h,
-        "coefficients": [problem.d1.descriptor, problem.d2.descriptor,
-                         problem.d3.descriptor],
-        "kinetics": problem.kinetics.name,
-        "dt": problem.dt,
-        "t_end": problem.t_end,
-        "macro_h": problem.macro_h,
-        "scaling": problem.scaling.value,
-        "epsilons": epsilons,
-        "s_grid": list(problem.s_grid),
-    }
     meta = {
         "cell_h": problem.cell_h,
         "macro_h": problem.macro_h,
@@ -261,8 +237,8 @@ def run_sweep(problem, epsilons, threads=1):
     }
     return ConvergenceReport(
         epsilons=epsilons, errors=errors, rates=rates, monotone=monotone,
-        fingerprint=config_fingerprint(config), meta=meta,
-        trajectories=[res[2] for res in results], macro_trajectory=macro_traj)
+        meta=meta, trajectories=[res[2] for res in results],
+        macro_trajectory=macro_traj)
 
 
 # ---------------------------------------------------------------------------

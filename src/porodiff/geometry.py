@@ -52,7 +52,6 @@ _MARKER_NAMES = {
     EdgeMarker.PERIODIC_X: "PERX",
     EdgeMarker.PERIODIC_Y: "PERY",
 }
-_MARKER_BY_NAME = {v: k for k, v in _MARKER_NAMES.items()}
 
 
 @dataclass(frozen=True)
@@ -160,14 +159,6 @@ class InclusionSpec:
             rel = np.where(nrm[:, None] == 0.0, np.array([1.0, 0.0]), rel)
             return c + self.radius * rel / nrm[:, None]
         return _polygon_project(pts, np.asarray(self.vertices))
-
-    def to_config(self):
-        if self.is_empty:
-            return {"shape": "none"}
-        if self.kind == "disc":
-            return {"shape": "disc", "center": list(self.center),
-                    "radius": self.radius}
-        return {"shape": "polygon", "vertices": [list(v) for v in self.vertices]}
 
     @classmethod
     def from_config(cls, cfg):
@@ -497,10 +488,15 @@ def _classify_cell_boundary(nodes, bedges, bounds):
     return markers
 
 
-def build_unit_cell_mesh(spec, h):
-    """Mesh the perforated unit cell with periodic face and GAMMA markers."""
+def check_cell_h(h):
+    """ValueError unless the unit-cell edge length satisfies 0 < h <= 1/4."""
     if not 0.0 < h <= 0.25:
         raise ValueError("target edge length must satisfy 0 < h <= 0.25")
+
+
+def build_unit_cell_mesh(spec, h):
+    """Mesh the perforated unit cell with periodic face and GAMMA markers."""
+    check_cell_h(h)
     spec.validate()
     n = max(4, math.ceil(1.0 / h - 1e-9))
     g = 1.0 / n
@@ -556,22 +552,26 @@ class RectUnion:
         return inside
 
 
-def build_macro_mesh(domain, h):
-    """Mesh a rectangle-union domain; every boundary edge is marked OUTER."""
+def macro_grid_pitch(domain, h):
+    """The pitch of the macro grid at size ``h``; ValueError unless
+    0 < h <= 1/2, MeshFailureError unless ``domain`` lies on the grid."""
     if not 0.0 < h <= 0.5:
         raise ValueError(f"macro mesh size must satisfy 0 < h <= 1/2, got {h!r}")
-    if isinstance(domain, (tuple, list)):
-        domain = RectUnion.of(*domain)
     domain.validate()
-    n = max(2, math.ceil(1.0 / h - 1e-9))
-    g = 1.0 / n
-    x0, y0, x1, y1 = domain.bbox()
+    g = 1.0 / max(2, math.ceil(1.0 / h - 1e-9))
     for r in domain.rects:
         for v in r:
             if abs(v / g - round(v / g)) > 1e-9:
                 raise MeshFailureError(
                     f"rectangle corner {v} is not aligned with grid pitch {g}"
                 )
+    return g
+
+
+def build_macro_mesh(domain, h):
+    """Mesh a rectangle-union domain; every boundary edge is marked OUTER."""
+    g = macro_grid_pitch(domain, h)
+    x0, y0, x1, y1 = domain.bbox()
     nx = int(round((x1 - x0) / g))
     ny = int(round((y1 - y0) / g))
     cx, cy = np.meshgrid(x0 + g * (np.arange(nx) + 0.5),
@@ -628,6 +628,13 @@ def _epsilon_cells(spec):
     return cells[spec.domain.contains((cells + 0.5) / m)]
 
 
+def check_epsilon_h(eps, h_cell):
+    """ValueError unless the cell edge length resolves the scaled inclusion."""
+    if not 0.0 < h_cell <= eps / 8 * (1 + 1e-9):
+        raise ValueError("h_cell must resolve the scaled inclusion "
+                         "(0 < h_cell <= eps/8)")
+
+
 def build_epsilon_mesh(spec, h_cell, node_cap=DEFAULT_NODE_CAP):
     """Mesh the perforated epsilon-domain by tiling a scaled unit-cell mesh.
 
@@ -636,8 +643,7 @@ def build_epsilon_mesh(spec, h_cell, node_cap=DEFAULT_NODE_CAP):
     """
     spec.validate()
     eps = spec.epsilon
-    if h_cell > eps / 8 * (1 + 1e-9):
-        raise ValueError("h_cell must resolve the scaled inclusion (h_cell <= eps/8)")
+    check_epsilon_h(eps, h_cell)
     unit = build_unit_cell_mesh(spec.inclusion, h_cell / eps)
     cells = _epsilon_cells(spec)
     if not len(cells):
@@ -746,7 +752,8 @@ def pair_periodic_nodes(mesh):
 # ---------------------------------------------------------------------------
 
 def write_poromesh(mesh, path):
-    """Write the line-oriented poromesh v1 format (round-trip exact)."""
+    """Write the line-oriented poromesh v1 format, an export that porodiff
+    never reads back; coordinates are written with ``repr``, so exactly."""
     lines = ["poromesh v1 dim=2", f"nodes {mesh.n_nodes}"]
     lines.extend(f"{float(x)!r} {float(y)!r}" for x, y in mesh.nodes)
     lines.append(f"tris {mesh.n_triangles}")
@@ -759,77 +766,3 @@ def write_poromesh(mesh, path):
     text = "\n".join(lines) + "\n"
     with open(path, "w") as f:
         f.write(text)
-
-
-def _section_count(line, tag):
-    """Item count from a poromesh section header ``<tag> <count>``."""
-    parts = line.split()
-    if len(parts) != 2 or parts[0] != tag or not parts[1].isdigit():
-        raise MeshFailureError(f"expected a {tag!r} section, got {line!r}")
-    return int(parts[1])
-
-
-def _next_line(lines):
-    line = next(lines, None)
-    if line is None:
-        raise MeshFailureError("truncated poromesh file")
-    return line
-
-
-def _fields(lines, section, types):
-    """The next line of a section, one field per converter in ``types``."""
-    line = _next_line(lines)
-    parts = line.split()
-    try:
-        if len(parts) != len(types):
-            raise ValueError
-        return [convert(v) for convert, v in zip(types, parts)]
-    except ValueError:
-        raise MeshFailureError(
-            f"malformed line in the {section!r} section: {line!r}") from None
-
-
-def read_poromesh(path):
-    """Read a poromesh v1 file and validate the mesh."""
-    with open(path) as f:
-        lines = f.read().splitlines()
-    it = iter(lines)
-    header = _next_line(it).split()
-    if header[:2] != ["poromesh", "v1"]:
-        raise MeshFailureError("not a poromesh v1 file")
-    if header[2:3] != ["dim=2"]:
-        raise UnsupportedDimensionError("only dim=2 poromesh files are supported")
-    n = _section_count(_next_line(it), "nodes")
-    nodes = np.array([_fields(it, "nodes", (float, float)) for _ in range(n)],
-                     dtype=float).reshape(n, 2)
-    m = _section_count(_next_line(it), "tris")
-    tris = np.array([_fields(it, "tris", (int, int, int)) for _ in range(m)],
-                    dtype=np.int64).reshape(m, 3)
-    e = _section_count(_next_line(it), "edges")
-    edges = []
-    markers = []
-    for _ in range(e):
-        i, j, name = _fields(it, "edges", (int, int, str))
-        if name not in _MARKER_BY_NAME:
-            raise MeshFailureError(f"unknown edge marker {name!r}")
-        edges.append((i, j))
-        markers.append(_MARKER_BY_NAME[name])
-    edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
-    markers = np.asarray(markers, dtype=np.uint8)
-    for what, idx in (("triangle", tris), ("edge", edges)):
-        if idx.size and (idx.min() < 0 or idx.max() >= len(nodes)):
-            raise MeshFailureError(
-                f"{what} node index outside [0, {len(nodes)})")
-    if len(tris):
-        p = nodes[tris]
-        lengths = np.concatenate([
-            np.hypot(*(p[:, 1] - p[:, 0]).T),
-            np.hypot(*(p[:, 2] - p[:, 1]).T),
-            np.hypot(*(p[:, 0] - p[:, 2]).T),
-        ])
-        h = float(lengths.max())
-    else:
-        h = 0.0
-    mesh = Mesh(nodes, tris, edges, markers, h=h)
-    validate_mesh(mesh)
-    return mesh

@@ -51,16 +51,22 @@ class MacroConfig:
     cell_ctx: object = None
 
     def validate(self):
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError(
-                f"theta must lie in [0, 1], got {self.theta!r}")
-        table, tol = self.btable, 1e-12
-        if not (table.s[0] - tol <= 0.0
-                and self.lambda_macro <= table.s_max + tol):
-            raise TableRangeError(
-                f"dispersion table [{table.s[0]}, {table.s_max}] "
-                f"does not cover [0, {self.lambda_macro}]"
-            )
+        check_theta(self.theta)
+        check_table_range(self.btable.s, self.lambda_macro)
+
+
+def check_theta(theta):
+    """ValueError unless the theta of the scheme lies in [0, 1]."""
+    if not 0.0 <= theta <= 1.0:
+        raise ValueError(f"theta must lie in [0, 1], got {theta!r}")
+
+
+def check_table_range(s, lambda_macro):
+    """TableRangeError unless the abscissae ``s`` cover [0, lambda_macro]."""
+    tol = 1e-12
+    if not (s[0] - tol <= 0.0 and lambda_macro <= s[-1] + tol):
+        raise TableRangeError(f"dispersion table [{s[0]}, {float(s[-1])}] "
+                              f"does not cover [0, {lambda_macro}]")
 
 
 def averaged_rates(kin, ctx, gamma_over_cell, s):

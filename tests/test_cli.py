@@ -29,6 +29,20 @@ def assert_config_error(tmp_path, command, config, extra=()):
     assert not outdir.exists()
 
 
+@pytest.fixture
+def coupled_solves(monkeypatch):
+    """The arguments of every ``cell.solve_coupled_pair`` call of the test."""
+    calls = []
+    solve = cell.solve_coupled_pair
+
+    def spy(*args, **kwargs):
+        calls.append(args)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cell, "solve_coupled_pair", spy)
+    return calls
+
+
 DISC = {"shape": "disc", "center": [0.5, 0.5], "radius": 0.25}
 EYE = [[1, 0], [0, 1]]
 CELL = {"geometry": {"inclusion": DISC}, "cell": {"h": 0.1}}
@@ -36,6 +50,9 @@ FORCED = {"h": 1 / 8, "dt": 1e-3, "t_end": 2e-3, "forced_b": EYE,
           "forced_d0": EYE}
 MICRO = {"epsilon": 0.25, "dt": 1e-3, "t_end": 2e-3}
 SWEEP = {"epsilons": [0.25], "dt": 1e-3, "t_end": 2e-3, "macro_h": 1 / 8}
+TABULATED = {"h": 1 / 8, "dt": 1e-3, "t_end": 2e-3}
+COUPLED = {**CELL, "coefficients": {"d2": [[2, 0], [0, 1]]},
+           "kinetics": "langmuir:a=1,b=1"}
 
 # One bad value each, in a section the command may not read: every value
 # is converted before the output directory is made.
@@ -115,6 +132,35 @@ BAD_VALUES = [
     pytest.param("validate", {}, ("--threads", "-3"), id="negative-threads"),
     pytest.param("micro", {"micro": MICRO}, ("--budget-nodes", "-1"),
                  id="negative-node-budget"),
+    # theta and the table range of lambda_macro, before the cell is solved
+    pytest.param("macro", {**COUPLED, "macro": {**TABULATED, "theta": 1.5}},
+                 (), id="theta-tabulated"),
+    pytest.param("macro", {**COUPLED, "macro": {**TABULATED, "theta": 5,
+                                                "variant": True}},
+                 (), id="theta-variant"),
+    pytest.param("macro", {**COUPLED, "cell": {**CELL["cell"],
+                                               "lambda_macro": 5},
+                           "macro": TABULATED}, (), id="lambda-past-s-grid"),
+    pytest.param("sweep", {**COUPLED, "cell": {**CELL["cell"],
+                                               "lambda_macro": 5},
+                           "sweep": SWEEP}, (), id="sweep-lambda-past-s-grid"),
+    pytest.param("macro", {"cell": {"lambda_macro": 0}, "macro": FORCED}, (),
+                 id="forced-lambda-zero"),
+    # mesh sizes and the macro grid, before any mesh is built
+    pytest.param("mesh", {**CELL, "cell": {"h": 0.3}}, (), id="cell-h-large"),
+    pytest.param("cell-tensor", {**CELL, "cell": {"h": 0.0}}, (),
+                 id="cell-h-zero"),
+    pytest.param("macro", {"macro": {**FORCED, "h": 0.75}}, (),
+                 id="macro-h-large"),
+    pytest.param("sweep", {"sweep": {**SWEEP, "macro_h": 0.0}}, (),
+                 id="sweep-macro-h-zero"),
+    pytest.param("macro", {"domain": {"rectangles": [[0, 0, 0.5, 0.3]]},
+                           "macro": {**FORCED, "h": 1 / 16}}, (),
+                 id="macro-grid-misaligned"),
+    pytest.param("micro", {"micro": {**MICRO, "h_cell": 0.05}}, (),
+                 id="h_cell-past-eps-over-8"),
+    pytest.param("sweep", {"cell": {"h": 0.2}, "sweep": SWEEP}, (),
+                 id="sweep-cell-h-past-1-over-8"),
 ]
 
 
@@ -135,9 +181,10 @@ class TestConfigHandling:
                             {"geometry": {"inclusion": bad}})
 
     @pytest.mark.parametrize("command,config,extra", BAD_VALUES)
-    def test_bad_value_exit_2_before_any_output(self, tmp_path, command,
-                                                config, extra):
+    def test_bad_value_exit_2_before_any_output(self, tmp_path, coupled_solves,
+                                                command, config, extra):
         assert_config_error(tmp_path, command, config, extra)
+        assert coupled_solves == []
 
     @pytest.mark.parametrize("command,config", [
         ("macro", {"macro": {"dt": "0.001"}}),
@@ -248,10 +295,14 @@ class TestCommands:
     def test_mesh_roundtrip(self, tmp_path):
         code, outdir = run_cli(tmp_path, "mesh", CELL)
         assert code == 0
-        mesh = geo.read_poromesh(outdir / "cell.poromesh")
+        mesh = geo.build_unit_cell_mesh(geo.InclusionSpec.from_config(DISC),
+                                        CELL["cell"]["h"])
         stats = json.loads((outdir / "mesh_stats.json").read_text())
-        assert stats["n_nodes"] == mesh.n_nodes
-        assert stats["gamma_loops"] == 1
+        assert stats == {
+            "n_nodes": mesh.n_nodes, "n_triangles": mesh.n_triangles,
+            "area": mesh.area,
+            "gamma_length": mesh.marked_length(geo.EdgeMarker.GAMMA),
+            "gamma_loops": 1}
 
     def test_mesh_is_the_cell_mesh_at_cell_h(self, tmp_path):
         code, outdir = run_cli(tmp_path, "mesh", CELL)
@@ -411,33 +462,24 @@ class TestCommands:
             "sweep": SWEEP, "output": {"snapshot_fields": True}})
 
     @pytest.mark.parametrize("grid", [[0.0, 1.0, 1.0], [0.5, 1.0]])
-    def test_bad_s_grid_exit_2_before_any_solve(self, tmp_path, monkeypatch,
-                                                grid):
-        calls = []
-        solve = cell.solve_coupled_pair
-
-        def spy(*args, **kwargs):
-            calls.append(args)
-            return solve(*args, **kwargs)
-
-        monkeypatch.setattr(cell, "solve_coupled_pair", spy)
+    def test_bad_s_grid_exit_2_before_any_solve(self, tmp_path,
+                                                coupled_solves, grid):
         assert_config_error(tmp_path, "btable", {
-            **CELL, "coefficients": {"d2": [[2, 0], [0, 1]]},
-            "kinetics": "langmuir:a=1,b=1",
-            "cell": {**CELL["cell"], "s_grid": grid}})
-        assert calls == []
+            **COUPLED, "cell": {**CELL["cell"], "s_grid": grid}})
+        assert coupled_solves == []
 
     @pytest.mark.parametrize("theta,code", [
         (-1, cli.EXIT_CONFIG), (3, cli.EXIT_CONFIG), (0, cli.EXIT_OK),
         (0.5, cli.EXIT_OK), (1, cli.EXIT_OK)])
     def test_macro_theta_range(self, tmp_path, theta, code):
-        eye = [[1, 0], [0, 1]]
         config = {"geometry": {"inclusion": DISC},
-                  "macro": {"h": 1 / 8, "forced_b": eye, "forced_d0": eye,
-                            "dt": 1e-3, "t_end": 2e-3, "theta": theta}}
-        got, outdir = run_cli(tmp_path, "macro", config)
-        assert got == code
-        assert (outdir / "trajectory.csv").exists() == (code == cli.EXIT_OK)
+                  "macro": {**FORCED, "theta": theta}}
+        if code == cli.EXIT_CONFIG:
+            assert_config_error(tmp_path, "macro", config)
+        else:
+            got, outdir = run_cli(tmp_path, "macro", config)
+            assert got == code
+            assert (outdir / "trajectory.csv").exists()
 
     @pytest.mark.parametrize("key", ["forced_b", "forced_d0"])
     @pytest.mark.parametrize("value,code", [

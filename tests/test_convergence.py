@@ -1,10 +1,11 @@
+import json
 import weakref
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from porodiff import cell, convergence as conv, fem, geometry as geo
+from porodiff import cell, cli, convergence as conv, fem, geometry as geo
 from porodiff import kinetics as kin, micro
 from porodiff.errors import DegenerateDataError, ResourceLimitError
 from porodiff.interpolate import P1Interpolator
@@ -156,12 +157,26 @@ class TestSweep:
             assert traj.snapshots == []
             assert len(traj.times) == steps
 
-    def test_fingerprint_stable(self):
-        problem = self.make_problem()
-        r1 = conv.run_sweep(problem, [1 / 4])
-        r2 = conv.run_sweep(problem, [1 / 4])
-        assert r1.fingerprint == r2.fingerprint
-        assert r1.errors == r2.errors
+    def test_fingerprint_stable(self, tmp_path):
+        # the CLI fingerprints a run: report.json carries the manifest's
+        config = tmp_path / "sweep.json"
+        config.write_text(json.dumps({
+            "coefficients": {"d2": [[2.0, 0.0], [0.0, 1.0]]},
+            "kinetics": "langmuir:a=1,b=1",
+            "cell": {"h": 1 / 8, "s_grid": [0.0, 0.5, 1.0, 1.5],
+                     "lambda_macro": 1.5},
+            "sweep": {"epsilons": [1 / 4], "dt": 2e-3, "t_end": 0.01,
+                      "macro_h": 1 / 16}}))
+        reports = []
+        for out in ("a", "b"):
+            assert cli.main(["sweep", "--config", str(config),
+                             "--out", str(tmp_path / out)]) == 0
+            report, manifest = (json.loads((tmp_path / out / name).read_text())
+                                for name in ("report.json", "manifest.json"))
+            assert report["fingerprint"] == manifest["fingerprint"]
+            reports.append(report)
+        assert reports[0]["fingerprint"] == reports[1]["fingerprint"]
+        assert reports[0]["errors"] == reports[1]["errors"]
 
     def test_report_csv_shape(self):
         problem = self.make_problem()

@@ -226,51 +226,11 @@ class TestPeriodicPairing:
 
 class TestPoromeshIO:
     def test_roundtrip_bit_exact(self, cell_mesh, tmp_path):
-        p1 = tmp_path / "a.poromesh"
-        p2 = tmp_path / "b.poromesh"
-        geo.write_poromesh(cell_mesh, p1)
-        mesh2 = geo.read_poromesh(p1)
-        geo.write_poromesh(mesh2, p2)
-        assert p1.read_bytes() == p2.read_bytes()
-        assert mesh2.n_nodes == cell_mesh.n_nodes
-        assert np.array_equal(mesh2.nodes, cell_mesh.nodes)
-
-    def test_import_rejects_inverted(self, tmp_path):
-        text = ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
-                "tris 1\n0 2 1\nedges 0\n")
-        p = tmp_path / "bad.poromesh"
-        p.write_text(text)
-        with pytest.raises(MeshFailureError):
-            geo.read_poromesh(p)
-
-    @pytest.mark.parametrize("tag,wrong", [
-        ("nodes", "node"), ("tris", "triangles"), ("edges", "tris")])
-    def test_import_rejects_mislabelled_section(self, tmp_path, tag, wrong):
-        text = ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
-                "tris 1\n0 1 2\nedges 0\n").replace(f"{tag} ", f"{wrong} ", 1)
-        p = tmp_path / "mislabelled.poromesh"
-        p.write_text(text)
-        with pytest.raises(MeshFailureError, match=tag):
-            geo.read_poromesh(p)
-
-    @pytest.mark.parametrize("text,problem", [
-        ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 0.0\n", "truncated"),
-        ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
-         "tris 1\n0 1 2\nedges 1\n0 1 WALL\n", "WALL"),
-        ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
-         "tris 1\n0 1 3\nedges 0\n", "triangle node index"),
-        ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 0.0\n0.0 1.0\n"
-         "tris 1\n0 1 2\nedges 1\n0 1\n", "'edges' section: '0 1'"),
-        ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 x\n0.0 1.0\n"
-         "tris 1\n0 1 2\nedges 0\n", "'nodes' section: '1.0 x'"),
-        ("poromesh v1 dim=2\nnodes 3\n0.0 0.0\n1.0 0.0 0.0\n0.0 1.0\n"
-         "tris 1\n0 1 2\nedges 0\n", "'nodes' section: '1.0 0.0 0.0'"),
-        ("poromesh v1 dim=2\nnodes x\n", "expected a 'nodes' section"),
-    ], ids=["truncated", "unknown_marker", "index_past_nodes",
-            "edge_two_fields", "non_numeric_coordinate", "node_three_fields",
-            "non_numeric_count"])
-    def test_import_rejects_malformed_file(self, tmp_path, text, problem):
-        p = tmp_path / "malformed.poromesh"
-        p.write_text(text)
-        with pytest.raises(MeshFailureError, match=problem):
-            geo.read_poromesh(p)
+        # the export is never read back; repr coordinates parse exactly
+        path = tmp_path / "a.poromesh"
+        geo.write_poromesh(cell_mesh, path)
+        lines = path.read_text().splitlines()
+        assert lines[:2] == ["poromesh v1 dim=2", f"nodes {cell_mesh.n_nodes}"]
+        nodes = np.array([[float(v) for v in line.split()]
+                          for line in lines[2:2 + cell_mesh.n_nodes]])
+        assert nodes.tobytes() == cell_mesh.nodes.astype(float).tobytes()
