@@ -4,7 +4,8 @@ Every run resolves its JSON config (defaults materialized, unknown keys
 rejected) and builds the model objects of all its sections before it
 writes anything; it then writes the artifacts plus a manifest.json
 carrying the resolved config and its fingerprint, and uses exit codes 0
-(ok), 2 (config), 3 (solver), 4 (budget) so sweeps stay scriptable. Reruns of a manifest are
+(ok), 2 (config), 3 (solver), 4 (budget) so sweeps stay scriptable. A
+config or budget error leaves no output directory. Reruns of a manifest are
 byte-identical; --threads parallelizes independent runs without touching
 numerical results.
 """
@@ -261,7 +262,8 @@ def _model(cfg, command, args):
     The coefficients, forced tensors, kinetics, inclusion, domain, s grid,
     mesh sizes, epsilons, snapshot cadence, initial data, positivity policy,
     scaling, theta, table range and time grid are converted and checked here
-    once, before anything is written, whether or not ``command`` reads them.
+    once, before anything is written, whether or not ``command`` reads them;
+    so is the node budget of every epsilon-mesh, on its unit-cell mesh.
     For ``validate`` an inadmissible inclusion is kept as ``geometry_error``.
     """
     if args.threads < 1 or args.budget_nodes < 1:
@@ -326,11 +328,9 @@ def _model(cfg, command, args):
         h_cell = cfg["micro"]["h_cell"]
         model.h_cell = eps / 8.0 if h_cell is None else h_cell
         geo.check_epsilon_h(eps, model.h_cell)
+        geo.check_node_budget(model.spec, geo.build_unit_cell_mesh(
+            model.inclusion, model.h_cell / eps), args.budget_nodes)
     if "sweep" in cfg:
-        # the sweep meshes every epsilon-cell at cell.h
-        for spec in conv_mod.epsilon_specs(model.domain, model.inclusion,
-                                           cfg["sweep"]["epsilons"]):
-            geo.check_epsilon_h(spec.epsilon, spec.epsilon * cfg["cell"]["h"])
         _config_check(geo.macro_grid_pitch, model.domain,
                       cfg["sweep"]["macro_h"])
         _config_check(macro_mod.check_table_range, s_grid,
@@ -338,6 +338,9 @@ def _model(cfg, command, args):
         if cfg["sweep"]["snapshot_every"] < 1:
             raise ConfigError("sweep.snapshot_every must be at least 1, "
                               f"got {cfg['sweep']['snapshot_every']}")
+        conv_mod.epsilon_specs(model.domain, model.inclusion,
+                               cfg["sweep"]["epsilons"], cfg["cell"]["h"],
+                               args.budget_nodes)
     return model
 
 

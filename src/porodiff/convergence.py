@@ -20,10 +20,11 @@ from . import cell as cell_mod
 from . import fem
 from . import macro as macro_mod
 from . import micro as micro_mod
-from .errors import DegenerateDataError, ResourceLimitError
+from .errors import DegenerateDataError
 from .geometry import (DEFAULT_NODE_CAP, EpsilonDomainSpec, InclusionSpec,
-                       RectUnion, _epsilon_cells, build_epsilon_mesh,
-                       build_macro_mesh, build_unit_cell_mesh)
+                       RectUnion, build_epsilon_mesh, build_macro_mesh,
+                       build_unit_cell_mesh, check_epsilon_h,
+                       check_node_budget)
 from .interpolate import P1Interpolator
 
 
@@ -101,9 +102,9 @@ class ConvergenceReport:
         return "\n".join(lines) + "\n"
 
 
-def _micro_errors_for_epsilon(problem, eps, macro_mesh, macro_traj):
-    """Micro run at one epsilon plus space-time errors against the macro run."""
-    spec = EpsilonDomainSpec(problem.domain, eps, problem.inclusion)
+def _micro_errors_for_epsilon(problem, spec, macro_mesh, macro_traj):
+    """The micro run on ``spec`` and its errors against the macro run."""
+    eps = spec.epsilon
     mesh = build_epsilon_mesh(spec, eps * problem.cell_h,
                               node_cap=problem.node_budget)
     cfg = micro_mod.MicroConfig(
@@ -118,26 +119,20 @@ def _micro_errors_for_epsilon(problem, eps, macro_mesh, macro_traj):
     M_eps = solver.M
     del solver  # its operators and factors are not held past the run
 
+    # both runs step the same dt to the same t_end, snapshotting alike
+    times = [t for t, _ in traj.snapshots]
+    if times != [t for t, _ in macro_traj.snapshots]:
+        raise RuntimeError("micro and macro snapshot times differ")
     interp = P1Interpolator(macro_mesh, mesh.nodes)
-    times = []
     sq = {"c1": [], "c2": [], "c3": []}
-    macro_snaps = dict()
-    for t, fields in macro_traj.snapshots:
-        macro_snaps[round(t / problem.dt)] = fields
-    for t, fields in traj.snapshots:
-        key = round(t / problem.dt)
-        if key not in macro_snaps:
-            continue
-        mf = macro_snaps[key]
+    for (_, fields), (_, mf) in zip(traj.snapshots, macro_traj.snapshots):
         c_ref = interp(mf["c"])
         c3_ref = interp(mf["c3"])
-        times.append(t)
         for name, ref in (("c1", c_ref), ("c2", c_ref), ("c3", c3_ref)):
             d = fields[name] - ref
             sq[name].append(float(d @ (M_eps @ d)))
     traj.snapshots.clear()  # only the per-step series outlive the errors
-    times = np.asarray(times)
-    errors = {name: float(np.sqrt(np.trapezoid(np.asarray(v), times)))
+    errors = {name: float(np.sqrt(np.trapezoid(v, times)))
               for name, v in sq.items()}
     gap_sq = np.asarray(traj.series["gamma_gap"]) ** 2
     errors["gamma_gap"] = float(np.sqrt(np.trapezoid(
@@ -154,32 +149,34 @@ def _micro_errors_for_epsilon(problem, eps, macro_mesh, macro_traj):
     return errors, diagnostics, traj
 
 
-def epsilon_specs(domain, inclusion, epsilons):
-    """The checked perforated domain of each epsilon of a sweep.
+def epsilon_specs(domain, inclusion, epsilons, cell_h, node_cap):
+    """The checked domain of each epsilon of a sweep, and the unit-cell mesh
+    at ``cell_h`` that each epsilon-mesh tiles (each cell at eps*cell_h).
 
-    ValueError if there is no epsilon, InvalidGeometryError if one does not
-    tile ``domain``.
+    ValueError if there is no epsilon, a repeated one or cell_h past 1/8,
+    InvalidGeometryError if one does not tile ``domain``, ResourceLimitError
+    if an epsilon-mesh would pass ``node_cap`` nodes.
     """
     specs = [EpsilonDomainSpec(domain, float(e), inclusion) for e in epsilons]
     if not specs:
         raise ValueError("a sweep needs at least one epsilon")
     for spec in specs:
         spec.validate()
-    return specs
+        check_epsilon_h(spec.epsilon, spec.epsilon * cell_h)
+    if len({spec.cells_per_unit for spec in specs}) < len(specs):
+        raise ValueError(f"a sweep repeats an epsilon: {list(epsilons)}")
+    unit_mesh = build_unit_cell_mesh(inclusion, cell_h)
+    for spec in specs:
+        check_node_budget(spec, unit_mesh, node_cap)
+    return specs, unit_mesh
 
 
 def run_sweep(problem, epsilons, threads=1):
     """Full micro-vs-macro sweep over the given epsilons."""
-    specs = epsilon_specs(problem.domain, problem.inclusion, epsilons)
+    specs, unit_mesh = epsilon_specs(problem.domain, problem.inclusion,
+                                     epsilons, problem.cell_h,
+                                     problem.node_budget)
     epsilons = [spec.epsilon for spec in specs]
-    unit_mesh = build_unit_cell_mesh(problem.inclusion, problem.cell_h)
-    for spec in specs:
-        projected = len(_epsilon_cells(spec)) * unit_mesh.n_nodes
-        if projected > problem.node_budget:
-            raise ResourceLimitError(
-                f"epsilon={spec.epsilon} needs about {projected} nodes "
-                f"(budget {problem.node_budget})")
-
     macro_mesh = build_macro_mesh(problem.domain, problem.macro_h)
     ctx = cell_mod.CellContext.from_mesh(unit_mesh)
     d0_tensor, _ = cell_mod.scalar_tensor_with_check(ctx, problem.d3)
@@ -199,14 +196,11 @@ def run_sweep(problem, epsilons, threads=1):
     macro_solver = macro_mod.MacroSolver(macro_mesh, mcfg)
     macro_traj = macro_solver.run(macro_mod.MacroState(0.0, c0, c30))
 
-    def job(eps):
-        return _micro_errors_for_epsilon(problem, eps, macro_mesh, macro_traj)
+    def job(spec):
+        return _micro_errors_for_epsilon(problem, spec, macro_mesh, macro_traj)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, epsilons))
-    else:
-        results = [job(eps) for eps in epsilons]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(job, specs))
     macro_traj.snapshots.clear()
 
     names = ("c1", "c2", "c3", "gamma_gap")

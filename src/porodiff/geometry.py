@@ -617,15 +617,24 @@ class EpsilonDomainSpec:
         return round(1.0 / self.epsilon)
 
 
-def _epsilon_cells(spec):
+def check_node_budget(spec, unit, node_cap):
     """Integer lattice cells k (K,2), row by row, with eps*(k + unit cell)
-    inside the domain."""
+    inside the domain; MeshFailureError if there is none, ResourceLimitError
+    if they hold more than ``node_cap`` nodes of ``unit`` before merging."""
     m = spec.cells_per_unit
     x0, y0, x1, y1 = spec.domain.bbox()
     kx, ky = np.meshgrid(np.arange(round(x0 * m), round(x1 * m)),
                          np.arange(round(y0 * m), round(y1 * m)))
     cells = np.column_stack([kx.ravel(), ky.ravel()])
-    return cells[spec.domain.contains((cells + 0.5) / m)]
+    cells = cells[spec.domain.contains((cells + 0.5) / m)]
+    if not len(cells):
+        raise MeshFailureError("no epsilon cells inside the domain")
+    projected = len(cells) * unit.n_nodes
+    if projected > node_cap:
+        raise ResourceLimitError(
+            f"epsilon={spec.epsilon} needs about {projected} nodes "
+            f"(budget {node_cap})")
+    return cells
 
 
 def check_epsilon_h(eps, h_cell):
@@ -645,14 +654,7 @@ def build_epsilon_mesh(spec, h_cell, node_cap=DEFAULT_NODE_CAP):
     eps = spec.epsilon
     check_epsilon_h(eps, h_cell)
     unit = build_unit_cell_mesh(spec.inclusion, h_cell / eps)
-    cells = _epsilon_cells(spec)
-    if not len(cells):
-        raise MeshFailureError("no epsilon cells inside the domain")
-    estimated = len(cells) * unit.n_nodes
-    if estimated > node_cap:
-        raise ResourceLimitError(
-            f"estimated {estimated} nodes exceeds cap {node_cap}"
-        )
+    cells = check_node_budget(spec, unit, node_cap)
 
     shifted = (unit.nodes[None] + cells[:, None].astype(float)) * eps
     shifted = shifted.reshape(-1, 2)

@@ -14,6 +14,7 @@ import pytest
 
 from porodiff import cell, cli, convergence as conv, fem, geometry as geo
 from porodiff import kinetics as kin, macro, micro
+from porodiff.interpolate import P1Interpolator
 
 
 def bump(x, y):
@@ -254,3 +255,53 @@ def test_criterion_10_determinism(tmp_path):
     verdict(10, "byte-identical reruns at any thread count",
             not mismatched, f"{len(files)} files compared"
             + ("" if not mismatched else f"; mismatches: {mismatched}"))
+
+
+def test_all_eps_pair_tends_to_the_variant_model(disc):
+    # Under all_eps the pair does not merge: its limit is the three-field
+    # variant, whose exchange is a volume term weighted by |Gamma|/|Y*|.
+    # The acceptance data with c2 starting at zero, so that the exchange
+    # carries the pair apart from the start. Final-time L2 errors of
+    # micro runs against MacroVariantSolver at eps = 1/4, 1/8, 1/16:
+    # c1 5.08e-3, 2.49e-3, 1.25e-3 (ratios 2.04, 2.00);
+    # c2 1.62e-4, 7.97e-5, 4.06e-5 (ratios 2.04, 1.96);
+    # c3 5.32e-3, 2.61e-3, 1.31e-3 (ratios 2.04, 2.00).
+    # With |Gamma|/|Y*| scaled by 1.1 the c2 ratios fall to 1.21, 1.06; with
+    # the micro exchange factor dt eps^2 for dt eps, to 0.85, 0.93. (With c2
+    # starting as a bump the pair stays close, and neither shows.)
+    problem = sweep_problem(disc, micro.Scaling.ALL_EPS)
+
+    def zero(x, y):
+        return np.zeros_like(x)
+
+    ctx = cell.CellContext.from_mesh(
+        geo.build_unit_cell_mesh(disc, problem.cell_h))
+    d1, d2, d3 = (cell.scalar_tensor_with_check(ctx, d)[0].matrix
+                  for d in (problem.d1, problem.d2, problem.d3))
+    mesh = geo.build_macro_mesh(problem.domain, problem.macro_h)
+    x, y = mesh.nodes.T
+    # the first and last snapshots only
+    steps = round(problem.t_end / problem.dt)
+    limit = macro.MacroVariantSolver(mesh, macro.VariantConfig(
+        dt=problem.dt, t_end=problem.t_end, d1=d1, d2=d2, d3=d3,
+        kinetics=problem.kinetics, gamma_length=ctx.gamma_length,
+        cell_area=ctx.area, cell_ctx=ctx, snapshot_every=steps)).run(
+        macro.VariantState(0.0, bump(x, y), zero(x, y), bump(x, y))).final
+    errors = {name: [] for name in ("c1", "c2", "c3")}
+    for eps in EPSILONS:
+        eps_mesh = geo.build_epsilon_mesh(
+            geo.EpsilonDomainSpec(problem.domain, eps, disc),
+            eps * problem.cell_h)
+        solver = micro.MicroSolver(eps_mesh, eps, micro.MicroConfig(
+            dt=problem.dt, t_end=problem.t_end, d1=problem.d1,
+            d2=problem.d2, d3=problem.d3, kinetics=problem.kinetics,
+            scaling=problem.scaling, snapshot_every=steps))
+        final = solver.run(micro.initial_state(eps_mesh, bump, zero,
+                                               bump)).final
+        restrict = P1Interpolator(mesh, eps_mesh.nodes)
+        for name, errs in errors.items():
+            errs.append(fem.mass_norm(solver.M, getattr(final, name)
+                                      - restrict(getattr(limit, name))))
+    ratios = {name: [a / b for a, b in zip(errs, errs[1:])]
+              for name, errs in errors.items()}
+    assert all(r >= 1.7 for rs in ratios.values() for r in rs), ratios

@@ -99,6 +99,9 @@ BAD_VALUES = [
     pytest.param("macro", {"macro": {**FORCED, "dt": 0.0}}, (), id="zero-dt"),
     pytest.param("sweep", {"sweep": {**SWEEP, "epsilons": []}}, (),
                  id="no-epsilon"),
+    pytest.param("sweep", {"sweep": {**SWEEP,
+                                     "epsilons": [0.25, 0.25, 0.125]}}, (),
+                 id="repeated-epsilon"),
     *(pytest.param("micro", {"micro": {**MICRO, "initial": {
         "c2": {"kind": "sine", "amplitude": amp}}}}, (),
         id=f"amplitude-{name}")
@@ -512,13 +515,22 @@ class TestCommands:
         assert not (outdir / "trajectory.csv").exists()
 
     def test_micro_budget_exit_4(self, tmp_path):
+        # the node budget is checked on the unit-cell mesh, before the
+        # output directory is made
         config = {
             "geometry": {"inclusion": DISC},
             "micro": {"epsilon": 0.125, "dt": 1e-3, "t_end": 1e-3},
         }
-        code, _ = run_cli(tmp_path, "micro", config,
-                          extra=("--budget-nodes", "100"))
+        code, outdir = run_cli(tmp_path, "micro", config,
+                               extra=("--budget-nodes", "100"))
         assert code == cli.EXIT_BUDGET
+        assert not outdir.exists()
+
+    def test_sweep_budget_exit_4(self, tmp_path):
+        code, outdir = run_cli(tmp_path, "sweep", {"sweep": SWEEP},
+                               extra=("--budget-nodes", "100"))
+        assert code == cli.EXIT_BUDGET
+        assert not outdir.exists()
 
     def test_sweep_rows_and_threads_determinism(self, tmp_path):
         config = {
@@ -543,6 +555,29 @@ class TestCommands:
         for fname in files:
             assert (out1 / fname).read_bytes() == (out2 / fname).read_bytes(), \
                 fname
+
+
+def test_sweep_reference_runs_are_the_single_runs(tmp_path):
+    # a sweep's macro run is `porodiff macro`, and each of its micro runs
+    # is `porodiff micro` at that epsilon with h_cell = eps * cell.h
+    config = {**COUPLED, "cell": {"h": 1 / 8}}
+    steps = {"dt": 1e-3, "t_end": 0.01}
+    code, sweep = run_cli(tmp_path, "sweep", {**config, "sweep": {
+        **steps, "epsilons": [0.25, 0.125], "macro_h": 1 / 32}}, out="sweep")
+    assert code == 0
+    code, single = run_cli(tmp_path, "macro", {
+        **config, "macro": {**steps, "h": 1 / 32}}, out="macro")
+    assert code == 0
+    assert (sweep / "macro_trajectory.csv").read_bytes() == \
+        (single / "trajectory.csv").read_bytes()
+    del config["cell"]  # micro takes no cell section
+    code, single = run_cli(tmp_path, "micro", {**config, "micro": {
+        **steps, "epsilon": 0.125, "h_cell": 1 / 64}}, out="micro")
+    assert code == 0
+    assert (sweep / "micro_trajectory_eps0p125.csv").read_bytes() == \
+        (single / "trajectory.csv").read_bytes()
+    assert (sweep / "gamma_gap_eps0p125.csv").read_bytes() == \
+        (single / "gamma_gap.csv").read_bytes()
 
 
 def test_sweep_builds_initial_data_through_the_module_closure(

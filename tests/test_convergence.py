@@ -117,6 +117,16 @@ class TestSweep:
         with pytest.raises(ValueError, match="at least one epsilon"):
             conv.run_sweep(self.make_problem(), [])
 
+    def test_repeated_epsilon_rejected_before_any_work(self, monkeypatch):
+        # one period twice would run it twice and fit the rate through a
+        # doubled point
+        def no_work(*args):
+            raise AssertionError("a cell mesh was built")
+
+        monkeypatch.setattr(conv, "build_unit_cell_mesh", no_work)
+        with pytest.raises(ValueError, match="repeats an epsilon"):
+            conv.run_sweep(self.make_problem(), [1 / 4, 1 / 4, 1 / 8])
+
     def test_heat_only_errors_decrease(self):
         problem = self.make_problem(
             kinetics=kin.zero_kinetics(),
