@@ -10,7 +10,7 @@ precision, which the tests pin at 1e-9.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -28,7 +28,14 @@ class TensorForm(str, Enum):
 
 @dataclass
 class CellContext:
-    """Perforated unit-cell mesh with its periodic identification and measures."""
+    """Perforated unit-cell mesh with its periodic identification, measures
+    and element geometry (areas, P1 basis gradients).
+
+    The context solves the scalar cell problem of each distinct operator
+    (``CoefficientField.same_operator``) once and holds it, not its factor
+    (``scalar_cell``). Concurrent first requests of one operator may each
+    solve it; every caller gets an identical result.
+    """
 
     mesh: Mesh
     periodic: PeriodicMap
@@ -36,6 +43,8 @@ class CellContext:
     area: float
     gamma_length: float
     gamma_mass: sp.csr_matrix | None
+    geometry: tuple[np.ndarray, np.ndarray]
+    _scalar_cells: list = field(default_factory=list, repr=False)
 
     @classmethod
     def from_mesh(cls, mesh):
@@ -47,15 +56,36 @@ class CellContext:
         except NoMarkedBoundaryError:
             gamma_mass = None
             gamma_length = 0.0
-        return cls(mesh, periodic, weights, mesh.area, gamma_length, gamma_mass)
+        return cls(mesh, periodic, weights, mesh.area, gamma_length, gamma_mass,
+                   fem.triangle_geometry(mesh))
+
+    def scalar_cell(self, coeff):
+        """The ScalarCell of ``coeff``'s operator, solved on first request."""
+        for held in self._scalar_cells:
+            if held.coeff.same_operator(coeff):
+                return held
+        mats = np.asarray(coeff.matrix_at(self.mesh.centroids))
+        K = fem.assemble_stiffness_elementwise(self.mesh, mats, self.geometry)
+        loads = _direction_loads(self.mesh, *self.geometry, mats)
+        correctors = _solve_scalar(self, K, loads)
+        for chi in correctors:
+            chi.setflags(write=False)  # shared by every reader
+        held = ScalarCell(coeff, mats, K, loads, correctors)
+        self._scalar_cells.append(held)
+        return held
 
 
-@dataclass
-class CellSolution:
-    """Corrector fields of the scalar cell problem, one per direction."""
+@dataclass(frozen=True)
+class ScalarCell:
+    """The scalar cell problem of one coefficient operator on a CellContext:
+    element coefficient matrices (M,2,2), stiffness matrix, direction loads
+    (2,N) and the read-only correctors, one per direction."""
 
-    mesh: Mesh
-    directions: dict[int, np.ndarray]
+    coeff: fem.CoefficientField
+    mats: np.ndarray
+    K: sp.csr_matrix
+    loads: np.ndarray
+    correctors: tuple[np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -79,23 +109,13 @@ def _direction_loads(mesh, areas, grads, mats):
     return loads
 
 
-def _field_operators(mesh, areas, grads, mats):
-    """(stiffness matrix, direction loads) of one coefficient field."""
-    K = fem.scatter(mesh.triangles, mesh.n_nodes,
-                    fem.stiffness_elements(areas, grads, mats))
-    return K, _direction_loads(mesh, areas, grads, mats)
-
-
 def _solve_scalar(ctx, K, loads):
     """Scalar correctors of both directions from K and the direction loads."""
-    mesh = ctx.mesh
     reducer = fem.ConstraintReducer(ctx.periodic, ctx.mean_weights)
-    A_r, _ = reducer.reduce(K, np.zeros(mesh.n_nodes))
+    A_r, _ = reducer.reduce(K, np.zeros(ctx.mesh.n_nodes))
     handle = fem.splu_factor(A_r)
-    return CellSolution(mesh, {
-        j: reducer.expand(fem.solve_factored(
-            handle, A_r, reducer.reduce_rhs(loads[j])))
-        for j in range(2)})
+    return tuple(reducer.expand(fem.solve_factored(
+        handle, A_r, reducer.reduce_rhs(b))) for b in loads)
 
 
 def _element_gradients(mesh, grads, values):
@@ -183,58 +203,39 @@ class CoupledCellProblem:
     iterations, and each direction starts from its reduced solution at the
     nearest positive rate already solved (the lower one on a tie). At k = 0
     (or without Gamma) the fields decouple, each with its own mean-zero
-    condition, and are solved as two scalar cell problems; equal constant
-    coefficients share one scalar corrector at every rate.
+    condition, and are the context's scalar cells; an equal pair shares one
+    scalar corrector at every rate.
 
-    Element areas, basis gradients and coefficient matrices are computed
-    once and shared by both tensor formulas; each field's stiffness matrix,
-    direction loads and scalar correctors are computed once, on first use,
-    and shared by the coupled system and every decoupled solve.
+    Each field's coefficient matrices, stiffness matrix, direction loads
+    and scalar correctors are read from ``ctx.scalar_cell``; the problem
+    holds only the coupled system, its factor and its reduced solutions.
     """
 
     def __init__(self, ctx, coeff1, coeff2):
         self.ctx = ctx
         self.coeffs = (coeff1, coeff2)
         self.equal = coeff1.same_operator(coeff2)
-        mesh = ctx.mesh
-        self.areas, self.grads = fem.triangle_geometry(mesh)
-        self.mats = [np.asarray(c.matrix_at(mesh.centroids))
-                     for c in self.coeffs]
-        self._fields = [None, None]  # per field: (K, direction loads)
-        self._scalars = [None, None]  # per field: scalar correctors
         self.K_r = None  # the coupled system, assembled at the first k > 0
         self.held = fem.HeldFactor()  # of A(k_ref)
         self._reduced = {}  # positive rate -> reduced solutions (N_r, 2)
 
-    def _field(self, k):
-        """(stiffness matrix, direction loads) of field k."""
-        if self._fields[k] is None:
-            self._fields[k] = _field_operators(self.ctx.mesh, self.areas,
-                                               self.grads, self.mats[k])
-        return self._fields[k]
-
-    def _scalar(self, k):
-        """A new dict of field k's held scalar correctors, by direction."""
-        if self._scalars[k] is None:
-            self._scalars[k] = _solve_scalar(self.ctx,
-                                             *self._field(k)).directions
-        return dict(self._scalars[k])
+    def _cells(self):
+        """The context's ScalarCell of each field."""
+        return [self.ctx.scalar_cell(c) for c in self.coeffs]
 
     def _assemble_coupled(self):
         """The rate-independent K_r, E_r and loads B of the coupled system."""
         ctx = self.ctx
-        mesh = ctx.mesh
-        n = mesh.n_nodes
-        K = sp.block_diag([self._field(k)[0] for k in range(2)],
-                          format="csr")
+        n = ctx.mesh.n_nodes
+        cells = self._cells()
+        K = sp.block_diag([c.K for c in cells], format="csr")
         mean_zero = np.concatenate([ctx.mean_weights, np.zeros(n)])
         reducer = fem.ConstraintReducer(_block_periodic(ctx.periodic, n),
                                         mean_zero)
         self.reducer = reducer
         self.K_r, _ = reducer.reduce(K, np.zeros(2 * n))
-        loads = [self._field(k)[1] for k in range(2)]
         self.B = np.column_stack([
-            reducer.reduce_rhs(np.concatenate([loads[0][j], loads[1][j]]))
+            reducer.reduce_rhs(np.concatenate([c.loads[j] for c in cells]))
             for j in range(2)])
         G = ctx.gamma_mass
         self.E_r = reducer.restrict(sp.bmat([[G, -G], [-G, G]]))
@@ -245,12 +246,10 @@ class CoupledCellProblem:
             raise ValueError("exchange rate must be nonnegative")
         ctx = self.ctx
         mesh = ctx.mesh
-        if self.equal:
-            return CoupledCellSolution(mesh, self._scalar(0), self._scalar(0),
-                                       exchange_rate)
-        if exchange_rate == 0 or ctx.gamma_mass is None:
-            return CoupledCellSolution(mesh, self._scalar(0), self._scalar(1),
-                                       exchange_rate)
+        if self.equal or exchange_rate == 0 or ctx.gamma_mass is None:
+            first, second = (dict(enumerate(c.correctors))
+                             for c in self._cells())
+            return CoupledCellSolution(mesh, first, second, exchange_rate)
         if self.K_r is None:
             self._assemble_coupled()
         rate = float(exchange_rate)
@@ -276,8 +275,8 @@ class CoupledCellProblem:
         if set(sol.first) != {0, 1} or set(sol.second) != {0, 1}:
             raise MeshMismatchError("both corrector directions are required")
         (e1, v1), (e2, v2) = (
-            _field_sums(ctx.mesh, self.areas, self.grads, mats, corr)
-            for mats, corr in zip(self.mats, (sol.first, sol.second)))
+            _field_sums(ctx.mesh, *ctx.geometry, c.mats, corr)
+            for c, corr in zip(self._cells(), (sol.first, sol.second)))
         energy = e1 + e2
         if ctx.gamma_mass is not None and sol.exchange_rate > 0:
             diff = [sol.first[j] - sol.second[j] for j in range(2)]
@@ -322,20 +321,15 @@ def solve_coupled_pair(ctx, coeff1, coeff2, exchange_rate, problem=None):
 
 
 def scalar_tensor_with_check(ctx, coeff):
-    """Energy-form tensor plus the cross-check against the volume form.
-
-    One element geometry and one set of coefficient matrices serve the
-    solve and both formulas, which share one strain and flux pass.
-    """
-    mesh = ctx.mesh
-    areas, grads = fem.triangle_geometry(mesh)
-    mats = np.asarray(coeff.matrix_at(mesh.centroids))
-    sol = _solve_scalar(ctx, *_field_operators(mesh, areas, grads, mats))
+    """Energy-form tensor plus the cross-check against the volume form, and
+    the context's ScalarCell of ``coeff``; both formulas share one strain
+    and flux pass."""
+    scalar = ctx.scalar_cell(coeff)
     energy, volume = (t / ctx.area for t in _field_sums(
-        mesh, areas, grads, mats, sol.directions))
-    te = EffectiveTensor(energy, TensorForm.SCALAR_ENERGY, h=mesh.h,
+        ctx.mesh, *ctx.geometry, scalar.mats, scalar.correctors))
+    te = EffectiveTensor(energy, TensorForm.SCALAR_ENERGY, h=ctx.mesh.h,
                          cross_check_err=float(np.abs(energy - volume).max()))
-    return te, sol
+    return te, scalar
 
 
 def coupled_tensor_with_check(ctx, coeff1, coeff2, exchange_rate, s=None,

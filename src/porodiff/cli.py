@@ -328,8 +328,9 @@ def _model(cfg, command, args):
         h_cell = cfg["micro"]["h_cell"]
         model.h_cell = eps / 8.0 if h_cell is None else h_cell
         geo.check_epsilon_h(eps, model.h_cell)
-        geo.check_node_budget(model.spec, geo.build_unit_cell_mesh(
-            model.inclusion, model.h_cell / eps), args.budget_nodes)
+        unit = geo.build_unit_cell_mesh(model.inclusion, model.h_cell / eps)
+        _config_check(geo.check_node_budget, model.spec, unit,
+                      args.budget_nodes)
     if "sweep" in cfg:
         _config_check(geo.macro_grid_pitch, model.domain,
                       cfg["sweep"]["macro_h"])

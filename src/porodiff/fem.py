@@ -500,9 +500,9 @@ def factorize(A):
 def splu_factor(A):
     """``factorize`` memoized on the matrix content.
 
-    For one-shot solves of matrices that may recur (``solve_sparse``, the
-    scalar cell problem); a solver that reuses a factor holds it itself.
-    The cache is shared by threads; the factorization runs outside its lock.
+    For one-shot solves (``solve_sparse``, a CellContext's scalar cells);
+    a solver that reuses a factor holds it itself. The cache is shared by
+    threads; the factorization runs outside its lock.
     """
     A_csc = A.tocsc()
     key = _matrix_key(A_csc)

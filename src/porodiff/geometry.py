@@ -553,8 +553,8 @@ class RectUnion:
 
 
 def macro_grid_pitch(domain, h):
-    """The pitch of the macro grid at size ``h``; ValueError unless
-    0 < h <= 1/2, MeshFailureError unless ``domain`` lies on the grid."""
+    """The pitch of the macro grid at size ``h``; ValueError unless 0 < h
+    <= 1/2, MeshFailureError unless ``domain`` is a union of grid cells."""
     if not 0.0 < h <= 0.5:
         raise ValueError(f"macro mesh size must satisfy 0 < h <= 1/2, got {h!r}")
     domain.validate()
@@ -565,6 +565,9 @@ def macro_grid_pitch(domain, h):
                 raise MeshFailureError(
                     f"rectangle corner {v} is not aligned with grid pitch {g}"
                 )
+    if not any(round((x1 - x0) / g) and round((y1 - y0) / g)
+               for x0, y0, x1, y1 in domain.rects):
+        raise MeshFailureError("domain contains no grid cells at this pitch")
     return g
 
 
@@ -577,8 +580,6 @@ def build_macro_mesh(domain, h):
     cx, cy = np.meshgrid(x0 + g * (np.arange(nx) + 0.5),
                          y0 + g * (np.arange(ny) + 0.5))
     keep = domain.contains(np.column_stack([cx.ravel(), cy.ravel()]))
-    if not keep.any():
-        raise MeshFailureError("domain contains no grid cells at this pitch")
     nodes, tris = _crossed_grid(nx, ny, g, x0, y0, keep=keep)
     nodes, tris = _compact(nodes, tris)
     bedges = _boundary_edges(tris)

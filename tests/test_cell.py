@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -51,7 +53,7 @@ def four_operand_tensors(ctx, fields):
 
 
 def scalar_correctors(ctx, coeff):
-    """The scalar cell correctors of ``coeff``."""
+    """The context's ScalarCell of ``coeff``, with its correctors."""
     return cell.scalar_tensor_with_check(ctx, coeff)[1]
 
 
@@ -61,7 +63,7 @@ def volume_tensor(ctx, sol, coeff):
     return cell._field_sums(
         mesh, *fem.triangle_geometry(mesh),
         np.asarray(coeff.matrix_at(mesh.centroids)),
-        sol.directions)[1] / ctx.area
+        sol.correctors)[1] / ctx.area
 
 
 def off_centre_ctx():
@@ -80,7 +82,7 @@ def per_form_tensors(ctx, sol, coeff):
     out = []
     for energy_form in (True, False):
         weighted, flux = cell._strain_and_flux(mesh, areas, grads, mats,
-                                               sol.directions)
+                                               sol.correctors)
         t = np.empty((2, 2))
         for j in range(2):
             if energy_form:
@@ -98,7 +100,7 @@ class TestScalarCell:
         mesh = geo.build_unit_cell_mesh(geo.InclusionSpec.none(), 0.1)
         ctx = cell.CellContext.from_mesh(mesh)
         sol = scalar_correctors(ctx, aniso_field)
-        assert max(np.abs(sol.directions[j]).max() for j in (0, 1)) < 1e-12
+        assert max(np.abs(sol.correctors[j]).max() for j in (0, 1)) < 1e-12
         volume = volume_tensor(ctx, sol, aniso_field)
         assert np.abs(volume - np.diag([2.0, 1.0])).max() < 1e-13
 
@@ -106,21 +108,21 @@ class TestScalarCell:
         ctx = off_centre_ctx()
         sol = scalar_correctors(ctx, aniso_field)
         for j in (0, 1):
-            assert abs(float(ctx.mean_weights @ sol.directions[j])) \
+            assert abs(float(ctx.mean_weights @ sol.correctors[j])) \
                 / ctx.area <= 1e-10
 
     def test_periodic_trace_shared(self, cell_ctx, identity_field):
         sol = scalar_correctors(cell_ctx, identity_field)
         pairs = cell_ctx.periodic.pairs
         for j in (0, 1):
-            chi = sol.directions[j]
+            chi = sol.correctors[j]
             assert np.array_equal(chi[pairs[:, 0]], chi[pairs[:, 1]])
 
     def test_reflection_symmetries(self, cell_ctx, identity_field):
         # x-direction corrector: odd across the forced axis, even across the
         # other one (centered disc)
         sol = scalar_correctors(cell_ctx, identity_field)
-        chi = sol.directions[0]
+        chi = sol.correctors[0]
         odd = reflect_map(cell_ctx.mesh, lambda p: (1 - p[0], p[1]))
         even = reflect_map(cell_ctx.mesh, lambda p: (p[0], 1 - p[1]))
         assert max(abs(chi[i] + chi[j]) for i, j in odd) < 1e-10
@@ -129,13 +131,13 @@ class TestScalarCell:
     def test_self_convergence_order(self, disc_spec, identity_field):
         fine = geo.build_unit_cell_mesh(disc_spec, 1 / 64)
         fine_ctx = cell.CellContext.from_mesh(fine)
-        chi_fine = scalar_correctors(fine_ctx, identity_field).directions[0]
+        chi_fine = scalar_correctors(fine_ctx, identity_field).correctors[0]
         errs = []
         hs = (1 / 8, 1 / 16, 1 / 32)
         for h in hs:
             mesh = geo.build_unit_cell_mesh(disc_spec, h)
             ctx = cell.CellContext.from_mesh(mesh)
-            chi = scalar_correctors(ctx, identity_field).directions[0]
+            chi = scalar_correctors(ctx, identity_field).correctors[0]
             ref = P1Interpolator(fine, mesh.nodes)(chi_fine)
             diff = chi - ref
             diff -= ctx.mean_weights @ diff / ctx.area
@@ -160,16 +162,17 @@ class TestScalarCell:
     def test_tensors_match_the_four_operand_formulas(self, cell_ctx,
                                                      aniso_field):
         tensor, sol = cell.scalar_tensor_with_check(cell_ctx, aniso_field)
-        want = four_operand_tensors(cell_ctx, [(aniso_field, sol.directions)])
+        want = four_operand_tensors(cell_ctx, [(aniso_field, sol.correctors)])
         forms = (tensor.matrix, volume_tensor(cell_ctx, sol, aniso_field))
         for got, ref in zip(forms, want):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    def test_checked_tensor_is_both_forms_of_one_pass(self, cell_ctx,
+    def test_checked_tensor_is_both_forms_of_one_pass(self, cell_mesh,
                                                       aniso_field,
                                                       monkeypatch):
-        # the solve and both formulas share one element geometry; the
-        # matrices are bitwise those of one formula evaluated per form
+        # the context's one element geometry serves the solve and both
+        # formulas; the matrices are bitwise those of one formula evaluated
+        # per form
         calls = []
         geometry = fem.triangle_geometry
 
@@ -178,17 +181,19 @@ class TestScalarCell:
             return geometry(mesh)
 
         monkeypatch.setattr(fem, "triangle_geometry", count)
-        tensor, sol = cell.scalar_tensor_with_check(cell_ctx, aniso_field)
+        ctx = cell.CellContext.from_mesh(cell_mesh)
+        tensor, sol = cell.scalar_tensor_with_check(ctx, aniso_field)
         assert len(calls) == 1
         monkeypatch.undo()
-        mesh = cell_ctx.mesh
-        ref = cell._solve_scalar(cell_ctx, *cell._field_operators(
-            mesh, *fem.triangle_geometry(mesh),
-            np.asarray(aniso_field.matrix_at(mesh.centroids))))
+        mesh = ctx.mesh
+        mats = np.asarray(aniso_field.matrix_at(mesh.centroids))
+        ref = cell._solve_scalar(
+            ctx, fem.assemble_stiffness_elementwise(mesh, mats),
+            cell._direction_loads(mesh, *fem.triangle_geometry(mesh), mats))
         for j in range(2):
-            assert np.array_equal(sol.directions[j], ref.directions[j])
+            assert np.array_equal(sol.correctors[j], ref[j])
         assert tensor.form == cell.TensorForm.SCALAR_ENERGY
-        want = per_form_tensors(cell_ctx, sol, aniso_field)
+        want = per_form_tensors(ctx, sol, aniso_field)
         assert np.array_equal(tensor.matrix, want[0])
         assert tensor.cross_check_err == np.abs(want[0] - want[1]).max()
 
@@ -200,7 +205,8 @@ class TestScalarCell:
             assert xi @ tensor.matrix @ xi <= xi @ mean @ xi + 1e-12
 
     def test_mesh_mismatch(self, cell_ctx, coarse_ctx, identity_field):
-        chi = scalar_correctors(coarse_ctx, identity_field).directions
+        chi = dict(enumerate(
+            scalar_correctors(coarse_ctx, identity_field).correctors))
         sol = cell.CoupledCellSolution(coarse_ctx.mesh, chi, chi, 0.0)
         problem = cell.CoupledCellProblem(cell_ctx, identity_field,
                                           identity_field)
@@ -223,8 +229,8 @@ class TestCoupledCell:
         s1 = scalar_correctors(cell_ctx, identity_field)
         s2 = scalar_correctors(cell_ctx, aniso_field)
         for j in (0, 1):
-            assert np.abs(coupled.first[j] - s1.directions[j]).max() < 1e-9
-            assert np.abs(coupled.second[j] - s2.directions[j]).max() < 1e-9
+            assert np.abs(coupled.first[j] - s1.correctors[j]).max() < 1e-9
+            assert np.abs(coupled.second[j] - s2.correctors[j]).max() < 1e-9
 
     def test_decoupling_identity(self, cell_ctx, identity_field):
         two = fem.CoefficientField.isotropic(2.0)
@@ -611,17 +617,19 @@ class TestCoupledCellProblem:
     def test_fields_assembled_once(self, coarse_ctx, identity_field,
                                    aniso_field, monkeypatch, second, fields):
         # the coupled reference and the decoupled solves share each field's
-        # stiffness matrix and loads; the scalar solve is bitwise the same
+        # stiffness matrix and loads; the scalar solve is bitwise that of a
+        # fresh context
         assembled = []
-        operators = cell._field_operators
+        assemble = fem.assemble_stiffness_elementwise
 
         def count(*args):
             assembled.append(args)
-            return operators(*args)
+            return assemble(*args)
 
         other = {"aniso": aniso_field, "identity": identity_field}[second]
-        problem = cell.CoupledCellProblem(coarse_ctx, identity_field, other)
-        monkeypatch.setattr(cell, "_field_operators", count)
+        ctx = cell.CellContext.from_mesh(coarse_ctx.mesh)
+        monkeypatch.setattr(fem, "assemble_stiffness_elementwise", count)
+        problem = cell.CoupledCellProblem(ctx, identity_field, other)
         zero = problem.solve(0.0)
         for kappa in (0.5, 1.0, 0.0):
             problem.solve(kappa)
@@ -629,16 +637,14 @@ class TestCoupledCellProblem:
         monkeypatch.undo()
         for field, coeff in ((zero.first, identity_field),
                              (zero.second, other)):
-            scalar = scalar_correctors(coarse_ctx, coeff)
+            scalar = scalar_correctors(
+                cell.CellContext.from_mesh(coarse_ctx.mesh), coeff)
             for j in range(2):
-                assert np.array_equal(field[j], scalar.directions[j])
+                assert np.array_equal(field[j], scalar.correctors[j])
 
-    def test_scalar_correctors_solved_once_per_field(self, coarse_ctx,
-                                                     identity_field,
-                                                     aniso_field,
-                                                     monkeypatch):
-        # an equal pair and the zero rate reuse each field's held scalar
-        # correctors; the held arrays are bitwise the scalar solve's
+    @pytest.fixture
+    def scalar_solves(self, monkeypatch):
+        """The stiffness matrix of every ``cell._solve_scalar`` call."""
         solved = []
         solve_scalar = cell._solve_scalar
 
@@ -647,23 +653,78 @@ class TestCoupledCellProblem:
             return solve_scalar(ctx, K, loads)
 
         monkeypatch.setattr(cell, "_solve_scalar", count)
+        return solved
+
+    def test_scalar_correctors_solved_once_per_field(self, coarse_ctx,
+                                                     identity_field,
+                                                     aniso_field,
+                                                     scalar_solves):
+        # an equal pair and the zero rate reuse each field's scalar
+        # correctors; the held arrays are bitwise the scalar solve's
+        mesh = coarse_ctx.mesh
         h = kin.parse_kinetics("langmuir:a=1,b=1").h
-        table = cell.tabulate_b(coarse_ctx, identity_field, identity_field, h,
+        table = cell.tabulate_b(cell.CellContext.from_mesh(mesh),
+                                identity_field, identity_field, h,
                                 (0.0, 0.5, 1.0, 2.0))
-        assert len(solved) == 1
-        del solved[:]
-        problem = cell.CoupledCellProblem(coarse_ctx, identity_field,
-                                          aniso_field)
+        assert len(scalar_solves) == 1
+        del scalar_solves[:]
+        ctx = cell.CellContext.from_mesh(mesh)
+        problem = cell.CoupledCellProblem(ctx, identity_field, aniso_field)
         for kappa in (0.0, 0.5, 0.0):
             sol = problem.solve(kappa)
-        assert len(solved) == 2
-        monkeypatch.undo()
-        scalar = scalar_correctors(coarse_ctx, identity_field)
-        t1, _ = cell.scalar_tensor_with_check(coarse_ctx, identity_field)
+        cell.scalar_tensor_with_check(ctx, identity_field)
+        assert len(scalar_solves) == 2
+        t1, scalar = cell.scalar_tensor_with_check(
+            cell.CellContext.from_mesh(mesh), identity_field)
         for j in range(2):
-            assert np.array_equal(sol.first[j], scalar.directions[j])
+            assert np.array_equal(sol.first[j], scalar.correctors[j])
         assert np.array_equal(table.matrices,
                               np.stack([2.0 * t1.matrix] * 4))
+
+    def test_d0_and_the_table_share_one_scalar_solve(self, coarse_ctx,
+                                                     aniso_field,
+                                                     scalar_solves):
+        # d1 is a different field object of the same operator as d3, so
+        # the table's zero-rate sample reads the correctors that D0 solved
+        d3 = fem.CoefficientField.isotropic(1.0)
+        d1 = fem.CoefficientField.constant(np.eye(2))
+        assert d1 is not d3 and d1.same_operator(d3)
+        h = kin.parse_kinetics("mm_triple+langmuir:a=1,b=1").h
+        grid = (0.0, 0.25, 0.5, 1.0, 2.0)
+        ctx = cell.CellContext.from_mesh(coarse_ctx.mesh)
+        cell.scalar_tensor_with_check(ctx, d3)
+        table = cell.tabulate_b(ctx, d1, aniso_field, h, grid)
+        assert len(scalar_solves) == 2
+        fresh = cell.tabulate_b(cell.CellContext.from_mesh(coarse_ctx.mesh),
+                                d1, aniso_field, h, grid)
+        assert np.array_equal(table.matrices, fresh.matrices)
+        assert table.cross_check_err == fresh.cross_check_err
+
+    def test_concurrent_requests_give_one_result(self, coarse_ctx,
+                                                 identity_field,
+                                                 aniso_field):
+        # threads race on the context's first solve of each operator; at
+        # worst one is solved twice, and every tensor is the serial one
+        fields = [identity_field, aniso_field,
+                  fem.CoefficientField.constant(np.eye(2))]
+        serial = cell.CellContext.from_mesh(coarse_ctx.mesh)
+        want = [cell.scalar_tensor_with_check(serial, c)[0].matrix
+                for c in fields]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                ctx = cell.CellContext.from_mesh(coarse_ctx.mesh)
+                with ThreadPoolExecutor(max_workers=6) as pool:
+                    futures = [pool.submit(cell.scalar_tensor_with_check,
+                                           ctx, fields[k % 3])
+                               for k in range(12)]
+                    got = [f.result(timeout=60)[0].matrix for f in futures]
+                for k, matrix in enumerate(got):
+                    assert np.array_equal(matrix, want[k % 3])
+                assert ctx.scalar_cell(fields[0]) is ctx.scalar_cell(fields[2])
+        finally:
+            sys.setswitchinterval(switch)
 
     @pytest.mark.parametrize("kappa", [0.0, 0.2, 0.667])
     def test_tensors_match_the_four_operand_formulas(self, cell_ctx,

@@ -1,14 +1,17 @@
 import ctypes
 import glob
+import importlib
 import json
 import math
 import os
+import pkgutil
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import porodiff
 from porodiff import cell, cli, geometry as geo, kinetics, macro
 from porodiff.trajectory import Trajectory
 
@@ -164,6 +167,12 @@ BAD_VALUES = [
                  id="h_cell-past-eps-over-8"),
     pytest.param("sweep", {"cell": {"h": 0.2}, "sweep": SWEEP}, (),
                  id="sweep-cell-h-past-1-over-8"),
+    # a rectangle thinner than the corner tolerance holds no grid cell and
+    # no epsilon cell at the run's pitch
+    *(pytest.param(command, {"domain": {"rectangles": [[0, 0, 1e-12, 1]]},
+                             command: run}, (), id=f"sliver-domain-{command}")
+      for command, run in (("macro", FORCED), ("micro", MICRO),
+                           ("sweep", SWEEP))),
 ]
 
 
@@ -667,3 +676,61 @@ def test_readme_sweep_example_resolves():
     assert len(examples) == 1
     resolved = cli.resolve_config(examples[0], "sweep")
     assert cli.resolve_config(resolved, "sweep") == resolved
+
+
+def _module_state():
+    """(value, contents) of every global of every porodiff module and of
+    every attribute of the classes they define; contents is a shallow copy
+    of a dict, list, set or array, else None."""
+    state = {}
+    for info in pkgutil.iter_modules(porodiff.__path__):
+        module = importlib.import_module(f"porodiff.{info.name}")
+        names = dict(vars(module))
+        for cls_name, value in vars(module).items():
+            if isinstance(value, type) and value.__module__ == module.__name__:
+                names.update((f"{cls_name}.{attr}", v)
+                             for attr, v in vars(value).items())
+        for name, value in names.items():
+            contents = (value.copy()
+                        if isinstance(value, (dict, list, set, np.ndarray))
+                        else None)
+            state[f"{info.name}.{name}"] = (value, contents)
+    return state
+
+
+def _unchanged(before, after):
+    """True when ``after`` is ``before``'s object with the same contents."""
+    (value, contents), (now, _) = before, after
+    if now is not value:
+        return False
+    if isinstance(value, np.ndarray):
+        return np.array_equal(contents, now)
+    if isinstance(value, dict):
+        return contents.keys() == now.keys() and all(
+            contents[k] is now[k] for k in contents)
+    if isinstance(value, list):
+        return len(contents) == len(now) and all(
+            a is b for a, b in zip(contents, now))
+    if isinstance(value, set):
+        return contents == now
+    return True
+
+
+def test_runs_change_no_module_state_but_the_factor_cache(tmp_path):
+    # shared state lives on the objects a run makes (a CellContext holds
+    # its scalar cells), so threads and later runs cannot see it; the one
+    # module-level store is the content-keyed LU cache of fem.splu_factor
+    before = _module_state()
+    runs = [("sweep", {**COUPLED, "cell": {"h": 1 / 8}, "sweep": SWEEP}),
+            ("macro", {**COUPLED, "macro": TABULATED}),
+            ("micro", {"micro": MICRO}),
+            ("tensor-suite", CELL)]
+    for command, config in runs:
+        code, _ = run_cli(tmp_path, command, config, out=command)
+        assert code == cli.EXIT_OK, command
+    after = _module_state()
+    assert after.keys() == before.keys()
+    changed = [name for name in before
+               if not _unchanged(before[name], after[name])]
+    # an earlier test may already have cached every factor these runs use
+    assert set(changed) <= {"fem._factor_cache"}

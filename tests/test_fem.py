@@ -637,7 +637,8 @@ class TestResidualTolerance:
         with pytest.raises(NoConvergenceError):
             solver.solve_c3(b3)
         with pytest.raises(NoConvergenceError):
-            cell.scalar_tensor_with_check(coarse_ctx, identity_field)
+            cell.scalar_tensor_with_check(
+                cell.CellContext.from_mesh(coarse_ctx.mesh), identity_field)
 
 
 class TestFactorize:

@@ -7,7 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
-from porodiff import fem, geometry as geo, interpolate, kinetics as kin
+from porodiff import cell, fem, geometry as geo, interpolate, kinetics as kin
 from porodiff import micro
 from porodiff.errors import (ConfigError, NoConvergenceError,
                              NonFiniteValueError,
@@ -396,3 +396,57 @@ def test_step_count_on_the_grid(t_end, dt, steps):
 def test_step_count_off_the_grid(t_end, dt):
     with pytest.raises(ConfigError):
         step_count(t_end, dt)
+
+
+def two_scale_c3_errors(disc_spec, eps):
+    """(L2, corrected L2, H1, corrected H1) errors of the micro c3 after 50
+    steps against the homogenized limit u0 and u0 - eps chi^j(x/eps) d_j u0.
+
+    Unit square, cell h = 1/8 (the eps-mesh is the cell mesh replicated, so
+    chi pulls back nodally), zero kinetics, d3 = I, c3(0) = sin(pi x)
+    sin(pi y), dt = 1e-3. The limit is the eigenmode under the same
+    implicit steps, decaying as (1 + lambda dt)^-50 with lambda =
+    pi^2 (D0_11 + D0_22). L2 uses the eps-mesh mass matrix, H1 the
+    seminorm of its stiffness matrix.
+    """
+    ctx = cell.CellContext.from_mesh(
+        geo.build_unit_cell_mesh(disc_spec, 1 / 8))
+    identity = fem.CoefficientField.isotropic(1.0)
+    d0 = cell.scalar_tensor_with_check(ctx, identity)[0].matrix
+    chi = ctx.scalar_cell(identity).correctors
+    spec = geo.EpsilonDomainSpec(geo.RectUnion.unit_square(), eps, disc_spec)
+    mesh = geo.build_epsilon_mesh(spec, eps / 8)
+    dt, steps = 1e-3, 50
+    solver = micro.MicroSolver(mesh, eps, heat_cfg(dt=dt, t_end=steps * dt))
+    zero = lambda x, y: 0.0 * x
+    sine = lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
+    c3 = solver.run(micro.initial_state(mesh, zero, zero, sine)).final.c3
+    decay = (1.0 + np.pi ** 2 * (d0[0, 0] + d0[1, 1]) * dt) ** -steps
+    x, y = mesh.nodes.T
+    u0 = decay * sine(x, y)
+    grad = decay * np.pi * np.array([np.cos(np.pi * x) * np.sin(np.pi * y),
+                                     np.sin(np.pi * x) * np.cos(np.pi * y)])
+    pull = P1Interpolator(ctx.mesh, np.mod(mesh.nodes / eps, 1.0))
+    corrected = u0 - eps * sum(pull(chi[j]) * grad[j] for j in range(2))
+    K = fem.assemble_stiffness(mesh, identity)
+    out = []
+    for limit in (u0, corrected):
+        e = c3 - limit
+        out.append((fem.mass_norm(solver.M, e), math.sqrt(e @ (K @ e))))
+    (l2, h1), (l2c, h1c) = out
+    return l2, l2c, h1, h1c
+
+
+def test_c3_tends_to_the_two_scale_limit(disc_spec):
+    # measured at eps = 1/4, 1/8, 1/16: L2 1.142e-2, 5.601e-3, 2.787e-3;
+    # corrected L2 1.278e-3, 3.092e-4, 7.665e-5; H1 0.3465, 0.3418, 0.3407;
+    # corrected H1 4.948e-2, 2.443e-2, 1.218e-2. So L2 falls at first order,
+    # corrected L2 at second, H1 not at all and corrected H1 at first order.
+    errors = np.array([two_scale_c3_errors(disc_spec, eps)
+                       for eps in (1 / 4, 1 / 8, 1 / 16)])
+    ratios = errors[:-1] / errors[1:]
+    l2, l2c, h1, h1c = ratios.T
+    assert np.all(l2 >= 1.7)
+    assert np.all(l2c >= 3.4)
+    assert np.all(h1 <= 1.1)
+    assert np.all(h1c >= 1.7)
