@@ -21,8 +21,8 @@ from .geometry import (EdgeMarker, EpsilonDomainSpec, InclusionSpec, Mesh,
                        PeriodicMap, RectUnion, build_epsilon_mesh,
                        build_macro_mesh, build_unit_cell_mesh,
                        pair_periodic_nodes, write_poromesh)
-from .kinetics import (KineticsSet, Rate, builtin, cell_average_f,
-                       parse_kinetics, surface_average_g3, validate)
+from .kinetics import (KineticsSet, builtin, cell_average_f, parse_kinetics,
+                       validate)
 from .macro import (MacroConfig, MacroSolver, MacroState, MacroVariantSolver,
                     PositivityPolicy, VariantConfig, VariantState)
 from .micro import (MicroConfig, MicroSolver, MicroState, Scaling,

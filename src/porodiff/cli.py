@@ -465,7 +465,7 @@ def cmd_macro(cfg, model, outdir, args):
     init = {name: build(x, y) for name, build in model.initial.items()}
     # a single run writes per-step series and the final fields only
     shared = dict(dt=mcfg["dt"], t_end=mcfg["t_end"], kinetics=kin,
-                  positivity=model.positivity, cell_ctx=ctx,
+                  positivity=model.positivity,
                   snapshot_every=max(1, step_count(mcfg["t_end"], mcfg["dt"])),
                   gamma_length=ctx.gamma_length, cell_area=ctx.area)
     if mcfg["variant"]:

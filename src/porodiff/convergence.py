@@ -192,7 +192,7 @@ def run_sweep(problem, epsilons, threads=1):
         btable=btable, kinetics=problem.kinetics,
         gamma_length=ctx.gamma_length, cell_area=ctx.area,
         lambda_macro=problem.lambda_macro,
-        snapshot_every=problem.snapshot_every, cell_ctx=ctx)
+        snapshot_every=problem.snapshot_every)
     macro_solver = macro_mod.MacroSolver(macro_mesh, mcfg)
     macro_traj = macro_solver.run(macro_mod.MacroState(0.0, c0, c30))
 

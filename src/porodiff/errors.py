@@ -62,10 +62,6 @@ class UnknownNameError(PorodiffError):
     """Requested builtin kinetics name does not exist."""
 
 
-class MeshRequiredError(PorodiffError):
-    """y-dependent kinetics need a cell mesh for averaging."""
-
-
 class TableRangeError(PorodiffError):
     """Concentration left the range covered by the dispersion table."""
 

@@ -19,6 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import (
+    ConfigError,
     InvalidGeometryError,
     MeshFailureError,
     ResourceLimitError,
@@ -34,6 +35,10 @@ _SNAP_FRAC = 0.2
 _FACE_TOL = 1e-12
 _DISC_MARGIN = 0.05
 _POLY_MARGIN = 0.02
+# the config keys of each inclusion shape besides "shape", in the order of
+# the arguments of its constructor
+_INCLUSION_KEYS = {"none": (), "disc": ("center", "radius"),
+                   "polygon": ("vertices",)}
 
 DEFAULT_NODE_CAP = 2_000_000
 
@@ -162,14 +167,22 @@ class InclusionSpec:
 
     @classmethod
     def from_config(cls, cfg):
+        """The inclusion of a config mapping. ConfigError on a key its shape
+        does not take or a point that is not an (x, y) pair; KeyError on a
+        missing key."""
         shape = cfg.get("shape")
-        if shape == "none":
-            return cls.none()
-        if shape == "disc":
-            return cls.disc(cfg["center"], cfg["radius"])
-        if shape == "polygon":
-            return cls.polygon(cfg["vertices"])
-        raise InvalidGeometryError(f"unknown inclusion shape {shape!r}")
+        if shape not in _INCLUSION_KEYS:
+            raise InvalidGeometryError(f"unknown inclusion shape {shape!r}")
+        extra = sorted(set(cfg) - {"shape", *_INCLUSION_KEYS[shape]})
+        if extra:
+            raise ConfigError(f"inclusion shape {shape!r} takes no key "
+                              f"{', '.join(map(repr, extra))}")
+        args = [cfg[key] for key in _INCLUSION_KEYS[shape]]
+        points = args[0] if shape == "polygon" else args[:1]
+        if any(len(p) != 2 for p in points):
+            raise ConfigError(f"every point of a {shape} inclusion must be "
+                              f"an (x, y) pair, got {points!r}")
+        return getattr(cls, shape)(*args)
 
 
 def _polygon_closest(pts, verts):

@@ -14,68 +14,34 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import MeshRequiredError, UnknownNameError
-from .geometry import EdgeMarker
+from .errors import UnknownNameError
 
 
-@dataclass(frozen=True)
-class Rate:
-    """Reaction rate r(y, s1, s2, s3); ``y`` is ignored when y_independent.
-
-    Separable rates r = a0(y) * g(s) carry both factors so cell averaging
-    needs the mean of a0 only. Evaluators must be pure and vectorize
-    over numpy arrays.
-    """
-
-    func: object
-    y_dependent: bool = False
-    a0: object = None
-    s_part: object = None
-
-    @classmethod
-    def zero(cls):
-        return cls.of_s(lambda s1, s2, s3: np.zeros(np.broadcast(s1, s2, s3).shape))
-
-    @classmethod
-    def of_s(cls, fn):
-        return cls(lambda y, s1, s2, s3: fn(s1, s2, s3), y_dependent=False)
-
-    @classmethod
-    def separable(cls, a0, fn):
-        return cls(lambda y, s1, s2, s3: a0(y) * fn(s1, s2, s3),
-                   y_dependent=True, a0=a0, s_part=fn)
-
-    @classmethod
-    def of_ys(cls, fn):
-        return cls(fn, y_dependent=True)
-
-    def __call__(self, y, s1, s2, s3):
-        return self.func(y, s1, s2, s3)
+def _zero_rate(s1, s2, s3):
+    return np.zeros(np.broadcast(s1, s2, s3).shape)
 
 
 @dataclass(frozen=True)
 class KineticsSet:
     """Volume rates f1..f3, surface rate g3, exchange rate h, and constants.
 
-    ``l`` bounds h, ``lip`` bounds |h'|, ``lam`` is the invariant-region
-    bound, ``growth`` the linear-growth constant for large concentrations.
-    Instances are immutable and safe to share.
+    Every rate is a function r(s1, s2, s3) of the concentrations alone,
+    pure and vectorized over numpy arrays. ``l`` bounds h, ``lip`` bounds
+    |h'|, ``lam`` is the invariant-region bound, ``growth`` the linear-growth
+    constant for large concentrations. Instances are immutable and safe to
+    share.
     """
 
-    f1: Rate
-    f2: Rate
-    f3: Rate
-    g3: Rate
+    f1: object
+    f2: object
+    f3: object
+    g3: object
     h: object
     l: float = 1.0
     lip: float = 1.0
     lam: float = 1.0
     growth: float = 1.0
     name: str = "custom"
-
-    @property
-    def y_dependent(self):
-        return any(r.y_dependent for r in (self.f1, self.f2, self.f3, self.g3))
 
     def volume_rate(self, i):
         return (self.f1, self.f2, self.f3)[i - 1]
@@ -118,48 +84,45 @@ def langmuir(a, b):
 
 
 def zero_kinetics():
-    z = Rate.zero()
+    z = _zero_rate
     return KineticsSet(z, z, z, z, h=lambda s: np.zeros_like(np.asarray(s, float)),
                        l=1.0, lip=1.0, lam=1.0, growth=1.0, name="zero")
 
 
-def mm_triple_kinetics(a0=None):
+def mm_triple_kinetics():
     """All three volume rates share the fully saturating triple-product form."""
-    if a0 is None:
-        f = Rate.of_s(_mm_triple)
-    else:
-        f = Rate.separable(a0, _mm_triple)
+    f = _mm_triple
     zero_h = lambda s: np.zeros_like(np.asarray(s, float))
-    return KineticsSet(f, f, f, Rate.zero(), h=zero_h,
+    return KineticsSet(f, f, f, _zero_rate, h=zero_h,
                        l=1.0, lip=1.0, lam=1.0, growth=1.0, name="mm_triple")
 
 
-def mm_mixed_kinetics(a0=None):
+def mm_mixed_kinetics():
     """Mixed saturating volume rates plus the saturating surface rate."""
-    if a0 is None:
-        f1 = Rate.of_s(lambda s1, s2, s3: _mm_pair(s1, s2, s3)
-                       + np.asarray(s1, float))
-    else:
-        f1 = Rate.of_ys(lambda y, s1, s2, s3: a0(y) * _mm_pair(s1, s2, s3)
-                        + np.asarray(s1, float))
-    f2 = Rate.of_s(lambda s1, s2, s3: _mm_pair(s2, s3, s1))
-    f3 = Rate.of_s(lambda s1, s2, s3: _mm_pair(s1, s3, s2)
-                   + np.asarray(s3, float))
+    f1 = lambda s1, s2, s3: _mm_pair(s1, s2, s3) + np.asarray(s1, float)
+    f2 = lambda s1, s2, s3: _mm_pair(s2, s3, s1)
+    f3 = lambda s1, s2, s3: _mm_pair(s1, s3, s2) + np.asarray(s3, float)
     zero_h = lambda s: np.zeros_like(np.asarray(s, float))
-    return KineticsSet(f1, f2, f3, Rate.of_s(_g3_saturating), h=zero_h,
+    return KineticsSet(f1, f2, f3, _g3_saturating, h=zero_h,
                        l=1.0, lip=1.0, lam=1.0, growth=2.0, name="mm_mixed")
 
 
 def builtin(name, **params):
-    """Builtin kinetics by name: ZERO, MM_TRIPLE, MM_MIXED, LANGMUIR_EXCHANGE."""
+    """Builtin kinetics by name: ZERO, MM_TRIPLE, MM_MIXED, LANGMUIR_EXCHANGE;
+    only langmuir takes parameters, its ``a`` and ``b``."""
     key = name.strip().lower()
+    is_langmuir = key in ("langmuir", "langmuir_exchange")
+    for k in params:
+        if not (is_langmuir and k in ("a", "b")):
+            raise UnknownNameError(
+                f"unknown parameter {k!r} of kinetics {name!r}")
     if key == "zero":
         return zero_kinetics()
     if key == "mm_triple":
-        return mm_triple_kinetics(params.get("a0"))
+        return mm_triple_kinetics()
     if key == "mm_mixed":
-        return mm_mixed_kinetics(params.get("a0"))
-    if key in ("langmuir", "langmuir_exchange"):
+        return mm_mixed_kinetics()
+    if is_langmuir:
         a = float(params.get("a", 1.0))
         b = float(params.get("b", 1.0))
         h, l, lip = langmuir(a, b)
@@ -173,8 +136,7 @@ def parse_kinetics(text):
 
     Parts are joined with ``+``, at most one volume/surface part and one
     langmuir part; the langmuir part overrides the exchange rate of the
-    volume/surface part. Only langmuir takes parameters from text, its
-    ``a`` and ``b``.
+    volume/surface part. A parameter is given at most once.
     """
     parts = [p.strip() for p in text.split("+") if p.strip()]
     if not parts:
@@ -191,9 +153,9 @@ def parse_kinetics(text):
                 if not _:
                     raise UnknownNameError(f"malformed kinetics parameter {item!r}")
                 k = k.strip()
-                if not (is_langmuir and k in ("a", "b")):
+                if k in params:
                     raise UnknownNameError(
-                        f"unknown parameter {k!r} of kinetics {name!r}")
+                        f"parameter {k!r} of kinetics {name!r} given twice")
                 params[k] = float(v)
         k = builtin(name, **params)
         if is_langmuir:
@@ -274,20 +236,15 @@ def _worst(values, floor=-math.inf):
 def validate(kin):
     """Sampled hypothesis checks; the report carries failures, never raises.
 
-    Each concentration is sampled at 7 points of [-lam, 2 lam], the cell at
-    the centres of a 4 x 4 grid; growth ratios must stay within RATIO_CAP.
-    A check fails when its worst sample exceeds its bound or is NaN.
+    Each concentration is sampled at 7 points of [-lam, 2 lam]; growth
+    ratios must stay within RATIO_CAP. A check fails when its worst sample
+    exceeds its bound or is NaN.
     """
     lam = kin.lam
     axis = np.linspace(-lam, 2 * lam, 7)
     s1, s2, s3 = (a.ravel() for a in np.meshgrid(axis, axis, axis,
                                                  indexing="ij"))
     grid = np.column_stack([s1, s2, s3])
-    ys = np.array([[0.5, 0.5]])
-    if kin.y_dependent:
-        centres = (np.arange(4) + 0.5) / 4
-        gx, gy = np.meshgrid(centres, centres)
-        ys = np.column_stack([gx.ravel(), gy.ravel()])
     checks = []
 
     def check(name, bound, values, points=None, floor=-math.inf,
@@ -312,18 +269,17 @@ def validate(kin):
 
     zero = np.zeros(1)
 
-    def at_origin(rate, y):
-        return np.max(np.abs(np.asarray(rate(y[None, :], zero, zero, zero))))
+    def at_origin(rate):
+        return np.max(np.abs(np.asarray(rate(zero, zero, zero))))
 
     volume = (kin.f1, kin.f2, kin.f3)
     check("volume_rate_zero_at_zero", 1e-12,
-          [[at_origin(r, y) for r in volume for y in ys]],
-          [(i, *y) for i in (1, 2, 3) for y in ys], floor=0.0)
-    check("surface_rate_zero_at_zero", 1e-12,
-          [[at_origin(kin.g3, y) for y in ys]], floor=0.0)
+          [[at_origin(r) for r in volume]], [(i,) for i in (1, 2, 3)],
+          floor=0.0)
+    check("surface_rate_zero_at_zero", 1e-12, [[at_origin(kin.g3)]],
+          floor=0.0)
 
-    y_mid = ys[len(ys) // 2][None, :]
-    f1, f2, f3, g3 = (np.asarray(r(y_mid, s1, s2, s3), dtype=float)
+    f1, f2, f3, g3 = (np.asarray(r(s1, s2, s3), dtype=float)
                       for r in (*volume, kin.g3))
     total = np.abs(s1) + np.abs(s2) + np.abs(s3)
     nz = total > 0
@@ -353,57 +309,8 @@ def validate(kin):
     return ValidationReport(checks)
 
 
-# ---------------------------------------------------------------------------
-# cell averages
-# ---------------------------------------------------------------------------
-
-def _average(rate, s, ctx, quadrature):
-    """Weighted mean of rate(., s) over the points of ``quadrature(mesh)``.
-
-    ``quadrature`` maps the cell mesh to (points, weights). A y-independent
-    rate is its pointwise value, a separable one the weighted mean of a0
-    times its s-part; a general rate is evaluated at every point.
-    """
-    s1, s2, s3 = s
-    if not rate.y_dependent:
-        return rate(None, s1, s2, s3)
-    if ctx is None:
-        raise MeshRequiredError("y-dependent kinetics need a cell mesh")
-    points, weights = quadrature(ctx.mesh)
-    total = weights.sum()
-    if rate.a0 is not None:
-        mean = float(np.asarray(rate.a0(points), dtype=float) @ weights) / total
-        return mean * rate.s_part(s1, s2, s3)
-    vals = rate(points, np.asarray(s1)[..., None],
-                np.asarray(s2)[..., None], np.asarray(s3)[..., None])
-    return np.einsum("...m,m->...", np.asarray(vals), weights) / total
-
-
-def _centroids(mesh):
-    return mesh.centroids, mesh.areas
-
-
-def _gamma_midpoints(mesh):
-    edges = mesh.edges_with(EdgeMarker.GAMMA)
-    if len(edges) == 0:
-        raise MeshRequiredError("cell mesh has no inclusion boundary")
-    p0 = mesh.nodes[edges[:, 0]]
-    p1 = mesh.nodes[edges[:, 1]]
-    return 0.5 * (p0 + p1), np.hypot(*(p1 - p0).T)
-
-
-def cell_average_rate(rate, s, ctx=None):
-    """Volume average of rate(., s) over the perforated cell, by centroid
-    quadrature."""
-    return _average(rate, s, ctx, _centroids)
-
-
-def cell_average_f(kin, i, s, ctx=None):
-    """Volume average of the i-th volume rate (i in {1,2,3})."""
-    return cell_average_rate(kin.volume_rate(i), s, ctx)
-
-
-def surface_average_g3(kin, s, ctx=None):
-    """Boundary average of the surface rate over the inclusion boundary, by
-    edge-midpoint quadrature."""
-    return _average(kin.g3, s, ctx, _gamma_midpoints)
+def cell_average_f(kin, i, s):
+    """Cell average of the i-th volume rate (i in {1,2,3}) at the
+    concentrations ``s``: a rate of the concentrations alone is its own
+    average."""
+    return kin.volume_rate(i)(*s)

@@ -48,6 +48,7 @@ class MacroConfig:
     lambda_macro: float = 1.0
     positivity: PositivityPolicy = PositivityPolicy.MONITOR
     snapshot_every: int = 1
+    # nothing reads it; perfbench's homogenized workload still passes it
     cell_ctx: object = None
 
     def validate(self):
@@ -69,14 +70,13 @@ def check_table_range(s, lambda_macro):
                               f"does not cover [0, {lambda_macro}]")
 
 
-def averaged_rates(kin, ctx, gamma_over_cell, s):
-    """Nodal (avg F1, avg F2, avg F3 + (|Gamma|/|Y*|) avg_boundary G3) at
-    the concentrations ``s``, as float arrays."""
-    f1, f2, f3 = (np.asarray(kin_mod.cell_average_f(kin, i, s, ctx),
-                             dtype=float) for i in (1, 2, 3))
+def averaged_rates(kin, gamma_over_cell, s):
+    """Nodal (F1, F2, F3 + (|Gamma|/|Y*|) G3) at the concentrations ``s``,
+    as float arrays."""
+    f1, f2, f3 = (np.asarray(kin_mod.cell_average_f(kin, i, s), dtype=float)
+                  for i in (1, 2, 3))
     if gamma_over_cell > 0:
-        f3 = f3 + gamma_over_cell * np.asarray(
-            kin_mod.surface_average_g3(kin, s, ctx), dtype=float)
+        f3 = f3 + gamma_over_cell * np.asarray(kin.g3(*s), dtype=float)
     return f1, f2, f3
 
 
@@ -133,8 +133,8 @@ class MacroSolver(ImexStepper):
         k_data = self.pattern.assemble(
             fem.stiffness_elements(*self.geometry, mats))
 
-        f1, f2, f3 = averaged_rates(cfg.kinetics, cfg.cell_ctx,
-                                    self.gamma_over_cell, (c, c, c3))
+        f1, f2, f3 = averaged_rates(cfg.kinetics, self.gamma_over_cell,
+                                    (c, c, c3))
         f_c = finite("f1+f2", f1 + f2, state.t)
         f_3 = finite("f3+g3", f3, state.t)
         b_c = 2.0 * (self.M @ c) + dt * (self.M @ f_c)
@@ -169,7 +169,6 @@ class VariantConfig:
     cell_area: float
     positivity: PositivityPolicy = PositivityPolicy.MONITOR
     snapshot_every: int = 1
-    cell_ctx: object = None
 
 
 class MacroVariantSolver(ExchangePairStepper):
@@ -192,8 +191,7 @@ class MacroVariantSolver(ExchangePairStepper):
         return self.pattern.restricted(scale * self.pattern.assemble(local))
 
     def rates(self, state):
-        rates = averaged_rates(self.cfg.kinetics, self.cfg.cell_ctx,
-                               self.gamma_over_cell,
+        rates = averaged_rates(self.cfg.kinetics, self.gamma_over_cell,
                                (state.c1, state.c2, state.c3))
         f1, f2, f3 = (finite(f"f{k}", f, state.t)
                       for k, f in enumerate(rates, 1))

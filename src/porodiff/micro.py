@@ -11,7 +11,7 @@ nonnegative exchange rate; it is solved by CG preconditioned with the two
 field factors (a few iterations while the exchange is weak), and c3 by one
 triangular solve with its own factor, or with a field's when d3 equals d1
 or d2. The step itself is ``stepper.ExchangePairStepper``'s; this module
-supplies the Gamma exchange matrix and the nodal rates at y = x/epsilon.
+supplies the Gamma exchange matrix and the nodal reaction rates.
 """
 
 from __future__ import annotations
@@ -65,11 +65,9 @@ class MicroSolver(ExchangePairStepper):
             self.exchange_factor = config.dt / self.epsilon
         else:
             self.exchange_factor = config.dt * self.epsilon
-        self._y_points = np.mod(mesh.nodes / self.epsilon, 1.0)
 
     def _volume_rate(self, name, rate, state):
-        y = self._y_points if rate.y_dependent else None
-        return finite(name, rate(y, state.c1, state.c2, state.c3), state.t)
+        return finite(name, rate(state.c1, state.c2, state.c3), state.t)
 
     def gamma_gap_norm(self, state):
         """L2 norm of c1 - c2 on the inclusion boundaries."""

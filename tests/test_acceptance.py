@@ -285,7 +285,7 @@ def test_all_eps_pair_tends_to_the_variant_model(disc):
     limit = macro.MacroVariantSolver(mesh, macro.VariantConfig(
         dt=problem.dt, t_end=problem.t_end, d1=d1, d2=d2, d3=d3,
         kinetics=problem.kinetics, gamma_length=ctx.gamma_length,
-        cell_area=ctx.area, cell_ctx=ctx, snapshot_every=steps)).run(
+        cell_area=ctx.area, snapshot_every=steps)).run(
         macro.VariantState(0.0, bump(x, y), zero(x, y), bump(x, y))).final
     errors = {name: [] for name in ("c1", "c2", "c3")}
     for eps in EPSILONS:

@@ -88,3 +88,35 @@ def test_the_private_scan_sees_imports_and_reads():
               "y = fem_mod.solve_sparse\n")
     assert _private_reads(source) == ["geometry._lattice",
                                       "fem_mod._factor_cache"]
+
+
+def _unused_imports(source):
+    """The names that ``source`` imports and never reads as a name;
+    ``__future__`` imports bind no name."""
+    tree = ast.parse(source)
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [a.asname or a.name for a in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in imported if name not in used]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = [f"{path.name}: {name}"
+              for path in sorted(PACKAGE.glob("*.py"))
+              if path.name != "__init__.py"
+              for name in _unused_imports(path.read_text())]
+    assert unused == []
+
+
+def test_the_import_scan_sees_unused_names():
+    source = ("from __future__ import annotations\n"
+              "import numpy as np\n"
+              "import scipy.sparse\n"
+              "from .errors import (MeshFailureError, UnknownNameError)\n"
+              "x = np.zeros(scipy.sparse.eye(2).shape)\n"
+              "raise UnknownNameError(x)\n")
+    assert _unused_imports(source) == ["MeshFailureError"]

@@ -89,6 +89,20 @@ BAD_VALUES = [
           ("center", {**DISC, "center": [math.nan, 0.5]}),
           ("vertex", {"shape": "polygon", "vertices": [
               [0.3, 0.3], [0.7, 0.3], [0.5, math.nan]]}))),
+    # each shape takes its own keys only, and every point is an (x, y) pair
+    *(pytest.param(command, {"geometry": {"inclusion": inclusion}}, (),
+                   id=f"inclusion-{name}-{command}")
+      for name, inclusion in (
+          ("short-center", {**DISC, "center": [0.5]}),
+          ("long-center", {**DISC, "center": [0.5, 0.5, 0.5]}),
+          ("long-vertex", {"shape": "polygon", "vertices": [
+              [0.3, 0.3], [0.7, 0.3], [0.5, 0.7, 0.1]]}),
+          ("misspelt-radius", {**DISC, "radiuss": 0.3}),
+          ("polygon-radius", {"shape": "polygon", "radius": 0.25,
+                              "vertices": [[0.3, 0.3], [0.7, 0.3],
+                                           [0.5, 0.7]]}),
+          ("none-center", {"shape": "none", "center": [0.5, 0.5]}))
+      for command in ("mesh", "validate")),
     pytest.param("sweep", {"domain": {"rectangles": [[0, 0, 0, 1]]},
                            "sweep": SWEEP}, (), id="degenerate-rectangle"),
     pytest.param("micro", {"micro": {**MICRO, "epsilon": 0.3}}, (),
@@ -253,7 +267,8 @@ class TestConfigHandling:
                              "micro": MICRO})
 
     @pytest.mark.parametrize("kinetics",
-                             ["mm_triple:a0=2", "mm_triple:foo=1", "zero:a=3"])
+                             ["mm_triple:a0=2", "mm_triple:foo=1", "zero:a=3",
+                              "langmuir:a=1,b=1,a=5"])
     def test_kinetics_text_takes_langmuir_parameters_only(self, tmp_path,
                                                          kinetics):
         assert_config_error(tmp_path, "validate", {"kinetics": kinetics})

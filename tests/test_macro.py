@@ -24,7 +24,7 @@ def heat_config(dt=1e-3, t_end=0.02, **kw):
 
 
 def nan_f3_kinetics():
-    nan = kin.Rate.of_s(lambda s1, s2, s3: np.full(np.shape(s3), np.nan))
+    nan = lambda s1, s2, s3: np.full(np.shape(s3), np.nan)
     return dataclasses.replace(kin.zero_kinetics(), f3=nan)
 
 
@@ -107,7 +107,6 @@ class TestMacroStep:
     def test_step_balance_identity(self, macro_mesh_16):
         # theta = 1 free-dof balance: 2M dc + dt K c_new = dt M f
         k = kin.builtin("mm_triple")
-        ctx = None
         cfg = heat_config(dt=1e-3, t_end=1e-3)
         cfg = dataclasses.replace(cfg, kinetics=k)
         solver = macro.MacroSolver(macro_mesh_16, cfg)
@@ -116,7 +115,7 @@ class TestMacroStep:
         new = solver.step(state)
         mats = solver.dispersion_matrices(state.c3)
         K_B = fem.assemble_stiffness_elementwise(macro_mesh_16, mats)
-        f1, f2, _ = macro.averaged_rates(k, ctx, solver.gamma_over_cell,
+        f1, f2, _ = macro.averaged_rates(k, solver.gamma_over_cell,
                                          (state.c, state.c, state.c3))
         f = f1 + f2
         r = (2.0 * (solver.M @ (new.c - state.c))
@@ -141,8 +140,7 @@ class TestMacroStep:
         for _ in range(25):
             K_B = fem.assemble_stiffness_elementwise(
                 macro_mesh_16, solver.dispersion_matrices(state.c3))
-            f1, f2, _ = macro.averaged_rates(k, cfg.cell_ctx,
-                                             solver.gamma_over_cell,
+            f1, f2, _ = macro.averaged_rates(k, solver.gamma_over_cell,
                                              (state.c, state.c, state.c3))
             b = (2.0 * (solver.M @ state.c) + cfg.dt * (solver.M @ (f1 + f2)))
             A_r = red.restrict(2.0 * solver.M + cfg.dt * K_B)
@@ -251,7 +249,7 @@ class TestMacroRun:
         assert order >= 0.7
 
     def test_positivity_policies(self, macro_mesh_16):
-        neg_rate = kin.Rate.of_s(
+        neg_rate = (
             lambda s1, s2, s3: -50.0 * np.ones_like(np.asarray(s1, float)))
         bad = dataclasses.replace(kin.zero_kinetics(), f1=neg_rate,
                                   f2=neg_rate)
@@ -401,8 +399,8 @@ def source_kinetics(g_c, g_c3):
     g_c3, so a step loads M g_c into the c solve and M g_c3 into the c3
     solve."""
     return dataclasses.replace(
-        kin.zero_kinetics(), f1=kin.Rate.of_s(lambda s1, s2, s3: g_c),
-        f3=kin.Rate.of_s(lambda s1, s2, s3: g_c3))
+        kin.zero_kinetics(), f1=lambda s1, s2, s3: g_c,
+        f3=lambda s1, s2, s3: g_c3)
 
 
 def steady_sanity(mesh, d0, btable, case="slow_sine", dt=0.01):
