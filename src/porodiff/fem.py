@@ -9,8 +9,9 @@ expansion (ConstraintReducer), so every reduced system is SPD.
 
 Assembly scatters element contributions in a fixed order and compresses
 duplicates by sorted index, so assembled matrices are bit-reproducible and
-independent of any caller-side parallelism. An operator re-assembled every
-step replays that scatter from an AssemblyPattern.
+independent of any caller-side parallelism. An EpsilonMesh's mass and
+stiffness tile its unit cell's (``tile``), and an operator re-assembled
+every step replays its scatter from an AssemblyPattern.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .errors import NoConvergenceError, NoMarkedBoundaryError, SingularSystemError
-from .geometry import EdgeMarker
+from .geometry import EdgeMarker, EpsilonMesh
 
 
 @dataclass(frozen=True)
@@ -63,17 +64,6 @@ class CoefficientField:
     @classmethod
     def isotropic(cls, value):
         return cls.constant(float(value) * np.eye(2))
-
-    def at_fine_scale(self, epsilon):
-        """The field x -> D(x/epsilon) on the epsilon-periodic domain."""
-        base = self.matrix_at
-        eps = float(epsilon)
-
-        def evaluate(pts):
-            return base(np.mod(np.atleast_2d(pts) / eps, 1.0))
-
-        return CoefficientField(evaluate, self.alpha, self.beta,
-                                descriptor=f"{self.descriptor}@eps={eps}")
 
     def validate(self):
         """Sample a 17 x 17 grid and check symmetry (to 1e-12) and the
@@ -127,6 +117,15 @@ def scatter(connectivity, n, local):
                          shape=(n, n)).tocsr()
 
 
+def tile(mesh, A_cell):
+    """The sum over the cells c of an EpsilonMesh of P_c' A_cell P_c, P_c
+    mapping the unit cell's nodes to cell c's: one COO scatter."""
+    A, n = A_cell.tocoo(), mesh.n_nodes
+    conn = mesh.cell_nodes.astype(np.int32 if n < 2 ** 31 else np.int64)
+    return sp.coo_matrix((np.tile(A.data, len(conn)), (
+        conn[:, A.row].ravel(), conn[:, A.col].ravel())), shape=(n, n)).tocsr()
+
+
 # Elements per einsum in stiffness_elements, which bounds its temporaries
 STIFFNESS_CHUNK = 16384
 
@@ -145,9 +144,13 @@ def assemble_stiffness(mesh, coeff, geometry=None):
     """Stiffness matrix for -div(D grad u), D evaluated at element centroids.
 
     ``geometry`` is the mesh's ``triangle_geometry``, computed when omitted.
+    An EpsilonMesh's is its unit cell's (geometry and centroids), tiled: P1
+    stiffness is scale-invariant in 2D and D(x/eps) is Y-periodic.
     """
-    mats = np.asarray(coeff.matrix_at(mesh.centroids))
-    return assemble_stiffness_elementwise(mesh, mats, geometry)
+    cell = mesh.unit if isinstance(mesh, EpsilonMesh) else mesh
+    mats = np.asarray(coeff.matrix_at(cell.centroids))
+    K = assemble_stiffness_elementwise(cell, mats, geometry)
+    return K if cell is mesh else tile(mesh, K)
 
 
 def assemble_stiffness_elementwise(mesh, mats, geometry=None):
@@ -161,6 +164,8 @@ _MASS_LOCAL = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12
 
 def assemble_mass(mesh):
     """Consistent P1 mass matrix; entries sum to the mesh area."""
+    if isinstance(mesh, EpsilonMesh):
+        return tile(mesh, mesh.epsilon ** 2 * assemble_mass(mesh.unit))
     local = mesh.areas[:, None, None] * _MASS_LOCAL
     return scatter(mesh.triangles, mesh.n_nodes, local)
 

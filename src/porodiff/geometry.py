@@ -237,7 +237,7 @@ class Mesh:
         self.triangles = np.ascontiguousarray(self.triangles, dtype=np.int64)
         self.edges = np.ascontiguousarray(self.edges, dtype=np.int64)
         self.edge_markers = np.ascontiguousarray(self.edge_markers, dtype=np.uint8)
-        for arr in (self.nodes, self.triangles, self.edges, self.edge_markers):
+        for arr in [a for a in vars(self).values() if hasattr(a, "setflags")]:
             arr.setflags(write=False)
 
     @property
@@ -279,6 +279,16 @@ class Mesh:
             return 0.0
         d = self.nodes[e[:, 0]] - self.nodes[e[:, 1]]
         return float(np.hypot(d[:, 0], d[:, 1]).sum())
+
+
+@dataclass(kw_only=True)
+class EpsilonMesh(Mesh):
+    """A Mesh tiling the unit-cell mesh ``unit`` (unit coordinates) over the
+    epsilon-lattice: node i of lattice cell c is node ``cell_nodes[c, i]``."""
+
+    unit: Mesh
+    cell_nodes: np.ndarray
+    epsilon: float
 
 
 def validate_mesh(mesh):
@@ -659,36 +669,40 @@ def check_epsilon_h(eps, h_cell):
 
 
 def build_epsilon_mesh(spec, h_cell, node_cap=DEFAULT_NODE_CAP):
-    """Mesh the perforated epsilon-domain by tiling a scaled unit-cell mesh.
+    """Mesh the perforated epsilon-domain by tiling a unit-cell mesh.
 
     Nodes of neighbouring cells with exactly equal coordinates are merged;
     merged nodes are numbered in order of first appearance, cell by cell.
+    The mesh keeps its tiling; its GAMMA edges are the cells', its OUTER
+    edges the cells' face edges with no lattice cell across them.
     """
     spec.validate()
     eps = spec.epsilon
     check_epsilon_h(eps, h_cell)
     unit = build_unit_cell_mesh(spec.inclusion, h_cell / eps)
     cells = check_node_budget(spec, unit, node_cap)
+    gamma = unit.edges_with(EdgeMarker.GAMMA)
+    faces = unit.edges[unit.edge_markers != EdgeMarker.GAMMA]
+    if np.isin(gamma, faces).all(axis=1).any():
+        raise MeshFailureError("an inclusion boundary touches the outer boundary")
 
-    shifted = (unit.nodes[None] + cells[:, None].astype(float)) * eps
-    shifted = shifted.reshape(-1, 2)
+    shifted = ((unit.nodes[None] + cells[:, None]) * eps).reshape(-1, 2)
     # one complex number per node, so that np.unique merges equal (x, y)
     _, first, inverse = np.unique(shifted.view(np.complex128).ravel(),
                                   return_index=True, return_inverse=True)
     order = np.argsort(first)
     local = np.argsort(order)[inverse].reshape(len(cells), unit.n_nodes)
-    nodes = shifted[first[order]]
-    tris = local[:, unit.triangles].reshape(-1, 3)
-    bedges = _boundary_edges(tris)
-
-    n = len(nodes)
-    ge = np.sort(local[:, unit.edges_with(EdgeMarker.GAMMA)].reshape(-1, 2), axis=1)
-    gamma_keys = np.unique(ge[:, 0] * n + ge[:, 1])
-    is_gamma = np.isin(bedges[:, 0] * n + bedges[:, 1], gamma_keys)
-    markers = np.where(is_gamma, EdgeMarker.GAMMA, EdgeMarker.OUTER).astype(np.uint8)
-    if int(is_gamma.sum()) != len(gamma_keys):
-        raise MeshFailureError("an inclusion boundary touches the outer boundary")
-    mesh = Mesh(nodes, tris, bedges, markers, h=h_cell)
+    mid = unit.nodes[faces].mean(axis=1)
+    across = (mid > 1 - _FACE_TOL).astype(np.int64) - (mid < _FACE_TOL)
+    key = cells @ np.array([1, 2 ** 32])  # one integer per lattice cell
+    outer = local[:, faces][~np.isin(key[:, None] + across @ [1, 2 ** 32], key)]
+    edges = np.sort(np.vstack([local[:, gamma].reshape(-1, 2), outer]), axis=1)
+    markers = np.full(len(edges), EdgeMarker.GAMMA, dtype=np.uint8)
+    markers[len(edges) - len(outer):] = EdgeMarker.OUTER
+    mesh = EpsilonMesh(shifted[first[order]],
+                       local[:, unit.triangles].reshape(-1, 3), edges,
+                       markers, h=h_cell, unit=unit, cell_nodes=local,
+                       epsilon=eps)
     validate_mesh(mesh)
     return mesh
 

@@ -10,7 +10,8 @@ factor and is never stiff). The implicit block is SPD for any dt, eps > 0 and
 nonnegative exchange rate; it is solved by CG preconditioned with the two
 field factors (a few iterations while the exchange is weak), and c3 by one
 triangular solve with its own factor, or with a field's when d3 equals d1
-or d2. The step itself is ``stepper.ExchangePairStepper``'s; this module
+or d2. The step itself is ``stepper.ExchangePairStepper``'s, whose mass and
+stiffness on the EpsilonMesh are its unit cell's, tiled; this module
 supplies the Gamma exchange matrix and the nodal reaction rates.
 """
 
@@ -53,9 +54,7 @@ class MicroSolver(ExchangePairStepper):
 
     def __init__(self, mesh, epsilon, config):
         self.epsilon = float(epsilon)
-        super().__init__(
-            mesh, config, (config.d1, config.d2, config.d3),
-            at_scale=lambda d: d.at_fine_scale(self.epsilon))
+        super().__init__(mesh, config, (config.d1, config.d2, config.d3))
         self.gamma_mass = fem.assemble_boundary_mass(mesh, EdgeMarker.GAMMA, 1.0)
         # the Gamma mass of h(c3) is replayed every step on its pattern
         self._gamma_edges = fem.marked_edges(mesh, EdgeMarker.GAMMA)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import fem
 from .errors import NonFiniteValueError, PositivityViolationError
-from .geometry import EdgeMarker
+from .geometry import EdgeMarker, EpsilonMesh
 from .trajectory import Trajectory, step_count
 
 # a field below -POS_TOL breaks positivity
@@ -144,9 +144,9 @@ class ImexStepper:
 class ExchangePairStepper(ImexStepper):
     """The (c1, c2) pair through the implicit exchange block, then c3.
 
-    ``coefficients`` are d1, d2, d3; ``at_scale`` maps one to the field
-    that is assembled (the identity by default). Their stiffness matrices
-    are assembled once, from one element geometry, and kept in ``K``, and
+    ``coefficients`` are d1, d2, d3. Their stiffness matrices are
+    assembled once, from one element geometry (an EpsilonMesh's unit
+    cell's, whose stiffness is tiled), and kept in ``K``, and
     a coefficient that is the same operator as an earlier one
     (``CoefficientField.same_operator``) shares its K, reduced operator and
     factor: for d2 the pair is equal and the block decouples, for d3 the c3
@@ -158,19 +158,15 @@ class ExchangePairStepper(ImexStepper):
     (f1, f2, load3): nodal pair rates and the assembled c3 load.
     """
 
-    def __init__(self, mesh, config, coefficients, at_scale=None):
+    def __init__(self, mesh, config, coefficients):
         super().__init__(mesh, config)
-        at_scale = at_scale or (lambda d: d)
         owner = [next(j for j in range(k + 1)
                       if coefficients[j].same_operator(coefficients[k]))
                  for k in range(3)]
-        geometry = fem.triangle_geometry(mesh)
-        K = {j: fem.assemble_stiffness(mesh, at_scale(coefficients[j]),
-                                       geometry)
+        geometry = fem.triangle_geometry(
+            mesh.unit if isinstance(mesh, EpsilonMesh) else mesh)
+        K = {j: fem.assemble_stiffness(mesh, coefficients[j], geometry)
              for j in dict.fromkeys(owner)}
-        # the basis gradients (11 MB at eps = 1/32) are not held through
-        # the factorizations below, where set-up memory peaks
-        del geometry
         self.K = [K[j] for j in owner]
         # each full M + dt K is freed once restricted, before any factoring
         A_r = {j: self.reducer.restrict(self.M + config.dt * K[j]) for j in K}

@@ -381,12 +381,12 @@ class TestAssemblyPattern:
         rng = np.random.default_rng(seed)
         mass = mesh.areas[:, None, None] * fem._MASS_LOCAL
         self.check(pattern, red, pattern.assemble(mass),
-                   fem.assemble_mass(mesh), same_csr)
+                   fem.scatter(mesh.triangles, mesh.n_nodes, mass), same_csr)
         mats = scale * rng.uniform(-1.0, 1.0, (len(mesh.triangles), 2, 2))
         mats = mats + np.swapaxes(mats, 1, 2)
         local = fem.stiffness_elements(*fem.triangle_geometry(mesh), mats)
         self.check(pattern, red, pattern.assemble(local),
-                   fem.assemble_stiffness_elementwise(mesh, mats), same_csr)
+                   fem.scatter(mesh.triangles, mesh.n_nodes, local), same_csr)
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1),
@@ -415,6 +415,70 @@ class TestAssemblyPattern:
         red = fem.ConstraintReducer(cell_ctx.periodic, cell_ctx.mean_weights)
         with pytest.raises(ValueError, match="Dirichlet"):
             fem.AssemblyPattern(mesh.triangles, mesh.n_nodes, red)
+
+
+class TestTiledAssembly:
+    """An EpsilonMesh's tiled operators and boundary against the whole-mesh
+    computation over every epsilon-triangle."""
+
+    OSC = fem.CoefficientField(
+        lambda pts: (1.5 + 0.5 * np.cos(2 * np.pi * pts[:, 0]))[
+            :, None, None] * np.eye(2),
+        alpha=1.0, beta=2.0)
+
+    @pytest.fixture(scope="class", params=[
+        ("square", 1 / 4), ("square", 1 / 8), ("L", 1 / 4), ("L", 1 / 8)],
+        ids=lambda p: f"{p[0]}-eps{round(1 / p[1])}")
+    def case(self, request, disc_spec):
+        shape, eps = request.param
+        domain = {"square": geo.RectUnion.unit_square(),
+                  "L": geo.RectUnion.of((0, 0, 1, 0.5),
+                                        (0, 0.5, 0.5, 1))}[shape]
+        return geo.build_epsilon_mesh(geo.EpsilonDomainSpec(
+            domain, eps, disc_spec), eps / 8), domain
+
+    @staticmethod
+    def assert_close(A, B):
+        assert np.array_equal(A.indptr, B.indptr)
+        assert np.array_equal(A.indices, B.indices)
+        assert np.abs(A.data - B.data).max() <= 1e-13 * np.abs(B.data).max()
+
+    def test_mass_and_stiffness_equal_the_whole_mesh_scatter(self, case):
+        mesh = case[0]
+        n, tris = mesh.n_nodes, mesh.triangles
+        self.assert_close(fem.assemble_mass(mesh), fem.scatter(
+            tris, n, mesh.areas[:, None, None] * fem._MASS_LOCAL))
+        geometry = fem.triangle_geometry(mesh)
+        for coeff in (fem.CoefficientField.constant(np.diag([2.0, 1.0])),
+                      self.OSC):
+            mats = np.asarray(coeff.matrix_at(
+                np.mod(mesh.centroids / mesh.epsilon, 1.0)))
+            self.assert_close(
+                fem.assemble_stiffness(mesh, coeff),
+                fem.scatter(tris, n, fem.stiffness_elements(*geometry, mats)))
+
+    def test_boundary_equals_the_edges_used_once(self, case):
+        # every edge used by one triangle is OUTER where a point just beside
+        # its midpoint leaves the domain, and GAMMA otherwise
+        mesh, domain = case
+        n = mesh.n_nodes
+        edges = geo._boundary_edges(mesh.triangles)
+        mid = mesh.nodes[edges].mean(axis=1)
+        outer = np.zeros(len(edges), dtype=bool)
+        for step in ((1e-6, 0), (-1e-6, 0), (0, 1e-6), (0, -1e-6)):
+            outer |= ~domain.contains(mid + step)
+        for marker, want in ((geo.EdgeMarker.OUTER, edges[outer]),
+                             (geo.EdgeMarker.GAMMA, edges[~outer])):
+            got = mesh.edges_with(marker)
+            assert len(got) == len(want)
+            assert set((got[:, 0] * n + got[:, 1]).tolist()) == set(
+                (want[:, 0] * n + want[:, 1]).tolist())
+        gamma = edges[~outer]
+        self.assert_close(
+            fem.assemble_boundary_mass(mesh, geo.EdgeMarker.GAMMA),
+            fem.scatter(gamma, n, fem.boundary_mass_elements(
+                mesh, gamma, np.hypot(*(mesh.nodes[gamma[:, 1]]
+                                       - mesh.nodes[gamma[:, 0]]).T), 1.0)))
 
 
 class TestExchangeBlock:
@@ -565,16 +629,6 @@ class TestCoefficientField:
             alpha=1.0, beta=2.0)
         with pytest.raises(ValueError):
             bad.validate()
-
-    def test_fine_scale_wraps_periodically(self):
-        base = fem.CoefficientField(
-            lambda pts: (1.0 + 0.5 * np.cos(2 * np.pi * pts[:, 0]))[:, None, None]
-            * np.eye(2),
-            alpha=0.5, beta=1.5)
-        fine = base.at_fine_scale(0.25)
-        v1 = fine.matrix_at(np.array([[0.1, 0.0]]))[0, 0, 0]
-        v2 = fine.matrix_at(np.array([[0.35, 0.0]]))[0, 0, 0]
-        assert abs(v1 - v2) < 1e-12
 
 
 

@@ -512,3 +512,27 @@ def test_pair_tends_to_the_two_scale_limit(disc_spec):
     assert np.all(l2c >= 3.4)
     assert np.all(h1 <= 1.1)
     assert np.all(h1c >= 1.7)
+
+
+@pytest.mark.parametrize("scaling", list(micro.Scaling))
+def test_finals_converge_under_cell_refinement(disc_spec, scaling):
+    # The acceptance data at eps = 1/4, dt = 1e-3, 20 steps, cell h 1/8,
+    # 1/16, 1/32 (2,033, 7,345 and 27,569 nodes). Successive differences of
+    # the final ||c1||, Gamma gap and c2 mass shrank by 3.15, 3.11, 2.30
+    # under fast_exchange and 3.21, 2.64, 2.29 under all_eps; an earlier
+    # measurement gave 2.3-3.2 on to h = 1/64.
+    eps = 1 / 4
+    finals = []
+    for cell_h in (1 / 8, 1 / 16, 1 / 32):
+        mesh = geo.build_epsilon_mesh(geo.EpsilonDomainSpec(
+            geo.RectUnion.unit_square(), eps, disc_spec), eps * cell_h)
+        solver = micro.MicroSolver(mesh, eps, heat_cfg(
+            t_end=0.02, scaling=scaling, snapshot_every=20,
+            d2=fem.CoefficientField.constant(np.diag([2.0, 1.0])),
+            kinetics=kin.parse_kinetics("mm_triple+langmuir:a=1,b=1")))
+        series = solver.run(micro.initial_state(mesh, bump, bump,
+                                                bump)).series
+        finals.append([series[name][-1]
+                       for name in ("norm_c1", "gamma_gap", "mass_c2")])
+    steps = np.abs(np.diff(finals, axis=0))
+    assert np.all(steps[0] >= 1.7 * steps[1]), steps[0] / steps[1]

@@ -72,8 +72,8 @@ def test_set_up_computes_the_element_geometry_once(kind, eps_mesh,
                                                    macro_mesh_16, monkeypatch,
                                                    same_csr):
     # distinct d1, d2, d3 give three stiffness matrices (the macro solver
-    # one, for d0); all come from one element geometry and are bitwise
-    # those of a separate assembly
+    # one, for d0); all come from one element geometry (the micro solver's
+    # is its unit cell's) and are bitwise those of a separate assembly
     mats = [k * np.eye(2) for k in (1.0, 2.0, 3.0)]
     fields = [fem.CoefficientField.constant(m) for m in mats]
     coefficients = {"micro": dict(zip(("d1", "d2", "d3"), fields)),
@@ -90,13 +90,12 @@ def test_set_up_computes_the_element_geometry_once(kind, eps_mesh,
     solver, _ = solver_and_state(kind, eps_mesh, macro_mesh_16,
                                  **coefficients)
     monkeypatch.undo()
-    assert len(calls) == 1 and calls[0] is solver.mesh
+    assert len(calls) == 1
+    assert calls[0] is (solver.mesh.unit if kind == "micro" else solver.mesh)
     if kind == "macro":
         built, fields = [solver.K3], fields[2:]
     else:
         built = solver.K
-    if kind == "micro":
-        fields = [f.at_fine_scale(0.25) for f in fields]
     assert len(built) == len(fields)
     for K, field in zip(built, fields):
         assert same_csr(K, fem.assemble_stiffness(solver.mesh, field))
