@@ -7,6 +7,11 @@ resolved by snapping near-boundary grid nodes onto the interface and cutting
 crossed elements exactly along it, so every boundary vertex lies on the
 interface and no element can invert. Meshes are immutable after construction
 and safe to share across threads.
+
+The unit cell's face nodes lie exactly on 0 and 1: its grid puts the far
+faces at g * n with g = 1/n, which rounds below 1 for some n (49 is the
+first), so they are set to 1. Every face test, the tiling's merge and the
+periodic pairing included, is then an exact comparison.
 """
 
 from __future__ import annotations
@@ -32,7 +37,6 @@ from .errors import (
 # and large enough that no grid edge crosses the interface with both
 # endpoints unsnapped (guaranteed for resolved inclusions).
 _SNAP_FRAC = 0.2
-_FACE_TOL = 1e-12
 _DISC_MARGIN = 0.05
 _POLY_MARGIN = 0.02
 # the config keys of each inclusion shape besides "shape", in the order of
@@ -383,16 +387,10 @@ def _bisect_interface(incl, p_pos, p_neg):
     return incl.project(p_pos + (0.5 * (ta + tb))[:, None] * seg)
 
 
-def _cut_out_inclusion(nodes, tris, incl, g, bounds):
-    """Remove the inclusion from a crossed grid, cutting exactly along it."""
-    x0, y0, x1, y1 = bounds
+def _cut_out_inclusion(nodes, tris, incl, g):
+    """Remove the inclusion from a unit-cell grid, cutting exactly along it."""
     nodes = nodes.copy()
-    on_face = (
-        (np.abs(nodes[:, 0] - x0) <= _FACE_TOL)
-        | (np.abs(nodes[:, 0] - x1) <= _FACE_TOL)
-        | (np.abs(nodes[:, 1] - y0) <= _FACE_TOL)
-        | (np.abs(nodes[:, 1] - y1) <= _FACE_TOL)
-    )
+    on_face = np.isin(nodes, (0.0, 1.0)).any(axis=1)
 
     for anchor in incl.anchors():
         d2 = np.einsum("nd,nd->n", nodes - anchor, nodes - anchor)
@@ -498,19 +496,6 @@ def _boundary_edges(tris):
     return np.column_stack([keys // n, keys % n])
 
 
-def _classify_cell_boundary(nodes, bedges, bounds):
-    x0, y0, x1, y1 = bounds
-    p = nodes[bedges]
-    on_x = (np.all(np.abs(p[:, :, 0] - x0) <= _FACE_TOL, axis=1)
-            | np.all(np.abs(p[:, :, 0] - x1) <= _FACE_TOL, axis=1))
-    on_y = (np.all(np.abs(p[:, :, 1] - y0) <= _FACE_TOL, axis=1)
-            | np.all(np.abs(p[:, :, 1] - y1) <= _FACE_TOL, axis=1))
-    markers = np.full(len(bedges), EdgeMarker.GAMMA, dtype=np.uint8)
-    markers[on_x] = EdgeMarker.PERIODIC_X
-    markers[on_y] = EdgeMarker.PERIODIC_Y
-    return markers
-
-
 def check_cell_h(h):
     """ValueError unless the unit-cell edge length satisfies 0 < h <= 1/4."""
     if not 0.0 < h <= 0.25:
@@ -524,10 +509,14 @@ def build_unit_cell_mesh(spec, h):
     n = max(4, math.ceil(1.0 / h - 1e-9))
     g = 1.0 / n
     nodes, tris = _crossed_grid(n, n, g)
+    nodes[nodes == g * n] = 1.0  # the far faces, where g * n rounds below 1
     if not spec.is_empty:
-        nodes, tris = _cut_out_inclusion(nodes, tris, spec, g, (0, 0, 1, 1))
+        nodes, tris = _cut_out_inclusion(nodes, tris, spec, g)
     bedges = _boundary_edges(tris)
-    markers = _classify_cell_boundary(nodes, bedges, (0, 0, 1, 1))
+    on_x, on_y = np.isin(nodes[bedges], (0.0, 1.0)).all(axis=1).T
+    markers = np.full(len(bedges), EdgeMarker.GAMMA, dtype=np.uint8)
+    markers[on_x] = EdgeMarker.PERIODIC_X
+    markers[on_y] = EdgeMarker.PERIODIC_Y
     if spec.is_empty and np.any(markers == EdgeMarker.GAMMA):
         raise MeshFailureError("unexpected interior boundary on full cell")
     mesh = Mesh(nodes, tris, bedges, markers, h=h)
@@ -570,8 +559,8 @@ class RectUnion:
         pts = np.atleast_2d(pts)
         inside = np.zeros(len(pts), dtype=bool)
         for x0, y0, x1, y1 in self.rects:
-            inside |= ((pts[:, 0] >= x0 - _FACE_TOL) & (pts[:, 0] <= x1 + _FACE_TOL)
-                       & (pts[:, 1] >= y0 - _FACE_TOL) & (pts[:, 1] <= y1 + _FACE_TOL))
+            inside |= ((pts[:, 0] >= x0) & (pts[:, 0] <= x1)
+                       & (pts[:, 1] >= y0) & (pts[:, 1] <= y1))
         return inside
 
 
@@ -671,7 +660,8 @@ def check_epsilon_h(eps, h_cell):
 def build_epsilon_mesh(spec, h_cell, node_cap=DEFAULT_NODE_CAP):
     """Mesh the perforated epsilon-domain by tiling a unit-cell mesh.
 
-    Nodes of neighbouring cells with exactly equal coordinates are merged;
+    Nodes of neighbouring cells at exactly equal coordinates are merged, so
+    every shared face joins (the unit cell's faces lie exactly on 0 and 1);
     merged nodes are numbered in order of first appearance, cell by cell.
     The mesh keeps its tiling; its GAMMA edges are the cells', its OUTER
     edges the cells' face edges with no lattice cell across them.
@@ -693,7 +683,7 @@ def build_epsilon_mesh(spec, h_cell, node_cap=DEFAULT_NODE_CAP):
     order = np.argsort(first)
     local = np.argsort(order)[inverse].reshape(len(cells), unit.n_nodes)
     mid = unit.nodes[faces].mean(axis=1)
-    across = (mid > 1 - _FACE_TOL).astype(np.int64) - (mid < _FACE_TOL)
+    across = (mid == 1).astype(np.int64) - (mid == 0)
     key = cells @ np.array([1, 2 ** 32])  # one integer per lattice cell
     outer = local[:, faces][~np.isin(key[:, None] + across @ [1, 2 ** 32], key)]
     edges = np.sort(np.vstack([local[:, gamma].reshape(-1, 2), outer]), axis=1)
@@ -731,27 +721,12 @@ class PeriodicMap:
         return out
 
 
-def _match_face(nodes, lo_ids, hi_ids, axis, snap_tol):
-    other = 1 - axis
-    lo = lo_ids[np.lexsort((nodes[lo_ids, axis], nodes[lo_ids, other]))]
-    hi = hi_ids[np.lexsort((nodes[hi_ids, axis], nodes[hi_ids, other]))]
-    if len(lo) != len(hi):
-        extra = hi if len(hi) > len(lo) else lo
-        raise UnmatchedNodeError(nodes[extra[-1]])
-    gap = np.abs(nodes[lo, other] - nodes[hi, other])
-    if len(gap) and gap.max() > snap_tol:
-        bad = int(np.argmax(gap))
-        raise UnmatchedNodeError(nodes[hi[bad]])
-    return list(zip(lo.tolist(), hi.tolist()))
-
-
 def pair_periodic_nodes(mesh):
     """Pair opposite periodic faces into a bijection; corners become one class.
 
-    Nodes pair when they lie within 1e-9 of the mesh diameter.
+    Face nodes lie exactly on 0 or 1 on their axis and pair at exactly equal
+    other coordinates; UnmatchedNodeError on a node without such a partner.
     """
-    span = mesh.nodes.max(axis=0) - mesh.nodes.min(axis=0)
-    snap_tol = 1e-9 * float(np.hypot(*span))
     raw_pairs = []
     for axis, marker in ((0, EdgeMarker.PERIODIC_X), (1, EdgeMarker.PERIODIC_Y)):
         ids = mesh.nodes_with(marker)
@@ -761,15 +736,19 @@ def pair_periodic_nodes(mesh):
                 "mesh has no periodic face markers on axis "
                 f"{'xy'[axis]}",
             )
-        coord = mesh.nodes[ids, axis]
-        lo_val, hi_val = coord.min(), coord.max()
-        lo_ids = ids[np.abs(coord - lo_val) <= snap_tol]
-        hi_ids = ids[np.abs(coord - hi_val) <= snap_tol]
-        if len(lo_ids) + len(hi_ids) != len(ids):
-            stray = ids[(np.abs(coord - lo_val) > snap_tol)
-                        & (np.abs(coord - hi_val) > snap_tol)][0]
-            raise UnmatchedNodeError(mesh.nodes[stray])
-        raw_pairs.extend(_match_face(mesh.nodes, lo_ids, hi_ids, axis, snap_tol))
+        # sorted along the face, then across it, each node on 0 comes just
+        # before its partner on 1; an odd node out is paired with itself
+        ids = ids[np.lexsort((mesh.nodes[ids, axis], mesh.nodes[ids, 1 - axis]))]
+        if len(ids) % 2:
+            ids = np.append(ids, ids[-1])
+        pairs = ids.reshape(-1, 2)
+        lo, hi = mesh.nodes[pairs].transpose(1, 0, 2)
+        bad = (lo[:, axis] != 0.0) | (hi - lo != np.eye(2)[axis]).any(axis=1)
+        if bad.any():
+            k = np.argmax(bad)  # report the node of the pair that is astray
+            raise UnmatchedNodeError(
+                hi[k] if lo[k, axis] == 0.0 and hi[k, axis] != 1.0 else lo[k])
+        raw_pairs.extend(pairs.tolist())
 
     # a node's master is the least node of its class (corners join four)
     master = _least_joined(mesh.n_nodes, raw_pairs)

@@ -426,16 +426,20 @@ class TestTiledAssembly:
             :, None, None] * np.eye(2),
         alpha=1.0, beta=2.0)
 
+    # (domain, epsilon, unit-cell grid count n, so h_cell = epsilon / n);
+    # at n = 49 the cell's grid puts its far faces at (1/49) * 49 < 1
     @pytest.fixture(scope="class", params=[
-        ("square", 1 / 4), ("square", 1 / 8), ("L", 1 / 4), ("L", 1 / 8)],
-        ids=lambda p: f"{p[0]}-eps{round(1 / p[1])}")
+        ("square", 1 / 4, 8), ("square", 1 / 8, 8), ("L", 1 / 4, 8),
+        ("L", 1 / 8, 8), ("square", 1 / 4, 49), ("L", 1 / 4, 49)],
+        ids=lambda p: f"{p[0]}-eps{round(1 / p[1])}"
+                      + (f"-n{p[2]}" if p[2] != 8 else ""))
     def case(self, request, disc_spec):
-        shape, eps = request.param
+        shape, eps, n = request.param
         domain = {"square": geo.RectUnion.unit_square(),
                   "L": geo.RectUnion.of((0, 0, 1, 0.5),
                                         (0, 0.5, 0.5, 1))}[shape]
         return geo.build_epsilon_mesh(geo.EpsilonDomainSpec(
-            domain, eps, disc_spec), eps / 8), domain
+            domain, eps, disc_spec), eps / n), domain
 
     @staticmethod
     def assert_close(A, B):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.spatial import cKDTree
 
 from porodiff import fem, geometry as geo
 from porodiff.errors import (InvalidGeometryError, MeshFailureError,
@@ -160,6 +161,15 @@ class TestEpsilonMesh:
         with pytest.raises(ResourceLimitError):
             geo.build_epsilon_mesh(spec, (1 / 8) / 8, node_cap=50)
 
+    # at n = 49 the unit cell's grid puts its far faces at (1/49) * 49 < 1
+    @pytest.mark.parametrize("n,n_nodes", [(48, 61_233), (49, 64_153)])
+    def test_cell_faces_merge_at_every_pitch(self, disc_spec, n, n_nodes):
+        spec = geo.EpsilonDomainSpec(geo.RectUnion.unit_square(), 0.25, disc_spec)
+        mesh = geo.build_epsilon_mesh(spec, 0.25 / n)
+        assert mesh.n_nodes == n_nodes
+        assert not cKDTree(mesh.nodes).query_pairs(1e-12)
+        assert abs(mesh.marked_length(OUTER) - 4.0) < 1e-12
+
     def test_gamma_never_on_outer(self, disc_spec):
         spec = geo.EpsilonDomainSpec(geo.RectUnion.unit_square(), 0.25, disc_spec)
         mesh = geo.build_epsilon_mesh(spec, 0.25 / 8)
@@ -191,17 +201,41 @@ class TestPeriodicPairing:
         ]
         assert len({int(master[i]) for i in corner_ids}) == 1
 
-    def test_unmatched_node(self):
+    @pytest.mark.parametrize("n", [49, 98, 103])
+    def test_faces_exact_at_every_pitch(self, n):
+        mesh = geo.build_unit_cell_mesh(geo.InclusionSpec.none(), 1 / n)
+        face = []
+        for axis, marker in ((0, geo.EdgeMarker.PERIODIC_X),
+                             (1, geo.EdgeMarker.PERIODIC_Y)):
+            ids = mesh.nodes_with(marker)
+            assert np.isin(mesh.nodes[ids, axis], (0.0, 1.0)).all()
+            face.extend(ids.tolist())
+        pm = geo.pair_periodic_nodes(mesh)
+        assert len(set(face)) == 4 * n
+        assert set(pm.pairs.ravel().tolist()) == set(face)
+
+    # a face node moved along the face, by 0.03 or by one ulp, or a face
+    # with one node fewer than the opposite one
+    @pytest.mark.parametrize("broken", ["shift", "one-ulp", "missing-node"])
+    def test_unmatched_node(self, broken):
         mesh = geo.build_unit_cell_mesh(geo.InclusionSpec.none(), 0.25)
         nodes = mesh.nodes.copy()
-        nodes.setflags(write=True)
-        face = np.where(np.abs(nodes[:, 0] - 1.0) < 1e-12)[0]
+        edges, markers = mesh.edges, mesh.edge_markers
+        face = np.flatnonzero(nodes[:, 0] == 1.0)
         inner = [i for i in face if 0 < nodes[i, 1] < 1]
-        nodes[inner[0], 1] += 0.03
-        broken = geo.Mesh(nodes, mesh.triangles, mesh.edges,
-                          mesh.edge_markers, h=mesh.h)
+        if broken == "shift":
+            nodes[inner[0], 1] += 0.03
+        elif broken == "one-ulp":
+            nodes[inner[0], 1] = np.nextafter(nodes[inner[0], 1], 2.0)
+        else:
+            # the x = 1 face loses its top corner: drop its PERIODIC_X edge
+            top = np.flatnonzero(nodes[:, 0] + nodes[:, 1] == 2.0)
+            keep = ~((markers == geo.EdgeMarker.PERIODIC_X)
+                     & np.isin(edges, top).any(axis=1))
+            edges, markers = edges[keep], markers[keep]
+        broken_mesh = geo.Mesh(nodes, mesh.triangles, edges, markers, h=mesh.h)
         with pytest.raises(UnmatchedNodeError) as err:
-            geo.pair_periodic_nodes(broken)
+            geo.pair_periodic_nodes(broken_mesh)
         assert len(err.value.coordinate) == 2
 
     def test_pairing_never_touches_gamma(self, cell_mesh):
