@@ -12,6 +12,10 @@ duplicates by sorted index, so assembled matrices are bit-reproducible and
 independent of any caller-side parallelism. An EpsilonMesh's mass and
 stiffness tile its unit cell's (``tile``), and an operator re-assembled
 every step replays its scatter from an AssemblyPattern.
+
+Operators on an EpsilonMesh are factored on its lattice (LatticePlan), with
+one dense elimination per class of identical super-cells; every other
+factor is SuperLU's (``factorize``).
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import NoConvergenceError, NoMarkedBoundaryError, SingularSystemError
 from .geometry import EdgeMarker, EpsilonMesh
@@ -588,11 +593,287 @@ class _BlockDiagonal:
                                self.factors[1].solve(r[n:])])
 
 
+# ---------------------------------------------------------------------------
+# the lattice solver of an EpsilonMesh's field operators
+# ---------------------------------------------------------------------------
+
+# A region of the unit cell's interior with more nodes than this is split
+# in two by a separator; the rest is eliminated as one dense block. The
+# acceptance cell (h = 1/8) has 108 interior nodes, one block.
+CELL_BLOCK_NODES = 128
+
+
+def _bisect(start, size):
+    """One range of cells, or its two halves, the first the smaller."""
+    if size == 1:
+        return ((start, 1),)
+    return (start, size // 2), (start + size // 2, size - size // 2)
+
+
+class _Members:
+    """The members of one class (super-cells, or one region of every cell),
+    which share one dense elimination: the layout of their slots and, per
+    member (row), the mesh nodes of the slots they eliminate (GX) and keep
+    (GB).
+
+    ``kids`` are (class, the slots here of its kept slots); ``unit`` are the
+    unit-cell nodes of the slots of a class inside one cell, whose matrix
+    starts from the cell matrix (without the entries among its kept slots,
+    which an ancestor adds, unless ``whole``).
+    """
+
+    def __init__(self, kids, X, B, G, unit=None, whole=True):
+        self.kids, self.n_slots = kids, G.shape[1]
+        self.X, self.B = X, B
+        self.GX = np.ascontiguousarray(G[:, X])
+        self.GB = np.ascontiguousarray(G[:, B])
+        # the members' kept nodes, each once, and where each slot adds
+        self.nodes_B, self.add_B = np.unique(self.GB, return_inverse=True)
+        self.add_B = self.add_B.ravel()
+        self.unit, self.whole = unit, whole
+
+
+def _cell_fronts(unit, faces):
+    """Nested dissection of the unit cell's interior nodes.
+
+    Returns fronts (eliminated, kept, children) in unit-cell node ids,
+    children before parents; the last eliminates its nodes onto ``faces``.
+    A region above CELL_BLOCK_NODES nodes is halved by rank along its longer
+    axis, and its separator is the upper half's nodes next to the lower.
+    """
+    adjacency = scatter(unit.triangles, unit.n_nodes,
+                        np.ones((unit.n_triangles, 3, 3)))
+    fronts = []
+
+    def dissect(region):
+        parts = []
+        separator = region
+        if len(region) > CELL_BLOCK_NODES:
+            pts = unit.nodes[region]
+            axis = np.argmax(np.ptp(pts, axis=0))
+            rank = np.lexsort((region, pts[:, axis])).argsort()
+            low = rank < len(region) // 2
+            cut = ~low & np.isin(region, adjacency[region[low]].indices)
+            separator = region[cut]
+            parts = [region[low], region[~low & ~cut]]
+        kids = [dissect(p) for p in parts if len(p)]
+        inside = np.concatenate([separator] + [fronts[k][3] for k in kids])
+        kept = np.setdiff1d(adjacency[inside].indices, inside)
+        fronts.append([separator, kept, kids, inside])
+        return len(fronts) - 1
+
+    interior = np.setdiff1d(np.arange(unit.n_nodes), faces)
+    dissect(interior)
+    fronts[-1][1] = faces
+    return [f[:3] for f in fronts]
+
+
+def _lattice_tree(cells):
+    """The bisection of the bounding rectangle of the lattice ``cells``.
+
+    Returns the grid of cell indices over the rectangle (-1 where there is
+    no cell) and the super-cells (x0, y0, w, h, children, level) holding a
+    cell, children before parents; the last is the whole rectangle.
+    """
+    corner = cells.min(axis=0)
+    width, height = cells.max(axis=0) - corner + 1
+    grid = np.full((height, width), -1, dtype=np.int64)
+    x, y = (cells - corner).T
+    grid[y, x] = np.arange(len(cells))
+    tree = []
+
+    def build(x0, w, y0, h):
+        if not (grid[y0:y0 + h, x0:x0 + w] >= 0).any():
+            return None
+        kids = [] if w == h == 1 else [
+            k for ys in _bisect(y0, h) for xs in _bisect(x0, w)
+            if (k := build(*xs, *ys)) is not None]
+        tree.append((x0, y0, w, h, kids,
+                     1 + max(tree[k][5] for k in kids) if kids else 0))
+        return len(tree) - 1
+
+    build(0, width, 0, height)
+    return grid, tree
+
+
+class LatticePlan:
+    """Nested dissection of an EpsilonMesh along its cell faces.
+
+    Level 0 eliminates each cell's interior nodes onto its face nodes (a
+    large cell's interior by its own nested dissection). The bounding
+    rectangle of the lattice's cells is bisected on each axis, with uneven
+    halves for an odd count, down to single cells; each later level merges
+    what the 2 x 2 (or 2 x 1) children of a super-cell kept and eliminates
+    the cross of nodes they share. The nodes that ``reducer`` drops (OUTER)
+    are never eliminated: on a super-cell's boundary they are carried,
+    inside it they are dropped, which is the Dirichlet reduction. The top
+    super-cell's boundary is all OUTER, so it keeps nothing.
+
+    A slot of a super-cell is a (cell, unit-cell node); it lies on the
+    super-cell's boundary when its unit coordinate is exactly 0 or 1 on a
+    face of the super-cell, so cell identity is exact. The class of a
+    super-cell is its size, its cell mask, which of its inner nodes are
+    OUTER, and its children's classes: every super-cell of a class has the
+    same dense Schur complement, so ``factorize`` eliminates each class once
+    and a solve treats all members of a class with one gather, two GEMMs and
+    one scatter-add. Factors of every operator on the mesh share the plan.
+    """
+
+    def __init__(self, mesh, reducer):
+        self.kept = reducer.kept
+        unit = mesh.unit.nodes
+        faces = np.flatnonzero(np.isin(unit, (0.0, 1.0)).any(axis=1))
+        self.classes = []
+        fronts = _cell_fronts(mesh.unit, faces)
+        for X, B, kids in fronts[:-1]:
+            slots = np.concatenate([X, B])
+            self.classes.append(_Members(
+                self._kid_slots(kids, fronts, slots), np.arange(len(X)),
+                len(X) + np.arange(len(B)), mesh.cell_nodes[:, slots],
+                unit=slots, whole=False))
+        cell_slots = np.concatenate(fronts[-1][:2])
+        cell_kids = self._kid_slots(fronts[-1][2], fronts, cell_slots)
+        grid, tree = _lattice_tree(mesh.cells)
+        root = len(tree) - 1
+        member = {}  # super-cell -> (class, row among its members)
+        provenance = {}  # class -> (dx, dy, unit node) of each kept slot
+        for level in range(tree[root][5] + 1):
+            shapes = {}
+            for k, (x0, y0, w, h, kids, at) in enumerate(tree):
+                if at == level:
+                    key = (w, h, (grid[y0:y0 + h, x0:x0 + w] >= 0).tobytes(),
+                           tuple(member[c][0] for c in kids))
+                    shapes.setdefault(key, []).append(k)
+            for (w, h, _, kid_classes), ks in shapes.items():
+                first = tree[ks[0]]
+                kids, unit_slots = cell_kids, cell_slots
+                if not kid_classes:
+                    x0, y0 = np.array([tree[k][:2] for k in ks]).T
+                    G = mesh.cell_nodes[grid[y0, x0]][:, cell_slots]
+                    prov = np.column_stack([np.zeros((len(cell_slots), 2),
+                                                     dtype=np.int64),
+                                            cell_slots])
+                else:
+                    parts, provs = [], []
+                    for j, c in enumerate(kid_classes):
+                        kid = tree[first[4][j]]
+                        parts.append(self.classes[c].GB[
+                            [member[tree[k][4][j]][1] for k in ks]])
+                        provs.append(provenance[c] + [kid[0] - first[0],
+                                                      kid[1] - first[1], 0])
+                    G, prov = np.hstack(parts), np.vstack(provs)
+                    # a node that children share is one slot, numbered at
+                    # its first appearance
+                    _, seen, inverse = np.unique(G[0], return_index=True,
+                                                 return_inverse=True)
+                    order = np.argsort(seen)
+                    slot = np.argsort(order)[inverse]
+                    G, prov = G[:, seen[order]], prov[seen[order]]
+                    ends = np.cumsum([len(p) for p in provs])
+                    kids = list(zip(kid_classes, np.split(slot, ends[:-1])))
+                    unit_slots = None
+                u = unit[prov[:, 2]]
+                edge = ((prov[:, 0] == 0) & (u[:, 0] == 0.0)
+                        | (prov[:, 0] == w - 1) & (u[:, 0] == 1.0)
+                        | (prov[:, 1] == 0) & (u[:, 1] == 0.0)
+                        | (prov[:, 1] == h - 1) & (u[:, 1] == 1.0))
+                inner = np.flatnonzero(~edge)
+                B = (np.flatnonzero(edge) if ks[0] != root
+                     else np.zeros(0, dtype=np.int64))
+                masks, which = np.unique(self.kept[G[:, inner]], axis=0,
+                                         return_inverse=True)
+                for m, mask in enumerate(masks):
+                    rows = np.flatnonzero(which.ravel() == m)
+                    for r, i in enumerate(rows):
+                        member[ks[i]] = (len(self.classes), r)
+                    provenance[len(self.classes)] = prov[B]
+                    self.classes.append(_Members(kids, inner[mask], B,
+                                                 G[rows], unit=unit_slots))
+
+    @staticmethod
+    def _kid_slots(kids, fronts, slots):
+        where = np.full(slots.max() + 1, -1, dtype=np.int64)
+        where[slots] = np.arange(len(slots))
+        return [(k, where[fronts[k][1]]) for k in kids]
+
+    def factorize(self, A_cell):
+        """The LatticeFactor of the tiled operator whose unit-cell matrix is
+        ``A_cell``, on the dofs that the plan's reducer keeps."""
+        cell = A_cell.toarray()
+        schur, blocks = [], []
+        for cls in self.classes:
+            if cls.unit is None:
+                merged = np.zeros((cls.n_slots, cls.n_slots))
+            else:
+                merged = cell[np.ix_(cls.unit, cls.unit)]
+                if not cls.whole:
+                    merged[np.ix_(cls.B, cls.B)] = 0.0
+            for c, slots in cls.kids:
+                merged[np.ix_(slots, slots)] += schur[c]
+            block, S = _eliminate(merged, cls.X, cls.B)
+            blocks.append(block)
+            schur.append(S)
+        return LatticeFactor(self, blocks)
+
+
+def _eliminate(A, X, B):
+    """Eliminate the slots X of the dense SPD matrix A onto the slots B.
+
+    Returns [A_XX^-1, A_XX^-1 A_XB] (|X|, |X| + |B|) and the Schur
+    complement A_BB - A_BX A_XX^-1 A_XB. SingularSystemError if A_XX is not
+    positive definite.
+    """
+    inverse, info = lapack.dpotrf(A[np.ix_(X, X)], lower=True)
+    if info == 0 and len(X):  # LAPACK rejects an empty inverse
+        inverse, info = lapack.dpotri(inverse, lower=True)
+    if info != 0:
+        raise SingularSystemError(
+            f"a lattice block is not positive definite (info {info})")
+    inverse = np.tril(inverse) + np.tril(inverse, -1).T
+    A_XB = A[np.ix_(X, B)]
+    F = inverse @ A_XB
+    return np.hstack([inverse, F]), A[np.ix_(B, B)] - A_XB.T @ F
+
+
+class LatticeFactor:
+    """The factor of a tiled field operator on its LatticePlan: one block
+    [A_XX^-1, A_XX^-1 A_XB] per class of super-cells.
+
+    ``solve(b)`` solves the reduced system. Forward, children before
+    parents, each class takes y = A_XX^-1 b_X and subtracts A_BX y from b_B;
+    backward, parents before children, x_X = y - A_XX^-1 A_XB x_B.
+    """
+
+    __slots__ = ("plan", "blocks", "__weakref__")
+
+    def __init__(self, plan, blocks):
+        self.plan = plan
+        self.blocks = blocks
+
+    def solve(self, b):
+        kept = self.plan.kept
+        v = np.zeros(len(kept))
+        v[kept] = b
+        steps = list(zip(self.plan.classes, self.blocks))
+        ys = []
+        for cls, block in steps:
+            out = v[cls.GX] @ block
+            ys.append(out[:, :len(cls.X)])
+            v[cls.nodes_B] -= np.bincount(cls.add_B,
+                                          out[:, len(cls.X):].ravel(),
+                                          minlength=len(cls.nodes_B))
+        v[~kept] = 0.0
+        for (cls, block), y in zip(steps[::-1], ys[::-1]):
+            v[cls.GX] = y - v[cls.GB] @ block[:, len(cls.X):].T
+        return v[kept]
+
+
 class ExchangeBlock:
     """The constant part of the exchange block [[A1+C, -C], [-C, A2+C]].
 
     Built once per stepper from the reduced A1r and A2r alone, which it
-    holds with their ``factors`` (one shared factor for an equal pair).
+    holds with their ``factors``, handles with a ``solve`` (one shared
+    factor for an equal pair).
     ``held`` is the CG preconditioner, a HeldFactor of the block itself at
     a held exchange matrix C_ref. C_ref starts at zero, where the block is
     diag(A1r, A2r) and the preconditioner is one solve with each field's
@@ -601,20 +882,19 @@ class ExchangeBlock:
     matrix and the whole 2N block is factored; that factor is about twice
     the size of a field factor and is held beside the field factors.
 
-    ``reducer`` is the single-field DirichletReducer of A1r and A2r. With
-    ``equal=True`` (A1 and A2 are the same operator, A1r is A2r) the block
-    decouples exactly into sum and difference fields, and ``held`` is a
-    factor of A + 2 C_ref for the difference field.
+    ``reducer`` is the single-field DirichletReducer of A1r and A2r. When
+    A1 and A2 are the same operator (A1r is A2r) the block decouples
+    exactly into sum and difference fields, and ``held`` is a factor of
+    A + 2 C_ref for the difference field.
     """
 
-    def __init__(self, A1r, A2r, reducer, equal=False):
+    def __init__(self, A1r, A2r, reducer, factors):
         self.reducer = reducer
-        self.equal = bool(equal)
+        self.equal = A1r is A2r
         self.A1r, self.A2r = A1r, A2r
-        first = factorize(self.A1r)
-        self.factors = (first, first if self.equal else factorize(self.A2r))
+        self.factors = tuple(factors)
         self.held = HeldFactor(
-            first if self.equal
+            self.factors[0] if self.equal
             else _BlockDiagonal(self.factors, self.A1r.shape[0]))
 
 

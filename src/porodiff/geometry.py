@@ -288,9 +288,12 @@ class Mesh:
 @dataclass(kw_only=True)
 class EpsilonMesh(Mesh):
     """A Mesh tiling the unit-cell mesh ``unit`` (unit coordinates) over the
-    epsilon-lattice: node i of lattice cell c is node ``cell_nodes[c, i]``."""
+    epsilon-lattice: lattice cell c has the integer index ``cells[c]`` (K,2)
+    and occupies epsilon * (cells[c] + unit cell); its node i is node
+    ``cell_nodes[c, i]``."""
 
     unit: Mesh
+    cells: np.ndarray
     cell_nodes: np.ndarray
     epsilon: float
 
@@ -691,8 +694,8 @@ def build_epsilon_mesh(spec, h_cell, node_cap=DEFAULT_NODE_CAP):
     markers[len(edges) - len(outer):] = EdgeMarker.OUTER
     mesh = EpsilonMesh(shifted[first[order]],
                        local[:, unit.triangles].reshape(-1, 3), edges,
-                       markers, h=h_cell, unit=unit, cell_nodes=local,
-                       epsilon=eps)
+                       markers, h=h_cell, unit=unit, cells=cells,
+                       cell_nodes=local, epsilon=eps)
     validate_mesh(mesh)
     return mesh
 

@@ -9,10 +9,12 @@ surface reaction of the third species is explicit (it carries an epsilon
 factor and is never stiff). The implicit block is SPD for any dt, eps > 0 and
 nonnegative exchange rate; it is solved by CG preconditioned with the two
 field factors (a few iterations while the exchange is weak), and c3 by one
-triangular solve with its own factor, or with a field's when d3 equals d1
-or d2. The step itself is ``stepper.ExchangePairStepper``'s, whose mass and
-stiffness on the EpsilonMesh are its unit cell's, tiled; this module
-supplies the Gamma exchange matrix and the nodal reaction rates.
+solve with its own factor, or with a field's when d3 equals d1 or d2. The
+factors are lattice factors (``fem.LatticePlan``), built from the unit
+cell's operators and sharing one plan. The step itself is
+``stepper.ExchangePairStepper``'s, whose mass and stiffness on the
+EpsilonMesh are its unit cell's, tiled; this module supplies the Gamma
+exchange matrix and the nodal reaction rates.
 """
 
 from __future__ import annotations

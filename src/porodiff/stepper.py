@@ -151,7 +151,10 @@ class ExchangePairStepper(ImexStepper):
     (``CoefficientField.same_operator``) shares its K, reduced operator and
     factor: for d2 the pair is equal and the block decouples, for d3 the c3
     solve uses that field's factor. The block [[A1+C, -C], [-C, A2+C]] with
-    A_k = M + dt K_k is built from their reduced P'A_kP. A subclass
+    A_k = M + dt K_k is built from their reduced P'A_kP. On an EpsilonMesh
+    each distinct A_k is factored once by the mesh's ``fem.LatticePlan``,
+    from its unit cell's operator, and the plan is ``lattice``; on another
+    mesh by ``fem.factorize``. A subclass
     implements two hooks called every step:
     ``exchange_matrix(h_nodal)``, the exchange matrix C from nodal h(c3),
     restricted to the reduced dofs, and ``rates(state)``, the explicit
@@ -163,18 +166,31 @@ class ExchangePairStepper(ImexStepper):
         owner = [next(j for j in range(k + 1)
                       if coefficients[j].same_operator(coefficients[k]))
                  for k in range(3)]
-        geometry = fem.triangle_geometry(
-            mesh.unit if isinstance(mesh, EpsilonMesh) else mesh)
-        K = {j: fem.assemble_stiffness(mesh, coefficients[j], geometry)
-             for j in dict.fromkeys(owner)}
+        dt = config.dt
+        lattice = isinstance(mesh, EpsilonMesh)
+        cell = mesh.unit if lattice else mesh
+        geometry = fem.triangle_geometry(cell)
+        K_cell = {j: fem.assemble_stiffness(cell, coefficients[j], geometry)
+                  for j in dict.fromkeys(owner)}
+        K = {j: fem.tile(mesh, K_cell[j]) if lattice else K_cell[j]
+             for j in K_cell}
         self.K = [K[j] for j in owner]
         # each full M + dt K is freed once restricted, before any factoring
-        A_r = {j: self.reducer.restrict(self.M + config.dt * K[j]) for j in K}
-        self.exchange = fem.ExchangeBlock(A_r[0], A_r[owner[1]], self.reducer,
-                                          equal=owner[1] == 0)
+        A_r = {j: self.reducer.restrict(self.M + dt * K[j]) for j in K}
+        if lattice:
+            # the factors of an EpsilonMesh's operators share one plan and
+            # are built from the unit cell's operators
+            self.lattice = fem.LatticePlan(mesh, self.reducer)
+            M_cell = mesh.epsilon ** 2 * fem.assemble_mass(cell)
+            factors = {j: self.lattice.factorize(M_cell + dt * K_cell[j])
+                       for j in K}
+        else:
+            factors = {j: fem.factorize(A_r[j]) for j in K}
+        self.exchange = fem.ExchangeBlock(
+            A_r[0], A_r[owner[1]], self.reducer,
+            (factors[0], factors[owner[1]]))
         self.A3_r = A_r[owner[2]]
-        self.A3_handle = (self.exchange.factors[owner[2]] if owner[2] < 2
-                          else fem.factorize(self.A3_r))
+        self.A3_handle = factors[owner[2]]
 
     def _advance(self, state):
         cfg = self.cfg

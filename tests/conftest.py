@@ -53,6 +53,20 @@ def factorize_calls(monkeypatch):
     return calls
 
 
+@pytest.fixture
+def lattice_factors(monkeypatch):
+    """The plan of each LatticeFactor made while the test runs."""
+    plans = []
+    factorize = fem.LatticePlan.factorize
+
+    def count(plan, A_cell):
+        plans.append(plan)
+        return factorize(plan, A_cell)
+
+    monkeypatch.setattr(fem.LatticePlan, "factorize", count)
+    return plans
+
+
 @pytest.fixture(scope="session")
 def same_csr():
     """True when two CSR matrices have equal indptr, indices and data."""

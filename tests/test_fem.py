@@ -345,6 +345,14 @@ class TestHeldFactor:
         assert np.array_equal(got, want)
 
 
+def _exchange_block(A1r, A2r, red):
+    """An ExchangeBlock with a SuperLU factor of each field, one for an
+    equal pair."""
+    first = fem.factorize(A1r)
+    return fem.ExchangeBlock(
+        A1r, A2r, red, (first, first if A1r is A2r else fem.factorize(A2r)))
+
+
 def _unequal_pair(mesh):
     M = fem.assemble_mass(mesh)
     K1 = fem.assemble_stiffness(mesh, fem.CoefficientField.isotropic(1.0))
@@ -485,6 +493,75 @@ class TestTiledAssembly:
                                        - mesh.nodes[gamma[:, 0]]).T), 1.0)))
 
 
+class TestLatticeFactor:
+    """The lattice factor of a tiled field operator against SuperLU."""
+
+    OSC = TestTiledAssembly.OSC
+    DT = 1e-3
+
+    # (domain, epsilon, unit-cell grid count n, so h_cell = epsilon / n);
+    # the two cells of "corners" share one OUTER node, so the top
+    # super-cell eliminates nothing
+    @pytest.fixture(scope="class", params=[
+        ("square", 1 / 3, 8), ("square", 1 / 4, 8), ("L", 1 / 4, 8),
+        ("square", 1 / 6, 8), ("L", 1 / 6, 8), ("square", 1 / 3, 49),
+        ("L", 1 / 4, 48), ("corners", 1 / 2, 8)],
+        ids=lambda p: f"{p[0]}-eps{round(1 / p[1])}-n{p[2]}")
+    def case(self, request, disc_spec):
+        shape, eps, n = request.param
+        domain = {"square": geo.RectUnion.unit_square(),
+                  "L": geo.RectUnion.of((0, 0, 1, 0.5), (0, 0.5, 0.5, 1)),
+                  "corners": geo.RectUnion.of((0, 0, 0.5, 0.5),
+                                              (0.5, 0.5, 1, 1))}[shape]
+        mesh = geo.build_epsilon_mesh(geo.EpsilonDomainSpec(
+            domain, eps, disc_spec), eps / n)
+        red = fem.DirichletReducer(mesh.n_nodes,
+                                   mesh.nodes_with(geo.EdgeMarker.OUTER))
+        return mesh, red, fem.LatticePlan(mesh, red)
+
+    def operator(self, mesh, red, coeff):
+        """(unit-cell matrix, reduced tiled matrix) of M + dt K."""
+        M_cell = mesh.epsilon ** 2 * fem.assemble_mass(mesh.unit)
+        K_cell = fem.assemble_stiffness(mesh.unit, coeff)
+        return M_cell + self.DT * K_cell, red.restrict(
+            fem.tile(mesh, M_cell) + self.DT * fem.tile(mesh, K_cell))
+
+    def test_solves_agree_with_superlu(self, case, aniso_field, monkeypatch):
+        mesh, red, plan = case
+        eliminated = []
+        eliminate = fem._eliminate
+
+        def count(A, X, B):
+            eliminated.append(A.shape)
+            return eliminate(A, X, B)
+
+        monkeypatch.setattr(fem, "_eliminate", count)
+        rng = np.random.default_rng(5)
+        for coeff in (aniso_field, self.OSC):
+            A_cell, A = self.operator(mesh, red, coeff)
+            lattice = plan.factorize(A_cell)
+            lu = fem.factorize(A)
+            for _ in range(2):
+                b = rng.standard_normal(A.shape[0])
+                x, ref = lattice.solve(b), lu.solve(b)
+                assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+                for y in (x, ref):
+                    res = np.linalg.norm(A @ y - b) / np.linalg.norm(b)
+                    assert res <= fem.RESIDUAL_TOL
+        # each class of super-cells is eliminated once per factor
+        assert len(eliminated) == 2 * len(plan.classes)
+
+    def test_one_class_per_level_on_the_unit_square(self, disc_spec):
+        # eps = 1/4 and a cell small enough to be one dense block: the
+        # cell, the 2 x 2 super-cells and the top one
+        mesh = geo.build_epsilon_mesh(geo.EpsilonDomainSpec(
+            geo.RectUnion.unit_square(), 1 / 4, disc_spec), 1 / 32)
+        red = fem.DirichletReducer(mesh.n_nodes,
+                                   mesh.nodes_with(geo.EdgeMarker.OUTER))
+        plan = fem.LatticePlan(mesh, red)
+        assert [len(c.GX) for c in plan.classes] == [16, 4, 1]
+
+
 class TestExchangeBlock:
     def test_equal_operators_symmetric_data(self, cell_mesh):
         M = fem.assemble_mass(cell_mesh)
@@ -493,7 +570,7 @@ class TestExchangeBlock:
         C = fem.assemble_boundary_mass(cell_mesh, geo.EdgeMarker.GAMMA, 0.7)
         red = fem.DirichletReducer(cell_mesh.n_nodes, [])
         Ar = red.restrict(A)
-        block = fem.ExchangeBlock(Ar, Ar, red, equal=True)
+        block = _exchange_block(Ar, Ar, red)
         b = np.sin(cell_mesh.nodes[:, 0] * 3.0)
         x1, x2 = fem.solve_exchange_block(block, red.restrict(C), b, b)
         assert np.array_equal(x1, x2)
@@ -502,7 +579,7 @@ class TestExchangeBlock:
         A1, A2 = _unequal_pair(cell_mesh)
         rng = np.random.default_rng(4)
         red = fem.DirichletReducer(cell_mesh.n_nodes, [])
-        block = fem.ExchangeBlock(red.restrict(A1), red.restrict(A2), red)
+        block = _exchange_block(red.restrict(A1), red.restrict(A2), red)
         for kappa in (1e-4, 1.0, 1e4):
             w = rng.uniform(0.0, 1.0, cell_mesh.n_nodes)
             C = kappa * fem.assemble_boundary_mass(
@@ -528,7 +605,7 @@ class TestExchangeBlock:
         b1 = rng.standard_normal(n)
         b2 = rng.standard_normal(n)
         x1, x2 = fem.solve_exchange_block(
-            fem.ExchangeBlock(red.restrict(A1), red.restrict(A2), red),
+            _exchange_block(red.restrict(A1), red.restrict(A2), red),
             red.restrict(C), b1, b2)
         # reference: eliminate the Dirichlet nodes of the assembled 2N block
         block = sp.bmat([[A1 + C, -C], [-C, A2 + C]], format="csr")
@@ -542,7 +619,7 @@ class TestExchangeBlock:
     def _solves(self, mesh, kappa, count):
         A1, A2 = _unequal_pair(mesh)
         red = fem.DirichletReducer(mesh.n_nodes, [])
-        block = fem.ExchangeBlock(red.restrict(A1), red.restrict(A2), red)
+        block = _exchange_block(red.restrict(A1), red.restrict(A2), red)
         rng = np.random.default_rng(8)
         history = []
         for _ in range(count):
@@ -572,7 +649,7 @@ class TestExchangeBlock:
         A1, A2 = _unequal_pair(cell_mesh)
         n = cell_mesh.n_nodes
         red = fem.DirichletReducer(n, [])
-        block = fem.ExchangeBlock(red.restrict(A1), red.restrict(A2), red)
+        block = _exchange_block(red.restrict(A1), red.restrict(A2), red)
         C = fem.assemble_boundary_mass(cell_mesh, geo.EdgeMarker.GAMMA, 1.0)
         b1 = np.ones(n)
         b1[3] = np.nan
@@ -673,7 +750,7 @@ class TestResidualTolerance:
         solver = self.macro_solver(macro_mesh_16)
         runs = {
             "exchange block": lambda: fem.solve_exchange_block(
-                fem.ExchangeBlock(red.restrict(A1), red.restrict(A2), red),
+                _exchange_block(red.restrict(A1), red.restrict(A2), red),
                 red.restrict(C), b, 2.0 * b),
             "coupled cell rate": lambda: cell.CoupledCellProblem(
                 coarse_ctx, identity_field, aniso_field).solve(0.5),
@@ -687,13 +764,25 @@ class TestResidualTolerance:
             assert all(r == tol * 0.1 for r in cg_rtols), name
 
     def test_factored_paths_fail_at_zero_tolerance(
-            self, monkeypatch, coarse_ctx, identity_field, macro_mesh_16):
-        solver = self.macro_solver(macro_mesh_16)
-        b3 = solver.M @ np.sin(np.pi * macro_mesh_16.nodes[:, 0])
-        solver.solve_c3(b3)
-        monkeypatch.setattr(fem, "RESIDUAL_TOL", 0.0)
-        with pytest.raises(NoConvergenceError):
+            self, monkeypatch, coarse_ctx, identity_field, macro_mesh_16,
+            disc_spec):
+        eps_mesh = geo.build_epsilon_mesh(geo.EpsilonDomainSpec(
+            geo.RectUnion.unit_square(), 0.25, disc_spec), 0.25 / 8)
+        micro_solver = micro.MicroSolver(eps_mesh, 0.25, micro.MicroConfig(
+            dt=1e-3, t_end=1e-3, d1=identity_field, d2=identity_field,
+            d3=fem.CoefficientField.isotropic(2.0),
+            kinetics=kin.zero_kinetics()))
+        # the macro c3 solve uses a SuperLU factor, the micro one a lattice
+        # factor
+        for solver in (self.macro_solver(macro_mesh_16), micro_solver):
+            x, _ = solver.mesh.nodes.T
+            b3 = solver.M @ np.sin(np.pi * x)
             solver.solve_c3(b3)
+            with monkeypatch.context() as m:
+                m.setattr(fem, "RESIDUAL_TOL", 0.0)
+                with pytest.raises(NoConvergenceError):
+                    solver.solve_c3(b3)
+        monkeypatch.setattr(fem, "RESIDUAL_TOL", 0.0)
         with pytest.raises(NoConvergenceError):
             cell.scalar_tensor_with_check(
                 cell.CellContext.from_mesh(coarse_ctx.mesh), identity_field)
@@ -718,20 +807,13 @@ class TestFactorize:
         return seen[-1]
 
     @pytest.fixture(scope="class")
-    def operators(self, disc_spec, cell_ctx, identity_field, aniso_field,
-                  macro_mesh_16):
-        spec = geo.EpsilonDomainSpec(geo.RectUnion.unit_square(), 0.25,
-                                     disc_spec)
-        eps_mesh = geo.build_epsilon_mesh(spec, 0.25 / 8)
-        config = micro.MicroConfig(
-            dt=1e-3, t_end=1e-3, d1=identity_field, d2=aniso_field,
-            d3=identity_field, kinetics=kin.zero_kinetics())
+    def operators(self, cell_ctx, identity_field, aniso_field, macro_mesh_16):
         solver = TestResidualTolerance.macro_solver(macro_mesh_16)
         x, _ = macro_mesh_16.nodes.T
         state = macro.MacroState(0.0, np.sin(np.pi * x), np.sin(np.pi * x))
         return {
-            "epsilon field": self.factored(
-                lambda: micro.MicroSolver(eps_mesh, 0.25, config)),
+            "macro c3": self.factored(
+                lambda: TestResidualTolerance.macro_solver(macro_mesh_16)),
             "coupled cell block": self.factored(
                 lambda: cell.CoupledCellProblem(
                     cell_ctx, identity_field, aniso_field).solve(0.5)),

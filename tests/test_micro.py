@@ -95,6 +95,7 @@ class TestMicroStep:
         solver = micro.MicroSolver(eps_mesh, 0.25, heat_cfg(
             d2=fem.CoefficientField.constant(np.diag([2.0, 1.0]))))
         factors = [solver.A3_handle, *solver.exchange.factors]
+        assert all(isinstance(f, fem.LatticeFactor) for f in factors)
         assert len(fem._factor_cache) == cached
         assert not any(f is h for f in factors
                        for h in fem._factor_cache.values())
@@ -175,7 +176,8 @@ class TestExchangePreconditioner:
     @pytest.mark.parametrize("scaling,bound", [
         (micro.Scaling.ALL_EPS, 4), (micro.Scaling.FAST_EXCHANGE, 9)])
     def test_few_iterations_per_exchange_solve(self, mesh, scaling, bound,
-                                               factorize_calls):
+                                               factorize_calls,
+                                               lattice_factors):
         solver = micro.MicroSolver(mesh, 1 / 8, self.config(scaling))
         state = micro.initial_state(mesh, bump, bump, bump)
         for _ in range(2):
@@ -183,20 +185,24 @@ class TestExchangePreconditioner:
             assert solver.exchange.held.last_iterations <= bound
         assert solver.A3_handle is solver.exchange.factors[0]
         assert solver.A3_r is solver.exchange.A1r
-        assert factorize_calls == [(solver.reducer.kept.sum(),) * 2] * 2
+        # one lattice factor per field, on one plan, and no SuperLU factor
+        assert lattice_factors == [solver.lattice] * 2
+        assert factorize_calls == []
 
-    def test_distinct_c3_gets_its_own_factor(self, mesh, factorize_calls):
+    def test_distinct_c3_gets_its_own_factor(self, mesh, factorize_calls,
+                                             lattice_factors):
         solver = micro.MicroSolver(mesh, 1 / 8, self.config(
             micro.Scaling.ALL_EPS, d3=fem.CoefficientField.isotropic(3.0)))
         solver.step(micro.initial_state(mesh, bump, bump, bump))
         assert not any(solver.A3_handle is f for f in solver.exchange.factors)
-        assert len(factorize_calls) == 3
+        assert lattice_factors == [solver.lattice] * 3
+        assert factorize_calls == []
 
     @pytest.mark.parametrize("d3,field", [
         (fem.CoefficientField.isotropic(1.0), 0),
         (fem.CoefficientField.constant(np.diag([2.0, 1.0])), 1)])
     def test_c3_equal_to_a_field_shares_its_operators(
-            self, mesh, d3, field, factorize_calls, monkeypatch):
+            self, mesh, d3, field, lattice_factors, monkeypatch):
         assembled = []
         assemble = fem.assemble_stiffness
 
@@ -207,7 +213,7 @@ class TestExchangePreconditioner:
         monkeypatch.setattr(fem, "assemble_stiffness", count)
         solver = micro.MicroSolver(mesh, 1 / 8, self.config(
             micro.Scaling.ALL_EPS, d3=d3))
-        assert len(assembled) == 2 and len(factorize_calls) == 2
+        assert len(assembled) == 2 and len(lattice_factors) == 2
         assert solver.K[2] is solver.K[field]
         assert solver.A3_r is (solver.exchange.A1r,
                                solver.exchange.A2r)[field]
