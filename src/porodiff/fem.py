@@ -170,9 +170,15 @@ _MASS_LOCAL = np.array([[2.0, 1.0, 1.0], [1.0, 2.0, 1.0], [1.0, 1.0, 2.0]]) / 12
 def assemble_mass(mesh):
     """Consistent P1 mass matrix; entries sum to the mesh area."""
     if isinstance(mesh, EpsilonMesh):
-        return tile(mesh, mesh.epsilon ** 2 * assemble_mass(mesh.unit))
+        return tile(mesh, _cell_mass(mesh))
     local = mesh.areas[:, None, None] * _MASS_LOCAL
     return scatter(mesh.triangles, mesh.n_nodes, local)
+
+
+def _cell_mass(mesh):
+    """The mass matrix of an EpsilonMesh's unit cell at its scale, which
+    ``assemble_mass`` tiles: eps^2 times the unit cell's."""
+    return mesh.epsilon ** 2 * assemble_mass(mesh.unit)
 
 
 def weighted_mass_elements(mesh, weights):
@@ -597,12 +603,6 @@ class _BlockDiagonal:
 # the lattice solver of an EpsilonMesh's field operators
 # ---------------------------------------------------------------------------
 
-# A region of the unit cell's interior with more nodes than this is split
-# in two by a separator; the rest is eliminated as one dense block. The
-# acceptance cell (h = 1/8) has 108 interior nodes, one block.
-CELL_BLOCK_NODES = 128
-
-
 def _bisect(start, size):
     """One range of cells, or its two halves, the first the smaller."""
     if size == 1:
@@ -638,8 +638,10 @@ def _cell_fronts(unit, faces):
 
     Returns fronts (eliminated, kept, children) in unit-cell node ids,
     children before parents; the last eliminates its nodes onto ``faces``.
-    A region above CELL_BLOCK_NODES nodes is halved by rank along its longer
-    axis, and its separator is the upper half's nodes next to the lower.
+    A region with more nodes than ``faces`` is halved by rank along its
+    longer axis, and its separator is the upper half's nodes next to the
+    lower. So no dense block is larger than the Schur complement on the
+    faces that every cell leaves to the lattice.
     """
     adjacency = scatter(unit.triangles, unit.n_nodes,
                         np.ones((unit.n_triangles, 3, 3)))
@@ -648,7 +650,7 @@ def _cell_fronts(unit, faces):
     def dissect(region):
         parts = []
         separator = region
-        if len(region) > CELL_BLOCK_NODES:
+        if len(region) > len(faces):
             pts = unit.nodes[region]
             axis = np.argmax(np.ptp(pts, axis=0))
             rank = np.lexsort((region, pts[:, axis])).argsort()
@@ -699,8 +701,8 @@ def _lattice_tree(cells):
 class LatticePlan:
     """Nested dissection of an EpsilonMesh along its cell faces.
 
-    Level 0 eliminates each cell's interior nodes onto its face nodes (a
-    large cell's interior by its own nested dissection). The bounding
+    Level 0 eliminates each cell's interior nodes onto its face nodes, by a
+    nested dissection of the unit cell (``_cell_fronts``). The bounding
     rectangle of the lattice's cells is bisected on each axis, with uneven
     halves for an odd count, down to single cells; each later level merges
     what the 2 x 2 (or 2 x 1) children of a super-cell kept and eliminates
@@ -721,6 +723,7 @@ class LatticePlan:
 
     def __init__(self, mesh, reducer):
         self.kept = reducer.kept
+        self.cell, self.cell_mass = mesh.unit, _cell_mass(mesh)
         unit = mesh.unit.nodes
         faces = np.flatnonzero(np.isin(unit, (0.0, 1.0)).any(axis=1))
         self.classes = []
@@ -796,10 +799,16 @@ class LatticePlan:
         where[slots] = np.arange(len(slots))
         return [(k, where[fronts[k][1]]) for k in kids]
 
-    def factorize(self, A_cell):
-        """The LatticeFactor of the tiled operator whose unit-cell matrix is
-        ``A_cell``, on the dofs that the plan's reducer keeps."""
-        cell = A_cell.toarray()
+    def factorize(self, dt, coeff, geometry=None):
+        """The LatticeFactor of M + dt K on the dofs that the plan's reducer
+        keeps, M and K the mesh's ``assemble_mass`` and ``assemble_stiffness``
+        with ``coeff`` (``geometry``: the unit cell's triangle_geometry).
+
+        Built from the unit-cell matrix that M + dt K tiles, never from the
+        tiled matrix.
+        """
+        cell = (self.cell_mass + dt * assemble_stiffness(
+            self.cell, coeff, geometry)).toarray()
         schur, blocks = [], []
         for cls in self.classes:
             if cls.unit is None:

@@ -152,9 +152,8 @@ class ExchangePairStepper(ImexStepper):
     factor: for d2 the pair is equal and the block decouples, for d3 the c3
     solve uses that field's factor. The block [[A1+C, -C], [-C, A2+C]] with
     A_k = M + dt K_k is built from their reduced P'A_kP. On an EpsilonMesh
-    each distinct A_k is factored once by the mesh's ``fem.LatticePlan``,
-    from its unit cell's operator, and the plan is ``lattice``; on another
-    mesh by ``fem.factorize``. A subclass
+    each distinct A_k is factored once on the mesh's ``fem.LatticePlan``,
+    which is ``lattice``; on another mesh by ``fem.factorize``. A subclass
     implements two hooks called every step:
     ``exchange_matrix(h_nodal)``, the exchange matrix C from nodal h(c3),
     restricted to the reduced dofs, and ``rates(state)``, the explicit
@@ -166,24 +165,18 @@ class ExchangePairStepper(ImexStepper):
         owner = [next(j for j in range(k + 1)
                       if coefficients[j].same_operator(coefficients[k]))
                  for k in range(3)]
-        dt = config.dt
-        lattice = isinstance(mesh, EpsilonMesh)
-        cell = mesh.unit if lattice else mesh
-        geometry = fem.triangle_geometry(cell)
-        K_cell = {j: fem.assemble_stiffness(cell, coefficients[j], geometry)
-                  for j in dict.fromkeys(owner)}
-        K = {j: fem.tile(mesh, K_cell[j]) if lattice else K_cell[j]
-             for j in K_cell}
+        geometry = fem.triangle_geometry(
+            mesh.unit if isinstance(mesh, EpsilonMesh) else mesh)
+        K = {j: fem.assemble_stiffness(mesh, coefficients[j], geometry)
+             for j in dict.fromkeys(owner)}
         self.K = [K[j] for j in owner]
         # each full M + dt K is freed once restricted, before any factoring
-        A_r = {j: self.reducer.restrict(self.M + dt * K[j]) for j in K}
-        if lattice:
-            # the factors of an EpsilonMesh's operators share one plan and
-            # are built from the unit cell's operators
+        A_r = {j: self.reducer.restrict(self.M + config.dt * K[j]) for j in K}
+        if isinstance(mesh, EpsilonMesh):
+            # the factors of an EpsilonMesh's operators share one plan
             self.lattice = fem.LatticePlan(mesh, self.reducer)
-            M_cell = mesh.epsilon ** 2 * fem.assemble_mass(cell)
-            factors = {j: self.lattice.factorize(M_cell + dt * K_cell[j])
-                       for j in K}
+            factors = {j: self.lattice.factorize(config.dt, coefficients[j],
+                                                 geometry) for j in K}
         else:
             factors = {j: fem.factorize(A_r[j]) for j in K}
         self.exchange = fem.ExchangeBlock(

@@ -520,11 +520,9 @@ class TestLatticeFactor:
         return mesh, red, fem.LatticePlan(mesh, red)
 
     def operator(self, mesh, red, coeff):
-        """(unit-cell matrix, reduced tiled matrix) of M + dt K."""
-        M_cell = mesh.epsilon ** 2 * fem.assemble_mass(mesh.unit)
-        K_cell = fem.assemble_stiffness(mesh.unit, coeff)
-        return M_cell + self.DT * K_cell, red.restrict(
-            fem.tile(mesh, M_cell) + self.DT * fem.tile(mesh, K_cell))
+        """The reduced M + dt K that a lattice factor solves."""
+        return red.restrict(fem.assemble_mass(mesh)
+                            + self.DT * fem.assemble_stiffness(mesh, coeff))
 
     def test_solves_agree_with_superlu(self, case, aniso_field, monkeypatch):
         mesh, red, plan = case
@@ -538,8 +536,8 @@ class TestLatticeFactor:
         monkeypatch.setattr(fem, "_eliminate", count)
         rng = np.random.default_rng(5)
         for coeff in (aniso_field, self.OSC):
-            A_cell, A = self.operator(mesh, red, coeff)
-            lattice = plan.factorize(A_cell)
+            A = self.operator(mesh, red, coeff)
+            lattice = plan.factorize(self.DT, coeff)
             lu = fem.factorize(A)
             for _ in range(2):
                 b = rng.standard_normal(A.shape[0])
@@ -552,14 +550,35 @@ class TestLatticeFactor:
         assert len(eliminated) == 2 * len(plan.classes)
 
     def test_one_class_per_level_on_the_unit_square(self, disc_spec):
-        # eps = 1/4 and a cell small enough to be one dense block: the
-        # cell, the 2 x 2 super-cells and the top one
+        # eps = 1/4: each front of the cell, the 2 x 2 super-cells and the
+        # top one
         mesh = geo.build_epsilon_mesh(geo.EpsilonDomainSpec(
             geo.RectUnion.unit_square(), 1 / 4, disc_spec), 1 / 32)
         red = fem.DirichletReducer(mesh.n_nodes,
                                    mesh.nodes_with(geo.EdgeMarker.OUTER))
         plan = fem.LatticePlan(mesh, red)
-        assert [len(c.GX) for c in plan.classes] == [16, 4, 1]
+        fronts = len(fem._cell_fronts(mesh.unit, self.faces(mesh.unit)))
+        assert fronts > 1
+        assert [len(c.GX) for c in plan.classes] == [16] * fronts + [4, 1]
+
+    @staticmethod
+    def faces(unit):
+        return np.flatnonzero(np.isin(unit.nodes, (0.0, 1.0)).any(axis=1))
+
+    @pytest.mark.parametrize("h", [1 / 8, 1 / 48, 1 / 49])
+    def test_cell_fronts_no_larger_than_the_faces(self, disc_spec, h):
+        unit = geo.build_unit_cell_mesh(disc_spec, h)
+        faces = self.faces(unit)
+        fronts = fem._cell_fronts(unit, faces)
+        eliminated = np.concatenate([X for X, _, _ in fronts])
+        # each interior node is eliminated once, children before parents,
+        # and the last front keeps the faces
+        assert np.array_equal(np.sort(eliminated),
+                              np.setdiff1d(np.arange(unit.n_nodes), faces))
+        assert all(k < f for f, (_, _, kids) in enumerate(fronts)
+                   for k in kids)
+        assert np.array_equal(fronts[-1][1], faces)
+        assert max(len(X) for X, _, _ in fronts) <= len(faces)
 
 
 class TestExchangeBlock:

@@ -202,18 +202,24 @@ class TestExchangePreconditioner:
         (fem.CoefficientField.isotropic(1.0), 0),
         (fem.CoefficientField.constant(np.diag([2.0, 1.0])), 1)])
     def test_c3_equal_to_a_field_shares_its_operators(
-            self, mesh, d3, field, lattice_factors, monkeypatch):
+            self, mesh, d3, field, factorize_calls, lattice_factors,
+            monkeypatch):
         assembled = []
         assemble = fem.assemble_stiffness
 
-        def count(mesh, coeff, *geometry):
-            assembled.append(coeff)
-            return assemble(mesh, coeff, *geometry)
+        def count(on, coeff, *geometry):
+            assembled.append(on)
+            return assemble(on, coeff, *geometry)
 
         monkeypatch.setattr(fem, "assemble_stiffness", count)
         solver = micro.MicroSolver(mesh, 1 / 8, self.config(
             micro.Scaling.ALL_EPS, d3=d3))
-        assert len(assembled) == 2 and len(lattice_factors) == 2
+        # each distinct operator is assembled once on the mesh and once on
+        # the unit cell, for its lattice factor
+        assert [id(on) for on in assembled] == [id(mesh)] * 2 + [
+            id(mesh.unit)] * 2
+        assert len(lattice_factors) == 2
+        assert factorize_calls == []
         assert solver.K[2] is solver.K[field]
         assert solver.A3_r is (solver.exchange.A1r,
                                solver.exchange.A2r)[field]
