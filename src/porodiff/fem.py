@@ -640,8 +640,7 @@ def _cell_fronts(unit, faces):
     children before parents; the last eliminates its nodes onto ``faces``.
     A region with more nodes than ``faces`` is halved by rank along its
     longer axis, and its separator is the upper half's nodes next to the
-    lower. So no dense block is larger than the Schur complement on the
-    faces that every cell leaves to the lattice.
+    lower. So no front eliminates more nodes than the cell's faces hold.
     """
     adjacency = scatter(unit.triangles, unit.n_nodes,
                         np.ones((unit.n_triangles, 3, 3)))
@@ -802,7 +801,8 @@ class LatticePlan:
     def factorize(self, dt, coeff, geometry=None):
         """The LatticeFactor of M + dt K on the dofs that the plan's reducer
         keeps, M and K the mesh's ``assemble_mass`` and ``assemble_stiffness``
-        with ``coeff`` (``geometry``: the unit cell's triangle_geometry).
+        with ``coeff`` and ``geometry`` (the unit cell's triangle_geometry,
+        computed when omitted).
 
         Built from the unit-cell matrix that M + dt K tiles, never from the
         tiled matrix.

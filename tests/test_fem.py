@@ -565,7 +565,8 @@ class TestLatticeFactor:
     def faces(unit):
         return np.flatnonzero(np.isin(unit.nodes, (0.0, 1.0)).any(axis=1))
 
-    @pytest.mark.parametrize("h", [1 / 8, 1 / 48, 1 / 49])
+    @pytest.mark.parametrize("h", [1 / 8, 1 / 48, 1 / 49],
+                             ids=["n8", "n48", "n49"])
     def test_cell_fronts_no_larger_than_the_faces(self, disc_spec, h):
         unit = geo.build_unit_cell_mesh(disc_spec, h)
         faces = self.faces(unit)
