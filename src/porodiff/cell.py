@@ -28,8 +28,8 @@ class TensorForm(str, Enum):
 
 @dataclass
 class CellContext:
-    """Perforated unit-cell mesh with its periodic identification, measures
-    and element geometry (areas, P1 basis gradients).
+    """Perforated unit-cell mesh with its periodic identification and
+    measures.
 
     The context solves the scalar cell problem of each distinct operator
     (``CoefficientField.same_operator``) once and holds it, not its factor
@@ -43,7 +43,6 @@ class CellContext:
     area: float
     gamma_length: float
     gamma_mass: sp.csr_matrix | None
-    geometry: tuple[np.ndarray, np.ndarray]
     _scalar_cells: list = field(default_factory=list, repr=False)
 
     @classmethod
@@ -56,8 +55,7 @@ class CellContext:
         except NoMarkedBoundaryError:
             gamma_mass = None
             gamma_length = 0.0
-        return cls(mesh, periodic, weights, mesh.area, gamma_length, gamma_mass,
-                   fem.triangle_geometry(mesh))
+        return cls(mesh, periodic, weights, mesh.area, gamma_length, gamma_mass)
 
     def scalar_cell(self, coeff):
         """The ScalarCell of ``coeff``'s operator, solved on first request."""
@@ -65,8 +63,8 @@ class CellContext:
             if held.coeff.same_operator(coeff):
                 return held
         mats = np.asarray(coeff.matrix_at(self.mesh.centroids))
-        K = fem.assemble_stiffness_elementwise(self.mesh, mats, self.geometry)
-        loads = _direction_loads(self.mesh, *self.geometry, mats)
+        K = fem.assemble_stiffness_elementwise(self.mesh, mats)
+        loads = _direction_loads(self.mesh, mats)
         correctors = _solve_scalar(self, K, loads)
         for chi in correctors:
             chi.setflags(write=False)  # shared by every reader
@@ -98,12 +96,13 @@ class CoupledCellSolution:
     exchange_rate: float
 
 
-def _direction_loads(mesh, areas, grads, mats):
+def _direction_loads(mesh, mats):
     """Load vectors f_j[i] = sum_T |T| (D_T e_j) . grad(phi_i), j = 0, 1."""
     nodes = mesh.triangles.reshape(-1)
     loads = np.empty((2, mesh.n_nodes))
     for j in range(2):
-        contrib = np.einsum("m,mid,md->mi", areas, grads, mats[:, :, j])
+        contrib = np.einsum("m,mid,md->mi", mesh.areas, mesh.gradients,
+                            mats[:, :, j])
         loads[j] = np.bincount(nodes, contrib.reshape(-1),
                                minlength=mesh.n_nodes)
     return loads
@@ -118,20 +117,20 @@ def _solve_scalar(ctx, K, loads):
         handle, A_r, reducer.reduce_rhs(b))) for b in loads)
 
 
-def _element_gradients(mesh, grads, values):
-    return np.einsum("mid,mi->md", grads, values[mesh.triangles])
+def _element_gradients(mesh, values):
+    return np.einsum("mid,mi->md", mesh.gradients, values[mesh.triangles])
 
 
-def _strain_and_flux(mesh, areas, grads, mats, correctors):
+def _strain_and_flux(mesh, mats, correctors):
     """Area-weighted strains and fluxes of one field's correctors.
 
     For each direction j: |T| (e_j - grad chi^j) and D (e_j - grad chi^j),
     both (M, 2); every tensor entry is a two-operand reduction of these.
     """
     eye = np.eye(2)
-    strain = [eye[j] - _element_gradients(mesh, grads, correctors[j])
+    strain = [eye[j] - _element_gradients(mesh, correctors[j])
               for j in range(2)]
-    return ([areas[:, None] * e for e in strain],
+    return ([mesh.areas[:, None] * e for e in strain],
             [np.einsum("mde,me->md", mats, e) for e in strain])
 
 
@@ -168,17 +167,17 @@ class EffectiveTensor:
         }
 
 
-def _field_sums(mesh, areas, grads, mats, correctors):
+def _field_sums(mesh, mats, correctors):
     """(energy, volume) sums of one field's correctors over the cell.
 
     The tensors of both formulas before the division by |Y*|; a coupled
     tensor adds the sums of its two fields and the exchange term.
     """
-    weighted, flux = _strain_and_flux(mesh, areas, grads, mats, correctors)
+    weighted, flux = _strain_and_flux(mesh, mats, correctors)
     energy = np.empty((2, 2))
     volume = np.empty((2, 2))
     for j in range(2):
-        volume[:, j] = np.einsum("m,md->d", areas, flux[j])
+        volume[:, j] = np.einsum("m,md->d", mesh.areas, flux[j])
         for i in range(2):
             energy[i, j] = np.einsum("md,md->", weighted[i], flux[j])
     return energy, volume
@@ -275,7 +274,7 @@ class CoupledCellProblem:
         if set(sol.first) != {0, 1} or set(sol.second) != {0, 1}:
             raise MeshMismatchError("both corrector directions are required")
         (e1, v1), (e2, v2) = (
-            _field_sums(ctx.mesh, *ctx.geometry, c.mats, corr)
+            _field_sums(ctx.mesh, c.mats, corr)
             for c, corr in zip(self._cells(), (sol.first, sol.second)))
         energy = e1 + e2
         if ctx.gamma_mass is not None and sol.exchange_rate > 0:
@@ -326,7 +325,7 @@ def scalar_tensor_with_check(ctx, coeff):
     and flux pass."""
     scalar = ctx.scalar_cell(coeff)
     energy, volume = (t / ctx.area for t in _field_sums(
-        ctx.mesh, *ctx.geometry, scalar.mats, scalar.correctors))
+        ctx.mesh, scalar.mats, scalar.correctors))
     te = EffectiveTensor(energy, TensorForm.SCALAR_ENERGY, h=ctx.mesh.h,
                          cross_check_err=float(np.abs(energy - volume).max()))
     return te, scalar

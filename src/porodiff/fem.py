@@ -94,20 +94,6 @@ class CoefficientField:
                                  and self.descriptor == other.descriptor)
 
 
-def triangle_geometry(mesh):
-    """Areas (M,) and P1 basis gradients (M,3,2) for every triangle."""
-    p = mesh.nodes[mesh.triangles]
-    areas = mesh.areas
-    grads = np.empty((len(p), 3, 2))
-    for k in range(3):
-        pj = p[:, (k + 1) % 3]
-        pk = p[:, (k + 2) % 3]
-        grads[:, k, 0] = pj[:, 1] - pk[:, 1]
-        grads[:, k, 1] = pk[:, 0] - pj[:, 0]
-    grads /= (2.0 * areas)[:, None, None]
-    return areas, grads
-
-
 def scatter(connectivity, n, local):
     """The n x n CSR matrix of element matrices ``local`` (E,k,k) by COO.
 
@@ -145,22 +131,22 @@ def stiffness_elements(areas, grads, mats):
     return local
 
 
-def assemble_stiffness(mesh, coeff, geometry=None):
+def assemble_stiffness(mesh, coeff):
     """Stiffness matrix for -div(D grad u), D evaluated at element centroids.
 
-    ``geometry`` is the mesh's ``triangle_geometry``, computed when omitted.
-    An EpsilonMesh's is its unit cell's (geometry and centroids), tiled: P1
-    stiffness is scale-invariant in 2D and D(x/eps) is Y-periodic.
+    An EpsilonMesh's is its unit cell's (from the unit cell's areas,
+    gradients and centroids), tiled: P1 stiffness is scale-invariant in 2D
+    and D(x/eps) is Y-periodic.
     """
     cell = mesh.unit if isinstance(mesh, EpsilonMesh) else mesh
     mats = np.asarray(coeff.matrix_at(cell.centroids))
-    K = assemble_stiffness_elementwise(cell, mats, geometry)
+    K = assemble_stiffness_elementwise(cell, mats)
     return K if cell is mesh else tile(mesh, K)
 
 
-def assemble_stiffness_elementwise(mesh, mats, geometry=None):
+def assemble_stiffness_elementwise(mesh, mats):
     """Stiffness matrix from per-element 2x2 coefficient matrices (M,2,2)."""
-    local = stiffness_elements(*(geometry or triangle_geometry(mesh)), mats)
+    local = stiffness_elements(mesh.areas, mesh.gradients, mats)
     return scatter(mesh.triangles, mesh.n_nodes, local)
 
 
@@ -798,23 +784,21 @@ class LatticePlan:
         where[slots] = np.arange(len(slots))
         return [(k, where[fronts[k][1]]) for k in kids]
 
-    def factorize(self, dt, coeff, geometry=None):
+    def factorize(self, dt, coeff):
         """The LatticeFactor of M + dt K on the dofs that the plan's reducer
         keeps, M and K the mesh's ``assemble_mass`` and ``assemble_stiffness``
-        with ``coeff`` and ``geometry`` (the unit cell's triangle_geometry,
-        computed when omitted).
+        with ``coeff``.
 
-        Built from the unit-cell matrix that M + dt K tiles, never from the
-        tiled matrix.
+        Built from the sparse unit-cell matrix that M + dt K tiles, never
+        from the tiled matrix; only each class's block of it is dense.
         """
-        cell = (self.cell_mass + dt * assemble_stiffness(
-            self.cell, coeff, geometry)).toarray()
+        cell = self.cell_mass + dt * assemble_stiffness(self.cell, coeff)
         schur, blocks = [], []
         for cls in self.classes:
             if cls.unit is None:
                 merged = np.zeros((cls.n_slots, cls.n_slots))
             else:
-                merged = cell[np.ix_(cls.unit, cls.unit)]
+                merged = cell[np.ix_(cls.unit, cls.unit)].toarray()
                 if not cls.whole:
                     merged[np.ix_(cls.B, cls.B)] = 0.0
             for c, slots in cls.kids:

@@ -262,6 +262,20 @@ class Mesh:
         return out
 
     @cached_property
+    def gradients(self):
+        """P1 basis gradients (M,3,2) of every triangle."""
+        p = self.nodes[self.triangles]
+        out = np.empty((len(p), 3, 2))
+        for k in range(3):
+            pj = p[:, (k + 1) % 3]
+            pk = p[:, (k + 2) % 3]
+            out[:, k, 0] = pj[:, 1] - pk[:, 1]
+            out[:, k, 1] = pk[:, 0] - pj[:, 0]
+        out /= (2.0 * self.areas)[:, None, None]
+        out.setflags(write=False)
+        return out
+
+    @cached_property
     def centroids(self):
         out = self.nodes[self.triangles].mean(axis=1)
         out.setflags(write=False)

@@ -89,9 +89,8 @@ class MacroSolver(ImexStepper):
     def __init__(self, mesh, config):
         super().__init__(mesh, config)
         config.validate()
-        self.geometry = fem.triangle_geometry(mesh)
         self.K3 = fem.assemble_stiffness(
-            mesh, fem.CoefficientField.constant(config.d0), self.geometry)
+            mesh, fem.CoefficientField.constant(config.d0))
         dt, th = config.dt, config.theta
         self.A3_r = self.reducer.restrict(self.M + th * dt * self.K3)
         self.A3_handle = fem.factorize(self.A3_r)
@@ -131,7 +130,7 @@ class MacroSolver(ImexStepper):
 
         mats = self.dispersion_matrices(c3)
         k_data = self.pattern.assemble(
-            fem.stiffness_elements(*self.geometry, mats))
+            fem.stiffness_elements(self.mesh.areas, self.mesh.gradients, mats))
 
         f1, f2, f3 = averaged_rates(cfg.kinetics, self.gamma_over_cell,
                                     (c, c, c3))

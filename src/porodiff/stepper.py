@@ -145,8 +145,8 @@ class ExchangePairStepper(ImexStepper):
     """The (c1, c2) pair through the implicit exchange block, then c3.
 
     ``coefficients`` are d1, d2, d3. Their stiffness matrices are
-    assembled once, from one element geometry (an EpsilonMesh's unit
-    cell's, whose stiffness is tiled), and kept in ``K``, and
+    assembled once, from the mesh's areas and gradients (an EpsilonMesh's
+    unit cell's, whose stiffness is tiled), and kept in ``K``, and
     a coefficient that is the same operator as an earlier one
     (``CoefficientField.same_operator``) shares its K, reduced operator and
     factor: for d2 the pair is equal and the block decouples, for d3 the c3
@@ -165,9 +165,7 @@ class ExchangePairStepper(ImexStepper):
         owner = [next(j for j in range(k + 1)
                       if coefficients[j].same_operator(coefficients[k]))
                  for k in range(3)]
-        geometry = fem.triangle_geometry(
-            mesh.unit if isinstance(mesh, EpsilonMesh) else mesh)
-        K = {j: fem.assemble_stiffness(mesh, coefficients[j], geometry)
+        K = {j: fem.assemble_stiffness(mesh, coefficients[j])
              for j in dict.fromkeys(owner)}
         self.K = [K[j] for j in owner]
         # each full M + dt K is freed once restricted, before any factoring
@@ -175,8 +173,8 @@ class ExchangePairStepper(ImexStepper):
         if isinstance(mesh, EpsilonMesh):
             # the factors of an EpsilonMesh's operators share one plan
             self.lattice = fem.LatticePlan(mesh, self.reducer)
-            factors = {j: self.lattice.factorize(config.dt, coefficients[j],
-                                                 geometry) for j in K}
+            factors = {j: self.lattice.factorize(config.dt, coefficients[j])
+                       for j in K}
         else:
             factors = {j: fem.factorize(A_r[j]) for j in K}
         self.exchange = fem.ExchangeBlock(

@@ -1,3 +1,5 @@
+from functools import cached_property
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,22 @@ def lattice_factors(monkeypatch):
 
     monkeypatch.setattr(fem.LatticePlan, "factorize", count)
     return plans
+
+
+@pytest.fixture
+def gradient_computations(monkeypatch):
+    """The meshes whose Mesh.gradients are computed while the test runs."""
+    meshes = []
+    gradients = geo.Mesh.gradients.func
+
+    def count(mesh):
+        meshes.append(mesh)
+        return gradients(mesh)
+
+    counted = cached_property(count)
+    counted.__set_name__(geo.Mesh, "gradients")
+    monkeypatch.setattr(geo.Mesh, "gradients", counted)
+    return meshes
 
 
 @pytest.fixture(scope="session")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -35,13 +36,13 @@ def four_operand_tensors(ctx, fields):
     """(energy, volume) tensors summed over (coefficient, correctors) pairs,
     by the formulas written as one 4-operand reduction per entry."""
     mesh = ctx.mesh
-    areas, grads = fem.triangle_geometry(mesh)
+    areas = mesh.areas
     eye = np.eye(2)
     energy = np.zeros((2, 2))
     volume = np.zeros((2, 2))
     for coeff, corr in fields:
         mats = np.asarray(coeff.matrix_at(mesh.centroids))
-        g = [cell._element_gradients(mesh, grads, corr[j]) for j in range(2)]
+        g = [cell._element_gradients(mesh, corr[j]) for j in range(2)]
         for j in range(2):
             flux = np.einsum("mde,me->md", mats, eye[j] - g[j])
             volume[:, j] += np.einsum("m,md->d", areas, flux) / ctx.area
@@ -61,8 +62,7 @@ def volume_tensor(ctx, sol, coeff):
     """The volume-form scalar tensor of ``sol``, by ``cell._field_sums``."""
     mesh = ctx.mesh
     return cell._field_sums(
-        mesh, *fem.triangle_geometry(mesh),
-        np.asarray(coeff.matrix_at(mesh.centroids)),
+        mesh, np.asarray(coeff.matrix_at(mesh.centroids)),
         sol.correctors)[1] / ctx.area
 
 
@@ -77,12 +77,10 @@ def off_centre_ctx():
 def per_form_tensors(ctx, sol, coeff):
     """(energy, volume) scalar tensors, each form computed on its own."""
     mesh = ctx.mesh
-    areas, grads = fem.triangle_geometry(mesh)
     mats = np.asarray(coeff.matrix_at(mesh.centroids))
     out = []
     for energy_form in (True, False):
-        weighted, flux = cell._strain_and_flux(mesh, areas, grads, mats,
-                                               sol.correctors)
+        weighted, flux = cell._strain_and_flux(mesh, mats, sol.correctors)
         t = np.empty((2, 2))
         for j in range(2):
             if energy_form:
@@ -90,7 +88,8 @@ def per_form_tensors(ctx, sol, coeff):
                     t[i, j] = np.einsum("md,md->", weighted[i],
                                         flux[j]) / ctx.area
             else:
-                t[:, j] = np.einsum("m,md->d", areas, flux[j]) / ctx.area
+                t[:, j] = np.einsum("m,md->d", mesh.areas,
+                                    flux[j]) / ctx.area
         out.append(t)
     return out
 
@@ -167,29 +166,21 @@ class TestScalarCell:
         for got, ref in zip(forms, want):
             assert np.abs(got - ref).max() <= 1e-14 * np.abs(ref).max()
 
-    def test_checked_tensor_is_both_forms_of_one_pass(self, cell_mesh,
-                                                      aniso_field,
-                                                      monkeypatch):
-        # the context's one element geometry serves the solve and both
+    def test_checked_tensor_is_both_forms_of_one_pass(
+            self, cell_mesh, aniso_field, monkeypatch, gradient_computations):
+        # the mesh's gradients, computed once, serve the solve and both
         # formulas; the matrices are bitwise those of one formula evaluated
         # per form
-        calls = []
-        geometry = fem.triangle_geometry
-
-        def count(mesh):
-            calls.append(mesh)
-            return geometry(mesh)
-
-        monkeypatch.setattr(fem, "triangle_geometry", count)
-        ctx = cell.CellContext.from_mesh(cell_mesh)
+        ctx = cell.CellContext.from_mesh(dataclasses.replace(cell_mesh))
         tensor, sol = cell.scalar_tensor_with_check(ctx, aniso_field)
-        assert len(calls) == 1
+        assert len(gradient_computations) == 1
+        assert gradient_computations[0] is ctx.mesh
         monkeypatch.undo()
         mesh = ctx.mesh
         mats = np.asarray(aniso_field.matrix_at(mesh.centroids))
         ref = cell._solve_scalar(
             ctx, fem.assemble_stiffness_elementwise(mesh, mats),
-            cell._direction_loads(mesh, *fem.triangle_geometry(mesh), mats))
+            cell._direction_loads(mesh, mats))
         for j in range(2):
             assert np.array_equal(sol.correctors[j], ref[j])
         assert tensor.form == cell.TensorForm.SCALAR_ENERGY
@@ -439,7 +430,7 @@ def direct_bordered_pair(ctx, coeff1, coeff2, kappa):
     K2 = fem.assemble_stiffness(mesh, coeff2)
     C = kappa * ctx.gamma_mass
     A = sp.bmat([[K1 + C, -C], [-C, K2 + C]], format="csr")
-    loads = [cell._direction_loads(mesh, *fem.triangle_geometry(mesh),
+    loads = [cell._direction_loads(mesh,
                                    np.asarray(c.matrix_at(mesh.centroids)))
              for c in (coeff1, coeff2)]
     xs = bordered_solve(
@@ -461,7 +452,7 @@ class TestGaugeReduction:
         K1 = fem.assemble_stiffness(mesh, identity_field)
         K2 = fem.assemble_stiffness(mesh, aniso_field)
         C = kappa * ctx.gamma_mass
-        loads = [cell._direction_loads(mesh, *fem.triangle_geometry(mesh),
+        loads = [cell._direction_loads(mesh,
                                        np.asarray(c.matrix_at(mesh.centroids)))
                  for c in (identity_field, aniso_field)]
         scalar = (fem.ConstraintReducer(ctx.periodic, w), ctx.periodic, K2,

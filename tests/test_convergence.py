@@ -62,7 +62,7 @@ class TestTensorSuite:
         C = hv * ctx.gamma_mass
         broken = sp.bmat([[K1 - C, C], [C, K2 - C]], format="csr")
         loads1, loads2 = (
-            cell._direction_loads(mesh, *fem.triangle_geometry(mesh),
+            cell._direction_loads(mesh,
                                   np.asarray(c.matrix_at(mesh.centroids)))
             for c in (identity_field, aniso_field))
         reducer = fem.ConstraintReducer(

@@ -3,6 +3,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -86,7 +87,7 @@ class TestStiffness:
         rng = np.random.default_rng(3)
         for conn, local in (
                 (cell_mesh.triangles, fem.stiffness_elements(
-                    *fem.triangle_geometry(cell_mesh),
+                    cell_mesh.areas, cell_mesh.gradients,
                     rng.uniform(0.5, 1.0, (len(cell_mesh.triangles), 2, 2)))),
                 (edges, fem.boundary_mass_elements(
                     cell_mesh, edges, lengths, rng.uniform(0.0, 1.0, n)))):
@@ -392,7 +393,7 @@ class TestAssemblyPattern:
                    fem.scatter(mesh.triangles, mesh.n_nodes, mass), same_csr)
         mats = scale * rng.uniform(-1.0, 1.0, (len(mesh.triangles), 2, 2))
         mats = mats + np.swapaxes(mats, 1, 2)
-        local = fem.stiffness_elements(*fem.triangle_geometry(mesh), mats)
+        local = fem.stiffness_elements(mesh.areas, mesh.gradients, mats)
         self.check(pattern, red, pattern.assemble(local),
                    fem.scatter(mesh.triangles, mesh.n_nodes, local), same_csr)
 
@@ -460,14 +461,14 @@ class TestTiledAssembly:
         n, tris = mesh.n_nodes, mesh.triangles
         self.assert_close(fem.assemble_mass(mesh), fem.scatter(
             tris, n, mesh.areas[:, None, None] * fem._MASS_LOCAL))
-        geometry = fem.triangle_geometry(mesh)
         for coeff in (fem.CoefficientField.constant(np.diag([2.0, 1.0])),
                       self.OSC):
             mats = np.asarray(coeff.matrix_at(
                 np.mod(mesh.centroids / mesh.epsilon, 1.0)))
             self.assert_close(
                 fem.assemble_stiffness(mesh, coeff),
-                fem.scatter(tris, n, fem.stiffness_elements(*geometry, mats)))
+                fem.scatter(tris, n, fem.stiffness_elements(
+                    mesh.areas, mesh.gradients, mats)))
 
     def test_boundary_equals_the_edges_used_once(self, case):
         # every edge used by one triangle is OUTER where a point just beside
@@ -548,6 +549,21 @@ class TestLatticeFactor:
                     assert res <= fem.RESIDUAL_TOL
         # each class of super-cells is eliminated once per factor
         assert len(eliminated) == 2 * len(plan.classes)
+
+    def test_factor_keeps_the_unit_cell_matrix_sparse(self, disc_spec):
+        # n = 48: the dense unit-cell matrix would be 3,900^2 doubles
+        # (122 MB); only each class's block of it may be dense
+        mesh = geo.build_epsilon_mesh(geo.EpsilonDomainSpec(
+            geo.RectUnion.unit_square(), 1 / 2, disc_spec), 1 / 96)
+        plan = fem.LatticePlan(mesh, fem.DirichletReducer(
+            mesh.n_nodes, mesh.nodes_with(geo.EdgeMarker.OUTER)))
+        tracemalloc.start()
+        try:
+            plan.factorize(self.DT, fem.CoefficientField.isotropic(1.0))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * mesh.unit.n_nodes ** 2 / 4
 
     def test_one_class_per_level_on_the_unit_square(self, disc_spec):
         # eps = 1/4: each front of the cell, the 2 x 2 super-cells and the

@@ -103,6 +103,25 @@ def test_vectorised_bisection_matches_scalar_loop(spec, h, monkeypatch):
     assert mesh.marked_length(GAMMA) > 0
 
 
+@pytest.mark.parametrize("name", ["macro_mesh_16", "cell_mesh"])
+def test_gradients_are_cached_read_only_and_barycentric(name, request):
+    mesh = request.getfixturevalue(name)
+    grads = mesh.gradients
+    assert grads.shape == (mesh.n_triangles, 3, 2)
+    assert mesh.gradients is grads
+    with pytest.raises(ValueError):
+        grads[0, 0, 0] = 1.0
+    # the barycentric coordinates of a triangle sum to one and lambda_k is
+    # 1 at p_k and 0 at the other vertices p_j
+    scale = np.abs(grads).max(axis=(1, 2))
+    assert np.all(np.abs(grads.sum(axis=1)).max(axis=1) <= 1e-13 * scale)
+    p = mesh.nodes[mesh.triangles]
+    for k in range(3):
+        for j in {0, 1, 2} - {k}:
+            step = np.einsum("md,md->m", grads[:, k], p[:, k] - p[:, j])
+            assert np.abs(step - 1.0).max() <= 1e-12
+
+
 class TestMacroMesh:
     def test_unit_square(self):
         mesh = geo.build_macro_mesh(geo.RectUnion.unit_square(), 0.1)

@@ -1,5 +1,7 @@
 """The time stepper shared by the micro, macro and variant solvers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -70,28 +72,28 @@ def test_snapshot_cadence(kind, eps_mesh, macro_mesh_16):
 @pytest.mark.parametrize("kind", SOLVERS)
 def test_set_up_computes_the_element_geometry_once(kind, eps_mesh,
                                                    macro_mesh_16, monkeypatch,
+                                                   gradient_computations,
                                                    same_csr):
     # distinct d1, d2, d3 give three stiffness matrices (the macro solver
-    # one, for d0); all come from one element geometry (the micro solver's
-    # is its unit cell's) and are bitwise those of a separate assembly
+    # one, for d0); all come from one computation of Mesh.gradients (the
+    # micro solver's on its unit cell, never on the epsilon-mesh) and are
+    # bitwise those of a separate assembly
     mats = [k * np.eye(2) for k in (1.0, 2.0, 3.0)]
     fields = [fem.CoefficientField.constant(m) for m in mats]
     coefficients = {"micro": dict(zip(("d1", "d2", "d3"), fields)),
                     "macro": {"d0": mats[2]},
                     "variant": dict(zip(("d1", "d2", "d3"), mats))}[kind]
-    calls = []
-    geometry = fem.triangle_geometry
-
-    def count(mesh):
-        calls.append(mesh)
-        return geometry(mesh)
-
-    monkeypatch.setattr(fem, "triangle_geometry", count)
-    solver, _ = solver_and_state(kind, eps_mesh, macro_mesh_16,
+    # fresh meshes, whose gradients no earlier test has cached
+    eps_mesh = dataclasses.replace(eps_mesh,
+                                   unit=dataclasses.replace(eps_mesh.unit))
+    solver, _ = solver_and_state(kind, eps_mesh,
+                                 dataclasses.replace(macro_mesh_16),
                                  **coefficients)
     monkeypatch.undo()
-    assert len(calls) == 1
-    assert calls[0] is (solver.mesh.unit if kind == "micro" else solver.mesh)
+    assert len(gradient_computations) == 1
+    assert gradient_computations[0] is (
+        solver.mesh.unit if kind == "micro" else solver.mesh)
+    assert "gradients" not in vars(eps_mesh)
     if kind == "macro":
         built, fields = [solver.K3], fields[2:]
     else:
