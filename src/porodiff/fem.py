@@ -113,8 +113,10 @@ def tile(mesh, A_cell):
     mapping the unit cell's nodes to cell c's: one COO scatter."""
     A, n = A_cell.tocoo(), mesh.n_nodes
     conn = mesh.cell_nodes.astype(np.int32 if n < 2 ** 31 else np.int64)
+    # take gives C-ordered (cells, entries) arrays, so ravel copies none
     return sp.coo_matrix((np.tile(A.data, len(conn)), (
-        conn[:, A.row].ravel(), conn[:, A.col].ravel())), shape=(n, n)).tocsr()
+        conn.take(A.row, 1).ravel(), conn.take(A.col, 1).ravel())),
+        shape=(n, n)).tocsr()
 
 
 # Elements per einsum in stiffness_elements, which bounds its temporaries
@@ -276,13 +278,9 @@ class AssemblyPattern:
         self.indptr = np.concatenate(
             [[0], np.cumsum(np.bincount(key[first] // n, minlength=n))]
         ).astype(self.indices.dtype)
-        self._restriction = None
-        if reducer is not None:
-            if not isinstance(reducer, DirichletReducer):
-                raise ValueError("a pattern restricts by Dirichlet rows only")
-            kept = reducer.restrict(self.matrix(np.arange(1.0, self.nnz + 1)))
-            self._restriction = (kept.data.astype(np.intp) - 1, kept.indices,
-                                 kept.indptr, kept.shape)
+        if reducer is not None and not isinstance(reducer, DirichletReducer):
+            raise ValueError("a pattern restricts by Dirichlet rows only")
+        self._restriction = None if reducer is None else reducer.kept_entries(self)
 
     def assemble(self, local):
         """CSR data of the matrix of element matrices ``local`` (E,k,k)."""
@@ -321,6 +319,16 @@ class DirichletReducer:
     def restrict(self, A):
         """P'AP: A on the kept dofs."""
         return A.tocsr()[self.kept][:, self.kept]
+
+    def kept_entries(self, A):
+        """(take, indices, indptr, shape): ``restrict`` of any CSR matrix B on
+        A's pattern is B.data[take] on this pattern, entries in B's order."""
+        keep = np.repeat(self.kept, np.diff(A.indptr)) & self.kept[A.indices]
+        # a dropped row keeps no entry: kept rows start after earlier kept ones
+        indptr = np.append(0, np.cumsum(keep))[A.indptr[np.append(self.kept, True)]]
+        take = np.flatnonzero(keep)
+        return (take, (np.cumsum(self.kept) - 1)[A.indices[take]].astype(
+            A.indices.dtype), indptr.astype(A.indptr.dtype), (len(indptr) - 1,) * 2)
 
     def reduce_rhs(self, b):
         """P'b: b on the kept dofs."""

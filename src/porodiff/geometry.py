@@ -414,9 +414,8 @@ def _cut_out_inclusion(nodes, tris, incl, g):
         d2[on_face] = np.inf
         i = int(np.argmin(d2))
         if d2[i] > g * g:
-            raise MeshFailureError(
-                f"no grid node close enough to polygon corner {tuple(anchor)}"
-            )
+            raise MeshFailureError("no grid node close enough to polygon "
+                                   f"corner {tuple(map(float, anchor))}")
         nodes[i] = anchor
 
     d = incl.signed_distance(nodes)
@@ -702,12 +701,12 @@ def build_epsilon_mesh(spec, h_cell, node_cap=DEFAULT_NODE_CAP):
     mid = unit.nodes[faces].mean(axis=1)
     across = (mid == 1).astype(np.int64) - (mid == 0)
     key = cells @ np.array([1, 2 ** 32])  # one integer per lattice cell
-    outer = local[:, faces][~np.isin(key[:, None] + across @ [1, 2 ** 32], key)]
-    edges = np.sort(np.vstack([local[:, gamma].reshape(-1, 2), outer]), axis=1)
+    outer = local.take(faces, 1)[~np.isin(key[:, None] + across @ [1, 2 ** 32], key)]
+    edges = np.sort(np.vstack([local.take(gamma, 1).reshape(-1, 2), outer]), axis=1)
     markers = np.full(len(edges), EdgeMarker.GAMMA, dtype=np.uint8)
     markers[len(edges) - len(outer):] = EdgeMarker.OUTER
     mesh = EpsilonMesh(shifted[first[order]],
-                       local[:, unit.triangles].reshape(-1, 3), edges,
+                       local.take(unit.triangles, 1).reshape(-1, 3), edges,
                        markers, h=h_cell, unit=unit, cells=cells,
                        cell_nodes=local, epsilon=eps)
     validate_mesh(mesh)

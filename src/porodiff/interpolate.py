@@ -27,17 +27,17 @@ class P1Interpolator:
     Location is done once at construction; evaluation is a sparse weighted
     gather, cheap enough to run per snapshot.
 
-    Triangles are bucketed by bounding box on a square grid of
-    BIN_DENSITY sqrt(T) bins per axis, for T triangles. The bins only prune
-    the candidates: every triangle whose bounding box holds a point is in
-    that point's bin at any bin count. A point goes to the first triangle of
-    its bin, by ascending triangle index, whose smallest barycentric
-    coordinate is >= -INSIDE_TOL, so a point on a shared vertex or edge goes
-    to the lowest-numbered triangle holding it. If there is none, it goes to
-    the first triangle with the largest smallest coordinate, and
-    PointOutsideDomainError is raised when the bin is empty or that
-    coordinate is below -1e-6. The weights are clipped at
-    zero and renormalised.
+    Triangles are bucketed by bounding box on a square grid of BIN_DENSITY
+    sqrt(T) bins per axis, for T triangles. The bins only prune the
+    candidates: every triangle whose bounding box holds a point is in that
+    point's bin at any bin count. A point goes to the first triangle of its
+    bin, by ascending triangle index, whose smallest barycentric coordinate
+    is >= -INSIDE_TOL, so a point on a shared vertex or edge goes to the
+    lowest-numbered triangle holding it. If there is none, it goes to the
+    first triangle with the largest smallest coordinate; PointOutsideDomainError
+    is raised when the point is not finite, the bin is empty or that
+    coordinate is below -1e-6. Location is exact: triangle and weights
+    (clipped at zero, renormalised) are bitwise the same at any bin count.
     """
 
     def __init__(self, mesh, points):
@@ -55,6 +55,10 @@ class P1Interpolator:
             b = np.clip(b, 0, nbin - 1)
             return b[:, 0] * nbin + b[:, 1]
 
+        def outside(point):
+            return PointOutsideDomainError(
+                f"point {tuple(map(float, point))} lies outside the source mesh")
+
         # bin -> triangles in CSR form, ascending triangle index in each bin
         blo = bin_of(tri_pts.min(axis=1))
         bhi = bin_of(tri_pts.max(axis=1))
@@ -66,21 +70,23 @@ class P1Interpolator:
             [[0], np.cumsum(np.bincount(bins, minlength=nbin * nbin))])
 
         # every (point, candidate triangle) pair, grouped by point
+        if not np.isfinite(points).all():
+            raise outside(points[np.argmin(np.isfinite(points).all(axis=1))])
         pb = bin_of(points)
         n_cand = bin_start[pb + 1] - bin_start[pb]
         pt, k = _expand(n_cand)
         t = bin_tris[bin_start[pb[pt]] + k]
 
-        p0 = tri_pts[:, 0]
-        e1 = tri_pts[:, 1] - p0
-        e2 = tri_pts[:, 2] - p0
-        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-        rel = points[pt] - p0[t]
-        e1, e2, det = e1[t], e2[t], det[t]
-        l1 = (rel[:, 0] * e2[:, 1] - rel[:, 1] * e2[:, 0]) / det
-        l2 = (e1[:, 0] * rel[:, 1] - e1[:, 1] * rel[:, 0]) / det
-        lam = np.column_stack([1.0 - l1 - l2, l1, l2])
-        short = lam.min(axis=1)
+        (p0x, p1x, p2x), (p0y, p1y, p2y) = mesh.nodes.T.take(mesh.triangles.T, 1)
+        e1x, e1y, e2x, e2y = p1x - p0x, p1y - p0y, p2x - p0x, p2y - p0y
+        det = e1x * e2y - e1y * e2x
+        qx, qy = np.ascontiguousarray(points.T)
+        relx, rely = qx[pt] - p0x[t], qy[pt] - p0y[t]
+        e1x, e1y, e2x, e2y, det = (a[t] for a in (e1x, e1y, e2x, e2y, det))
+        l1 = (relx * e2y - rely * e2x) / det
+        l2 = (e1x * rely - e1y * relx) / det
+        l0 = 1.0 - l1 - l2
+        short = np.minimum(np.minimum(l0, l1), l2)
 
         # Any candidate inside scores +inf, so the first maximum of the score
         # is the first candidate inside, else the first largest ``short``.
@@ -90,17 +96,15 @@ class P1Interpolator:
         best = np.full(n, np.nan)
         best[has] = np.fmax.reduceat(score, (np.cumsum(n_cand) - n_cand)[has])
         hit = np.flatnonzero(score == best[pt])
-        hit_pt, first = np.unique(pt[hit], return_index=True)
+        # pt ascends, so a point's first hit is where pt[hit] changes
+        first = hit[np.diff(pt[hit], prepend=-1) > 0]
         chosen = np.full(n, -1)
-        chosen[hit_pt] = hit[first]
+        chosen[pt[first]] = first
         bad = chosen < 0
         bad[~bad] = short[chosen[~bad]] < -1e-6
         if bad.any():
-            i = int(np.argmax(bad))
-            raise PointOutsideDomainError(
-                f"point {tuple(points[i])} lies outside the source mesh"
-            )
-        bary = np.clip(lam[chosen], 0.0, None)
+            raise outside(points[np.argmax(bad)])
+        bary = np.clip(np.column_stack([lk[chosen] for lk in (l0, l1, l2)]), 0.0, None)
         bary /= bary.sum(axis=1, keepdims=True)
         self.tri_idx = t[chosen]
         self.bary = bary

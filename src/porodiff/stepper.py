@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import fem
 from .errors import NonFiniteValueError, PositivityViolationError
@@ -168,8 +169,11 @@ class ExchangePairStepper(ImexStepper):
         K = {j: fem.assemble_stiffness(mesh, coefficients[j])
              for j in dict.fromkeys(owner)}
         self.K = [K[j] for j in owner]
-        # each full M + dt K is freed once restricted, before any factoring
-        A_r = {j: self.reducer.restrict(self.M + config.dt * K[j]) for j in K}
+        # M and each K share one CSR pattern, so each P'(M + dt K)P is a slice
+        take, indices, indptr, shape = self.reducer.kept_entries(self.M)
+        M_r = self.M.data[take]
+        A_r = {j: sp.csr_matrix((M_r + config.dt * K[j].data[take], indices,
+                                 indptr), shape=shape) for j in K}
         if isinstance(mesh, EpsilonMesh):
             # the factors of an EpsilonMesh's operators share one plan
             self.lattice = fem.LatticePlan(mesh, self.reducer)

@@ -64,6 +64,16 @@ class TestUnitCell:
         assert abs(mesh.area - (1 - 0.16)) < 1e-10
         assert geo.count_marked_loops(mesh) == 1
 
+    def test_corner_error_prints_plain_floats(self):
+        # a corner outside the cell (validate would reject it) has no grid
+        # node within one pitch
+        nodes, tris = geo._crossed_grid(4, 4, 0.25)
+        far = geo.InclusionSpec.polygon([(1.5, 0.5), (0.4, 0.4), (0.6, 0.4)])
+        with pytest.raises(MeshFailureError) as info:
+            geo._cut_out_inclusion(nodes, tris, far, 0.25)
+        assert str(info.value) == (
+            "no grid node close enough to polygon corner (1.5, 0.5)")
+
     def test_mesh_immutable(self, cell_mesh):
         with pytest.raises(ValueError):
             cell_mesh.nodes[0, 0] = 7.0

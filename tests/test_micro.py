@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import math
 import tracemalloc
+import warnings
 import weakref
 
 import numpy as np
@@ -322,11 +323,37 @@ class TestRestriction:
         with pytest.raises(PointOutsideDomainError):
             P1Interpolator(macro_mesh_16, np.array([[1.5, 0.5]]))
 
-    def test_location_matches_brute_force(self, monkeypatch):
+    @staticmethod
+    def _first_inside(mm, pts):
+        """Scan all triangles in index order, take the first one whose
+        smallest barycentric coordinate is >= -tol; its clipped,
+        renormalised coordinates."""
+        p = mm.nodes[mm.triangles]
+        p0 = p[:, 0]
+        e1 = p[:, 1] - p0
+        e2 = p[:, 2] - p0
+        det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+        tri, bary = [], []
+        for chunk in np.array_split(pts, -(-len(pts) // 500)):
+            rel = chunk[:, None, :] - p0[None]
+            l1 = (rel[..., 0] * e2[:, 1] - rel[..., 1] * e2[:, 0]) / det
+            l2 = (e1[:, 0] * rel[..., 1] - e1[:, 1] * rel[..., 0]) / det
+            lam = np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
+            inside = lam.min(axis=-1) >= -interpolate.INSIDE_TOL
+            assert inside.any(axis=1).all()
+            tri.append(np.argmax(inside, axis=1))
+            bary.append(np.clip(lam[np.arange(len(chunk)), tri[-1]], 0.0,
+                                None))
+        bary = np.vstack(bary)
+        bary /= bary.sum(axis=1, keepdims=True)
+        return np.concatenate(tri), bary
+
+    def test_location_matches_brute_force(self, monkeypatch, disc_spec):
         rng = np.random.default_rng(7)
-        for mm in (geo.build_macro_mesh(geo.RectUnion.unit_square(), 1 / 8),
-                   geo.build_macro_mesh(geo.RectUnion.of(
-                       (0, 0, 1, 0.5), (0, 0.5, 0.5, 1)), 1 / 12)):
+        square = geo.RectUnion.unit_square()
+        ell = geo.RectUnion.of((0, 0, 1, 0.5), (0, 0.5, 0.5, 1))
+        for domain, mm in ((square, geo.build_macro_mesh(square, 1 / 8)),
+                           (ell, geo.build_macro_mesh(ell, 1 / 12))):
             tris = mm.triangles
             p = mm.nodes[tris]
             ends = np.vstack([tris[:, [0, 1]], tris[:, [1, 2]],
@@ -335,29 +362,37 @@ class TestRestriction:
             on_edges = [(1 - t) * a + t * b for t in (0.5, 1 / 3, 0.1)]
             weights = rng.dirichlet(np.ones(3), len(tris))
             interior = [p.mean(axis=1), np.einsum("tk,tkd->td", weights, p)]
-            pts = np.unique(np.vstack([mm.nodes, *on_edges, *interior]),
-                            axis=0)
-            # reference: scan all triangles in index order, take the first
-            # one whose smallest barycentric coordinate is >= -tol
-            p0 = p[:, 0]
-            e1 = p[:, 1] - p0
-            e2 = p[:, 2] - p0
-            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-            rel = pts[:, None, :] - p0[None]
-            l1 = (rel[..., 0] * e2[:, 1] - rel[..., 1] * e2[:, 0]) / det
-            l2 = (e1[:, 0] * rel[..., 1] - e1[:, 1] * rel[..., 0]) / det
-            lam = np.stack([1.0 - l1 - l2, l1, l2], axis=-1)
-            inside = lam.min(axis=-1) >= -interpolate.INSIDE_TOL
-            assert inside.any(axis=1).all()
-            tri = np.argmax(inside, axis=1)
-            bary = np.clip(lam[np.arange(len(pts)), tri], 0.0, None)
-            bary /= bary.sum(axis=1, keepdims=True)
-            # the bins only prune candidates: any bin count gives the same
-            for density in (1, 2, 5):
-                monkeypatch.setattr(interpolate, "BIN_DENSITY", density)
-                interp = P1Interpolator(mm, pts)
-                assert np.array_equal(interp.tri_idx, tri), density
-                assert np.array_equal(interp.bary, bary), density
+            queries = [np.unique(np.vstack([mm.nodes, *on_edges, *interior]),
+                                 axis=0)]
+            # the epsilon-mesh nodes that micro runs restrict onto
+            for eps in (1 / 4, 1 / 8):
+                spec = geo.EpsilonDomainSpec(domain, eps, disc_spec)
+                queries.append(geo.build_epsilon_mesh(spec, eps / 8).nodes)
+            for pts in queries:
+                tri, bary = self._first_inside(mm, pts)
+                # the bins only prune candidates: any bin count gives the same
+                for density in (1, 2, 5):
+                    monkeypatch.setattr(interpolate, "BIN_DENSITY", density)
+                    interp = P1Interpolator(mm, pts)
+                    assert np.array_equal(interp.tri_idx, tri), density
+                    assert np.array_equal(interp.bary, bary), density
+
+    @pytest.mark.parametrize("point", [(np.nan, 0.5), (0.5, np.inf),
+                                       (1.5, 0.5)])
+    def test_outside_message_prints_plain_floats(self, macro_mesh_16, point):
+        pts = np.array([[0.5, 0.5], point])
+        with pytest.raises(PointOutsideDomainError) as info:
+            P1Interpolator(macro_mesh_16, pts)
+        assert str(info.value) == (
+            f"point {(float(point[0]), float(point[1]))} lies outside the "
+            "source mesh")
+
+    def test_non_finite_point_raises_before_any_cast(self, macro_mesh_16):
+        # numpy warns when a nan is cast to an integer bin
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(PointOutsideDomainError):
+                P1Interpolator(macro_mesh_16, np.array([[np.nan, np.nan]]))
 
 
 @pytest.mark.parametrize("domain,eps,n_cells", [

@@ -103,5 +103,43 @@ def test_set_up_computes_the_element_geometry_once(kind, eps_mesh,
         assert same_csr(K, fem.assemble_stiffness(solver.mesh, field))
 
 
+def _same_typed(got, want):
+    return got.dtype == want.dtype and np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", ("micro", "variant"))
+def test_restricted_operators_are_the_reducers_slices(kind, eps_mesh,
+                                                      macro_mesh_16):
+    # each P'(M + dt K)P, taken from one map of M's kept entries, is
+    # bitwise DirichletReducer.restrict's, index dtypes included
+    mats = [np.diag(d) for d in ((1.0, 2.0), (0.5, 0.5), (3.0, 1.0))]
+    coefficients = {"micro": [fem.CoefficientField.constant(m) for m in mats],
+                    "variant": mats}[kind]
+    solver, _ = solver_and_state(kind, eps_mesh, macro_mesh_16,
+                                 **dict(zip(("d1", "d2", "d3"), coefficients)))
+    got = (solver.exchange.A1r, solver.exchange.A2r, solver.A3_r)
+    for A_r, K in zip(got, solver.K):
+        want = (solver.M + DT * K).tocsr()[solver.reducer.kept][
+            :, solver.reducer.kept]
+        assert A_r.shape == want.shape
+        for part in ("data", "indices", "indptr"):
+            assert _same_typed(getattr(A_r, part), getattr(want, part)), part
+
+
+@pytest.mark.parametrize("outer", ("none", "mesh", "all"))
+def test_kept_entries_at_no_and_every_outer_node(outer, eps_mesh):
+    M = fem.assemble_mass(eps_mesh)
+    n = eps_mesh.n_nodes
+    nodes = {"none": [], "all": np.arange(n),
+             "mesh": eps_mesh.nodes_with(geo.EdgeMarker.OUTER)}[outer]
+    red = fem.DirichletReducer(n, nodes)
+    take, indices, indptr, shape = red.kept_entries(M)
+    want = M[red.kept][:, red.kept]
+    assert _same_typed(M.data[take], want.data)
+    assert _same_typed(indices, want.indices)
+    assert _same_typed(indptr, want.indptr)
+    assert shape == want.shape
+
+
 def test_state_types_are_shared():
     assert micro.MicroState is macro.VariantState
