@@ -17,7 +17,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import fem
-from .errors import MeshMismatchError, NoMarkedBoundaryError
+from .errors import MeshMismatchError
 from .geometry import EdgeMarker, Mesh, PeriodicMap, pair_periodic_nodes
 
 
@@ -42,19 +42,15 @@ class CellContext:
     mean_weights: np.ndarray
     area: float
     gamma_length: float
-    gamma_mass: sp.csr_matrix | None
+    gamma_mass: sp.csr_matrix
     _scalar_cells: list = field(default_factory=list, repr=False)
 
     @classmethod
     def from_mesh(cls, mesh):
         periodic = pair_periodic_nodes(mesh)
         weights = fem.lumped_integral_weights(mesh)
-        try:
-            gamma_mass = fem.assemble_boundary_mass(mesh, EdgeMarker.GAMMA, 1.0)
-            gamma_length = mesh.marked_length(EdgeMarker.GAMMA)
-        except NoMarkedBoundaryError:
-            gamma_mass = None
-            gamma_length = 0.0
+        gamma_mass = fem.assemble_boundary_mass(mesh, EdgeMarker.GAMMA, 1.0)
+        gamma_length = mesh.marked_length(EdgeMarker.GAMMA)
         return cls(mesh, periodic, weights, mesh.area, gamma_length, gamma_mass)
 
     def scalar_cell(self, coeff):
@@ -201,9 +197,10 @@ class CoupledCellProblem:
     The rates differ by (k - k_ref) E_r, of rank #Gamma, which bounds the
     iterations, and each direction starts from its reduced solution at the
     nearest positive rate already solved (the lower one on a tie). At k = 0
-    (or without Gamma) the fields decouple, each with its own mean-zero
-    condition, and are the context's scalar cells; an equal pair shares one
-    scalar corrector at every rate.
+    or on an empty Gamma (E_r = 0, so A(k) would leave the second field's
+    mean free) the fields decouple, each with its own mean-zero condition,
+    and are the context's scalar cells; an equal pair shares one scalar
+    corrector at every rate.
 
     Each field's coefficient matrices, stiffness matrix, direction loads
     and scalar correctors are read from ``ctx.scalar_cell``; the problem
@@ -245,7 +242,7 @@ class CoupledCellProblem:
             raise ValueError("exchange rate must be nonnegative")
         ctx = self.ctx
         mesh = ctx.mesh
-        if self.equal or exchange_rate == 0 or ctx.gamma_mass is None:
+        if self.equal or exchange_rate == 0 or ctx.gamma_length == 0:
             first, second = (dict(enumerate(c.correctors))
                              for c in self._cells())
             return CoupledCellSolution(mesh, first, second, exchange_rate)
@@ -277,7 +274,7 @@ class CoupledCellProblem:
             _field_sums(ctx.mesh, c.mats, corr)
             for c, corr in zip(self._cells(), (sol.first, sol.second)))
         energy = e1 + e2
-        if ctx.gamma_mass is not None and sol.exchange_rate > 0:
+        if sol.exchange_rate > 0:
             diff = [sol.first[j] - sol.second[j] for j in range(2)]
             energy += sol.exchange_rate * np.array(
                 [[diff[i] @ (ctx.gamma_mass @ diff[j]) for j in range(2)]

@@ -29,10 +29,6 @@ class UnmatchedNodeError(PorodiffError):
         super().__init__(message or f"unmatched periodic node at {self.coordinate}")
 
 
-class NoMarkedBoundaryError(PorodiffError):
-    """The mesh carries no edges with the requested marker."""
-
-
 class SingularSystemError(PorodiffError):
     """Linear system is singular (usually a constraint-setup bug)."""
 

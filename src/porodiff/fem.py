@@ -30,7 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import lapack
 
-from .errors import NoConvergenceError, NoMarkedBoundaryError, SingularSystemError
+from .errors import NoConvergenceError, SingularSystemError
 from .geometry import EdgeMarker, EpsilonMesh
 
 
@@ -192,10 +192,9 @@ _EDGE_MASS_LOCAL = np.array([[2.0, 1.0], [1.0, 2.0]]) / 6.0
 
 
 def marked_edges(mesh, marker):
-    """The marked edges (E,2) and their lengths (E,)."""
+    """The marked edges (E,2) and their lengths (E,); E = 0 on a mesh
+    without them, such as the empty GAMMA of an unperforated cell."""
     edges = mesh.edges_with(marker)
-    if len(edges) == 0:
-        raise NoMarkedBoundaryError(f"mesh has no {EdgeMarker(marker).name} edges")
     p0 = mesh.nodes[edges[:, 0]]
     p1 = mesh.nodes[edges[:, 1]]
     return edges, np.hypot(*(p1 - p0).T)

@@ -68,7 +68,7 @@ class InclusionSpec:
     """Closed inclusion S inside the closed unit cell, with Lipschitz boundary.
 
     ``disc`` and ``polygon`` are the built-in shapes; ``none`` (or a disc of
-    radius zero) is the escape hatch for an unperforated cell.
+    radius zero) is an unperforated cell, whose inclusion boundary is empty.
     """
 
     kind: str
@@ -293,8 +293,6 @@ class Mesh:
 
     def marked_length(self, marker):
         e = self.edges_with(marker)
-        if len(e) == 0:
-            return 0.0
         d = self.nodes[e[:, 0]] - self.nodes[e[:, 1]]
         return float(np.hypot(d[:, 0], d[:, 1]).sum())
 
@@ -325,12 +323,11 @@ def validate_mesh(mesh):
             f"triangle {bad} has nonpositive area {areas.min():.3e}"
         )
     gamma = mesh.edges_with(EdgeMarker.GAMMA)
-    if len(gamma):
-        ids, counts = np.unique(gamma, return_counts=True)
-        if not np.all(counts == 2):
-            raise MeshFailureError(
-                "inclusion boundary edges do not form closed loops"
-            )
+    _, counts = np.unique(gamma, return_counts=True)
+    if not np.all(counts == 2):
+        raise MeshFailureError(
+            "inclusion boundary edges do not form closed loops"
+        )
 
 
 def _least_joined(n, links):
@@ -526,8 +523,7 @@ def build_unit_cell_mesh(spec, h):
     g = 1.0 / n
     nodes, tris = _crossed_grid(n, n, g)
     nodes[nodes == g * n] = 1.0  # the far faces, where g * n rounds below 1
-    if not spec.is_empty:
-        nodes, tris = _cut_out_inclusion(nodes, tris, spec, g)
+    nodes, tris = _cut_out_inclusion(nodes, tris, spec, g)
     bedges = _boundary_edges(tris)
     on_x, on_y = np.isin(nodes[bedges], (0.0, 1.0)).all(axis=1).T
     markers = np.full(len(bedges), EdgeMarker.GAMMA, dtype=np.uint8)
@@ -537,12 +533,11 @@ def build_unit_cell_mesh(spec, h):
         raise MeshFailureError("unexpected interior boundary on full cell")
     mesh = Mesh(nodes, tris, bedges, markers, h=h)
     validate_mesh(mesh)
-    if not spec.is_empty:
-        hole = 1.0 - mesh.area
-        if abs(hole - spec.area()) > max(5 * g * g, 1e-12):
-            raise MeshFailureError(
-                f"inclusion area {hole:.6f} deviates from spec {spec.area():.6f}"
-            )
+    hole = 1.0 - mesh.area
+    if abs(hole - spec.area()) > max(5 * g * g, 1e-12):
+        raise MeshFailureError(
+            f"inclusion area {hole:.6f} deviates from spec {spec.area():.6f}"
+        )
     return mesh
 
 

@@ -634,6 +634,52 @@ def test_sweep_builds_initial_data_through_the_module_closure(
     assert sorted(evaluated) == [0, 0, 1, 1, 2, 2]
 
 
+# Every command on tiny sections (two steps), under the two spellings of an
+# unperforated cell and a triangle: an empty Gamma is a valid geometry.
+MATRIX_SHAPES = {
+    "none": {"shape": "none"},
+    "radius0": {**DISC, "radius": 0.0},
+    "triangle": {"shape": "polygon",
+                 "vertices": [[0.3, 0.3], [0.7, 0.3], [0.5, 0.7]]},
+}
+MATRIX_SECTIONS = {
+    "coefficients": {"d2": [[2, 0], [0, 1]]},
+    "kinetics": "langmuir:a=1,b=1",
+    "cell": {"h": 1 / 8},
+    "macro": {"h": 1 / 4, "dt": 1e-3, "t_end": 2e-3},
+    "micro": {"epsilon": 1 / 2, "dt": 1e-3, "t_end": 2e-3},
+    "sweep": {"epsilons": [1 / 2, 1 / 4], "dt": 1e-3, "t_end": 2e-3,
+              "macro_h": 1 / 4},
+}
+MATRIX_ARTIFACTS = {
+    "validate": "validate.json", "mesh": "mesh_stats.json",
+    "cell-tensor": "d0.json", "btable": "btable.json",
+    "macro": "trajectory.csv", "macro-variant": "trajectory.csv",
+    "micro": "gamma_gap.csv", "sweep": "gamma_gap_eps0p25.csv",
+    "tensor-suite": "suite.json",
+}
+
+
+@pytest.mark.parametrize("shape", MATRIX_SHAPES)
+@pytest.mark.parametrize("command", MATRIX_ARTIFACTS)
+def test_every_command_runs_on_every_shape(tmp_path, command, shape):
+    name = command.removesuffix("-variant")
+    config = {"geometry": {"inclusion": MATRIX_SHAPES[shape]}}
+    for section in cli._COMMAND_SECTIONS[name]:
+        if section in MATRIX_SECTIONS:
+            config[section] = MATRIX_SECTIONS[section]
+    if command == "macro-variant":
+        config["macro"] = {**config["macro"], "variant": True}
+    code, outdir = run_cli(tmp_path, name, config)
+    assert code == cli.EXIT_OK
+    artifact = outdir / MATRIX_ARTIFACTS[command]
+    assert artifact.exists()
+    if name in ("micro", "sweep") and shape != "triangle":
+        gaps = [float(line.split(",")[1])
+                for line in artifact.read_text().splitlines()[1:]]
+        assert len(gaps) >= 2 and not any(gaps)
+
+
 class TestManifestRerun:
     def test_rerun_byte_identical(self, tmp_path):
         config = {

