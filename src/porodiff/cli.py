@@ -33,7 +33,7 @@ from . import macro as macro_mod
 from . import micro as micro_mod
 from .errors import (ConfigError, InvalidGeometryError, MeshFailureError,
                      PorodiffError, ResourceLimitError, TableRangeError,
-                     UnknownNameError, UnsupportedDimensionError)
+                     UnknownNameError)
 from .trajectory import step_count
 
 EXIT_OK = 0
@@ -389,13 +389,13 @@ def cmd_validate(cfg, model, outdir, args):
     report = kin_mod.validate(model.kinetics)
     geo_ok = model.geometry_error is None
     geo_msg = "ok" if geo_ok else str(model.geometry_error)
-    out = {"kinetics": report.as_dict(),
+    out = {"kinetics": report,
            "geometry": {"passed": geo_ok, "message": geo_msg},
-           "passed": report.passed and geo_ok}
+           "passed": report["passed"] and geo_ok}
     _write_json(out, os.path.join(outdir, "validate.json"))
-    for check in report.checks:
-        status = "pass" if check.passed else "FAIL"
-        print(f"{status} {check.name} (worst {check.worst_value:.3e})")
+    for check in report["checks"]:
+        status = "pass" if check["passed"] else "FAIL"
+        print(f"{status} {check['name']} (worst {check['worst_value']:.3e})")
     print(("pass" if geo_ok else "FAIL") + f" geometry ({geo_msg})")
     return EXIT_OK
 
@@ -601,7 +601,7 @@ def main(argv=None):
         write_manifest(args.out, args.command, resolved)
         return _COMMANDS[args.command](resolved, model, args.out, args)
     except (ConfigError, InvalidGeometryError, UnknownNameError,
-            UnsupportedDimensionError, ValueError) as exc:
+            ValueError) as exc:
         print(f"config error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except ResourceLimitError as exc:

@@ -328,9 +328,19 @@ def tensor_suite(inclusion=None, h=0.05, d1=None, d2=None, d3=None,
 
     if inclusion.kind == "disc" and abs(inclusion.center[0] - 0.5) < 1e-12 \
             and abs(inclusion.center[1] - 0.5) < 1e-12:
-        iso_gap = max(abs(float(t3.matrix[0, 1])),
-                      abs(float(t3.matrix[0, 0] - t3.matrix[1, 1])))
-        add("centered_disc_isotropy", iso_gap <= 1e-8, iso_gap, 1e-8)
+        # A quarter turn R about the centre c maps the cell and the disc
+        # onto themselves, so the tensor of D_R(y) = R D(R'(y - c) + c) R'
+        # is R T(D) R', whatever D is.
+        rot = np.array([[0.0, -1.0], [1.0, 0.0]])
+        c = np.array([0.5, 0.5])
+        d3_rot = fem.CoefficientField(
+            lambda pts: rot @ np.asarray(d3.matrix_at(
+                (np.atleast_2d(pts) - c) @ rot + c)) @ rot.T,
+            d3.alpha, d3.beta)
+        t3_rot, _ = cell_mod.scalar_tensor_with_check(ctx, d3_rot)
+        rot_gap = float(np.abs(t3_rot.matrix
+                               - rot @ t3.matrix @ rot.T).max())
+        add("centered_disc_rotation", rot_gap <= 1e-8, rot_gap, 1e-8)
 
     return {"passed": all(c["passed"] for c in checks), "checks": checks,
             "h": h}

@@ -17,10 +17,6 @@ class ResourceLimitError(PorodiffError):
     """Estimated mesh size exceeds the configured node cap."""
 
 
-class UnsupportedDimensionError(PorodiffError):
-    """Only 2D geometry is supported."""
-
-
 class UnmatchedNodeError(PorodiffError):
     """A periodic face node has no partner on the opposite face."""
 

@@ -29,7 +29,6 @@ from .errors import (
     MeshFailureError,
     ResourceLimitError,
     UnmatchedNodeError,
-    UnsupportedDimensionError,
 )
 
 # Fraction of the grid pitch within which nodes are snapped onto the
@@ -312,8 +311,6 @@ class EpsilonMesh(Mesh):
 
 def validate_mesh(mesh):
     """Raise MeshFailureError on inverted elements or broken GAMMA loops."""
-    if mesh.nodes.shape[1] != 2:
-        raise UnsupportedDimensionError("only 2D meshes are supported")
     areas = mesh.areas
     if len(areas) == 0:
         raise MeshFailureError("mesh has no triangles")

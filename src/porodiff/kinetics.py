@@ -41,10 +41,6 @@ class KineticsSet:
     lip: float = 1.0
     lam: float = 1.0
     growth: float = 1.0
-    name: str = "custom"
-
-    def volume_rate(self, i):
-        return (self.f1, self.f2, self.f3)[i - 1]
 
 
 def _mm_triple(s1, s2, s3):
@@ -83,18 +79,19 @@ def langmuir(a, b):
     return h, a / b, a
 
 
+def _zero_exchange(s):
+    return np.zeros_like(np.asarray(s, float))
+
+
 def zero_kinetics():
     z = _zero_rate
-    return KineticsSet(z, z, z, z, h=lambda s: np.zeros_like(np.asarray(s, float)),
-                       l=1.0, lip=1.0, lam=1.0, growth=1.0, name="zero")
+    return KineticsSet(z, z, z, z, h=_zero_exchange)
 
 
 def mm_triple_kinetics():
     """All three volume rates share the fully saturating triple-product form."""
     f = _mm_triple
-    zero_h = lambda s: np.zeros_like(np.asarray(s, float))
-    return KineticsSet(f, f, f, _zero_rate, h=zero_h,
-                       l=1.0, lip=1.0, lam=1.0, growth=1.0, name="mm_triple")
+    return KineticsSet(f, f, f, _zero_rate, h=_zero_exchange)
 
 
 def mm_mixed_kinetics():
@@ -102,41 +99,22 @@ def mm_mixed_kinetics():
     f1 = lambda s1, s2, s3: _mm_pair(s1, s2, s3) + np.asarray(s1, float)
     f2 = lambda s1, s2, s3: _mm_pair(s2, s3, s1)
     f3 = lambda s1, s2, s3: _mm_pair(s1, s3, s2) + np.asarray(s3, float)
-    zero_h = lambda s: np.zeros_like(np.asarray(s, float))
-    return KineticsSet(f1, f2, f3, _g3_saturating, h=zero_h,
-                       l=1.0, lip=1.0, lam=1.0, growth=2.0, name="mm_mixed")
+    return KineticsSet(f1, f2, f3, _g3_saturating, h=_zero_exchange,
+                       growth=2.0)
 
 
-def builtin(name, **params):
-    """Builtin kinetics by name: ZERO, MM_TRIPLE, MM_MIXED, LANGMUIR_EXCHANGE;
-    only langmuir takes parameters, its ``a`` and ``b``."""
-    key = name.strip().lower()
-    is_langmuir = key in ("langmuir", "langmuir_exchange")
-    for k in params:
-        if not (is_langmuir and k in ("a", "b")):
-            raise UnknownNameError(
-                f"unknown parameter {k!r} of kinetics {name!r}")
-    if key == "zero":
-        return zero_kinetics()
-    if key == "mm_triple":
-        return mm_triple_kinetics()
-    if key == "mm_mixed":
-        return mm_mixed_kinetics()
-    if is_langmuir:
-        a = float(params.get("a", 1.0))
-        b = float(params.get("b", 1.0))
-        h, l, lip = langmuir(a, b)
-        base = zero_kinetics()
-        return replace(base, h=h, l=l, lip=lip, name=f"langmuir:a={a},b={b}")
-    raise UnknownNameError(f"unknown builtin kinetics {name!r}")
+_VOLUME = {"zero": zero_kinetics, "mm_triple": mm_triple_kinetics,
+           "mm_mixed": mm_mixed_kinetics}
 
 
 def parse_kinetics(text):
-    """Parse CLI-style kinetics, e.g. ``mm_triple+langmuir:a=1,b=1``.
+    """Parse kinetics such as ``mm_triple+langmuir:a=1,b=1``.
 
-    Parts are joined with ``+``, at most one volume/surface part and one
-    langmuir part; the langmuir part overrides the exchange rate of the
-    volume/surface part. A parameter is given at most once.
+    Parts are joined with ``+``: at most one builtin (ZERO, MM_TRIPLE or
+    MM_MIXED) and at most one LANGMUIR or LANGMUIR_EXCHANGE part, whose
+    exchange rate replaces the builtin's. Names are case-insensitive; only
+    langmuir takes parameters, its ``a`` and ``b`` (default 1), each at most
+    once.
     """
     parts = [p.strip() for p in text.split("+") if p.strip()]
     if not parts:
@@ -145,7 +123,8 @@ def parse_kinetics(text):
     exchange = None
     for part in parts:
         name, _, argtext = part.partition(":")
-        is_langmuir = name.strip().lower() in ("langmuir", "langmuir_exchange")
+        key = name.strip().lower()
+        is_langmuir = key in ("langmuir", "langmuir_exchange")
         params = {}
         if argtext:
             for item in argtext.split(","):
@@ -157,65 +136,32 @@ def parse_kinetics(text):
                     raise UnknownNameError(
                         f"parameter {k!r} of kinetics {name!r} given twice")
                 params[k] = float(v)
-        k = builtin(name, **params)
+        for k in params:
+            if not (is_langmuir and k in ("a", "b")):
+                raise UnknownNameError(
+                    f"unknown parameter {k!r} of kinetics {name!r}")
         if is_langmuir:
+            rate = langmuir(params.get("a", 1.0), params.get("b", 1.0))
             if exchange is not None:
                 raise UnknownNameError("at most one langmuir exchange part allowed")
-            exchange = k
-        else:
+            exchange = rate
+        elif key in _VOLUME:
             if result is not None:
                 raise UnknownNameError("at most one volume kinetics part allowed")
-            result = k
+            result = _VOLUME[key]()
+        else:
+            raise UnknownNameError(f"unknown builtin kinetics {name!r}")
     if result is None:
-        return exchange if exchange is not None else zero_kinetics()
+        result = zero_kinetics()
     if exchange is not None:
-        result = replace(result, h=exchange.h, l=exchange.l, lip=exchange.lip,
-                         name=f"{result.name}+{exchange.name}")
+        h, l, lip = exchange
+        result = replace(result, h=h, l=l, lip=lip)
     return result
 
 
 # ---------------------------------------------------------------------------
 # hypothesis validation (sampled)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class CheckResult:
-    name: str
-    passed: bool
-    worst_value: float
-    worst_point: tuple | None = None
-    measured_constant: float | None = None
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "passed": bool(self.passed),
-            "worst_value": float(self.worst_value),
-            "worst_point": [float(v) for v in self.worst_point]
-            if self.worst_point else None,
-            "measured_constant": None if self.measured_constant is None
-            else float(self.measured_constant),
-        }
-
-
-@dataclass
-class ValidationReport:
-    checks: list
-
-    @property
-    def passed(self):
-        return bool(all(c.passed for c in self.checks))
-
-    def as_dict(self):
-        return {"passed": self.passed,
-                "checks": [c.as_dict() for c in self.checks]}
-
-    def __getitem__(self, name):
-        for c in self.checks:
-            if c.name == name:
-                return c
-        raise KeyError(name)
-
 
 RATIO_CAP = 100.0
 
@@ -236,6 +182,9 @@ def _worst(values, floor=-math.inf):
 def validate(kin):
     """Sampled hypothesis checks; the report carries failures, never raises.
 
+    The report is ``{"passed", "checks"}``; each check is a JSON-ready dict
+    ``{"name", "passed", "worst_value", "worst_point", "measured_constant"}``.
+
     Each concentration is sampled at 7 points of [-lam, 2 lam]; growth
     ratios must stay within RATIO_CAP. A check fails when its worst sample
     exceeds its bound or is NaN.
@@ -254,9 +203,10 @@ def validate(kin):
         worst, k = _worst(np.concatenate([np.ravel(v) for v in values]),
                           floor)
         point = (None if points is None or k is None
-                 else tuple(float(v) for v in points[k]))
-        checks.append(CheckResult(name, bool(worst <= bound and also), worst,
-                                  point, worst if constant else None))
+                 else [float(v) for v in points[k]])
+        checks.append({"name": name, "passed": bool(worst <= bound and also),
+                       "worst_value": worst, "worst_point": point,
+                       "measured_constant": worst if constant else None})
 
     saxis = np.linspace(-lam, 2 * lam, 101)
     hv = np.asarray(kin.h(saxis), dtype=float)
@@ -306,11 +256,11 @@ def validate(kin):
           np.concatenate([grid[m] for m in large]))
     check("large_value_growth_surface", 1e-9,
           [g3[large[2]] - kin.growth * s3[large[2]]])
-    return ValidationReport(checks)
+    return {"passed": all(c["passed"] for c in checks), "checks": checks}
 
 
 def cell_average_f(kin, i, s):
     """Cell average of the i-th volume rate (i in {1,2,3}) at the
     concentrations ``s``: a rate of the concentrations alone is its own
     average."""
-    return kin.volume_rate(i)(*s)
+    return (kin.f1, kin.f2, kin.f3)[i - 1](*s)

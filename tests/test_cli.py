@@ -347,6 +347,19 @@ class TestCommands:
         doc = json.loads((outdir / "validate.json").read_text())
         assert doc["passed"]
 
+    def test_validate_kinetics_report_pinned(self, tmp_path):
+        # the library's recorded report of the same string, which carries
+        # a -0.0 that == takes for 0.0 and the serialized report does not
+        code, outdir = run_cli(tmp_path, "validate",
+                               {"kinetics": "mm_mixed+langmuir:a=1,b=1"})
+        assert code == 0
+        got = json.loads((outdir / "validate.json").read_text())["kinetics"]
+        want = json.loads(Path(__file__).with_name(
+            "validate_reference.json").read_text())["mm_mixed+langmuir:a=1,b=1"]
+        assert got == want
+        assert json.dumps(got, sort_keys=True) == json.dumps(want,
+                                                             sort_keys=True)
+
     def test_validate_reports_geometry_failure(self, tmp_path):
         bad = {"shape": "disc", "center": [0.5, 0.5], "radius": 0.49}
         code, outdir = run_cli(tmp_path, "validate",
@@ -366,6 +379,19 @@ class TestCommands:
         assert code == 0
         doc = json.loads((outdir / "suite.json").read_text())
         assert doc["passed"]
+
+    def test_tensor_suite_anisotropic_d3_passes(self, tmp_path):
+        # the tensor of an anisotropic d3 is anisotropic on a centred disc
+        # too; a check demanding isotropy failed it at 3.7e-1
+        code, outdir = run_cli(
+            tmp_path, "tensor-suite",
+            {"geometry": {"inclusion": DISC},
+             "coefficients": {"d3": [[1.5, 0.2], [0.2, 1.0]]},
+             "cell": {"h": 0.1}})
+        assert code == 0
+        doc = json.loads((outdir / "suite.json").read_text())
+        assert doc["passed"]
+        assert "centered_disc_rotation" in [c["name"] for c in doc["checks"]]
 
     def test_macro_heat_oracle(self, tmp_path):
         config = {

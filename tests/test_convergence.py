@@ -42,6 +42,27 @@ class TestTensorSuite:
         failed = [c for c in report["checks"] if not c["passed"]]
         assert report["passed"], failed
 
+    def test_rotation_check_holds_for_y_dependent_anisotropic_d3(self):
+        # d3 = [[1.5, 0.2], [0.2, 1]] (1 + 0.5 sin(2 pi y1) cos^2(2 pi y2))
+        # is neither isotropic nor symmetric under the quarter turn; the
+        # rotation gap measured 6.7e-16 (cell h 1/8) and 2.4e-15 (h 1/20)
+        base = np.array([[1.5, 0.2], [0.2, 1.0]])
+
+        def matrix_at(pts):
+            pts = np.atleast_2d(pts)
+            s = 1.0 + 0.5 * (np.sin(2 * np.pi * pts[:, 0])
+                             * np.cos(2 * np.pi * pts[:, 1]) ** 2)
+            return s[:, None, None] * base
+
+        eigs = np.linalg.eigvalsh(base)
+        d3 = fem.CoefficientField(matrix_at, 0.5 * eigs[0], 1.5 * eigs[1])
+        report = conv.tensor_suite(h=1 / 8, d3=d3)
+        assert report["passed"], [c for c in report["checks"]
+                                  if not c["passed"]]
+        (check,) = [c for c in report["checks"]
+                    if c["name"] == "centered_disc_rotation"]
+        assert check["value"] <= 1e-13
+
     def test_no_inclusion_mean_identity(self):
         report = conv.tensor_suite(inclusion=geo.InclusionSpec.none(), h=0.1)
         assert report["passed"]

@@ -614,3 +614,26 @@ def test_finals_converge_under_cell_refinement(disc_spec, scaling):
                        for name in ("norm_c1", "gamma_gap", "mass_c2")])
     steps = np.abs(np.diff(finals, axis=0))
     assert np.all(steps[0] >= 1.7 * steps[1]), steps[0] / steps[1]
+
+
+@pytest.mark.parametrize("scaling", list(micro.Scaling))
+def test_finals_converge_at_first_order_in_dt(eps_mesh, scaling):
+    # The acceptance data at eps = 1/4, cell h eps/8, T = 0.02, dt = 4e-3
+    # halved down to 2.5e-4. d_k, the mass norm of the difference between
+    # the finals at successive dt, needs no reference solution. The ratios
+    # d_k / d_k+1 measured 1.958, 1.979, 1.989 (c1), 1.918 to 1.978 (c2)
+    # and 1.943 to 1.985 (c3) under fast_exchange, and 1.925 to 1.985
+    # under all_eps; the IMEX step is first order, so 2 is the limit.
+    finals = []
+    for dt in (4e-3, 2e-3, 1e-3, 5e-4, 2.5e-4):
+        solver = micro.MicroSolver(eps_mesh, 0.25, heat_cfg(
+            dt=dt, t_end=0.02, scaling=scaling, snapshot_every=10 ** 6,
+            d2=fem.CoefficientField.constant(np.diag([2.0, 1.0])),
+            kinetics=kin.parse_kinetics("mm_triple+langmuir:a=1,b=1")))
+        finals.append(solver.run(micro.initial_state(
+            eps_mesh, bump, bump, bump)).final)
+    for name in ("c1", "c2", "c3"):
+        d = [fem.mass_norm(solver.M, getattr(fine, name) - getattr(coarse, name))
+             for coarse, fine in zip(finals, finals[1:])]
+        ratios = np.divide(d[:-1], d[1:])
+        assert np.all((ratios >= 1.7) & (ratios <= 2.3)), (name, ratios)
